@@ -1,0 +1,72 @@
+"""Seeded CLI outputs against the committed golden manifest.
+
+tests/golden_manifest.json holds the sha256 and size of every file a fixed
+set of seeded commands writes.  A change that alters any of these bytes
+fails here; regenerate an entry only on purpose, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden_manifest.py
+
+The squeezing sweep and the squeezed Q map are left out: their bytes depend
+on the LAPACK build behind numpy's eigh.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from spinoracle.cli import main
+
+MANIFEST = Path(__file__).with_name("golden_manifest.json")
+
+COMMANDS = [
+    ("solve", "--variant", "restricted", "--n", "3", "--seed", "9"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "2",
+     "--reps", "3", "--trials", "25", "--seed", "9"),
+    ("solve", "--variant", "fourier", "--n", "3", "--seed", "1"),
+    ("classical", "--s-range", "3/2:31/2", "--trials", "3", "--seed", "1"),
+    ("solve", "--variant", "restricted", "--n", "7", "--trials", "200", "--seed", "7"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
+     "--trials", "200", "--seed", "7"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
+     "--trials", "200", "--error-mode", "random", "--seed", "7"),
+    ("solve", "--variant", "fourier", "--n", "6", "--seed", "7"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "6", "--trials", "0",
+     "--seed", "7"),
+    ("qfunc", "--n", "4", "--state", "coherent", "--grid", "16x16", "--seed", "7"),
+]
+
+
+def digest_outputs(workdir: Path) -> dict:
+    """{command line: {file name: {sha256, size}}} for every command."""
+    entries = {}
+    for i, args in enumerate(COMMANDS):
+        out = workdir / f"run{i}"
+        code = main([*args, "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"{' '.join(args)} exited {code}")
+        entries[" ".join(args)] = {
+            path.name: {
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "size": path.stat().st_size,
+            }
+            for path in sorted(out.iterdir())
+        }
+    return entries
+
+
+def test_seeded_outputs_match_golden_manifest(tmp_path, capsys):
+    expected = json.loads(MANIFEST.read_text())
+    actual = digest_outputs(tmp_path)
+    capsys.readouterr()  # drop the path listings the CLI prints
+    assert sorted(actual) == sorted(expected)
+    for command, files in expected.items():
+        assert actual[command] == files, command
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = digest_outputs(Path(tmp))
+    MANIFEST.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST}", file=sys.stderr)
