@@ -262,58 +262,21 @@ def cmd_qfunc(cfg: RunConfig) -> list[Path]:
     ]
 
 
-def _solve_restricted(cfg: RunConfig, dim: int, rng) -> list[dict]:
-    if dim <= 16:
-        instances = list(codewords.enumerate_instances("restricted", dim, cfg.errors))
-    else:
-        instances = [
-            codewords.sample_instance("restricted", dim, cfg.errors, rng)
-            for _ in range(cfg.trials)
-        ]
-    return [
-        oracle_circuit.decide_restricted(inst).to_dict("restricted", dim, inst.hidden_j)
-        | {"label": inst.label}
-        for inst in instances
-    ]
-
-
-def _solve_unrestricted(cfg: RunConfig, dim: int, rng) -> tuple[list[dict], dict]:
-    weight = cfg.errors if cfg.errors is not None else 0
-    extra = {}
-    if cfg.error_mode != "random":
-        # exact output spectrum for the designated codeword under worst-case
-        # in-phase errors; valid for any weight the mask construction admits,
-        # independent of the decision trials below
-        mask = oracle_circuit.worst_case_error_mask(dim, weight)
-        z = codewords.apply_mask(
-            codewords.hadamard_codeword(dim, codewords.designated_index(dim)).bits,
-            mask.mask,
-        )
-        merged = oracle_circuit.merge_two_to_one(
-            oracle_circuit.run_pipeline(z, "hadamard"), "symmetric"
-        )
-        extra["worst_case_spectrum"] = [float(p) for p in merged.probabilities()]
-    reports = []
-    for _ in range(cfg.trials):
-        if cfg.error_mode == "random":
-            inst = codewords.sample_instance("unrestricted", dim, weight, rng)
-        else:
-            mask = oracle_circuit.worst_case_error_mask(dim, weight)
-            j = int(rng.integers(0, dim // 2))
-            inst = codewords.instance_from_parts("unrestricted", dim, j, mask)
-        rep = oracle_circuit.decide_unrestricted(inst, cfg.reps, rng)
-        reports.append(rep.to_dict("unrestricted", dim, inst.hidden_j) | {"label": inst.label})
-    return reports, extra
-
-
-def _solve_fourier(dim: int) -> tuple[list[dict], list[float]]:
-    reports = [
-        oracle_circuit.decide_fourier(inst).to_dict("fourier", dim, inst.hidden_j)
-        | {"label": inst.label}
-        for inst in codewords.enumerate_instances("fourier", dim)
-    ]
-    table = [float(x) for x in oracle_circuit.fourier_probability_table(dim)]
-    return reports, table
+def _instances(cfg: RunConfig, dim: int, rng):
+    """The instances a solve run decides; sampled ones are drawn lazily."""
+    if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
+        return codewords.enumerate_instances(cfg.variant, dim, cfg.errors)
+    trials = range(cfg.trials)
+    if cfg.variant == "restricted":
+        return (codewords.sample_instance("restricted", dim, cfg.errors, rng) for _ in trials)
+    weight = cfg.errors or 0
+    if cfg.error_mode == "random":
+        return (codewords.sample_instance("unrestricted", dim, weight, rng) for _ in trials)
+    mask = oracle_circuit.worst_case_error_mask(dim, weight)
+    return (
+        codewords.instance_from_parts("unrestricted", dim, int(rng.integers(0, dim // 2)), mask)
+        for _ in trials
+    )
 
 
 def cmd_solve(cfg: RunConfig) -> list[Path]:
@@ -322,14 +285,18 @@ def cmd_solve(cfg: RunConfig) -> list[Path]:
     sys = make_spin_system(cfg.n)
     dim = sys.dim
     rng = np.random.default_rng(cfg.seed)
-    table = None
     extra = {}
-    if cfg.variant == "restricted":
-        reports = _solve_restricted(cfg, dim, rng)
-    elif cfg.variant == "unrestricted":
-        reports, extra = _solve_unrestricted(cfg, dim, rng)
-    else:
-        reports, table = _solve_fourier(dim)
+    if cfg.variant == "unrestricted" and cfg.error_mode != "random":
+        spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
+        extra["worst_case_spectrum"] = [float(p) for p in spectrum]
+    votes = (cfg.reps, rng) if cfg.variant == "unrestricted" else ()
+    reports, table = [], []
+    decided = oracle_circuit.decide_stream(_instances(cfg, dim, rng), cfg.variant, *votes)
+    for inst, rep, raw in decided:
+        reports.append(rep.to_dict(cfg.variant, dim, inst.hidden_j) | {"label": inst.label})
+        table.append(float(raw[dim - 2]))  # the raw Pr[N-2]; prTop is normalized
+    if cfg.variant == "fourier":
+        extra["probability_table"] = table
     summary = {"instances": len(reports)}
     if reports:
         correct = sum(rep["decision"] == rep["label"] for rep in reports)
@@ -350,8 +317,6 @@ def cmd_solve(cfg: RunConfig) -> list[Path]:
         "reports": reports,
         **extra,
     }
-    if table is not None:
-        doc["probability_table"] = table
     stem = f"solve_{cfg.variant}_N{dim}"
     if cfg.format == "csv":
         header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]

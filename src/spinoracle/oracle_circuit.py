@@ -18,8 +18,9 @@ for the Hadamard variants, index N-2 (adjacent merge) for the Fourier one.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,16 +31,27 @@ from .codewords import (
     UNRESTRICTED,
     ErrorSyndrome,
     ProblemInstance,
-    fourier_codeword,
+    apply_mask,
+    designated_index,
+    enumerate_instances,
+    hadamard_codeword,
 )
 from .errors import ConfigError, InvariantError
-from .spin_core import SpinSystem, StateVector
+from .spin_core import NORM_TOL, SpinSystem, StateVector
 
 PHASE_UNIT_TOL = 1e-15
 PER_OUTCOME_DIM_LIMIT = 64  # serialized reports embed the spectrum only up to here
 
 TRANSFORMS = ("hadamard", "fourier")
 PAIRINGS = ("symmetric", "adjacent")
+BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
+
+# variant -> (transform, pairing, designated outcome counted back from N)
+_CIRCUITS = {
+    RESTRICTED: ("hadamard", "symmetric", 1),
+    UNRESTRICTED: ("hadamard", "symmetric", 1),
+    FOURIER: ("fourier", "adjacent", 2),
+}
 
 
 class PhaseOracle:
@@ -63,10 +75,6 @@ class PhaseOracle:
         self.phases = phases
         self.queries = 0
 
-    @property
-    def dim(self) -> int:
-        return len(self.phases)
-
     def apply(self, amps: np.ndarray) -> np.ndarray:
         self.queries += 1
         return amps * self.phases
@@ -84,17 +92,17 @@ def _input_amps(dim: int) -> np.ndarray:
 
 
 def _fwht(amps: np.ndarray) -> np.ndarray:
-    """Normalized fast Walsh-Hadamard transform, O(N log N) butterflies."""
-    out = amps.astype(complex).copy()
+    """Normalized fast Walsh-Hadamard transform of each row, O(N log N) butterflies."""
+    out = amps.astype(complex)
     h = 1
-    while h < len(out):
-        v = out.reshape(-1, 2, h)
-        top = v[:, 0, :].copy()
-        bot = v[:, 1, :].copy()
-        v[:, 0, :] = top + bot
-        v[:, 1, :] = top - bot
+    while h < out.shape[-1]:
+        v = out.reshape(*out.shape[:-1], -1, 2, h)
+        top = v[..., 0, :].copy()
+        bot = v[..., 1, :].copy()
+        v[..., 0, :] = top + bot
+        v[..., 1, :] = top - bot
         h *= 2
-    return out.reshape(-1) / math.sqrt(len(out))
+    return out / math.sqrt(out.shape[-1])
 
 
 def walsh_hadamard(state: StateVector) -> StateVector:
@@ -121,16 +129,18 @@ def run_pipeline(oracle, transform: str = "hadamard") -> StateVector:
         raise ConfigError(f"unknown transform {transform!r}")
     if not isinstance(oracle, PhaseOracle):
         oracle = PhaseOracle(oracle)
-    amps = _input_amps(oracle.dim)
+    oracle.queries += 1
+    return StateVector(_transform_phase_transform(oracle.phases, transform))
+
+
+def _transform_phase_transform(phases: np.ndarray, transform: str) -> np.ndarray:
+    """R^dag U_z R |in> for each row of oracle phases.  R|in> is shared by all
+    rows and every other step acts along the last axis, so each row's
+    arithmetic is that of a single-row run, bit for bit."""
+    amps = _input_amps(phases.shape[-1])
     if transform == "hadamard":
-        amps = _fwht(amps)
-        amps = oracle.apply(amps)
-        amps = _fwht(amps)
-    else:
-        amps = np.fft.ifft(amps, norm="ortho")
-        amps = oracle.apply(amps)
-        amps = np.fft.fft(amps, norm="ortho")
-    return StateVector(amps)
+        return _fwht(_fwht(amps) * phases)
+    return np.fft.fft(np.fft.ifft(amps, norm="ortho") * phases, norm="ortho")
 
 
 def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVector:
@@ -145,22 +155,44 @@ def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVec
     """
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}")
-    amps = state.amps
-    n = state.dim
+    return StateVector(_merge(state.amps, pairing))
+
+
+def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
     out = np.empty_like(amps)
     root = math.sqrt(2)
     if pairing == "symmetric":
-        half = n // 2
-        a = amps[half - 1 :: -1]  # index N/2-1-j for j = 0..N/2-1
-        b = amps[half:]  # index N/2+j
-        out[half:] = (a + b) / root
-        out[half - 1 :: -1] = (a - b) / root
+        half = amps.shape[-1] // 2
+        a = amps[..., half - 1 :: -1]  # index N/2-1-j for j = 0..N/2-1
+        b = amps[..., half:]  # index N/2+j
+        out[..., half:] = (a + b) / root
+        out[..., half - 1 :: -1] = (a - b) / root
     else:
-        a = amps[0::2]
-        b = amps[1::2]
-        out[0::2] = (a + b) / root
-        out[1::2] = (a - b) / root
-    return StateVector(out)
+        a = amps[..., 0::2]
+        b = amps[..., 1::2]
+        out[..., 0::2] = (a + b) / root
+        out[..., 1::2] = (a - b) / root
+    return out
+
+
+def _spectra(items, transform: str, pairing: str):
+    """Yield (payload, unnormalized |merged amplitudes|^2) per (payload, word).
+
+    The one transform-phase-transform-merge circuit of every decision:
+    words are pulled lazily, BLOCK_ENTRIES // N at a time, and each block of
+    phase rows runs through the circuit as one array.
+    """
+    items = iter(items)
+    for first in items:
+        rows = max(BLOCK_ENTRIES // len(first[1]), 1)
+        block = [first, *itertools.islice(items, rows - 1)]
+        phases = np.stack([PhaseOracle(word).phases for _, word in block])
+        raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
+        dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
+        if dev > NORM_TOL:
+            raise InvariantError(f"circuit output not normalized: dev={dev:.3e}")
+        for (payload, _), row in zip(block, raw):
+            yield payload, row
 
 
 @dataclass(frozen=True)
@@ -200,37 +232,61 @@ class DecisionReport:
 
 
 def measure_designated(
-    state: StateVector, index: int, rng: np.random.Generator | None = None
+    state: StateVector | np.ndarray, index: int, draws: np.ndarray | None = None
 ) -> DecisionReport:
     """Projective measurement report for the designated outcome index.
 
-    Exact mode (rng None) decides from the amplitude directly; sampling mode
-    draws one outcome from the full distribution using the provided stream.
+    ``state`` is the measured state or its outcome spectrum.  Exact mode
+    (draws None) decides from the amplitude directly; majority mode maps
+    each uniform variate in ``draws`` to one outcome through the CDF, as
+    Generator.choice does, and answers A on more than len(draws)/2 hits.
     """
-    if not 0 <= index < state.dim:
-        raise ConfigError(f"outcome index {index} outside Z_{state.dim}")
-    probs = state.probabilities()
-    probs = probs / probs.sum()  # exact-unit total for the sampler
+    raw = state.probabilities() if isinstance(state, StateVector) else state
+    if not 0 <= index < len(raw):
+        raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")
+    probs = raw / raw.sum()  # exact-unit total for the sampler
     pr_top = float(probs[index])
-    if rng is None:
+    rounds = 1 if draws is None else len(draws)
+    if draws is None:
         decision = "A" if pr_top > 0.5 else "B"
     else:
-        outcome = int(rng.choice(state.dim, p=probs))
-        decision = "A" if outcome == index else "B"
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        hits = np.count_nonzero(cdf.searchsorted(draws, side="right") == index)
+        decision = "A" if hits > rounds / 2 else "B"
     return DecisionReport(
-        decision=decision, pr_top=pr_top, queries=0, repetitions=1, per_outcome=probs
+        decision=decision, pr_top=pr_top, queries=rounds, repetitions=rounds, per_outcome=probs
     )
+
+
+def decide_stream(instances, variant: str, repetitions: int = 1, rng=None):
+    """Yield (instance, report, unnormalized spectrum) for each instance.
+
+    The circuit runs once per instance.  With an rng, the q = repetitions
+    variates of an instance are drawn right after it is pulled, and decide
+    it by majority vote; the per-round success probability for unrestricted
+    A instances is at least 9/16, so the vote error decays exponentially in
+    q.  Without an rng the decision is exact.
+    """
+    transform, pairing, back = _CIRCUITS[variant]
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if rng is None and repetitions > 1:
+        raise ConfigError("majority voting needs a seeded Generator")
+
+    def pulled():
+        for inst in instances:
+            if inst.variant != variant:
+                raise ConfigError(f"expected a {variant} instance, got {inst.variant!r}")
+            yield (inst, None if rng is None else rng.random(repetitions)), inst.z
+
+    for (inst, draws), raw in _spectra(pulled(), transform, pairing):
+        yield inst, measure_designated(raw, inst.dim - back, draws), raw
 
 
 def decide_restricted(instance: ProblemInstance) -> DecisionReport:
     """Single-query exact decision; correct with certainty on restricted instances."""
-    if instance.variant != RESTRICTED:
-        raise ConfigError(f"expected a restricted instance, got {instance.variant!r}")
-    oracle = PhaseOracle(instance.z)
-    out = run_pipeline(oracle, "hadamard")
-    merged = merge_two_to_one(out, "symmetric")
-    report = measure_designated(merged, instance.dim - 1)
-    return replace(report, queries=oracle.queries)
+    return next(decide_stream([instance], RESTRICTED))[1]
 
 
 def decide_unrestricted(
@@ -238,39 +294,13 @@ def decide_unrestricted(
     repetitions: int = 1,
     rng: np.random.Generator | None = None,
 ) -> DecisionReport:
-    """Repeat the pipeline q times and majority-vote the designated outcome.
-
-    Answers A when the designated outcome shows up in more than q/2 rounds.
-    The per-round success probability for A instances is at least 9/16 in
-    the worst case, so the vote error decays exponentially in q.
-    """
-    if instance.variant != UNRESTRICTED:
-        raise ConfigError(f"expected an unrestricted instance, got {instance.variant!r}")
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if rng is None and repetitions > 1:
-        raise ConfigError("majority voting needs a seeded Generator")
-    oracle = PhaseOracle(instance.z)
-    designated = instance.dim - 1
-    hits = 0
-    last = None
-    for _ in range(repetitions):
-        merged = merge_two_to_one(run_pipeline(oracle, "hadamard"), "symmetric")
-        last = measure_designated(merged, designated, rng)
-        hits += last.decision == "A"
-    decision = "A" if hits > repetitions / 2 else "B"
-    return replace(last, decision=decision, queries=oracle.queries, repetitions=repetitions)
+    """Repeat the pipeline q times and majority-vote the designated outcome."""
+    return next(decide_stream([instance], UNRESTRICTED, repetitions, rng))[1]
 
 
 def decide_fourier(instance: ProblemInstance) -> DecisionReport:
     """DFT pipeline, adjacent merge, exact measurement of index N-2."""
-    if instance.variant != FOURIER:
-        raise ConfigError(f"expected a fourier instance, got {instance.variant!r}")
-    oracle = PhaseOracle(instance.z)
-    out = run_pipeline(oracle, "fourier")
-    merged = merge_two_to_one(out, "adjacent")
-    report = measure_designated(merged, instance.dim - 2)
-    return replace(report, queries=oracle.queries)
+    return next(decide_stream([instance], FOURIER))[1]
 
 
 def fourier_probability_table(dim: int) -> np.ndarray:
@@ -280,12 +310,8 @@ def fourier_probability_table(dim: int) -> np.ndarray:
     neighbours j = N/2-2 and N/2, which retain probability 1/4, so adjacent
     indices are not distinguished with certainty by this measurement.
     """
-    table = np.empty(dim)
-    for j in range(dim):
-        word = fourier_codeword(dim, j)
-        merged = merge_two_to_one(run_pipeline(word.vals, "fourier"), "adjacent")
-        table[j] = merged.probabilities()[dim - 2]
-    return table
+    decided = decide_stream(enumerate_instances(FOURIER, dim), FOURIER)
+    return np.array([raw[dim - 2] for _, _, raw in decided])
 
 
 def worst_case_error_mask(dim: int, weight: int) -> ErrorSyndrome:
@@ -302,3 +328,12 @@ def worst_case_error_mask(dim: int, weight: int) -> ErrorSyndrome:
     for x in candidates[:weight]:
         mask[x] = 1
     return ErrorSyndrome(mask=tuple(mask), weight=weight, restricted=False)
+
+
+def worst_case_spectrum(dim: int, weight: int) -> np.ndarray:
+    """Unnormalized output spectrum of the designated codeword under the
+    worst-case mask, for any weight the mask admits."""
+    word = apply_mask(hadamard_codeword(dim, designated_index(dim)).bits,
+                      worst_case_error_mask(dim, weight).mask)
+    [(_, raw)] = _spectra([(None, word)], "hadamard", "symmetric")
+    return raw
