@@ -324,8 +324,11 @@ def sample_instance(
             variant=variant, z=word.vals, hidden_j=j, syndrome=None, label=label
         )
     weights = _resolve_weights(variant, dim, d)
-    counts = np.array([syndrome_count(dim, m, variant == RESTRICTED) for m in weights])
-    probs = counts / counts.sum()
+    counts = [syndrome_count(dim, m, variant == RESTRICTED) for m in weights]
+    # float(c) / float(total) is numpy's int64 division wherever the counts
+    # fit in int64; past 2^1000 a common shift keeps float() finite
+    shift = max(sum(counts).bit_length() - 1000, 0)
+    probs = np.array([float(c >> shift) for c in counts]) / float(sum(counts) >> shift)
     d_sel = int(rng.choice(len(weights), p=probs))
     syndrome = sample_syndrome(dim, weights[d_sel], variant == RESTRICTED, rng)
     j = int(rng.integers(0, dim // 2))

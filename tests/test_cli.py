@@ -212,3 +212,14 @@ def test_json_reports_have_wire_format_keys(tmp_path):
     for key in ("variant", "N", "hiddenJ", "decision", "prTop", "queries", "repetitions"):
         assert key in rep
     assert len(rep["perOutcome"]) == 8
+
+
+@pytest.mark.parametrize("errors", [[], ["--errors", "20"]])
+def test_solve_restricted_sampled_at_n8(tmp_path, errors):
+    code, out = run(
+        tmp_path, "solve", "--variant", "restricted", "--n", "8", *errors, "--seed", "3"
+    )
+    assert code == 0
+    doc = json.loads((out / "solve_restricted_N256.json").read_text())
+    assert doc["summary"]["instances"] == 1000
+    assert doc["summary"]["accuracy"] == 1.0

@@ -195,3 +195,12 @@ def test_sample_syndrome_uniformity_sanity():
     rng = np.random.default_rng(11)
     masks = {sample_syndrome(8, 1, True, rng).mask for _ in range(200)}
     assert len(masks) == 4  # all four restricted single-error masks show up
+
+
+@pytest.mark.parametrize("dim", [256, 2048, 16384])
+def test_restricted_sampling_past_int64_counts(dim):
+    # the weight-class counts C(N/2, d) pass int64 at N = 256 and 2^1024 at N = 4096
+    rng = np.random.default_rng(3)
+    inst = sample_instance("restricted", dim, None, rng)
+    assert inst.syndrome.weight < dim // 4
+    assert sample_instance("restricted", dim, 20, rng).syndrome.weight == 20
