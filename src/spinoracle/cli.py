@@ -14,7 +14,7 @@ Subcommands
 All randomness flows from --seed, so identical configs reproduce outputs
 byte for byte.  Options may also come from a key=value config file
 (--config); explicit flags win.  Exit codes: 0 ok, 2 config error,
-3 resource guard, 4 invariant violation.
+3 resource guard, 4 invariant violation or numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical_baseline, codewords, oracle_circuit, squeezing
-from .errors import ConfigError, InvariantError, ResourceLimitError
+from .errors import ConfigError, InvariantError, NumericsError, ResourceLimitError
 from .qfunction import q_function
 from .spin_core import coherent_state, make_spin_system
 
@@ -80,7 +80,7 @@ class RunConfig:
 def _parse_s(text: str) -> float:
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse spin value {text!r}") from exc
 
 
@@ -121,10 +121,13 @@ _FLOAT_KEYS = {"tol"}
 def _coerce(key: str, value):
     if value is None or not isinstance(value, str):
         return value
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
     return value
 
 
@@ -366,6 +369,12 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 4
+    except NumericsError as exc:
+        print(f"numerical failure: {exc}", file=_sys.stderr)
+        return 4
+    except OSError as exc:
+        print(f"config error: {exc}", file=_sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all spinoracle modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-ResourceLimitError -> 3, InvariantError -> 4.
+The CLI maps these onto process exit codes, each with a one-line message
+on stderr: ConfigError -> 2, ResourceLimitError -> 3, InvariantError -> 4,
+NumericsError -> 4.
 """
 
 

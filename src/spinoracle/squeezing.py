@@ -240,18 +240,32 @@ def _guard_dense(sys: SpinSystem):
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Shrink [lo, hi] around a minimum of f until it is narrower than tol.
+
+    Raises NumericsError, with the (x, f(x)) samples, when a step leaves the
+    bracket as wide as before: it has reached float spacing above tol.
+    """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
+    trace = [(x1, f1), (x2, f2)]
     while hi - lo > tol:
+        width = hi - lo
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
             f1 = f(x1)
+            trace.append((x1, f1))
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = f(x2)
+            trace.append((x2, f2))
+        if not hi - lo < width:
+            raise NumericsError(
+                f"golden section stalled at bracket width {width:.3g} above tol {tol:.3g}",
+                trace=trace,
+            )
     return (lo + hi) / 2
 
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinoracle
 from spinoracle.cli import main
 
 
@@ -223,3 +228,61 @@ def test_solve_restricted_sampled_at_n8(tmp_path, errors):
     doc = json.loads((out / "solve_restricted_N256.json").read_text())
     assert doc["summary"]["instances"] == 1000
     assert doc["summary"]["accuracy"] == 1.0
+
+
+def run_process(tmp_path, *args, timeout=60):
+    """Run the CLI in its own interpreter, so a hang fails instead of blocking."""
+    env = dict(os.environ)
+    src = str(Path(spinoracle.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "spinoracle.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_stalled_mu_search_exits_4(tmp_path):
+    done = run_process(tmp_path, "squeeze-scan", "--s-range", "3/2:3/2", "--tol", "1e-300")
+    assert done.returncode == 4
+    assert done.stderr.startswith("numerical failure:") and done.stderr.count("\n") == 1
+
+
+def test_exit_code_numerics_error(tmp_path, monkeypatch):
+    from spinoracle import NumericsError
+    from spinoracle import squeezing
+
+    def boom(sys, tol=1e-8):
+        raise NumericsError("synthetic", trace=[(0.0, 1.0)])
+
+    monkeypatch.setattr(squeezing, "optimize_mu", boom)
+    assert main(["qfunc", "--n", "3", "--state", "squeezed", "--out", str(tmp_path / "v")]) == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("qfunc", "--n", "99"),
+        ("qfunc", "--n", "3", "--grid", "abc"),
+        ("qfunc", "--n", "3", "--state", "squeezed", "--tol", "1e-300"),
+        ("squeeze-scan", "--s-range", "2047/2:2047/2"),
+        ("squeeze-scan", "--s-range", "3/2", "--tol", "-1"),
+        ("squeeze-scan", "--s-range", "1e400:1e401"),
+        ("classical", "--s-range", "abc"),
+        ("solve", "--variant", "restricted", "--n", "8", "--trials", "20"),
+        ("solve", "--variant", "restricted", "--n", "5", "--errors", "99", "--trials", "3"),
+        ("solve", "--variant", "unrestricted", "--n", "3", "--errors", "1"),
+        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "0",
+         "--trials", "5"),
+        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "70", "--trials", "0"),
+        ("solve", "--variant", "fourier", "--n", "20"),
+        ("qfunc", "--config", "missing.cfg"),
+        ("qfunc", "--config", "bad.cfg"),
+        ("qfunc", "--n", "3", "--out", "bad.cfg"),
+    ],
+)
+def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
+    (tmp_path / "bad.cfg").write_text("n=abc\n")
+    done = run_process(tmp_path, *args)
+    assert done.returncode in (0, 2, 3, 4), done.stderr
+    if done.returncode:
+        assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
