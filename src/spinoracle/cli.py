@@ -324,7 +324,12 @@ def cmd_solve(cfg: RunConfig) -> list[Path]:
     if cfg.format == "csv":
         header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]
         rows = [[rep[k] for k in header] for rep in reports]
-        return [_write_csv(cfg.out / f"{stem}.csv", header, rows)]
+        written = [_write_csv(cfg.out / f"{stem}.csv", header, rows)]
+        for key, values in extra.items():  # probability_table, worst_case_spectrum
+            side_header = ["j" if key == "probability_table" else "index", "probability"]
+            side_rows = [[i, p] for i, p in enumerate(values)]
+            written.append(_write_csv(cfg.out / f"{stem}_{key}.csv", side_header, side_rows))
+        return written
     return [_write_json(cfg.out / f"{stem}.json", doc)]
 
 

@@ -286,3 +286,21 @@ def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
     assert done.returncode in (0, 2, 3, 4), done.stderr
     if done.returncode:
         assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "args, stem, key, index",
+    [
+        (("--variant", "fourier", "--n", "3"), "solve_fourier_N8", "probability_table", "j"),
+        (("--variant", "unrestricted", "--n", "6", "--errors", "2", "--trials", "0"),
+         "solve_unrestricted_N64", "worst_case_spectrum", "index"),
+    ],
+)
+def test_solve_csv_writes_side_tables(tmp_path, args, stem, key, index):
+    assert main(["solve", *args, "--out", str(tmp_path / "json")]) == 0
+    assert main(["solve", *args, "--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+    expected = json.loads((tmp_path / "json" / f"{stem}.json").read_text())[key]
+    header, rows = read_csv(tmp_path / "csv" / f"{stem}_{key}.csv")
+    assert header == [index, "probability"]
+    assert [int(r[0]) for r in rows] == list(range(len(expected)))
+    assert [r[1] for r in rows] == [format(v, ".9g") for v in expected]
