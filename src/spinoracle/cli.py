@@ -377,8 +377,8 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
+    except OSError as exc:  # unreadable --config, --out that cannot be created
+        print(f"i/o error: {exc}", file=_sys.stderr)
         return 2
     for path in written:
         print(path)
