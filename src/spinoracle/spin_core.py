@@ -160,14 +160,13 @@ class SpinOperators:
     sx: OperatorMatrix
     sy: OperatorMatrix
     sz: OperatorMatrix
-    splus: OperatorMatrix
-    sminus: OperatorMatrix
-    s_squared: OperatorMatrix
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    # enforce exact hermiticity lost to matmul round-off
-    return (m + m.conj().T) / 2
+def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:
+    """sqrt(s(s+1) - m(m+1)) for m = -s .. s-1: the S+ element from index i to i+1."""
+    s = sys.s
+    m = sys.m_values()[:-1]
+    return np.sqrt(s * (s + 1) - m * (m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -179,24 +178,15 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
     Sy = (S+ - S-)/(2i).  The su(2) relations [Sx,Sy] = iSz (and cyclic) and
     S^2 = s(s+1) I hold to round-off.
     """
-    s = sys.s
-    m = sys.m_values()
-    sz = np.diag(m.astype(complex))
+    sz = np.diag(sys.m_values().astype(complex))
     splus = np.zeros((sys.dim, sys.dim), dtype=complex)
     # S+|m> = sqrt(s(s+1) - m(m+1)) |m+1>, i.e. entry (i+1, i)
-    coeff = np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
-    splus[np.arange(1, sys.dim), np.arange(sys.dim - 1)] = coeff
+    splus[np.arange(1, sys.dim), np.arange(sys.dim - 1)] = _ladder_coefficients(sys)
     sminus = splus.conj().T
-    sx = (splus + sminus) / 2
-    sy = (splus - sminus) / 2j
-    s2 = _symmetrized(sx @ sx + sy @ sy + sz @ sz)
     return SpinOperators(
-        sx=OperatorMatrix(sx, hermitian=True),
-        sy=OperatorMatrix(sy, hermitian=True),
+        sx=OperatorMatrix((splus + sminus) / 2, hermitian=True),
+        sy=OperatorMatrix((splus - sminus) / 2j, hermitian=True),
         sz=OperatorMatrix(sz, hermitian=True, diagonal=True),
-        splus=OperatorMatrix(splus),
-        sminus=OperatorMatrix(sminus),
-        s_squared=OperatorMatrix(s2, hermitian=True),
     )
 
 

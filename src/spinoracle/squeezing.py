@@ -42,10 +42,8 @@ from .spin_core import (
     OperatorMatrix,
     SpinSystem,
     StateVector,
-    _symmetrized,
+    _ladder_coefficients,
     coherent_state,
-    expi_hermitian,
-    spin_operators,
 )
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
@@ -114,23 +112,30 @@ def bounding_epsilon() -> BoundingDistribution:
 
 
 def twist_generator(sys: SpinSystem) -> np.ndarray:
-    """The Hermitian counter-twisting generator Sz^2 - Sy^2."""
-    ops = spin_operators(sys)
-    return _symmetrized(ops.sz.entries @ ops.sz.entries - ops.sy.entries @ ops.sy.entries)
+    """The real symmetric counter-twisting generator Sz^2 - Sy^2.
+
+    Built from the ladder coefficients c_i: the diagonal is
+    (3 m^2 - s(s+1)) / 2 and the only other entries are c_i c_(i+1) / 4 at
+    (i, i+2) and (i+2, i), so even and odd qudit indices never mix.
+    """
+    s = sys.s
+    m = sys.m_values()
+    c = _ladder_coefficients(sys)
+    off = c[:-1] * c[1:] / 4
+    return np.diag((3 * m * m - s * (s + 1)) / 2) + np.diag(off, 2) + np.diag(off, -2)
 
 
 def squeeze_operator(sys: SpinSystem, mu: float) -> OperatorMatrix:
     """U(mu) = exp(-i pi/4 Sx) exp(i mu (Sz^2 - Sy^2)).
 
-    Both factors are built by eigendecomposition of their Hermitian
-    generators, so the product is unitary to round-off.
+    Applies the cached factorization that optimize_mu also uses to the
+    identity; both factors are exact unitaries up to round-off.
     """
     if not math.isfinite(mu):
         raise ConfigError(f"squeezing parameter must be finite, got {mu}")
     _guard_dense(sys)
-    ops = spin_operators(sys)
-    u = expi_hermitian(ops.sx.entries, -math.pi / 4) @ expi_hermitian(twist_generator(sys), mu)
-    return OperatorMatrix(u, unitary=True)
+    prop = _propagator(sys)
+    return OperatorMatrix(prop.apply(mu, np.eye(sys.dim)), unitary=True)
 
 
 def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
@@ -188,48 +193,90 @@ def ideal_overlap(state: StateVector) -> float:
     return float(abs(amp) ** 2)
 
 
-class _TwistPropagator:
-    """Cached spectral data so the mu scan costs one matvec per point.
+def _factorized(decompose, a: np.ndarray, what: str, dim: int):
+    try:
+        return decompose(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"{what} decomposition failed at dim={dim}: {exc}") from exc
 
-    state(mu) = R V exp(i mu w) V^dag |pi/2,0>, with R = exp(-i pi/4 Sx) and
-    (w, V) the eigensystem of Sz^2 - Sy^2; B = R V is formed once.
+
+def _real_dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z, as two real products."""
+    return a @ z.real + 1j * (a @ z.imag)
+
+
+class _SqueezeFactorization:
+    """Real factorizations of both generators of U(mu), shared by every caller.
+
+    Sz^2 - Sy^2 is block diagonal over the parity of the qudit index: one
+    real tridiagonal block on the even and one on the odd indices, with
+    eigensystems (w_p, V_p).  Sx only couples even to odd indices, through a
+    real bidiagonal block B = P diag(sigma) Q^T, so R = exp(-i pi/4 Sx) maps
+    (even, odd) parts (a, b) to
+
+        (P (C P^T a - i S Q^T b),  Q (C Q^T b - i S P^T a)),
+
+    with C = cos(pi/4 sigma) and S = sin(pi/4 sigma).  U(mu) = R V
+    diag(e^(i mu w)) V^T.  The mu search reads only the central pair, so
+    only rows N/2-1 and N/2 of R V are kept; whole states are built by
+    matrix-vector products.
     """
 
     def __init__(self, sys: SpinSystem):
-        ops = spin_operators(sys)
-        try:
-            self.eigvals, v = np.linalg.eigh(twist_generator(sys))
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(
-                f"twist generator eigendecomposition failed at dim={sys.dim}: {exc}"
-            ) from exc
-        rot = expi_hermitian(ops.sx.entries, -math.pi / 4)
-        self.basis = rot @ v
-        self.coeffs = v.conj().T @ coherent_state(sys, math.pi / 2, 0.0).amps
-        self.sys = sys
-        self._m = sys.m_values()
+        gen = twist_generator(sys)
+        self.blocks = [
+            _factorized(np.linalg.eigh, gen[p::2, p::2], "twist generator", sys.dim)
+            for p in (0, 1)
+        ]
+        c = _ladder_coefficients(sys) / 2
+        coupling = np.diag(c[0::2]) + np.diag(c[1::2], -1)  # Sx[even, odd]
+        self.rot_p, sigma, rot_qt = _factorized(np.linalg.svd, coupling, "Sx", sys.dim)
+        self.rot_q = rot_qt.T
+        self.rot_cos = np.cos(math.pi / 4 * sigma)[:, None]
+        self.rot_sin = np.sin(math.pi / 4 * sigma)[:, None]
+        self.psi = coherent_state(sys, math.pi / 2, 0.0).amps[:, None]
+        self.eigvals = np.concatenate([w for w, _ in self.blocks])
+        self.coeffs = self._twist_coords(self.psi)[:, 0]
+        half = sys.dim // 2
+        pair = np.zeros((sys.dim, 2))
+        pair[half - 1, 0] = pair[half, 1] = 1.0
+        # R is symmetric, so its central columns are its central rows
+        self.central = self._twist_coords(self._rotate(pair)).T
 
-    def amps_at(self, mu: float) -> np.ndarray:
-        return self.basis @ (np.exp(1j * mu * self.eigvals) * self.coeffs)
+    def _twist_coords(self, x: np.ndarray) -> np.ndarray:
+        """V^T x, with the eigenvalue order of self.eigvals."""
+        return np.concatenate(
+            [_real_dot(v.T, x[p::2]) for p, (_, v) in enumerate(self.blocks)]
+        )
+
+    def _rotate(self, x: np.ndarray) -> np.ndarray:
+        """R x = exp(-i pi/4 Sx) x."""
+        a = _real_dot(self.rot_p.T, x[0::2])
+        b = _real_dot(self.rot_q.T, x[1::2])
+        out = np.empty(x.shape, dtype=complex)
+        out[0::2] = _real_dot(self.rot_p, self.rot_cos * a - 1j * self.rot_sin * b)
+        out[1::2] = _real_dot(self.rot_q, self.rot_cos * b - 1j * self.rot_sin * a)
+        return out
+
+    def apply(self, mu: float, x: np.ndarray) -> np.ndarray:
+        """U(mu) x for an N x k matrix x, with real matrix products only."""
+        y = np.empty(x.shape, dtype=complex)
+        for p, (w, v) in enumerate(self.blocks):
+            y[p::2] = _real_dot(v, np.exp(1j * mu * w)[:, None] * _real_dot(v.T, x[p::2]))
+        return self._rotate(y)
 
     def state_at(self, mu: float) -> StateVector:
-        return StateVector(self.amps_at(mu))
-
-    def v_minus(self, mu: float) -> float:
-        probs = np.abs(self.amps_at(mu)) ** 2
-        mean = float(np.dot(self._m, probs))
-        return float(np.dot(self._m * self._m, probs)) - mean * mean
+        return StateVector(self.apply(mu, self.psi)[:, 0])
 
     def tail_weight(self, mu: float) -> float:
         """Probability outside the central pair; 1 - 2 p_c by mirror symmetry."""
-        probs = np.abs(self.amps_at(mu)) ** 2
-        half = self.sys.dim // 2
-        return 1.0 - float(probs[half - 1] + probs[half])
+        pair = self.central @ (np.exp(1j * mu * self.eigvals) * self.coeffs)
+        return 1.0 - float(np.sum(np.abs(pair) ** 2))
 
 
 @lru_cache(maxsize=None)
-def _propagator(sys: SpinSystem) -> _TwistPropagator:
-    return _TwistPropagator(sys)
+def _propagator(sys: SpinSystem) -> _SqueezeFactorization:
+    return _SqueezeFactorization(sys)
 
 
 def _guard_dense(sys: SpinSystem):

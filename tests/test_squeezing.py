@@ -48,8 +48,33 @@ def test_perfect_squeezing_at_n4():
 
 def test_twist_generator_hermitian():
     for n in (2, 4, 6):
-        g = twist_generator(make_spin_system(n))
+        sys = make_spin_system(n)
+        g = twist_generator(sys)
+        assert g.dtype == float
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
+        ops = spin_operators(sys)
+        dense = ops.sz.entries @ ops.sz.entries - ops.sy.entries @ ops.sy.entries
+        assert np.max(np.abs(g - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_structured_propagator_matches_dense_reference(n):
+    # reference: U(mu) from dense complex eigendecompositions of Sx and of
+    # Sz^2 - Sy^2 as built from the spin matrices
+    from spinoracle.squeezing import _propagator
+
+    sys = make_spin_system(n)
+    ops = spin_operators(sys)
+    sy, sz = ops.sy.entries, ops.sz.entries
+    rot = expi_hermitian(ops.sx.entries, -math.pi / 4)
+    twist = sz @ sz - sy @ sy
+    psi = coherent_state(sys, math.pi / 2, 0.0).amps
+    prop = _propagator(sys)
+    half = sys.dim // 2
+    for mu in np.linspace(0.0, 4.0 / sys.s, 7):
+        ref = np.abs(rot @ (expi_hermitian(twist, mu) @ psi)) ** 2
+        assert np.max(np.abs(prop.state_at(mu).probabilities() - ref)) < 1e-12
+        assert abs(prop.tail_weight(mu) - (1.0 - ref[half - 1] - ref[half])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
