@@ -1,14 +1,17 @@
 """Spherical Q-function evaluation on a (theta, phi) grid.
 
-The quasi-probability at (theta, phi) is the squared magnitude of the
-coherent-state overlap sum
+The quasi-probability at (theta, phi) is Q(theta, phi) = |<theta, phi|psi>|^2
+with the coherent state of spin_core.coherent_state, whose amplitude on
+|s-k> (qudit index N-1-k) is C(2s,k)^(1/2) cos(theta/2)^(2s-k)
+sin(theta/2)^k e^(i k phi):
 
     Q(theta, phi) = | sum_k C(2s,k)^(1/2) sin(theta/2)^k cos(theta/2)^(2s-k)
-                      a_k e^(i k phi) |^2
+                      e^(-i k phi) a_(N-1-k) |^2
 
-with a_k the qudit amplitudes.  The modulus square makes Q a non-negative
-visualization density; with the measure sin(theta) dtheta dphi it integrates
-to 4 pi / (2s+1) for any normalized state.
+with a_i the qudit amplitudes.  So Q of |s> (index N-1) is 1 at theta = 0,
+Q of |-s> (index 0) is 1 at theta = pi, and Q of any coherent state is 1 at
+its own angles.  With the measure sin(theta) dtheta dphi Q integrates to
+4 pi / (2s+1) for any normalized state.
 
 Grid layout: theta in [0, pi] inclusive, phi in [0, 2 pi) exclusive,
 row-major over theta then phi.
@@ -72,7 +75,8 @@ def q_values_at(state: StateVector, sys: SpinSystem, thetas, phis) -> np.ndarray
     two_s = sys.two_s
     k = np.arange(sys.dim)
     half_log_binom = _half_log_binomials(two_s)
-    phase = np.exp(1j * np.outer(phis, k))  # (P, N)
+    phase = np.exp(-1j * np.outer(phis, k))  # (P, N): the bra's conjugated phase
+    amps = state.amps[::-1]  # amps[k] sits on |s-k>
     out = np.empty((len(thetas), len(phis)))
     for t, theta in enumerate(thetas):
         sin_h, cos_h = math.sin(theta / 2), math.cos(theta / 2)
@@ -83,7 +87,7 @@ def q_values_at(state: StateVector, sys: SpinSystem, thetas, phis) -> np.ndarray
             coeff = np.exp(
                 half_log_binom + k * math.log(sin_h) + (two_s - k) * math.log(cos_h)
             )
-        out[t] = np.abs(phase @ (coeff * state.amps)) ** 2
+        out[t] = np.abs(phase @ (coeff * amps)) ** 2
     return out
 
 

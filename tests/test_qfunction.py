@@ -26,9 +26,27 @@ def test_equatorial_state_peaks_on_the_equator():
 
 
 def test_pole_value_for_lowest_basis_state():
+    # coherent_state's convention: theta = 0 is |s> (index N-1), theta = pi
+    # is |-s> (index 0)
     sys = make_spin_system(3)
-    state = StateVector.basis(sys.dim, 0)
-    assert q_values_at(state, sys, [0.0], [1.234])[0, 0] == pytest.approx(1.0, abs=1e-12)
+    lowest = StateVector.basis(sys.dim, 0)
+    q = q_values_at(lowest, sys, [math.pi, 0.0], [1.234])[:, 0]
+    assert q[0] == pytest.approx(1.0, abs=1e-12)
+    assert q[1] == pytest.approx(0.0, abs=1e-12)
+    top = StateVector.basis(sys.dim, sys.dim - 1)
+    assert q_values_at(top, sys, [0.0], [1.234])[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_coherent_state_peaks_at_its_own_angles(n):
+    sys = make_spin_system(n)
+    thetas = np.linspace(0.0, math.pi, 33)
+    phis = np.arange(32) * (2 * math.pi / 32)
+    for theta, phi in [(math.pi / 4, math.pi / 3), (0.3, 5.0), (2.5, 1.1), (math.pi / 2, 4.2)]:
+        state = coherent_state(sys, theta, phi)
+        assert q_values_at(state, sys, [theta], [phi])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        grid = q_values_at(state, sys, np.append(thetas, theta), np.append(phis, phi))
+        assert grid.max() == grid[-1, -1]
 
 
 @pytest.mark.parametrize("squeezed", [False, True])
