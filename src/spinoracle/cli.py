@@ -169,6 +169,9 @@ def load_config(argv) -> RunConfig:
         if cli_val is not None:
             merged[key] = cli_val
     merged = {k: _coerce(k, v) for k, v in merged.items()}
+    for key in ("trials", "errors"):
+        if merged.get(key) is not None and merged[key] < 0:
+            raise ConfigError(f"--{key} must be >= 0, got {merged[key]}")
     return RunConfig(
         command=args.command,
         n=merged.get("n"),

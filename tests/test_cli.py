@@ -275,6 +275,8 @@ def test_exit_code_numerics_error(tmp_path, monkeypatch):
          "--trials", "5"),
         ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "70", "--trials", "0"),
         ("solve", "--variant", "fourier", "--n", "20"),
+        ("solve", "--variant", "restricted", "--n", "5", "--trials", "-5"),
+        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"),
         ("qfunc", "--config", "missing.cfg"),
         ("qfunc", "--config", "bad.cfg"),
         ("qfunc", "--n", "3", "--out", "bad.cfg"),
@@ -286,6 +288,21 @@ def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
     assert done.returncode in (0, 2, 3, 4), done.stderr
     if done.returncode:
         assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--variant", "restricted", "--n", "5", "--trials", "-5"), "--trials"),
+        (("--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"), "--errors"),
+    ],
+)
+def test_negative_counts_are_rejected(tmp_path, capsys, args, flag):
+    assert main(["solve", *args, "--out", str(tmp_path / "neg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err, err
+    assert main(["solve", "--variant", "restricted", "--n", "5", "--trials", "0",
+                 "--out", str(tmp_path / "zero")]) == 0
 
 
 @pytest.mark.parametrize(
