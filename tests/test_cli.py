@@ -230,15 +230,20 @@ def test_solve_restricted_sampled_at_n8(tmp_path, errors):
     assert doc["summary"]["accuracy"] == 1.0
 
 
-def run_process(tmp_path, *args, timeout=60):
-    """Run the CLI in its own interpreter, so a hang fails instead of blocking."""
+def run_python(tmp_path, *args, timeout=60):
+    """Run an interpreter that imports this spinoracle, so a hang fails instead of blocking."""
     env = dict(os.environ)
     src = str(Path(spinoracle.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "spinoracle.cli", *args],
+        [sys.executable, *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_process(tmp_path, *args, timeout=60):
+    """Run the CLI in its own interpreter."""
+    return run_python(tmp_path, "-m", "spinoracle.cli", *args, timeout=timeout)
 
 
 def test_stalled_mu_search_exits_4(tmp_path):
@@ -288,6 +293,24 @@ def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
     assert done.returncode in (0, 2, 3, 4), done.stderr
     if done.returncode:
         assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+
+
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import spinoracle.cli
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_imports_only_declared_dependencies(tmp_path):
+    # pyproject.toml declares numpy alone, and every import counts in start-up
+    done = run_python(tmp_path, "-c", IMPORTED_PACKAGES)
+    assert done.returncode == 0, done.stderr
+    packages = set(done.stdout.split())
+    assert "numpy" in packages and "spinoracle" in packages
+    undeclared = packages - set(sys.stdlib_module_names) - {"numpy", "spinoracle"}
+    assert not undeclared, sorted(undeclared)
 
 
 @pytest.mark.parametrize(
