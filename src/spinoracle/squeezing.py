@@ -121,8 +121,10 @@ def twist_generator(sys: SpinSystem) -> np.ndarray:
     s = sys.s
     m = sys.m_values()
     c = _ladder_coefficients(sys)
-    off = c[:-1] * c[1:] / 4
-    return np.diag((3 * m * m - s * (s + 1)) / 2) + np.diag(off, 2) + np.diag(off, -2)
+    gen = np.diag((3 * m * m - s * (s + 1)) / 2)
+    i = np.arange(sys.dim - 2)
+    gen[i, i + 2] = gen[i + 2, i] = c[:-1] * c[1:] / 4
+    return gen
 
 
 def squeeze_operator(sys: SpinSystem, mu: float) -> OperatorMatrix:
