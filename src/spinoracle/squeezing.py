@@ -136,8 +136,7 @@ def squeeze_operator(sys: SpinSystem, mu: float) -> OperatorMatrix:
     if not math.isfinite(mu):
         raise ConfigError(f"squeezing parameter must be finite, got {mu}")
     _guard_dense(sys)
-    prop = _propagator(sys)
-    return OperatorMatrix(prop.apply(mu, np.eye(sys.dim)), unitary=True)
+    return OperatorMatrix(_propagator(sys).apply(mu, np.eye(sys.dim)), unitary=True)
 
 
 def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
