@@ -115,6 +115,7 @@ def _read_config_file(path: str) -> dict:
 
 
 _INT_KEYS = {"n", "errors", "reps", "trials", "seed"}
+_LEAST = {"trials": 0, "errors": 0, "seed": 0, "reps": 1}  # smallest accepted value
 _FLOAT_KEYS = {"tol"}
 
 
@@ -169,9 +170,12 @@ def load_config(argv) -> RunConfig:
         if cli_val is not None:
             merged[key] = cli_val
     merged = {k: _coerce(k, v) for k, v in merged.items()}
-    for key in ("trials", "errors"):
-        if merged.get(key) is not None and merged[key] < 0:
-            raise ConfigError(f"--{key} must be >= 0, got {merged[key]}")
+    for key, least in _LEAST.items():
+        if merged.get(key) is not None and merged[key] < least:
+            raise ConfigError(f"--{key} must be >= {least}, got {merged[key]}")
+    tol = merged.get("tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be finite and > 0, got {tol}")
     return RunConfig(
         command=args.command,
         n=merged.get("n"),

@@ -15,12 +15,17 @@ Error syndromes are weight-d masks; "restricted" masks may only touch the
 N/2 positions where W_(N-1) has a one (the odd-parity positions), which is
 exactly the error pattern the quantum pipeline cancels.
 
-All arithmetic in this module is exact (ints and Fractions); sampling uses
-an explicitly passed numpy Generator, never global state.
+Problem instances are valid by construction: they hold the codeword index
+and the mask, never a string to be checked against a rebuilt copy.  Their
+oracle phases come from exact integers (the parity table of popcount(x) mod 2
+for Hadamard words, the residues 2jk mod 2N for Fourier words); the word
+itself, with its Fractions, is derived only on demand.  Sampling uses an
+explicitly passed numpy Generator, never global state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +48,22 @@ def _check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 4 or dim & (dim - 1):
         raise ConfigError(f"codeword length must be a power of two >= 4, got {dim!r}")
     return int(dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_table(dim: int) -> np.ndarray:
+    """popcount(x) mod 2 for x in Z_dim, i.e. W_(N-1), built by doubling [p, 1 - p]."""
+    p = np.zeros(1, dtype=np.uint8)
+    while len(p) < dim:
+        p = np.concatenate([p, 1 - p])
+    p.flags.writeable = False
+    return p
+
+
+def _fourier_residues(dim: int, j: int) -> np.ndarray:
+    """Numerators r of T_j = r/N: 2jk mod 2N moved into (-N, N]."""
+    r = np.arange(dim, dtype=np.int64) * (2 * j) % (2 * dim)
+    return np.where(r > dim, r - 2 * dim, r)
 
 
 def designated_index(dim: int) -> int:
@@ -88,8 +109,8 @@ class ErrorSyndrome:
         if sum(self.mask) != self.weight:
             raise ConfigError(f"mask weight {sum(self.mask)} != declared {self.weight}")
         if self.restricted:
-            guard = hadamard_codeword(len(self.mask), len(self.mask) - 1).bits
-            if any(m and not g for m, g in zip(self.mask, guard)):
+            guard = _parity_table(_check_dim(len(self.mask)))
+            if np.any(np.asarray(self.mask, dtype=bool) > guard):
                 raise ConfigError("restricted mask not dominated by W_(N-1)")
 
 
@@ -112,7 +133,7 @@ def fourier_codeword(dim: int, j: int) -> FractionalWord:
     dim = _check_dim(dim)
     if not 0 <= j < dim:
         raise ConfigError(f"codeword index {j} outside Z_{dim}")
-    vals = tuple(_reduce_signed(Fraction(2 * j * k, dim)) for k in range(dim))
+    vals = tuple(Fraction(r, dim) for r in _fourier_residues(dim, j).tolist())
     return FractionalWord(vals=vals, index=j)
 
 
@@ -131,8 +152,7 @@ def apply_mask(bits: Sequence[int], mask: Sequence[int]) -> tuple[int, ...]:
 
 def _error_positions(dim: int, restricted: bool) -> tuple[int, ...]:
     if restricted:
-        guard = hadamard_codeword(dim, dim - 1).bits
-        return tuple(x for x in range(dim) if guard[x])
+        return tuple(np.flatnonzero(_parity_table(dim)).tolist())
     return tuple(range(dim))
 
 
@@ -235,12 +255,22 @@ def _add_reduced(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction
     return tuple(_reduce_signed(x + y) for x, y in zip(a, b))
 
 
+def _label(dim: int, j: int) -> str:
+    return "A" if j == designated_index(dim) else "B"
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A sampled oracle string with its hidden ground truth."""
+    """A sampled oracle string, held as its hidden ground truth.
+
+    The string z is W_j XOR mask (Hadamard variants) or T_j (Fourier), so a
+    valid (variant, dim, j, syndrome) is a valid instance and nothing is
+    rebuilt to check it.  ``phases`` gives the oracle row e^(i pi z_x)
+    straight from integers; ``z`` builds the word on demand.
+    """
 
     variant: str
-    z: tuple
+    dim: int
     hidden_j: int
     syndrome: ErrorSyndrome | None
     label: str
@@ -248,16 +278,14 @@ class ProblemInstance:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        dim = len(self.z)
-        _check_dim(dim)
-        expected = "A" if self.hidden_j == designated_index(dim) else "B"
-        if self.label != expected:
+        dim = _check_dim(self.dim)
+        if not isinstance(self.hidden_j, (int, np.integer)) or not 0 <= self.hidden_j < dim:
+            raise ConfigError(f"codeword index {self.hidden_j!r} outside Z_{dim}")
+        if self.label != _label(dim, self.hidden_j):
             raise ConfigError(f"label {self.label!r} inconsistent with j={self.hidden_j}")
         if self.variant == FOURIER:
             if self.syndrome is not None:
                 raise ConfigError("fourier instances carry no error syndrome")
-            if self.z != fourier_codeword(dim, self.hidden_j).vals:
-                raise ConfigError("fourier instance string does not match its index")
             return
         if self.syndrome is None or len(self.syndrome.mask) != dim:
             raise ConfigError("syndrome missing or of wrong length")
@@ -268,13 +296,23 @@ class ProblemInstance:
             )
         if self.variant == RESTRICTED and not self.syndrome.restricted:
             raise ConfigError("restricted instance with unrestricted syndrome")
-        base = hadamard_codeword(dim, self.hidden_j).bits
-        if self.z != apply_mask(base, self.syndrome.mask):
-            raise ConfigError("instance string does not equal codeword XOR mask")
+
+    @functools.cached_property
+    def z(self) -> tuple:
+        """The oracle string: T_j as Fractions, or the bits of W_j XOR mask."""
+        if self.variant == FOURIER:
+            return fourier_codeword(self.dim, self.hidden_j).vals
+        return apply_mask(hadamard_codeword(self.dim, self.hidden_j).bits, self.syndrome.mask)
 
     @property
-    def dim(self) -> int:
-        return len(self.z)
+    def phases(self) -> np.ndarray:
+        """The complex oracle row e^(i pi z_x), equal bit for bit to PhaseOracle(z)'s."""
+        if self.variant == FOURIER:
+            r = _fourier_residues(self.dim, self.hidden_j)
+            return np.exp(1j * math.pi * (r / self.dim))
+        bits = _parity_table(self.dim)[self.hidden_j & np.arange(self.dim)]
+        bits = bits ^ np.asarray(self.syndrome.mask, dtype=np.uint8)
+        return (1.0 - 2.0 * bits).astype(complex)
 
 
 def _valid_weights(variant: str, dim: int) -> list[int]:
@@ -299,6 +337,18 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
     return chosen
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> np.ndarray:
+    """Each weight class's share of the union, in proportion to its syndrome count."""
+    counts = [syndrome_count(dim, m, variant == RESTRICTED) for m in weights]
+    # float(c) / float(total) is numpy's int64 division wherever the counts
+    # fit in int64; past 2^1000 a common shift keeps float() finite
+    shift = max(sum(counts).bit_length() - 1000, 0)
+    probs = np.array([float(c >> shift) for c in counts]) / float(sum(counts) >> shift)
+    probs.flags.writeable = False
+    return probs
+
+
 def sample_instance(
     variant: str, dim: int, d=None, rng: np.random.Generator | None = None
 ) -> ProblemInstance:
@@ -318,38 +368,19 @@ def sample_instance(
         if d not in (None, 0):
             raise ConfigError("fourier instances are error-free (d must be 0)")
         j = int(rng.integers(0, dim))
-        word = fourier_codeword(dim, j)
-        label = "A" if j == designated_index(dim) else "B"
-        return ProblemInstance(
-            variant=variant, z=word.vals, hidden_j=j, syndrome=None, label=label
-        )
-    weights = _resolve_weights(variant, dim, d)
-    counts = [syndrome_count(dim, m, variant == RESTRICTED) for m in weights]
-    # float(c) / float(total) is numpy's int64 division wherever the counts
-    # fit in int64; past 2^1000 a common shift keeps float() finite
-    shift = max(sum(counts).bit_length() - 1000, 0)
-    probs = np.array([float(c >> shift) for c in counts]) / float(sum(counts) >> shift)
-    d_sel = int(rng.choice(len(weights), p=probs))
+        return ProblemInstance(variant, dim, j, None, _label(dim, j))
+    weights = tuple(_resolve_weights(variant, dim, d))
+    d_sel = int(rng.choice(len(weights), p=_weight_probabilities(variant, dim, weights)))
     syndrome = sample_syndrome(dim, weights[d_sel], variant == RESTRICTED, rng)
     j = int(rng.integers(0, dim // 2))
-    z = apply_mask(hadamard_codeword(dim, j).bits, syndrome.mask)
-    label = "A" if j == designated_index(dim) else "B"
-    return ProblemInstance(variant=variant, z=z, hidden_j=j, syndrome=syndrome, label=label)
+    return ProblemInstance(variant, dim, j, syndrome, _label(dim, j))
 
 
 def instance_from_parts(
     variant: str, dim: int, j: int, syndrome: ErrorSyndrome
 ) -> ProblemInstance:
     """Build a validated instance from an explicit codeword index and mask."""
-    base = hadamard_codeword(dim, j)
-    label = "A" if j == designated_index(dim) else "B"
-    return ProblemInstance(
-        variant=variant,
-        z=apply_mask(base.bits, syndrome.mask),
-        hidden_j=j,
-        syndrome=syndrome,
-        label=label,
-    )
+    return ProblemInstance(variant, dim, j, syndrome, _label(dim, j))
 
 
 def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInstance]:
@@ -357,11 +388,7 @@ def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInsta
     dim = _check_dim(dim)
     if variant == FOURIER:
         for j in range(dim):
-            word = fourier_codeword(dim, j)
-            label = "A" if j == designated_index(dim) else "B"
-            yield ProblemInstance(
-                variant=variant, z=word.vals, hidden_j=j, syndrome=None, label=label
-            )
+            yield ProblemInstance(variant, dim, j, None, _label(dim, j))
         return
     weights = _resolve_weights(variant, dim, d)
     for j in range(dim // 2):

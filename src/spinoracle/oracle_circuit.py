@@ -68,16 +68,20 @@ class PhaseOracle:
             phases = 1.0 - 2.0 * np.array(vals, dtype=float)
         else:
             phases = np.exp(1j * math.pi * np.array([float(Fraction(v)) for v in vals]))
-        phases = phases.astype(complex)
-        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
-        if dev > PHASE_UNIT_TOL:
-            raise InvariantError(f"oracle phases not unit modulus: dev={dev:.3e}")
-        self.phases = phases
+        self.phases = _unit_modulus(phases.astype(complex))
         self.queries = 0
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         self.queries += 1
         return amps * self.phases
+
+
+def _unit_modulus(phases: np.ndarray) -> np.ndarray:
+    """Return the phases (a row or a block of rows) once every entry has |p| = 1."""
+    dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+    if dev > PHASE_UNIT_TOL:
+        raise InvariantError(f"oracle phases not unit modulus: dev={dev:.3e}")
+    return phases
 
 
 def input_state(sys: SpinSystem) -> StateVector:
@@ -176,17 +180,17 @@ def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
 
 
 def _spectra(items, transform: str, pairing: str):
-    """Yield (payload, unnormalized |merged amplitudes|^2) per (payload, word).
+    """Yield (payload, unnormalized |merged amplitudes|^2) per (payload, phase row).
 
     The one transform-phase-transform-merge circuit of every decision:
-    words are pulled lazily, BLOCK_ENTRIES // N at a time, and each block of
-    phase rows runs through the circuit as one array.
+    oracle phase rows are pulled lazily, BLOCK_ENTRIES // N at a time, and
+    each block runs through the circuit as one array.
     """
     items = iter(items)
     for first in items:
         rows = max(BLOCK_ENTRIES // len(first[1]), 1)
         block = [first, *itertools.islice(items, rows - 1)]
-        phases = np.stack([PhaseOracle(word).phases for _, word in block])
+        phases = _unit_modulus(np.stack([row for _, row in block]))
         raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
         dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
         if dev > NORM_TOL:
@@ -278,7 +282,7 @@ def decide_stream(instances, variant: str, repetitions: int = 1, rng=None):
         for inst in instances:
             if inst.variant != variant:
                 raise ConfigError(f"expected a {variant} instance, got {inst.variant!r}")
-            yield (inst, None if rng is None else rng.random(repetitions)), inst.z
+            yield (inst, None if rng is None else rng.random(repetitions)), inst.phases
 
     for (inst, draws), raw in _spectra(pulled(), transform, pairing):
         yield inst, measure_designated(raw, inst.dim - back, draws), raw
@@ -335,5 +339,5 @@ def worst_case_spectrum(dim: int, weight: int) -> np.ndarray:
     worst-case mask, for any weight the mask admits."""
     word = apply_mask(hadamard_codeword(dim, designated_index(dim)).bits,
                       worst_case_error_mask(dim, weight).mask)
-    [(_, raw)] = _spectra([(None, word)], "hadamard", "symmetric")
+    [(_, raw)] = _spectra([(None, PhaseOracle(word).phases)], "hadamard", "symmetric")
     return raw

@@ -358,8 +358,8 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     vanish; the reduced variance there is 1/4 at s = 3/2 and rises toward
     1/2 for large s.
     """
-    if not tol > 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     _guard_dense(sys)
     prop = _propagator(sys)
     mu_opt = _minimize_scanned(prop.tail_weight, 4.0 / sys.s, tol)

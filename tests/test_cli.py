@@ -285,6 +285,9 @@ def test_exit_code_numerics_error(tmp_path, monkeypatch):
         ("qfunc", "--config", "missing.cfg"),
         ("qfunc", "--config", "bad.cfg"),
         ("qfunc", "--n", "3", "--out", "bad.cfg"),
+        ("solve", "--variant", "restricted", "--n", "3", "--seed", "-1"),
+        ("squeeze-scan", "--s-range", "3/2", "--tol", "inf"),
+        ("solve", "--variant", "restricted", "--n", "3", "--reps", "-1"),
     ],
 )
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
@@ -318,6 +321,9 @@ def test_cli_imports_only_declared_dependencies(tmp_path):
     [
         (("--variant", "restricted", "--n", "5", "--trials", "-5"), "--trials"),
         (("--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"), "--errors"),
+        (("--variant", "restricted", "--n", "3", "--seed", "-1"), "--seed"),
+        (("--variant", "restricted", "--n", "3", "--reps", "-1"), "--reps"),
+        (("--variant", "fourier", "--n", "3", "--reps", "0"), "--reps"),
     ],
 )
 def test_negative_counts_are_rejected(tmp_path, capsys, args, flag):
@@ -326,6 +332,50 @@ def test_negative_counts_are_rejected(tmp_path, capsys, args, flag):
     assert err.count("\n") == 1 and flag in err, err
     assert main(["solve", "--variant", "restricted", "--n", "5", "--trials", "0",
                  "--out", str(tmp_path / "zero")]) == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # an infinite tol used to skip the mu refinement and write the coarse bracket's midpoint
+    args = ["squeeze-scan", "--s-range", "3/2", f"--tol={tol}", "--out", str(tmp_path / "t")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--tol" in err, err
+    assert not (tmp_path / "t" / "squeeze_scan.csv").exists()
+
+
+def count_codeword_builds(monkeypatch):
+    """Count calls to the codeword builders wherever a module holds them."""
+    from spinoracle import codewords, oracle_circuit
+
+    calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword"), 0)
+    for name in calls:
+        original = getattr(codewords, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (codewords, oracle_circuit):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, hadamard_builds",
+    [
+        (("--variant", "fourier", "--n", "6"), 0),
+        (("--variant", "restricted", "--n", "4"), 0),
+        (("--variant", "restricted", "--n", "7", "--trials", "50"), 0),
+        # the one build is worst_case_spectrum's designated word
+        (("--variant", "unrestricted", "--n", "6", "--errors", "2", "--trials", "50"), 1),
+    ],
+)
+def test_decision_runs_rebuild_no_codewords(tmp_path, monkeypatch, args, hadamard_builds):
+    calls = count_codeword_builds(monkeypatch)
+    assert main(["solve", *args, "--out", str(tmp_path)]) == 0
+    assert calls == {"hadamard_codeword": hadamard_builds, "fourier_codeword": 0}
 
 
 @pytest.mark.parametrize(

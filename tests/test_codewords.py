@@ -9,12 +9,16 @@ import pytest
 from spinoracle import (
     ConfigError,
     DegenerateInstanceError,
+    ErrorSyndrome,
+    PhaseOracle,
+    ProblemInstance,
     apply_mask,
     enumerate_instances,
     fourier_codeword,
     group_properties_check,
     hadamard_codeword,
     hamming_distance,
+    instance_from_parts,
     restricted_set_size,
     sample_instance,
     sample_syndrome,
@@ -204,3 +208,63 @@ def test_restricted_sampling_past_int64_counts(dim):
     inst = sample_instance("restricted", dim, None, rng)
     assert inst.syndrome.weight < dim // 4
     assert sample_instance("restricted", dim, 20, rng).syndrome.weight == 20
+
+
+def max_phase_gap(inst):
+    return float(np.max(np.abs(inst.phases - PhaseOracle(inst.z).phases)))
+
+
+@pytest.mark.parametrize("dim", [8, 64, 1024])
+def test_fourier_phases_equal_phase_oracle_bitwise(dim):
+    for inst in enumerate_instances("fourier", dim):
+        assert max_phase_gap(inst) == 0.0, inst.hidden_j
+
+
+def test_restricted_phases_equal_phase_oracle_bitwise():
+    instances = list(enumerate_instances("restricted", 16))
+    assert len(instances) == 8 * restricted_set_size(16)
+    for inst in instances:
+        assert max_phase_gap(inst) == 0.0, (inst.hidden_j, inst.syndrome.mask)
+
+
+def test_unrestricted_phases_equal_phase_oracle_bitwise():
+    rng = np.random.default_rng(21)
+    for d in (None, 0, 1, 2, 3):  # None draws the weight too, mostly d = 3 at N = 64
+        for _ in range(40):
+            inst = sample_instance("unrestricted", 64, d, rng)
+            assert max_phase_gap(inst) == 0.0, (inst.hidden_j, inst.syndrome.mask)
+
+
+def mask_at(dim, *positions, restricted=True):
+    mask = tuple(int(x in positions) for x in range(dim))
+    return ErrorSyndrome(mask=mask, weight=len(positions), restricted=restricted)
+
+
+@pytest.mark.parametrize("j", [-1, 8, 9, 2.0])
+def test_instance_index_outside_z_n_is_rejected(j):
+    with pytest.raises(ConfigError):
+        ProblemInstance("fourier", 8, j, None, "B")
+    with pytest.raises(ConfigError):
+        ProblemInstance("restricted", 8, j, mask_at(8, 1), "B")
+
+
+def test_instance_checks_survive_without_a_stored_string():
+    with pytest.raises(ConfigError):
+        ProblemInstance("fourier", 8, 3, None, "B")  # j* = 3 is label A
+    with pytest.raises(ConfigError):
+        ProblemInstance("restricted", 8, 0, mask_at(8, 1), "A")
+    with pytest.raises(ConfigError):
+        instance_from_parts("restricted", 16, 0, mask_at(8, 1))  # mask of length 8
+    with pytest.raises(ConfigError):
+        ProblemInstance("fourier", 8, 0, mask_at(8), "B")
+    with pytest.raises(ConfigError):
+        ProblemInstance("restricted", 8, 0, None, "B")
+    with pytest.raises(ConfigError):
+        ProblemInstance("restricted", 12, 0, None, "B")  # N not a power of two
+    with pytest.raises(ConfigError):
+        instance_from_parts("restricted", 16, 0, mask_at(16, 1, 2, 4, 7))  # d = N/4
+    with pytest.raises(ConfigError):
+        instance_from_parts("restricted", 8, 0, mask_at(8, 1, restricted=False))
+    inst = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
+    assert inst.label == "A"
+    assert inst.z == apply_mask(hadamard_codeword(8, 3).bits, inst.syndrome.mask)

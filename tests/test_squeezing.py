@@ -146,6 +146,13 @@ def test_optimize_mu_rejects_bad_tol():
         optimize_mu(make_spin_system(2), 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_optimize_mu_rejects_non_finite_tol(tol):
+    # an infinite tol would end the golden-section refinement before its first step
+    with pytest.raises(ConfigError):
+        optimize_mu(make_spin_system(2), tol)
+
+
 def test_central_probability():
     assert central_probability([0, 0.5, 0.5, 0]) == pytest.approx(0.5)
     uniform = np.full(16, 1 / 16)
