@@ -50,7 +50,7 @@ def _check_dim(dim: int) -> int:
     return int(dim)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)  # one table per power-of-two N
 def _parity_table(dim: int) -> np.ndarray:
     """popcount(x) mod 2 for x in Z_dim, i.e. W_(N-1), built by doubling [p, 1 - p]."""
     p = np.zeros(1, dtype=np.uint8)
