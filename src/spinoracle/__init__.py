@@ -20,7 +20,6 @@ from .codewords import (
     fourier_codeword,
     group_properties_check,
     hadamard_codeword,
-    hamming_distance,
     instance_from_parts,
     restricted_set_size,
     sample_instance,
@@ -53,19 +52,13 @@ from .oracle_circuit import (
 )
 from .qfunction import SphericalGrid, q_function, q_values_at
 from .spin_core import (
-    OperatorMatrix,
     SpinOperators,
     SpinSystem,
     StateVector,
     coherent_state,
-    expectation,
     expi_hermitian,
     make_spin_system,
     spin_operators,
-    state_from_pairs,
-    state_to_pairs,
-    uncertainty_triplet,
-    variance,
 )
 from .squeezing import (
     BoundingDistribution,
@@ -76,7 +69,6 @@ from .squeezing import (
     ideal_overlap,
     optimize_mu,
     reduced_variance,
-    squeeze_operator,
     sweep_point,
 )
 

@@ -36,20 +36,20 @@ from .spin_core import coherent_state, make_spin_system
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "squeeze-scan": {"s_range": "3/2:511/2", "tol": 1e-8, "format": "csv"},
-    "qfunc": {"n": 6, "state": "coherent", "grid": "64x64", "tol": 1e-8, "format": "csv"},
-    "solve": {
-        "n": 3,
-        "variant": "restricted",
-        "errors": None,
-        "reps": 1,
-        "trials": 1000,
-        "error_mode": "worst",
-        "format": "json",
-    },
-    "classical": {"s_range": "3/2:511/2", "trials": 32, "format": "csv"},
+# every default lives here: the shared ones, then each command's overrides
+_SHARED_DEFAULTS = {
+    "seed": 0, "out": "out", "reps": 1, "trials": 1000, "tol": 1e-8, "format": "csv",
 }
+_DEFAULTS = {
+    "squeeze-scan": {"s_range": "3/2:511/2"},
+    "qfunc": {"n": 6, "state": "coherent", "grid": "64x64"},
+    "solve": {"n": 3, "variant": "restricted", "error_mode": "worst", "format": "json"},
+    "classical": {"s_range": "3/2:511/2", "trials": 32},
+}
+_KEYS = (
+    "n", "s_range", "variant", "errors", "reps", "trials", "seed",
+    "grid", "tol", "out", "format", "state", "error_mode",
+)
 
 
 @dataclass(frozen=True)
@@ -132,24 +132,32 @@ def _coerce(key: str, value):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError: exit 2, one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags stay strings here; load_config converts them as it does config-file values."""
+    parser = _Parser(
         prog="spinoracle",
         description="Spin-squeezing analysis and codeword oracle-decision experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("squeeze-scan", "qfunc", "solve", "classical"):
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, help="spin-system exponent, N = 2^n")
+        p.add_argument("--n", help="spin-system exponent, N = 2^n")
         p.add_argument("--s-range", help="spin range 'lo:hi' as fractions, e.g. 3/2:511/2")
         p.add_argument("--variant", choices=codewords.VARIANTS)
-        p.add_argument("--errors", type=int, help="error weight d (or l)")
-        p.add_argument("--reps", type=int, help="pipeline repetitions per decision")
-        p.add_argument("--trials", type=int, help="sampled instances per experiment")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--errors", help="error weight d (or l)")
+        p.add_argument("--reps", help="pipeline repetitions per decision")
+        p.add_argument("--trials", help="sampled instances per experiment")
+        p.add_argument("--seed", help="seed of every random draw")
         p.add_argument("--grid", help="Q-function grid, e.g. 128x128")
-        p.add_argument("--tol", type=float, help="mu optimization tolerance")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--tol", help="mu optimization tolerance")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--state", choices=("coherent", "squeezed"))
         p.add_argument("--error-mode", choices=("worst", "random"))
@@ -159,13 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS[args.command])
+    merged = {**_SHARED_DEFAULTS, **_DEFAULTS[args.command]}
     if args.config:
         merged.update(_read_config_file(args.config))
-    for key in (
-        "n", "s_range", "variant", "errors", "reps", "trials", "seed",
-        "grid", "tol", "out", "format", "state", "error_mode",
-    ):
+    for key in _KEYS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
@@ -173,25 +178,11 @@ def load_config(argv) -> RunConfig:
     for key, least in _LEAST.items():
         if merged.get(key) is not None and merged[key] < least:
             raise ConfigError(f"--{key} must be >= {least}, got {merged[key]}")
-    tol = merged.get("tol")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
+    tol = merged["tol"]
+    if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"--tol must be finite and > 0, got {tol}")
-    return RunConfig(
-        command=args.command,
-        n=merged.get("n"),
-        s_range=merged.get("s_range"),
-        variant=merged.get("variant"),
-        errors=merged.get("errors"),
-        reps=int(merged.get("reps", 1)),
-        trials=int(merged.get("trials", 1000)),
-        seed=int(merged.get("seed", 0)),
-        grid=merged.get("grid"),
-        tol=float(merged.get("tol", 1e-8)),
-        out=Path(merged.get("out", "out")),
-        format=merged.get("format", "csv"),
-        state=merged.get("state"),
-        error_mode=merged.get("error_mode"),
-    )
+    merged["out"] = Path(merged["out"])
+    return RunConfig(command=args.command, **{key: merged.get(key) for key in _KEYS})
 
 
 def _fmt(x) -> str:
@@ -233,13 +224,8 @@ def cmd_squeeze_scan(cfg: RunConfig) -> list[Path]:
     for n in exponents:
         sys = make_spin_system(n)
         res = squeezing.optimize_mu(sys, cfg.tol)
-        rows.append([
-            sys.s,
-            res.mu,
-            res.v_minus,
-            squeezing.central_probability(res.distribution),
-            squeezing.ideal_overlap(res.state),
-        ])
+        point = squeezing.sweep_row(sys, res)
+        rows.append([point[key] for key in header])
         if sys.dim >= 8:
             template = [float(v) for v in bound.template(sys.dim)]
         else:

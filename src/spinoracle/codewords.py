@@ -137,12 +137,6 @@ def fourier_codeword(dim: int, j: int) -> FractionalWord:
     return FractionalWord(vals=vals, index=j)
 
 
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise ConfigError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
-
-
 def apply_mask(bits: Sequence[int], mask: Sequence[int]) -> tuple[int, ...]:
     """Componentwise XOR of a bit string with an error mask."""
     if len(bits) != len(mask):
@@ -339,8 +333,16 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> np.ndarray:
-    """Each weight class's share of the union, in proportion to its syndrome count."""
-    counts = [syndrome_count(dim, m, variant == RESTRICTED) for m in weights]
+    """Each weight class's share of the union, in proportion to its syndrome count.
+
+    The counts C(pool, m) come from one exact pass of
+    C(pool, m + 1) = C(pool, m) (pool - m) / (m + 1), not one binomial per class.
+    """
+    pool = dim // 2 if variant == RESTRICTED else dim
+    table = [1]
+    for m in range(max(weights)):
+        table.append(table[-1] * (pool - m) // (m + 1))
+    counts = [table[m] for m in weights]
     # float(c) / float(total) is numpy's int64 division wherever the counts
     # fit in int64; past 2^1000 a common shift keeps float() finite
     shift = max(sum(counts).bit_length() - 1000, 0)

@@ -11,9 +11,10 @@ Index convention (used by every module in this package):
 so ``i = 0`` is the ground state ``|-s>`` and ``i = N-1`` is ``|s>``.
 The coherent-state expansion below runs over ``|s-k>``, i.e. k = N-1-i.
 
-Operators are dense complex matrices with verified structure flags.  States
-are unit-norm complex vectors.  Everything is immutable after construction
-and all functions are pure, so concurrent use is safe.
+The dense spin operators are read-only complex matrices, the reference the
+structured squeezing path is checked against.  States are unit-norm complex
+vectors.  Everything is immutable after construction and all functions are
+pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from .errors import ConfigError, InvariantError, NumericsError
 
 NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 
 _MIN_EXPONENT = 2
 _MAX_EXPONENT = 14  # dense ops stay desk-scale; transforms alone go further
@@ -106,60 +105,14 @@ class StateVector:
         amps[index] = 1.0
         return StateVector(amps)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-
-def state_to_pairs(state: StateVector) -> list:
-    """JSON-friendly serialization: list of [re, im] pairs."""
-    return [[float(a.real), float(a.imag)] for a in state.amps]
-
-
-def state_from_pairs(pairs) -> StateVector:
-    return StateVector(np.array([complex(re, im) for re, im in pairs]))
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense N x N complex matrix with verified structure flags."""
-
-    entries: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
-    diagonal: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvariantError(f"operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "entries", _frozen_array(m))
-        if self.hermitian:
-            dev = float(np.max(np.abs(m - m.conj().T)))
-            if dev >= HERMITIAN_TOL:
-                raise InvariantError(f"hermitian flag violated: max|M - M^dag| = {dev:.3e}")
-        if self.unitary:
-            eye = np.eye(m.shape[0])
-            dev = float(np.max(np.abs(m.conj().T @ m - eye)))
-            if dev >= UNITARY_TOL:
-                raise InvariantError(f"unitary flag violated: max|M^dag M - I| = {dev:.3e}")
-        if self.diagonal:
-            off = m - np.diag(np.diag(m))
-            if np.any(off != 0):
-                raise InvariantError("diagonal flag violated: nonzero off-diagonal entries")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, state: StateVector) -> StateVector:
-        return StateVector(self.entries @ state.amps)
-
 
 @dataclass(frozen=True)
 class SpinOperators:
-    sx: OperatorMatrix
-    sy: OperatorMatrix
-    sz: OperatorMatrix
+    """Sx, Sy and Sz as read-only N x N complex arrays."""
+
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
 
 
 def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:
@@ -176,7 +129,8 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
     Sz is diagonal with entries m = -s..s; the ladder operators have the
     standard matrix elements sqrt(s(s+1) - m(m+-1)); Sx = (S+ + S-)/2 and
     Sy = (S+ - S-)/(2i).  The su(2) relations [Sx,Sy] = iSz (and cyclic) and
-    S^2 = s(s+1) I hold to round-off.
+    S^2 = s(s+1) I hold to round-off.  The arrays are read-only because the
+    cache hands the same ones to every caller.
     """
     sz = np.diag(sys.m_values().astype(complex))
     splus = np.zeros((sys.dim, sys.dim), dtype=complex)
@@ -184,9 +138,9 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
     splus[np.arange(1, sys.dim), np.arange(sys.dim - 1)] = _ladder_coefficients(sys)
     sminus = splus.conj().T
     return SpinOperators(
-        sx=OperatorMatrix((splus + sminus) / 2, hermitian=True),
-        sy=OperatorMatrix((splus - sminus) / 2j, hermitian=True),
-        sz=OperatorMatrix(sz, hermitian=True, diagonal=True),
+        sx=_frozen_array((splus + sminus) / 2),
+        sy=_frozen_array((splus - sminus) / 2j),
+        sz=_frozen_array(sz),
     )
 
 
@@ -246,31 +200,3 @@ def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     amps[sys.dim - 1 - k] = mags * np.exp(1j * phi * k)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return StateVector(amps)
-
-
-def expectation(op: OperatorMatrix, state: StateVector) -> float:
-    """<state| op |state> for Hermitian op (real part returned)."""
-    return float(np.vdot(state.amps, op.entries @ state.amps).real)
-
-
-def variance(op: OperatorMatrix, state: StateVector) -> float:
-    mean = expectation(op, state)
-    applied = op.entries @ state.amps
-    second = float(np.vdot(applied, applied).real) if op.hermitian else float(
-        np.vdot(state.amps, op.entries @ applied).real
-    )
-    return second - mean * mean
-
-
-def uncertainty_triplet(
-    state: StateVector,
-    op_i: OperatorMatrix,
-    op_j: OperatorMatrix,
-    op_k: OperatorMatrix,
-) -> tuple[float, float, float]:
-    """(Var Si, Var Sj, <Sk>) for any orthogonal operator triple.
-
-    Callers may assert the uncertainty relation
-    Var Si * Var Sj >= <Sk>^2 / 4.
-    """
-    return variance(op_i, state), variance(op_j, state), expectation(op_k, state)

@@ -38,13 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NumericsError, ResourceLimitError
-from .spin_core import (
-    OperatorMatrix,
-    SpinSystem,
-    StateVector,
-    _ladder_coefficients,
-    coherent_state,
-)
+from .spin_core import SpinSystem, StateVector, _ladder_coefficients, coherent_state
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
 _DENSE_DIM_LIMIT = 1024  # largest s swept is (1024-1)/2
@@ -125,18 +119,6 @@ def twist_generator(sys: SpinSystem) -> np.ndarray:
     i = np.arange(sys.dim - 2)
     gen[i, i + 2] = gen[i + 2, i] = c[:-1] * c[1:] / 4
     return gen
-
-
-def squeeze_operator(sys: SpinSystem, mu: float) -> OperatorMatrix:
-    """U(mu) = exp(-i pi/4 Sx) exp(i mu (Sz^2 - Sy^2)).
-
-    Applies the cached factorization that optimize_mu also uses to the
-    identity; both factors are exact unitaries up to round-off.
-    """
-    if not math.isfinite(mu):
-        raise ConfigError(f"squeezing parameter must be finite, got {mu}")
-    _guard_dense(sys)
-    return OperatorMatrix(_propagator(sys).apply(mu, np.eye(sys.dim)), unitary=True)
 
 
 def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
@@ -372,9 +354,8 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     )
 
 
-def sweep_point(sys: SpinSystem, tol: float = 1e-8) -> dict:
-    """One row of the squeezing sweep: (s, mu_opt, v_min, p_c, overlap)."""
-    res = optimize_mu(sys, tol)
+def sweep_row(sys: SpinSystem, res: SqueezeResult) -> dict:
+    """The sweep row (s, mu_opt, v_min, p_c, overlap) of an optimized result."""
     return {
         "s": sys.s,
         "mu_opt": res.mu,
@@ -382,3 +363,8 @@ def sweep_point(sys: SpinSystem, tol: float = 1e-8) -> dict:
         "p_c": central_probability(res.distribution),
         "overlap": ideal_overlap(res.state),
     }
+
+
+def sweep_point(sys: SpinSystem, tol: float = 1e-8) -> dict:
+    """One row of the squeezing sweep: (s, mu_opt, v_min, p_c, overlap)."""
+    return sweep_row(sys, optimize_mu(sys, tol))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinoracle
-from spinoracle.cli import main
+from spinoracle.cli import RunConfig, load_config, main
 
 
 def run(tmp_path, *args):
@@ -39,6 +39,20 @@ def test_squeeze_scan_outputs(tmp_path):
     assert hist_header == ["index", "probability", "bound"]
     assert len(hist_rows) == 8
     assert float(hist_rows[3][2]) == pytest.approx(31 / 64)
+
+
+def test_squeeze_scan_optimizes_once_per_size(tmp_path, monkeypatch):
+    from spinoracle import squeezing
+
+    sizes, optimize_mu = [], squeezing.optimize_mu
+
+    def counted(sys, tol):
+        sizes.append(sys.dim)
+        return optimize_mu(sys, tol)
+
+    monkeypatch.setattr(squeezing, "optimize_mu", counted)
+    code, _ = run(tmp_path, "squeeze-scan", "--s-range", "3/2:31/2")
+    assert code == 0 and sizes == [4, 8, 16, 32]
 
 
 def test_csv_files_use_lf_and_nine_digits(tmp_path):
@@ -182,6 +196,33 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert code == 0
     _, rows2 = read_csv(out2 / "squeeze_scan.csv")
     assert len(rows2) == 2  # explicit flag overrides the config file
+    # seed and out from a config file are used, not the defaults
+    solve = ["solve", "--variant", "restricted", "--n", "5", "--trials", "20"]
+    cfg.write_text(f"seed=5\nout={tmp_path / 'from_config'}\n")
+    assert main([*solve, "--config", str(cfg)]) == 0
+    assert main([*solve, "--seed", "5", "--out", str(tmp_path / "from_flag")]) == 0
+    assert main([*solve, "--out", str(tmp_path / "default_seed")]) == 0
+    report = "solve_restricted_N32.json"
+    from_config = (tmp_path / "from_config" / report).read_bytes()
+    assert from_config == (tmp_path / "from_flag" / report).read_bytes()
+    assert from_config != (tmp_path / "default_seed" / report).read_bytes()
+
+
+UNSET = dict(n=None, s_range=None, variant=None, errors=None, grid=None, state=None,
+             error_mode=None)
+SHARED = dict(reps=1, trials=1000, seed=0, tol=1e-8, out=Path("out"), format="csv")
+DEFAULT_CONFIGS = {  # what each command resolves to when no flag or config file sets a key
+    "squeeze-scan": {"s_range": "3/2:511/2"},
+    "qfunc": {"n": 6, "grid": "64x64", "state": "coherent"},
+    "solve": {"n": 3, "variant": "restricted", "error_mode": "worst", "format": "json"},
+    "classical": {"s_range": "3/2:511/2", "trials": 32},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+def test_default_run_configs(command):
+    fields = {**UNSET, **SHARED, **DEFAULT_CONFIGS[command]}
+    assert load_config([command]) == RunConfig(command=command, **fields)
 
 
 def test_exit_code_config_error(tmp_path):
@@ -288,6 +329,8 @@ def test_exit_code_numerics_error(tmp_path, monkeypatch):
         ("solve", "--variant", "restricted", "--n", "3", "--seed", "-1"),
         ("squeeze-scan", "--s-range", "3/2", "--tol", "inf"),
         ("solve", "--variant", "restricted", "--n", "3", "--reps", "-1"),
+        ("solve", "--n", "abc"),
+        ("squeeze-scan", "--s-range", "3/2", "--tol", "-inf"),
     ],
 )
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):

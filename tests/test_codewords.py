@@ -17,7 +17,6 @@ from spinoracle import (
     fourier_codeword,
     group_properties_check,
     hadamard_codeword,
-    hamming_distance,
     instance_from_parts,
     restricted_set_size,
     sample_instance,
@@ -25,6 +24,7 @@ from spinoracle import (
     syndrome_count,
     syndromes,
 )
+from spinoracle.codewords import _weight_probabilities
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -40,8 +40,9 @@ T8_ROWS = [
 ]
 
 
-def bits(text):
-    return tuple(int(c) for c in text)
+def differing_positions(a, b):
+    assert len(a) == len(b)
+    return sum(x != y for x, y in zip(a, b))
 
 
 def test_w4_rows_match_table():
@@ -73,14 +74,8 @@ def test_balance_and_pairwise_distance(dim):
         assert sum(w.bits) == dim // 2
     for j in range(dim):
         for k in range(j + 1, dim):
-            assert hamming_distance(words[j].bits, words[k].bits) == dim // 2
-    assert hamming_distance(words[3].bits, words[3].bits) == 0
-
-
-def test_hamming_distance_basics():
-    assert hamming_distance(bits("00001111"), bits("01001111")) == 1
-    with pytest.raises(ConfigError):
-        hamming_distance((0, 1), (0, 1, 1))
+            assert differing_positions(words[j].bits, words[k].bits) == dim // 2
+    assert differing_positions(words[3].bits, words[3].bits) == 0
 
 
 def test_restricted_syndromes_d1_applied_to_w4():
@@ -208,6 +203,16 @@ def test_restricted_sampling_past_int64_counts(dim):
     inst = sample_instance("restricted", dim, None, rng)
     assert inst.syndrome.weight < dim // 4
     assert sample_instance("restricted", dim, 20, rng).syndrome.weight == 20
+    # the one-pass counts give the same floats as one math.comb per class; at
+    # N = 16384 every 64th class is checked, since 4096 math.comb calls take 4 s
+    pool = dim // 2
+    probs = _weight_probabilities("restricted", dim, tuple(range(pool // 2)))
+    total = (2**pool - math.comb(pool, pool // 2)) // 2  # sum of C(pool, d), d < pool/2
+    shift = max(total.bit_length() - 1000, 0)
+    step = 1 if dim <= 2048 else 64
+    for d in [*range(0, pool // 2, step), pool // 2 - 1]:
+        expected = float(math.comb(pool, d) >> shift) / float(total >> shift)
+        assert probs[d] == expected, d
 
 
 def max_phase_gap(inst):

@@ -20,29 +20,37 @@ from spinoracle import (
     optimize_mu,
     reduced_variance,
     spin_operators,
-    squeeze_operator,
     sweep_point,
 )
-from spinoracle.squeezing import twist_generator
+from spinoracle.squeezing import _propagator, twist_generator
 
 MU_STAR = math.pi / (6 * math.sqrt(3))
 
 SWEEP_EXPONENTS = (2, 3, 4, 5, 6, 7, 8, 9)  # s = 3/2 .. 511/2
 
 
+def squeeze_matrix(sys, mu):
+    """U(mu) as a dense matrix: the structured factorization applied to the identity."""
+    return _propagator(sys).apply(mu, np.eye(sys.dim))
+
+
+def unitarity_gap(u):
+    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+
+
 def test_zero_mu_is_pure_rotation():
     sys = make_spin_system(3)
     ops = spin_operators(sys)
-    u = squeeze_operator(sys, 0.0)
-    rot = expi_hermitian(ops.sx.entries, -math.pi / 4)
-    assert np.max(np.abs(u.entries - rot)) < 1e-12
-    assert u.unitary
+    u = squeeze_matrix(sys, 0.0)
+    rot = expi_hermitian(ops.sx, -math.pi / 4)
+    assert np.max(np.abs(u - rot)) < 1e-12
+    assert unitarity_gap(u) < 1e-10
 
 
 def test_perfect_squeezing_at_n4():
     sys = make_spin_system(2)
-    u = squeeze_operator(sys, MU_STAR)
-    state = u.apply(coherent_state(sys, math.pi / 2, 0.0))
+    u = squeeze_matrix(sys, MU_STAR)
+    state = StateVector(u @ coherent_state(sys, math.pi / 2, 0.0).amps)
     assert np.max(np.abs(state.probabilities() - [0.0, 0.5, 0.5, 0.0])) < 1e-9
 
 
@@ -53,7 +61,7 @@ def test_twist_generator_hermitian():
         assert g.dtype == float
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
         ops = spin_operators(sys)
-        dense = ops.sz.entries @ ops.sz.entries - ops.sy.entries @ ops.sy.entries
+        dense = ops.sz @ ops.sz - ops.sy @ ops.sy
         assert np.max(np.abs(g - dense)) < 1e-12
 
 
@@ -61,12 +69,10 @@ def test_twist_generator_hermitian():
 def test_structured_propagator_matches_dense_reference(n):
     # reference: U(mu) from dense complex eigendecompositions of Sx and of
     # Sz^2 - Sy^2 as built from the spin matrices
-    from spinoracle.squeezing import _propagator
-
     sys = make_spin_system(n)
     ops = spin_operators(sys)
-    sy, sz = ops.sy.entries, ops.sz.entries
-    rot = expi_hermitian(ops.sx.entries, -math.pi / 4)
+    sy, sz = ops.sy, ops.sz
+    rot = expi_hermitian(ops.sx, -math.pi / 4)
     twist = sz @ sz - sy @ sy
     psi = coherent_state(sys, math.pi / 2, 0.0).amps
     prop = _propagator(sys)
@@ -81,9 +87,7 @@ def test_structured_propagator_matches_dense_reference(n):
 @pytest.mark.parametrize("mu_scale", [0.0, 1.0, 2.0])
 def test_squeeze_operator_unitarity(n, mu_scale):
     sys = make_spin_system(n)
-    u = squeeze_operator(sys, mu_scale / sys.s)
-    eye = np.eye(sys.dim)
-    assert np.max(np.abs(u.entries.conj().T @ u.entries - eye)) < 1e-10
+    assert unitarity_gap(squeeze_matrix(sys, mu_scale / sys.s)) < 1e-10
 
 
 def test_reduced_variance_reference_values():
