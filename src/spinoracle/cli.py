@@ -26,6 +26,7 @@ import sys as _sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,21 +36,6 @@ from .qfunction import q_function
 from .spin_core import coherent_state, make_spin_system
 
 SCHEMA_VERSION = 1
-
-# every default lives here: the shared ones, then each command's overrides
-_SHARED_DEFAULTS = {
-    "seed": 0, "out": "out", "reps": 1, "trials": 1000, "tol": 1e-8, "format": "csv",
-}
-_DEFAULTS = {
-    "squeeze-scan": {"s_range": "3/2:511/2"},
-    "qfunc": {"n": 6, "state": "coherent", "grid": "64x64"},
-    "solve": {"n": 3, "variant": "restricted", "error_mode": "worst", "format": "json"},
-    "classical": {"s_range": "3/2:511/2", "trials": 32},
-}
-_KEYS = (
-    "n", "s_range", "variant", "errors", "reps", "trials", "seed",
-    "grid", "tol", "out", "format", "state", "error_mode",
-)
 
 
 @dataclass(frozen=True)
@@ -69,36 +55,77 @@ class RunConfig:
     state: str | None
     error_mode: str | None
 
-    def grid_shape(self) -> tuple[int, int]:
-        try:
-            t, p = self.grid.lower().split("x")
-            return int(t), int(p)
-        except (AttributeError, ValueError) as exc:
-            raise ConfigError(f"grid must look like 128x128, got {self.grid!r}") from exc
-
-
-def _parse_s(text: str) -> float:
-    try:
-        return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"cannot parse spin value {text!r}") from exc
-
 
 def _s_range_exponents(text: str) -> list[int]:
-    """Exponents n with s = (2^n - 1)/2 inside the given closed s interval."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = _parse_s(parts[0])
-    elif len(parts) == 2:
-        lo, hi = _parse_s(parts[0]), _parse_s(parts[1])
-    else:
-        raise ConfigError(f"s-range must be 'lo:hi' or a single value, got {text!r}")
-    if lo > hi:
-        raise ConfigError(f"empty s-range {text!r}")
-    exps = [n for n in range(2, 15) if lo <= (2**n - 1) / 2 <= hi]
+    """Exponents n with s = (2^n - 1)/2 inside the closed s interval 'lo:hi' (or 's')."""
+    try:
+        bounds = [float(Fraction(part.strip())) for part in text.split(":")]
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"--s-range must hold fractions, got {text!r}") from exc
+    if len(bounds) > 2:
+        raise ConfigError(f"--s-range must be 'lo:hi' or a single value, got {text!r}")
+    exps = [n for n in range(2, 15) if bounds[0] <= (2**n - 1) / 2 <= bounds[-1]]
     if not exps:
-        raise ConfigError(f"no power-of-two spin systems inside s-range {text!r}")
+        raise ConfigError(f"no power-of-two spin systems inside --s-range {text!r}")
     return exps
+
+
+def _grid_shape(text: str) -> tuple[int, int]:
+    try:
+        t, p = text.lower().split("x")
+        return int(t), int(p)
+    except ValueError as exc:
+        raise ConfigError(f"--grid must look like 128x128, got {text!r}") from exc
+
+
+# checks: value -> None if it is valid, else the reason it is not
+def _at_least(least: int):
+    return lambda value: None if value >= least else f"must be >= {least}"
+
+
+def _finite_positive(value: float):
+    return None if math.isfinite(value) and value > 0 else "must be finite and > 0"
+
+
+def _accepted_by(build: Callable):
+    return lambda value: build(value) and None  # build raises its own ConfigError
+
+
+class _Option(NamedTuple):
+    convert: Callable  # str -> value; ValueError if the text is not one
+    check: Callable | None
+    default: object
+    commands: tuple[str, ...]  # the commands that read it; no other command takes it
+    help: str
+    choices: tuple[str, ...] = ()  # if given, the only values accepted
+
+
+# each command's own defaults, applied over the table's
+_COMMAND_DEFAULTS = {
+    "squeeze-scan": {"s_range": "3/2:511/2"},
+    "qfunc": {"n": 6, "state": "coherent", "grid": "64x64"},
+    "solve": {"n": 3, "variant": "restricted", "error_mode": "worst", "format": "json"},
+    "classical": {"s_range": "3/2:511/2", "trials": 32},
+}
+_EVERY = tuple(_COMMAND_DEFAULTS)
+# the one description of every option: flags, config-file keys, defaults and checks
+_OPTIONS = {
+    "n": _Option(int, _accepted_by(make_spin_system), None, ("qfunc", "solve"),
+                 "spin-system exponent, N = 2^n"),
+    "s_range": _Option(str, _accepted_by(_s_range_exponents), None, ("squeeze-scan", "classical"),
+                       "spin range 'lo:hi' as fractions, e.g. 3/2:511/2"),
+    "variant": _Option(str, None, None, ("solve",), "decision problem", codewords.VARIANTS),
+    "errors": _Option(int, _at_least(0), None, ("solve",), "error weight d (or l)"),
+    "reps": _Option(int, _at_least(1), 1, ("solve",), "pipeline repetitions per decision"),
+    "trials": _Option(int, _at_least(0), 1000, ("solve", "classical"), "sampled instances"),
+    "seed": _Option(int, _at_least(0), 0, _EVERY, "seed of every random draw"),
+    "grid": _Option(str, _accepted_by(_grid_shape), None, ("qfunc",), "grid steps, e.g. 128x128"),
+    "tol": _Option(float, _finite_positive, 1e-8, ("squeeze-scan", "qfunc"), "mu tolerance"),
+    "out": _Option(Path, None, Path("out"), _EVERY, "output directory"),
+    "format": _Option(str, None, "csv", _EVERY, "output file format", ("csv", "json")),
+    "state": _Option(str, None, None, ("qfunc",), "state to map", ("coherent", "squeezed")),
+    "error_mode": _Option(str, None, None, ("solve",), "error placement", ("worst", "random")),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -114,24 +141,6 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"n", "errors", "reps", "trials", "seed"}
-_LEAST = {"trials": 0, "errors": 0, "seed": 0, "reps": 1}  # smallest accepted value
-_FLOAT_KEYS = {"tol"}
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError: exit 2, one line."""
 
@@ -140,49 +149,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags stay strings here; load_config converts them as it does config-file values."""
+    """Each command's flags come from _OPTIONS and stay strings; only given flags are set."""
     parser = _Parser(
         prog="spinoracle",
         description="Spin-squeezing analysis and codeword oracle-decision experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("squeeze-scan", "qfunc", "solve", "classical"):
-        p = sub.add_parser(name)
-        p.add_argument("--n", help="spin-system exponent, N = 2^n")
-        p.add_argument("--s-range", help="spin range 'lo:hi' as fractions, e.g. 3/2:511/2")
-        p.add_argument("--variant", choices=codewords.VARIANTS)
-        p.add_argument("--errors", help="error weight d (or l)")
-        p.add_argument("--reps", help="pipeline repetitions per decision")
-        p.add_argument("--trials", help="sampled instances per experiment")
-        p.add_argument("--seed", help="seed of every random draw")
-        p.add_argument("--grid", help="Q-function grid, e.g. 128x128")
-        p.add_argument("--tol", help="mu optimization tolerance")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--state", choices=("coherent", "squeezed"))
-        p.add_argument("--error-mode", choices=("worst", "random"))
+    for command in _EVERY:
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument("--" + key.replace("_", "-"), metavar=metavar, help=opt.help)
         p.add_argument("--config", help="key=value file; explicit flags override it")
     return parser
 
 
 def load_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    merged = {**_SHARED_DEFAULTS, **_DEFAULTS[args.command]}
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in _KEYS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-    merged = {k: _coerce(k, v) for k, v in merged.items()}
-    for key, least in _LEAST.items():
-        if merged.get(key) is not None and merged[key] < least:
-            raise ConfigError(f"--{key} must be >= {least}, got {merged[key]}")
-    tol = merged["tol"]
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"--tol must be finite and > 0, got {tol}")
-    merged["out"] = Path(merged["out"])
-    return RunConfig(command=args.command, **{key: merged.get(key) for key in _KEYS})
+    """Defaults, then the config file, then the flags; every given value is checked."""
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
+    if "config" in given:
+        given = {**_read_config_file(given.pop("config")), **given}
+    values = {key: opt.default for key, opt in _OPTIONS.items()} | _COMMAND_DEFAULTS[command]
+    for key, text in given.items():
+        opt = _OPTIONS.get(key)
+        if opt is None or command not in opt.commands:
+            raise ConfigError(f"{command} takes no config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        try:
+            values[key] = value = opt.convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{flag} must be {opt.convert.__name__}, got {text!r}") from exc
+        if opt.check and (reason := opt.check(value)):
+            raise ConfigError(f"{flag} {reason}, got {value!r}")
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(f"{flag} must be one of {'|'.join(opt.choices)}, got {value!r}")
+    return RunConfig(command=command, **values)
 
 
 def _fmt(x) -> str:
@@ -244,11 +247,9 @@ def cmd_qfunc(cfg: RunConfig) -> list[Path]:
     sys = make_spin_system(cfg.n)
     if cfg.state == "squeezed":
         state = squeezing.optimize_mu(sys, cfg.tol).state
-    elif cfg.state == "coherent":
-        state = coherent_state(sys, math.pi / 2, 0.0)
     else:
-        raise ConfigError(f"qfunc needs --state coherent|squeezed, got {cfg.state!r}")
-    t_steps, p_steps = cfg.grid_shape()
+        state = coherent_state(sys, math.pi / 2, 0.0)
+    t_steps, p_steps = _grid_shape(cfg.grid)
     grid = q_function(state, sys, t_steps, p_steps)
     q_rows = [[theta, phi, q] for theta, phi, q in grid.rows()]
     dist_rows = [[i, float(p)] for i, p in enumerate(state.probabilities())]
@@ -276,8 +277,6 @@ def _instances(cfg: RunConfig, dim: int, rng):
 
 
 def cmd_solve(cfg: RunConfig) -> list[Path]:
-    if cfg.variant not in codewords.VARIANTS:
-        raise ConfigError(f"solve needs --variant, got {cfg.variant!r}")
     sys = make_spin_system(cfg.n)
     dim = sys.dim
     rng = np.random.default_rng(cfg.seed)

@@ -36,7 +36,7 @@ from .codewords import (
     enumerate_instances,
     hadamard_codeword,
 )
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, ResourceLimitError
 from .spin_core import NORM_TOL, SpinSystem, StateVector
 
 PHASE_UNIT_TOL = 1e-15
@@ -45,6 +45,7 @@ PER_OUTCOME_DIM_LIMIT = 64  # serialized reports embed the spectrum only up to h
 TRANSFORMS = ("hadamard", "fourier")
 PAIRINGS = ("symmetric", "adjacent")
 BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
+MAX_REPETITIONS = 2**20  # majority-vote draws held per instance: about 17 MB with outcomes
 
 # variant -> (transform, pairing, designated outcome counted back from N)
 _CIRCUITS = {
@@ -275,6 +276,8 @@ def decide_stream(instances, variant: str, repetitions: int = 1, rng=None):
     transform, pairing, back = _CIRCUITS[variant]
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if repetitions > MAX_REPETITIONS:
+        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
     if rng is None and repetitions > 1:
         raise ConfigError("majority voting needs a seeded Generator")
 

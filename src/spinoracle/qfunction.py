@@ -24,8 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, ResourceLimitError
 from .spin_core import SpinSystem, StateVector, _half_log_binomials
+
+MAX_GRID_CELLS = 2**20  # Q values per grid, each one output row
+MAX_PHASE_ENTRIES = 2**24  # the (phi_steps x N) complex phase matrix: 256 MiB
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,12 @@ def q_function(
     """Sample the Q-function of ``state`` on a theta_steps x phi_steps grid."""
     if theta_steps < 8 or phi_steps < 8:
         raise ConfigError(f"grid must be at least 8x8, got {theta_steps}x{phi_steps}")
+    if theta_steps * phi_steps > MAX_GRID_CELLS:
+        raise ResourceLimitError(f"grid {theta_steps}x{phi_steps} has over {MAX_GRID_CELLS} cells")
+    if phi_steps * sys.dim > MAX_PHASE_ENTRIES:
+        raise ResourceLimitError(
+            f"{phi_steps} phi steps x N = {sys.dim} exceed {MAX_PHASE_ENTRIES} phase entries"
+        )
     if state.dim != sys.dim:
         raise ConfigError(f"state dim {state.dim} does not match system dim {sys.dim}")
     thetas = np.linspace(0.0, math.pi, theta_steps)

@@ -1,8 +1,10 @@
 """CLI behaviour: outputs, formats, determinism, config file, exit codes."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spinoracle
-from spinoracle.cli import RunConfig, load_config, main
+from spinoracle.cli import RunConfig, build_parser, load_config, main
 
 
 def run(tmp_path, *args):
@@ -437,3 +439,110 @@ def test_solve_csv_writes_side_tables(tmp_path, args, stem, key, index):
     assert header == [index, "probability"]
     assert [int(r[0]) for r in rows] == list(range(len(expected)))
     assert [r[1] for r in rows] == [format(v, ".9g") for v in expected]
+
+
+@pytest.mark.parametrize(
+    "args, config, key",
+    [
+        (("qfunc", "--n", "2"), "format=xml", "--format"),
+        (("solve", "--n", "3"), "sed=5", "'sed'"),
+        (("solve", "--variant", "unrestricted", "--n", "6", "--trials", "2"),
+         "error_mode=bogus", "--error-mode"),
+        (("squeeze-scan", "--s-range", "3/2"), "variant=fourier", "'variant'"),
+        (("squeeze-scan", "--s-range", "3/2", "--variant", "fourier"), None, "--variant"),
+        (("classical", "--s-range", "3/2", "--tol", "1e-6"), None, "--tol"),
+    ],
+)
+def test_keys_and_values_a_command_does_not_take_exit_2(tmp_path, capsys, args, config, key):
+    # config-file values used to skip the choices that flags get, and unknown or
+    # foreign keys, from a config file or a flag, used to be ignored
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        args = (*args, "--config", str(tmp_path / "run.cfg"))
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("squeeze-scan", "--s-range", "abc"),
+        ("classical", "--s-range", "7/2:3/2"),
+        ("qfunc", "--grid", "abc"),
+        ("qfunc", "--grid", "8x8x8"),
+        ("qfunc", "--n", "99"),
+    ],
+)
+def test_rejected_values_write_no_output_directory(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path / "X")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "X").exists()
+
+
+def run_capped(tmp_path, *args):
+    """Run the CLI with its address space capped at 4 GiB, so a missing guard fails fast."""
+    limit = (  # one BLAS thread, so the cap does not depend on the core count
+        "import os, resource; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))"
+    )
+    cli = f"{limit}; from spinoracle.cli import main; raise SystemExit(main({list(args)!r}))"
+    return run_python(tmp_path, "-c", cli)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--trials", "1",
+         "--reps", "100000000000"),
+        ("qfunc", "--n", "14", "--grid", "8x100000000"),
+        ("qfunc", "--n", "2", "--grid", "100000000x8"),
+        ("qfunc", "--n", "14", "--grid", "8x1025"),
+    ],
+)
+def test_huge_reps_and_grids_hit_a_resource_guard(tmp_path, args):
+    done = run_capped(tmp_path, *args, "--out", "out")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource guard:") and done.stderr.count("\n") == 1
+
+
+HUGE = 10**12  # an allocation this size fails at once, so a missing guard cannot hang the sweep
+SWEEP_BASES = {  # a small command for each numeric key; {} marks where the value goes
+    "n": ("qfunc", "--grid", "8x8", "--n={}"),
+    "errors": ("solve", "--variant", "restricted", "--n", "3", "--errors={}"),
+    "reps": ("solve", "--variant", "unrestricted", "--n", "6", "--trials", "2", "--reps={}"),
+    "trials": ("solve", "--variant", "unrestricted", "--n", "6", "--trials={}"),
+    "seed": ("solve", "--variant", "restricted", "--n", "3", "--seed={}"),
+    "tol": ("squeeze-scan", "--s-range", "3/2", "--tol={}"),
+    "grid_theta": ("qfunc", "--n", "2", "--grid={}x8"),
+    "grid_phi": ("qfunc", "--n", "2", "--grid=8x{}"),
+}
+GUARDED = {"n", "errors", "reps", "grid_theta", "grid_phi"}  # keys with an upper bound
+
+
+def test_bad_value_sweep_exits_with_a_documented_code(tmp_path, capsys):
+    cases = [(key, value) for key in SWEEP_BASES for value in ("-1", "0", "1.5", "inf", "nan")]
+    cases += [(key, str(HUGE)) for key in sorted(GUARDED)]
+    wrong = []
+    for key, value in cases:
+        args = [arg.format(value) for arg in SWEEP_BASES[key]]
+        code = main([*args, "--out", str(tmp_path / f"{key}_{value}")])
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or (code and err.count("\n") != 1):
+            wrong.append((key, value, code, err))
+    assert not wrong, wrong
+
+
+def test_readme_lists_each_commands_options():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = {
+        match[1]: sorted(re.findall(r"`(--[a-z-]+)`", match[2]))
+        for match in re.finditer(r"^- `([a-z-]+)`: (.*)$", readme.read_text(), re.MULTILINE)
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert documented == flags
