@@ -36,6 +36,7 @@ from .qfunction import q_function
 from .spin_core import coherent_state, make_spin_system
 
 SCHEMA_VERSION = 1
+MAX_TRIALS = 2**16  # solve holds every decision report in memory until it is written
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,19 @@ def _grid_shape(text: str) -> tuple[int, int]:
         raise ConfigError(f"--grid must look like 128x128, got {text!r}") from exc
 
 
-# checks: value -> None if it is valid, else the reason it is not
+# checks: value -> None if it is valid, else the reason it is not (or they raise)
 def _at_least(least: int):
     return lambda value: None if value >= least else f"must be >= {least}"
 
 
 def _finite_positive(value: float):
     return None if math.isfinite(value) and value > 0 else "must be finite and > 0"
+
+
+def _trial_count(value: int):
+    if value > MAX_TRIALS:
+        raise ResourceLimitError(f"--trials {value} above the cap {MAX_TRIALS}")
+    return _at_least(0)(value)
 
 
 def _accepted_by(build: Callable):
@@ -117,7 +124,7 @@ _OPTIONS = {
     "variant": _Option(str, None, None, ("solve",), "decision problem", codewords.VARIANTS),
     "errors": _Option(int, _at_least(0), None, ("solve",), "error weight d (or l)"),
     "reps": _Option(int, _at_least(1), 1, ("solve",), "pipeline repetitions per decision"),
-    "trials": _Option(int, _at_least(0), 1000, ("solve", "classical"), "sampled instances"),
+    "trials": _Option(int, _trial_count, 1000, ("solve", "classical"), "sampled instances"),
     "seed": _Option(int, _at_least(0), 0, _EVERY, "seed of every random draw"),
     "grid": _Option(str, _accepted_by(_grid_shape), None, ("qfunc",), "grid steps, e.g. 128x128"),
     "tol": _Option(float, _finite_positive, 1e-8, ("squeeze-scan", "qfunc"), "mu tolerance"),
@@ -194,33 +201,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _csv(header: list[str], rows: list[list]) -> str:
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, doc: dict) -> Path:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
-    return path
+def _json(doc: dict) -> str:
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"
 
 
-def _rows_to_json(path: Path, name: str, header: list[str], rows: list[list]) -> Path:
-    records = [dict(zip(header, row)) for row in rows]
-    return _write_json(path, {name: records})
-
-
-def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> Path:
+def _table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> dict[str, str]:
     if cfg.format == "json":
-        return _rows_to_json(cfg.out / f"{stem}.json", stem, header, rows)
-    return _write_csv(cfg.out / f"{stem}.csv", header, rows)
+        return {f"{stem}.json": _json({stem: [dict(zip(header, row)) for row in rows]})}
+    return {f"{stem}.csv": _csv(header, rows)}
 
 
-def cmd_squeeze_scan(cfg: RunConfig) -> list[Path]:
+# Each command returns its outputs as {file name: text}; main alone writes them.
+def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, str]:
     exponents = _s_range_exponents(cfg.s_range)
-    written = []
+    hists = {}
     header = ["s", "mu_opt", "v_min", "p_c", "overlap"]
     rows = []
     bound = squeezing.bounding_epsilon()
@@ -236,14 +236,11 @@ def cmd_squeeze_scan(cfg: RunConfig) -> list[Path]:
         hist_rows = [
             [i, float(p), template[i]] for i, p in enumerate(res.distribution)
         ]
-        written.append(
-            _emit_table(cfg, f"hist_N{sys.dim}", ["index", "probability", "bound"], hist_rows)
-        )
-    written.insert(0, _emit_table(cfg, "squeeze_scan", header, rows))
-    return written
+        hists |= _table(cfg, f"hist_N{sys.dim}", ["index", "probability", "bound"], hist_rows)
+    return _table(cfg, "squeeze_scan", header, rows) | hists
 
 
-def cmd_qfunc(cfg: RunConfig) -> list[Path]:
+def cmd_qfunc(cfg: RunConfig) -> dict[str, str]:
     sys = make_spin_system(cfg.n)
     if cfg.state == "squeezed":
         state = squeezing.optimize_mu(sys, cfg.tol).state
@@ -253,10 +250,10 @@ def cmd_qfunc(cfg: RunConfig) -> list[Path]:
     grid = q_function(state, sys, t_steps, p_steps)
     q_rows = [[theta, phi, q] for theta, phi, q in grid.rows()]
     dist_rows = [[i, float(p)] for i, p in enumerate(state.probabilities())]
-    return [
-        _emit_table(cfg, f"qfunc_{cfg.state}_N{sys.dim}", ["theta", "phi", "q"], q_rows),
-        _emit_table(cfg, f"dist_{cfg.state}_N{sys.dim}", ["index", "probability"], dist_rows),
-    ]
+    return (
+        _table(cfg, f"qfunc_{cfg.state}_N{sys.dim}", ["theta", "phi", "q"], q_rows)
+        | _table(cfg, f"dist_{cfg.state}_N{sys.dim}", ["index", "probability"], dist_rows)
+    )
 
 
 def _instances(cfg: RunConfig, dim: int, rng):
@@ -276,7 +273,7 @@ def _instances(cfg: RunConfig, dim: int, rng):
     )
 
 
-def cmd_solve(cfg: RunConfig) -> list[Path]:
+def cmd_solve(cfg: RunConfig) -> dict[str, str]:
     sys = make_spin_system(cfg.n)
     dim = sys.dim
     rng = np.random.default_rng(cfg.seed)
@@ -313,25 +310,25 @@ def cmd_solve(cfg: RunConfig) -> list[Path]:
         **extra,
     }
     stem = f"solve_{cfg.variant}_N{dim}"
-    if cfg.format == "csv":
-        header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]
-        rows = [[rep[k] for k in header] for rep in reports]
-        written = [_write_csv(cfg.out / f"{stem}.csv", header, rows)]
-        for key, values in extra.items():  # probability_table, worst_case_spectrum
-            side_header = ["j" if key == "probability_table" else "index", "probability"]
-            side_rows = [[i, p] for i, p in enumerate(values)]
-            written.append(_write_csv(cfg.out / f"{stem}_{key}.csv", side_header, side_rows))
-        return written
-    return [_write_json(cfg.out / f"{stem}.json", doc)]
+    if cfg.format == "json":
+        return {f"{stem}.json": _json(doc)}
+    header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]
+    files = _table(cfg, stem, header, [[rep[k] for k in header] for rep in reports])
+    for key, values in extra.items():  # probability_table, worst_case_spectrum
+        side_header = ["j" if key == "probability_table" else "index", "probability"]
+        files |= _table(cfg, f"{stem}_{key}", side_header, list(enumerate(values)))
+    return files
 
 
-def cmd_classical(cfg: RunConfig) -> list[Path]:
+def cmd_classical(cfg: RunConfig) -> dict[str, str]:
+    if cfg.trials < 1:  # solve may decide 0 trials; a classical row needs one
+        raise ConfigError(f"--trials must be >= 1 for classical, got {cfg.trials}")
     exponents = _s_range_exponents(cfg.s_range)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for n in exponents:
         dim = 2**n
-        for j in rng.integers(0, dim // 2, size=max(1, cfg.trials)):
+        for j in rng.integers(0, dim // 2, size=cfg.trials):
             oracle = classical_baseline.BitOracle(codewords.hadamard_codeword(dim, int(j)).bits)
             result = classical_baseline.classical_identify(oracle, dim)
             if result.j != int(j):
@@ -341,7 +338,7 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
         )
         rows.append([dim, 1, result.queries, depth])
     header = ["N", "quantum_queries", "classical_queries", "classical_min_depth"]
-    return [_emit_table(cfg, "classical_comparison", header, rows)]
+    return _table(cfg, "classical_comparison", header, rows)
 
 
 _COMMANDS = {
@@ -355,8 +352,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         cfg = load_config(argv)
+        files = _COMMANDS[cfg.command](cfg)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        written = _COMMANDS[cfg.command](cfg)
+        for name, text in files.items():
+            (cfg.out / name).write_text(text, newline="\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
@@ -369,11 +368,11 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 4
-    except OSError as exc:  # unreadable --config, --out that cannot be created
+    except OSError as exc:  # unreadable --config, --out that cannot be created or written
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 2
-    for path in written:
-        print(path)
+    for name in files:
+        print(cfg.out / name)
     return 0
 
 

@@ -326,7 +326,7 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
     if not chosen:
         raise DegenerateInstanceError(
             f"{variant} instance class empty for N={dim}, d={d!r} "
-            f"(valid weights: {valid})"
+            f"(valid weights {valid[0]}..{valid[-1]})"
         )
     return chosen
 
@@ -351,6 +351,11 @@ def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> n
     return probs
 
 
+def _require_error_free(d) -> None:
+    if d not in (None, 0):
+        raise ConfigError("fourier instances are error-free (d must be 0)")
+
+
 def sample_instance(
     variant: str, dim: int, d=None, rng: np.random.Generator | None = None
 ) -> ProblemInstance:
@@ -367,8 +372,7 @@ def sample_instance(
     if rng is None:
         raise ConfigError("sample_instance requires an explicit seeded Generator")
     if variant == FOURIER:
-        if d not in (None, 0):
-            raise ConfigError("fourier instances are error-free (d must be 0)")
+        _require_error_free(d)
         j = int(rng.integers(0, dim))
         return ProblemInstance(variant, dim, j, None, _label(dim, j))
     weights = tuple(_resolve_weights(variant, dim, d))
@@ -389,6 +393,7 @@ def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInsta
     """Every instance of the variant, all codeword indices x all valid masks."""
     dim = _check_dim(dim)
     if variant == FOURIER:
+        _require_error_free(d)
         for j in range(dim):
             yield ProblemInstance(variant, dim, j, None, _label(dim, j))
         return

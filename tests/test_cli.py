@@ -466,19 +466,33 @@ def test_keys_and_values_a_command_does_not_take_exit_2(tmp_path, capsys, args, 
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args",  # (expected exit code, *command line)
     [
-        ("squeeze-scan", "--s-range", "abc"),
-        ("classical", "--s-range", "7/2:3/2"),
-        ("qfunc", "--grid", "abc"),
-        ("qfunc", "--grid", "8x8x8"),
-        ("qfunc", "--n", "99"),
+        (2, "squeeze-scan", "--s-range", "abc"),
+        (2, "classical", "--s-range", "7/2:3/2"),
+        (2, "qfunc", "--grid", "abc"),
+        (2, "qfunc", "--grid", "8x8x8"),
+        (2, "qfunc", "--n", "99"),
+        # these fail inside the command, part-way through its work
+        (3, "qfunc", "--n", "2", "--grid", "100000000x8"),
+        (3, "qfunc", "--n", "11", "--state", "squeezed"),
+        (2, "solve", "--variant", "restricted", "--n", "3", "--errors", "9"),
+        (3, "squeeze-scan", "--s-range", "3/2:2047/2"),  # at N = 2048, after N = 4 .. 1024
+        (4, "squeeze-scan", "--s-range", "3/2", "--tol", "1e-300"),
+        (2, "classical", "--s-range", "3/2", "--trials", "0"),
+        (2, "solve", "--variant", "fourier", "--n", "3", "--errors", "1"),
     ],
 )
 def test_rejected_values_write_no_output_directory(tmp_path, capsys, args):
-    assert main([*args, "--out", str(tmp_path / "X")]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    code, *args = args
+    kept = tmp_path / "Y" / "kept.txt"
+    kept.parent.mkdir()
+    kept.write_bytes(b"kept\n")
+    for out in (tmp_path / "X", kept.parent):
+        assert main([*args, "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "X").exists()
+    assert list(kept.parent.iterdir()) == [kept] and kept.read_bytes() == b"kept\n"
 
 
 def run_capped(tmp_path, *args):
@@ -499,6 +513,7 @@ def run_capped(tmp_path, *args):
         ("qfunc", "--n", "14", "--grid", "8x100000000"),
         ("qfunc", "--n", "2", "--grid", "100000000x8"),
         ("qfunc", "--n", "14", "--grid", "8x1025"),
+        ("classical", "--s-range", "3/2", "--trials", "1000000000000"),
     ],
 )
 def test_huge_reps_and_grids_hit_a_resource_guard(tmp_path, args):
@@ -518,7 +533,7 @@ SWEEP_BASES = {  # a small command for each numeric key; {} marks where the valu
     "grid_theta": ("qfunc", "--n", "2", "--grid={}x8"),
     "grid_phi": ("qfunc", "--n", "2", "--grid=8x{}"),
 }
-GUARDED = {"n", "errors", "reps", "grid_theta", "grid_phi"}  # keys with an upper bound
+GUARDED = {"n", "errors", "reps", "trials", "grid_theta", "grid_phi"}  # keys with an upper bound
 
 
 def test_bad_value_sweep_exits_with_a_documented_code(tmp_path, capsys):

@@ -188,6 +188,15 @@ def test_enumerate_instances_counts():
     assert len(all_restricted) == per_codeword * 4
     assert sum(inst.label == "A" for inst in all_restricted) == per_codeword
     assert len(list(enumerate_instances("fourier", 8))) == 8
+    assert len(list(enumerate_instances("fourier", 8, 0))) == 8
+    with pytest.raises(ConfigError):  # Fourier instances are error-free, as in sample_instance
+        list(enumerate_instances("fourier", 8, 1))
+
+
+def test_empty_class_message_gives_the_weight_range():
+    # one short line, though 4096 weights are valid at N = 16384
+    with pytest.raises(DegenerateInstanceError, match=r"\(valid weights 0\.\.4095\)$"):
+        sample_instance("restricted", 16384, 9999, np.random.default_rng(0))
 
 
 def test_sample_syndrome_uniformity_sanity():
