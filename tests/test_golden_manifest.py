@@ -35,6 +35,9 @@ COMMANDS = [
     ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "6", "--trials", "0",
      "--seed", "7"),
     ("qfunc", "--n", "4", "--state", "coherent", "--grid", "16x16", "--seed", "7"),
+    ("solve", "--variant", "restricted", "--n", "8", "--trials", "65", "--seed", "21"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "101",
+     "--trials", "257", "--error-mode", "random", "--seed", "21"),
 ]
 
 
