@@ -20,11 +20,11 @@ byte for byte.  Options may also come from a key=value config file
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys as _sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -208,7 +208,98 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _json(doc: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"
+    out = []
+    _encode({"schema_version": SCHEMA_VERSION, **doc}, "\n", out)
+    return "".join(out) + "\n"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as allow_nan writes them
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE[text] if "n" in text else text
+
+
+# the json text of a str, int, float, bool or None, by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return '"' + _float_text(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + _SCALAR_TEXT[type(key)](key) + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the text json.dumps(value, indent=2, sort_keys=True) gives ``value``,
+    byte for byte; ``newline`` is a line break plus the enclosing indent.
+
+    The stdlib's C encoder does not take ``indent``, and its pure-Python
+    fallback cost more than the rest of a sampled solve run.  Scalars of an
+    exact builtin type are written inline, and a list made only of finite
+    floats is one join.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_SCALAR_TEXT[type(value)](value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not only floats
+            text = "n"
+        if "n" not in text:  # no nan or inf either
+            out.append("[" + inner + text + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar:
+                out.append(sep + scalar(item))
+            else:
+                out.append(sep)
+                _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            head = sep + (encode_basestring_ascii(key) if type(key) is str else _key_text(key))
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar:
+                out.append(head + ": " + scalar(item))
+            else:
+                out.append(head + ": ")
+                _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> dict[str, str]:
@@ -256,20 +347,18 @@ def cmd_qfunc(cfg: RunConfig) -> dict[str, str]:
     )
 
 
-def _instances(cfg: RunConfig, dim: int, rng):
-    """The instances a solve run decides; sampled ones are drawn lazily."""
+def _blocks(cfg: RunConfig, dim: int, rng):
+    """The instance blocks a solve run decides; sampled ones are drawn lazily."""
+    rows = oracle_circuit.block_rows(dim)
     if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
-        return codewords.enumerate_instances(cfg.variant, dim, cfg.errors)
-    trials = range(cfg.trials)
+        instances = codewords.enumerate_instances(cfg.variant, dim, cfg.errors)
+        return codewords.instance_blocks(instances, cfg.variant, dim, rows)
     if cfg.variant == "restricted":
-        return (codewords.sample_instance("restricted", dim, cfg.errors, rng) for _ in trials)
+        return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rows, rng)
     weight = cfg.errors or 0
-    if cfg.error_mode == "random":
-        return (codewords.sample_instance("unrestricted", dim, weight, rng) for _ in trials)
-    mask = oracle_circuit.worst_case_error_mask(dim, weight)
-    return (
-        codewords.instance_from_parts("unrestricted", dim, int(rng.integers(0, dim // 2)), mask)
-        for _ in trials
+    mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
+    return codewords.sample_blocks(
+        "unrestricted", dim, weight, cfg.trials, rows, rng, cfg.reps, syndrome=mask
     )
 
 
@@ -280,18 +369,23 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str]:
     extra = {}
     if cfg.variant == "unrestricted" and cfg.error_mode != "random":
         spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
-        extra["worst_case_spectrum"] = [float(p) for p in spectrum]
-    votes = (cfg.reps, rng) if cfg.variant == "unrestricted" else ()
+        extra["worst_case_spectrum"] = spectrum.tolist()
     reports, table = [], []
-    decided = oracle_circuit.decide_stream(_instances(cfg, dim, rng), cfg.variant, *votes)
-    for inst, rep, raw in decided:
-        reports.append(rep.to_dict(cfg.variant, dim, inst.hidden_j) | {"label": inst.label})
-        table.append(float(raw[dim - 2]))  # the raw Pr[N-2]; prTop is normalized
+    correct = 0
+    for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim, rng)):
+        rows = oracle_circuit.report_docs(
+            cfg.variant, dim, block.js, decided.is_a, decided.pr_top,
+            decided.rounds, decided.rounds, decided.probs,
+        )
+        for row, label in zip(rows, np.where(block.is_a, "A", "B").tolist()):
+            row["label"] = label
+        reports += rows
+        correct += int(np.count_nonzero(decided.is_a == block.is_a))
+        table += decided.raw[:, dim - 2].tolist()  # the raw Pr[N-2]; prTop is normalized
     if cfg.variant == "fourier":
         extra["probability_table"] = table
     summary = {"instances": len(reports)}
     if reports:
-        correct = sum(rep["decision"] == rep["label"] for rep in reports)
         summary["accuracy"] = correct / len(reports)
         summary["mean_queries"] = sum(rep["queries"] for rep in reports) / len(reports)
     doc = {

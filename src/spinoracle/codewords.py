@@ -21,10 +21,17 @@ oracle phases come from exact integers (the parity table of popcount(x) mod 2
 for Hadamard words, the residues 2jk mod 2N for Fourier words); the word
 itself, with its Fractions, is derived only on demand.  Sampling uses an
 explicitly passed numpy Generator, never global state.
+
+Decisions run on InstanceBlocks: a block of instances held as arrays (the
+codeword indices, a rows x N mask block, the majority-vote variates) and
+checked once as a whole.  sample_blocks draws them trial by trial in the same
+order as repeated sample_instance calls, so a seeded run does not depend on
+the block size.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -38,6 +45,7 @@ from .errors import ConfigError, DegenerateInstanceError, ResourceLimitError
 
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
+MAX_REPETITIONS = 2**20  # majority-vote draws held per instance: 8 MB each
 
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
@@ -60,10 +68,22 @@ def _parity_table(dim: int) -> np.ndarray:
     return p
 
 
-def _fourier_residues(dim: int, j: int) -> np.ndarray:
-    """Numerators r of T_j = r/N: 2jk mod 2N moved into (-N, N]."""
+def _fourier_residues(dim: int, j) -> np.ndarray:
+    """Numerators r of T_j = r/N: 2jk mod 2N moved into (-N, N].
+
+    ``j`` is an index, or a column of indices for one row each.
+    """
     r = np.arange(dim, dtype=np.int64) * (2 * j) % (2 * dim)
     return np.where(r > dim, r - 2 * dim, r)
+
+
+def _phase_rows(variant: str, dim: int, js: np.ndarray, masks) -> np.ndarray:
+    """Oracle rows e^(i pi z_x), one per codeword index in ``js`` (with its mask row)."""
+    if variant == FOURIER:
+        r = _fourier_residues(dim, js[:, None])
+        return np.exp(1j * math.pi * (r / dim))
+    bits = _parity_table(dim)[js[:, None] & np.arange(dim)] ^ masks
+    return (1.0 - 2.0 * bits).astype(complex)
 
 
 def designated_index(dim: int) -> int:
@@ -177,17 +197,27 @@ def syndromes(dim: int, d: int, restricted: bool) -> Iterator[ErrorSyndrome]:
         yield ErrorSyndrome(mask=tuple(mask), weight=d, restricted=restricted)
 
 
+def _draw_positions(positions: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform d-subset of the error positions; weight 0 draws nothing."""
+    if not d:
+        return positions[:0]
+    return positions[rng.choice(len(positions), size=d, replace=False)]
+
+
+def _mask_row(dim: int, cols) -> tuple[int, ...]:
+    mask = np.zeros(dim, dtype=np.uint8)
+    mask[cols] = 1
+    return tuple(mask.tolist())
+
+
 def sample_syndrome(
     dim: int, d: int, restricted: bool, rng: np.random.Generator
 ) -> ErrorSyndrome:
     """Uniform weight-d mask without enumeration: a uniform d-subset of positions."""
     syndrome_count(dim, d, restricted)  # validates range
-    positions = _error_positions(dim, restricted)
-    chosen = rng.choice(len(positions), size=d, replace=False) if d else []
-    mask = [0] * dim
-    for i in chosen:
-        mask[positions[int(i)]] = 1
-    return ErrorSyndrome(mask=tuple(mask), weight=d, restricted=restricted)
+    positions = np.array(_error_positions(dim, restricted), dtype=np.int64)
+    cols = _draw_positions(positions, d, rng)
+    return ErrorSyndrome(mask=_mask_row(dim, cols), weight=d, restricted=restricted)
 
 
 def restricted_set_size(dim: int) -> int:
@@ -301,12 +331,8 @@ class ProblemInstance:
     @property
     def phases(self) -> np.ndarray:
         """The complex oracle row e^(i pi z_x), equal bit for bit to PhaseOracle(z)'s."""
-        if self.variant == FOURIER:
-            r = _fourier_residues(self.dim, self.hidden_j)
-            return np.exp(1j * math.pi * (r / self.dim))
-        bits = _parity_table(self.dim)[self.hidden_j & np.arange(self.dim)]
-        bits = bits ^ np.asarray(self.syndrome.mask, dtype=np.uint8)
-        return (1.0 - 2.0 * bits).astype(complex)
+        mask = None if self.syndrome is None else np.asarray(self.syndrome.mask, dtype=np.uint8)
+        return _phase_rows(self.variant, self.dim, np.array([self.hidden_j]), mask)[0]
 
 
 def _valid_weights(variant: str, dim: int) -> list[int]:
@@ -351,9 +377,49 @@ def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> n
     return probs
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_cdf(variant: str, dim: int, weights: tuple[int, ...]) -> list[float]:
+    """The CDF that Generator.choice(len(weights), p=...) builds from the class shares."""
+    cdf = _weight_probabilities(variant, dim, weights).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _require_error_free(d) -> None:
     if d not in (None, 0):
         raise ConfigError("fourier instances are error-free (d must be 0)")
+
+
+def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
+                 syndrome: ErrorSyndrome | None = None):
+    """Endless (j, error positions, weight) draws; the one draw order of every sample.
+
+    Per trial: the weight class (one rng.random() against the class CDF, as
+    Generator.choice(p=...) draws it), the error positions
+    (rng.choice(positions, size=d, replace=False)) and the codeword index
+    (rng.integers).  Given a fixed ``syndrome`` only the index is drawn.
+    Fourier instances are error-free, with j uniform over Z_N.
+    """
+    dim = _check_dim(dim)
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if rng is None:
+        raise ConfigError("sampling requires an explicit seeded Generator")
+    if variant == FOURIER:
+        _require_error_free(d)
+        while True:
+            yield int(rng.integers(0, dim)), None, 0
+    if syndrome is not None:
+        cols, weight = np.flatnonzero(syndrome.mask), syndrome.weight
+        while True:
+            yield int(rng.integers(0, dim // 2)), cols, weight
+    weights = tuple(_resolve_weights(variant, dim, d))
+    cdf = _weight_cdf(variant, dim, weights)
+    positions = np.array(_error_positions(dim, variant == RESTRICTED), dtype=np.int64)
+    while True:
+        weight = weights[bisect.bisect_right(cdf, rng.random())]
+        cols = _draw_positions(positions, weight, rng)
+        yield int(rng.integers(0, dim // 2)), cols, weight
 
 
 def sample_instance(
@@ -366,19 +432,10 @@ def sample_instance(
     from weighting each class by its syndrome count.  Fourier instances are
     error-free codewords with j uniform over Z_N.
     """
-    dim = _check_dim(dim)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    if rng is None:
-        raise ConfigError("sample_instance requires an explicit seeded Generator")
-    if variant == FOURIER:
-        _require_error_free(d)
-        j = int(rng.integers(0, dim))
-        return ProblemInstance(variant, dim, j, None, _label(dim, j))
-    weights = tuple(_resolve_weights(variant, dim, d))
-    d_sel = int(rng.choice(len(weights), p=_weight_probabilities(variant, dim, weights)))
-    syndrome = sample_syndrome(dim, weights[d_sel], variant == RESTRICTED, rng)
-    j = int(rng.integers(0, dim // 2))
+    j, cols, weight = next(_draw_trials(variant, dim, d, rng))
+    syndrome = None
+    if variant != FOURIER:
+        syndrome = ErrorSyndrome(_mask_row(dim, cols), weight, variant == RESTRICTED)
     return ProblemInstance(variant, dim, j, syndrome, _label(dim, j))
 
 
@@ -402,3 +459,123 @@ def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInsta
         for m in weights:
             for syndrome in syndromes(dim, m, variant == RESTRICTED):
                 yield instance_from_parts(variant, dim, j, syndrome)
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBlock:
+    """A block of instances of one variant, held as arrays and checked once.
+
+    js are the codeword indices and is_a the rows labelled A; masks is the
+    (rows x N) uint8 error-mask block with each row's declared weight in
+    weights (both None for Fourier); draws holds each row's majority-vote
+    variates, or is None for exact decisions.  Every check of ErrorSyndrome
+    and ProblemInstance runs here, once over the whole block.
+    """
+
+    variant: str
+    dim: int
+    js: np.ndarray
+    is_a: np.ndarray
+    masks: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    draws: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}")
+        dim = _check_dim(self.dim)
+        js = self.js
+        if js.dtype.kind not in "iu" or js.ndim != 1 or not len(js):
+            raise ConfigError("a block needs a non-empty row of integer codeword indices")
+        if js.min() < 0 or js.max() >= dim:
+            raise ConfigError(f"codeword index outside Z_{dim} in {js.tolist()}")
+        if not np.array_equal(self.is_a, js == designated_index(dim)):
+            raise ConfigError("labels inconsistent with the codeword indices")
+        if self.draws is not None and len(self.draws) != len(js):
+            raise ConfigError("one row of vote draws per instance")
+        if self.variant == FOURIER:
+            if self.masks is not None:
+                raise ConfigError("fourier instances carry no error syndrome")
+            return
+        if self.masks is None or self.masks.shape != (len(js), dim):
+            raise ConfigError("syndrome missing or of wrong length")
+        weights = self.masks.sum(axis=1)
+        if not np.array_equal(weights, self.weights):
+            bad = int(np.flatnonzero(weights != self.weights)[0])
+            raise ConfigError(f"mask weight {weights[bad]} != declared {self.weights[bad]}")
+        bound = dim // 4 if self.variant == RESTRICTED else dim / 16
+        if not weights.max() < bound:
+            raise ConfigError(f"{self.variant} weight {weights.max()} not below {bound}")
+        if self.variant == RESTRICTED and np.any(self.masks > _parity_table(dim)):
+            raise ConfigError("restricted mask not dominated by W_(N-1)")
+
+    def __len__(self) -> int:
+        return len(self.js)
+
+    def phases(self) -> np.ndarray:
+        """The (rows x N) oracle rows, each equal bit for bit to its instance's phases."""
+        return _phase_rows(self.variant, self.dim, self.js, self.masks)
+
+
+def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
+    """InstanceBlocks of up to ``rows`` trials pulled from ``trials``.
+
+    A trial is (j, error positions, weight), with its label (A or not) when
+    it comes from a given instance.  Its ``repetitions`` vote variates are
+    drawn right after it is pulled; 0 repetitions draw none.
+    """
+    if repetitions > MAX_REPETITIONS:
+        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
+    if repetitions and rng is None:
+        raise ConfigError("majority voting needs a seeded Generator")
+    while True:
+        draws = np.empty((rows, repetitions)) if repetitions else None
+        parts = []
+        for trial in itertools.islice(trials, rows):
+            if repetitions:
+                rng.random(out=draws[len(parts)])
+            parts.append(trial)
+        if not parts:
+            return
+        js, cols, weights, *labels = zip(*parts)
+        js = np.array(js, dtype=np.int64)
+        is_a = np.array(labels[0]) if labels else js == designated_index(dim)
+        masks = None
+        if variant != FOURIER:
+            masks = np.zeros((len(parts), dim), dtype=np.uint8)
+            masks[np.repeat(np.arange(len(parts)), weights), np.concatenate(cols)] = 1
+            weights = np.array(weights)
+        else:
+            weights = None
+        if draws is not None:
+            draws = draws[: len(parts)]
+        yield InstanceBlock(variant, dim, js, is_a, masks, weights, draws)
+
+
+def sample_blocks(variant: str, dim: int, d, trials: int, rows: int,
+                  rng: np.random.Generator, repetitions: int = 0,
+                  syndrome: ErrorSyndrome | None = None) -> Iterator[InstanceBlock]:
+    """``trials`` sampled instances, ``rows`` to a block, drawn as repeated
+    sample_instance calls would draw them (or, with a fixed ``syndrome``, only
+    their codeword indices), each followed by its ``repetitions`` vote variates."""
+    draws = itertools.islice(_draw_trials(variant, dim, d, rng, syndrome), trials)
+    return _blocks(variant, dim, draws, min(rows, max(trials, 1)), repetitions, rng)
+
+
+def instance_blocks(instances, variant: str, dim: int, rows: int, repetitions: int = 0,
+                    rng: np.random.Generator | None = None) -> Iterator[InstanceBlock]:
+    """Given instances, ``rows`` to a block, each followed by its vote variates."""
+
+    def parts():
+        for inst in instances:
+            if inst.variant != variant:
+                raise ConfigError(f"expected a {variant} instance, got {inst.variant!r}")
+            if inst.dim != dim:
+                raise ConfigError(f"expected N = {dim}, got an instance of N = {inst.dim}")
+            is_a = inst.label == "A"
+            if inst.syndrome is None:
+                yield inst.hidden_j, None, 0, is_a
+            else:
+                yield inst.hidden_j, np.flatnonzero(inst.syndrome.mask), inst.syndrome.weight, is_a
+
+    return _blocks(variant, dim, parts(), rows, repetitions, rng)

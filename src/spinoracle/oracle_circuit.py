@@ -18,10 +18,12 @@ for the Hadamard variants, index N-2 (adjacent merge) for the Fourier one.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -30,22 +32,24 @@ from .codewords import (
     RESTRICTED,
     UNRESTRICTED,
     ErrorSyndrome,
+    InstanceBlock,
     ProblemInstance,
     apply_mask,
     designated_index,
     enumerate_instances,
     hadamard_codeword,
+    instance_blocks,
 )
-from .errors import ConfigError, InvariantError, ResourceLimitError
+from .errors import ConfigError, InvariantError
 from .spin_core import NORM_TOL, SpinSystem, StateVector
 
 PHASE_UNIT_TOL = 1e-15
 PER_OUTCOME_DIM_LIMIT = 64  # serialized reports embed the spectrum only up to here
+PROB_SUM_TOL = 1e-12  # per-outcome probabilities sum to 1 within this; pr_top <= 1 + it
 
 TRANSFORMS = ("hadamard", "fourier")
 PAIRINGS = ("symmetric", "adjacent")
 BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
-MAX_REPETITIONS = 2**20  # majority-vote draws held per instance: about 17 MB with outcomes
 
 # variant -> (transform, pairing, designated outcome counted back from N)
 _CIRCUITS = {
@@ -180,24 +184,23 @@ def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
     return out
 
 
-def _spectra(items, transform: str, pairing: str):
-    """Yield (payload, unnormalized |merged amplitudes|^2) per (payload, phase row).
+def block_rows(dim: int) -> int:
+    """Instances per circuit block: BLOCK_ENTRIES phase entries, at least one row."""
+    return max(BLOCK_ENTRIES // dim, 1)
 
-    The one transform-phase-transform-merge circuit of every decision:
-    oracle phase rows are pulled lazily, BLOCK_ENTRIES // N at a time, and
-    each block runs through the circuit as one array.
+
+def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
+    """Unnormalized |merged amplitudes|^2 for a (rows x N) block of oracle phases.
+
+    The one transform-phase-transform-merge circuit of every decision; the
+    phases and the output norm are checked once per block.
     """
-    items = iter(items)
-    for first in items:
-        rows = max(BLOCK_ENTRIES // len(first[1]), 1)
-        block = [first, *itertools.islice(items, rows - 1)]
-        phases = _unit_modulus(np.stack([row for _, row in block]))
-        raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
-        dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
-        if dev > NORM_TOL:
-            raise InvariantError(f"circuit output not normalized: dev={dev:.3e}")
-        for (payload, _), row in zip(block, raw):
-            yield payload, row
+    phases = _unit_modulus(phases)
+    raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
+    dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
+    if dev > NORM_TOL:
+        raise InvariantError(f"circuit output not normalized: dev={dev:.3e}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -211,29 +214,82 @@ class DecisionReport:
     per_outcome: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.pr_top <= 1.0 + 1e-12:
+        if not 0.0 <= self.pr_top <= 1.0 + PROB_SUM_TOL:
             raise InvariantError(f"pr_top outside [0,1]: {self.pr_top!r}")
         if self.per_outcome is not None:
             p = np.asarray(self.per_outcome, dtype=float)
             p.flags.writeable = False
             object.__setattr__(self, "per_outcome", p)
-            if abs(float(p.sum()) - 1.0) > 1e-12:
+            if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
                 raise InvariantError("per-outcome probabilities do not sum to 1")
 
     def to_dict(self, variant: str, dim: int, hidden_j: int) -> dict:
         """Wire format; the outcome spectrum is embedded only for N <= 64."""
-        doc = {
-            "variant": variant,
-            "N": dim,
-            "hiddenJ": hidden_j,
-            "decision": self.decision,
-            "prTop": self.pr_top,
-            "queries": self.queries,
-            "repetitions": self.repetitions,
-        }
-        if self.per_outcome is not None and dim <= PER_OUTCOME_DIM_LIMIT:
-            doc["perOutcome"] = [float(x) for x in self.per_outcome]
+        spectra = None if self.per_outcome is None else self.per_outcome[None]
+        [doc] = report_docs(variant, dim, np.array([hidden_j]), np.array([self.decision == "A"]),
+                            np.array([self.pr_top]), self.queries, self.repetitions, spectra)
         return doc
+
+
+def report_docs(variant: str, dim: int, js: np.ndarray, is_a: np.ndarray, pr_top: np.ndarray,
+                queries: int, repetitions: int, spectra: np.ndarray | None = None) -> list[dict]:
+    """The wire format of a block of reports, one dict per row; the normalized
+    outcome spectra are embedded only for N <= 64."""
+    docs = [
+        {"variant": variant, "N": dim, "hiddenJ": j, "decision": decision, "prTop": p,
+         "queries": queries, "repetitions": repetitions}
+        for j, decision, p in zip(js.tolist(), np.where(is_a, "A", "B").tolist(), pr_top.tolist())
+    ]
+    if spectra is not None and dim <= PER_OUTCOME_DIM_LIMIT:
+        for doc, spectrum in zip(docs, spectra.tolist()):
+            doc["perOutcome"] = spectrum
+    return docs
+
+
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """The reports of one block as arrays: raw (unnormalized) and normalized
+    spectra, Pr[designated outcome], the rows decided A, and the rounds each
+    decision took.  The per-outcome sums and pr_top are checked once per block."""
+
+    raw: np.ndarray
+    probs: np.ndarray
+    pr_top: np.ndarray
+    is_a: np.ndarray
+    rounds: int
+
+    def __post_init__(self):
+        if not np.all((self.pr_top >= 0.0) & (self.pr_top <= 1.0 + PROB_SUM_TOL)):
+            raise InvariantError(f"pr_top outside [0,1]: {self.pr_top.tolist()!r}")
+        if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+            raise InvariantError("per-outcome probabilities do not sum to 1")
+
+    def report(self, i: int) -> DecisionReport:
+        return DecisionReport(
+            decision="A" if self.is_a[i] else "B", pr_top=float(self.pr_top[i]),
+            queries=self.rounds, repetitions=self.rounds, per_outcome=self.probs[i],
+        )
+
+
+def _measure(raw: np.ndarray, index: int, draws: np.ndarray | None) -> Decisions:
+    """Measure the designated outcome of each row of a (rows x N) spectrum block.
+
+    Exact mode (draws None) decides from the probability directly.  Majority
+    mode maps each uniform variate u of a row (rows x q draws) to the outcome
+    Generator.choice would give it, searchsorted(cdf, u, side="right"), and
+    answers A on more than q/2 hits.  The cdf is nondecreasing, so that
+    outcome is the designated index exactly when cdf[index-1] <= u < cdf[index].
+    """
+    probs = raw / raw.sum(axis=1, keepdims=True)  # exact-unit totals for the sampler
+    pr_top = probs[:, index]
+    if draws is None:
+        return Decisions(raw, probs, pr_top, pr_top > 0.5, 1)
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    below_hi = np.count_nonzero(draws < cdf[:, index, None], axis=1)
+    below_lo = np.count_nonzero(draws < cdf[:, index - 1, None], axis=1) if index else 0
+    rounds = draws.shape[1]
+    return Decisions(raw, probs, pr_top, below_hi - below_lo > rounds / 2, rounds)
 
 
 def measure_designated(
@@ -249,46 +305,51 @@ def measure_designated(
     raw = state.probabilities() if isinstance(state, StateVector) else state
     if not 0 <= index < len(raw):
         raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")
-    probs = raw / raw.sum()  # exact-unit total for the sampler
-    pr_top = float(probs[index])
-    rounds = 1 if draws is None else len(draws)
-    if draws is None:
-        decision = "A" if pr_top > 0.5 else "B"
-    else:
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        hits = np.count_nonzero(cdf.searchsorted(draws, side="right") == index)
-        decision = "A" if hits > rounds / 2 else "B"
-    return DecisionReport(
-        decision=decision, pr_top=pr_top, queries=rounds, repetitions=rounds, per_outcome=probs
-    )
+    return _measure(raw[None], index, None if draws is None else draws[None]).report(0)
+
+
+def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
+    """Run each InstanceBlock through its variant's circuit and measure it.
+
+    A block with vote draws is decided by a majority vote over them; the
+    per-round success probability for unrestricted A instances is at least
+    9/16, so the vote error decays exponentially in q.  Without draws the
+    decision is exact.
+    """
+    for block in blocks:
+        transform, pairing, back = _CIRCUITS[block.variant]
+        raw = _spectra(block.phases(), transform, pairing)
+        yield block, _measure(raw, block.dim - back, block.draws)
 
 
 def decide_stream(instances, variant: str, repetitions: int = 1, rng=None):
-    """Yield (instance, report, unnormalized spectrum) for each instance.
+    """Yield (instance, report, unnormalized spectrum) for each given instance.
 
-    The circuit runs once per instance.  With an rng, the q = repetitions
-    variates of an instance are drawn right after it is pulled, and decide
-    it by majority vote; the per-round success probability for unrestricted
-    A instances is at least 9/16, so the vote error decays exponentially in
-    q.  Without an rng the decision is exact.
+    The instances run through decide_blocks, block_rows(N) at a time.  With
+    an rng, the q = repetitions variates of an instance are drawn right after
+    it is pulled, and decide it by majority vote; without one the decision
+    is exact.
     """
-    transform, pairing, back = _CIRCUITS[variant]
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if repetitions > MAX_REPETITIONS:
-        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
     if rng is None and repetitions > 1:
         raise ConfigError("majority voting needs a seeded Generator")
+    instances = iter(instances)
+    first = next(instances, None)
+    if first is None:
+        return
+    pulled = collections.deque()
 
-    def pulled():
-        for inst in instances:
-            if inst.variant != variant:
-                raise ConfigError(f"expected a {variant} instance, got {inst.variant!r}")
-            yield (inst, None if rng is None else rng.random(repetitions)), inst.phases
+    def tapped():
+        for inst in itertools.chain([first], instances):
+            pulled.append(inst)
+            yield inst
 
-    for (inst, draws), raw in _spectra(pulled(), transform, pairing):
-        yield inst, measure_designated(raw, inst.dim - back, draws), raw
+    votes = 0 if rng is None else repetitions
+    blocks = instance_blocks(tapped(), variant, first.dim, block_rows(first.dim), votes, rng)
+    for block, decided in decide_blocks(blocks):
+        for i in range(len(block)):
+            yield pulled.popleft(), decided.report(i), decided.raw[i]
 
 
 def decide_restricted(instance: ProblemInstance) -> DecisionReport:
@@ -317,8 +378,8 @@ def fourier_probability_table(dim: int) -> np.ndarray:
     neighbours j = N/2-2 and N/2, which retain probability 1/4, so adjacent
     indices are not distinguished with certainty by this measurement.
     """
-    decided = decide_stream(enumerate_instances(FOURIER, dim), FOURIER)
-    return np.array([raw[dim - 2] for _, _, raw in decided])
+    blocks = instance_blocks(enumerate_instances(FOURIER, dim), FOURIER, dim, block_rows(dim))
+    return np.concatenate([decided.raw[:, dim - 2] for _, decided in decide_blocks(blocks)])
 
 
 def worst_case_error_mask(dim: int, weight: int) -> ErrorSyndrome:
@@ -342,5 +403,4 @@ def worst_case_spectrum(dim: int, weight: int) -> np.ndarray:
     worst-case mask, for any weight the mask admits."""
     word = apply_mask(hadamard_codeword(dim, designated_index(dim)).bits,
                       worst_case_error_mask(dim, weight).mask)
-    [(_, raw)] = _spectra([(None, PhaseOracle(word).phases)], "hadamard", "symmetric")
-    return raw
+    return _spectra(PhaseOracle(word).phases[None], "hadamard", "symmetric")[0]
