@@ -19,6 +19,7 @@ from .codewords import (
     enumerate_instances,
     fourier_codeword,
     group_properties_check,
+    hadamard_bits,
     hadamard_codeword,
     instance_from_parts,
     restricted_set_size,

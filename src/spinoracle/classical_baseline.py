@@ -26,21 +26,18 @@ from .errors import ConfigError, ResourceLimitError
 class BitOracle:
     """Oracle answering single bit positions of a fixed string, counting queries."""
 
-    def __init__(self, bits: Sequence[int]):
-        self.bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits: Sequence[int] | np.ndarray):
+        self.bits = np.asarray(bits)
+        if self.bits.ndim != 1 or not ((self.bits == 0) | (self.bits == 1)).all():
             raise ConfigError("bit oracle needs a 0/1 string")
+        self.dim = len(self.bits)
         self.queries = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.bits)
 
     def query(self, x: int) -> int:
         if not 0 <= x < self.dim:
             raise ConfigError(f"bit position {x} outside Z_{self.dim}")
         self.queries += 1
-        return self.bits[x]
+        return int(self.bits[x])
 
 
 @dataclass(frozen=True)

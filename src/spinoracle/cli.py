@@ -208,9 +208,14 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _json(doc: dict) -> str:
+    return _json_text({"schema_version": SCHEMA_VERSION, **doc}) + "\n"
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, TypeError included."""
     out = []
-    _encode({"schema_version": SCHEMA_VERSION, **doc}, "\n", out)
-    return "".join(out) + "\n"
+    _encode(value, "\n", out)
+    return "".join(out)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as allow_nan writes them
@@ -423,7 +428,7 @@ def cmd_classical(cfg: RunConfig) -> dict[str, str]:
     for n in exponents:
         dim = 2**n
         for j in rng.integers(0, dim // 2, size=cfg.trials):
-            oracle = classical_baseline.BitOracle(codewords.hadamard_codeword(dim, int(j)).bits)
+            oracle = classical_baseline.BitOracle(codewords.hadamard_bits(dim, int(j)))
             result = classical_baseline.classical_identify(oracle, dim)
             if result.j != int(j):
                 raise InvariantError(f"classical identification failed at N={dim}, j={j}")

@@ -134,12 +134,17 @@ class ErrorSyndrome:
                 raise ConfigError("restricted mask not dominated by W_(N-1)")
 
 
-def hadamard_codeword(dim: int, j: int) -> Codeword:
-    """Row j of the Hadamard codeword matrix: bit x = popcount(j AND x) mod 2."""
+def hadamard_bits(dim: int, j: int) -> np.ndarray:
+    """Row j of the Hadamard codeword matrix as uint8 bits, read from the parity table."""
     dim = _check_dim(dim)
     if not 0 <= j < dim:
         raise ConfigError(f"codeword index {j} outside Z_{dim}")
-    return Codeword(bits=tuple((j & x).bit_count() & 1 for x in range(dim)), index=j)
+    return _parity_table(dim)[j & np.arange(dim)]
+
+
+def hadamard_codeword(dim: int, j: int) -> Codeword:
+    """Row j of the Hadamard codeword matrix: bit x = popcount(j AND x) mod 2."""
+    return Codeword(bits=tuple(hadamard_bits(dim, j).tolist()), index=j)
 
 
 def _reduce_signed(v: Fraction) -> Fraction:

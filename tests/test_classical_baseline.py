@@ -9,6 +9,7 @@ from spinoracle import (
     ResourceLimitError,
     classical_decide_noisy,
     classical_identify,
+    hadamard_bits,
     hadamard_codeword,
     min_decision_tree_depth,
     sample_instance,
@@ -51,6 +52,25 @@ def test_query_counter_matches_answers():
     assert len(answers) == oracle.queries == 5
     with pytest.raises(ConfigError):
         oracle.query(16)
+
+
+def test_oracle_checks_the_bit_promise():
+    for bits in ([0, 1, 2, 1], [0, 1, -1, 0], [0.5, 1, 0, 1], [[0, 1], [1, 0]]):
+        with pytest.raises(ConfigError):
+            BitOracle(bits)
+    for bits in ([0, 1, 1, 0], (True, False, True, True), np.array([1, 0, 0, 1], dtype=np.uint8)):
+        oracle = BitOracle(bits)
+        assert [oracle.query(x) for x in range(4)] == [int(b) for b in bits]
+        assert all(type(oracle.query(x)) is int for x in range(4))
+
+
+@pytest.mark.parametrize("dim", [4, 64, 1024])
+def test_parity_table_bits_equal_codeword_bits(dim):
+    for j in range(0, dim, max(dim // 64, 1)):
+        assert tuple(hadamard_bits(dim, j).tolist()) == hadamard_codeword(dim, j).bits
+        assert hadamard_codeword(dim, j).bits == tuple((j & x).bit_count() & 1 for x in range(dim))
+    with pytest.raises(ConfigError):
+        hadamard_bits(dim, dim)
 
 
 def test_noisy_decision_degenerate_case_matches_identify():

@@ -24,7 +24,7 @@ from spinoracle import (
     syndrome_count,
     syndromes,
 )
-from spinoracle.codewords import _weight_probabilities
+from spinoracle.codewords import InstanceBlock, _weight_probabilities
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -282,3 +282,88 @@ def test_instance_checks_survive_without_a_stored_string():
     inst = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
     assert inst.label == "A"
     assert inst.z == apply_mask(hadamard_codeword(8, 3).bits, inst.syndrome.mask)
+
+
+def test_instance_block_runs_every_instance_check():
+    dim = 16
+    js = np.array([3, 5])
+    masks = np.zeros((2, dim), dtype=np.uint8)
+    masks[0, 1] = masks[1, 2] = 1  # positions 1 and 2 have odd parity
+    ok = dict(variant="restricted", dim=dim, js=js, is_a=js == 7, masks=masks,
+              weights=np.array([1, 1]))
+    assert len(InstanceBlock(**ok)) == 2
+    bad = masks.copy()
+    bad[1, 3] = 1  # position 3 has even parity
+    cases = [
+        dict(weights=np.array([1, 2])),  # weight not the declared one
+        dict(masks=bad, weights=np.array([1, 2])),  # restricted mask not dominated by W_(N-1)
+        dict(js=np.array([3, 16]), is_a=np.array([False, False])),  # j outside Z_N
+        dict(js=np.array([-1, 5]), is_a=np.array([False, False])),
+        dict(js=np.array([3.0, 5.0])),  # not integers
+        dict(is_a=np.array([True, False])),  # label inconsistent with j
+        dict(masks=masks[:, :8]),  # wrong length
+        dict(masks=None),  # syndrome missing
+        dict(dim=12),  # N not a power of two
+        dict(variant="bogus"),
+        dict(draws=np.zeros((3, 5))),  # one row of draws per instance
+    ]
+    for change in cases:
+        with pytest.raises(ConfigError):
+            InstanceBlock(**(ok | change))
+    heavy = np.zeros((1, dim), dtype=np.uint8)
+    heavy[0, [1, 2, 4, 7]] = 1  # weight N/4 is not below the bound
+    with pytest.raises(ConfigError):
+        InstanceBlock("restricted", dim, np.array([0]), np.array([False]), heavy, np.array([4]))
+    unrestricted = np.zeros((1, dim), dtype=np.uint8)
+    unrestricted[0, 0] = 1  # weight 1 is not below N/16 = 1
+    with pytest.raises(ConfigError):
+        InstanceBlock("unrestricted", dim, np.array([0]), np.array([False]), unrestricted,
+                      np.array([1]))
+    with pytest.raises(ConfigError):
+        InstanceBlock("fourier", dim, js, js == 7, masks, np.array([1, 1]))
+
+
+@pytest.mark.parametrize(
+    "variant, dim, d", [("restricted", 256, None), ("unrestricted", 64, None),
+                        ("unrestricted", 128, (0, 3, 7)), ("restricted", 16, 2)],
+)
+def test_sampling_draws_in_the_documented_order(variant, dim, d):
+    # the draw order of the seeded outputs, spelled out with Generator calls
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    pool = [x for x in range(dim) if not variant == "restricted" or x.bit_count() % 2]
+    bound = dim // 4 if variant == "restricted" else dim / 16
+    weights = [m for m in range(dim) if m < bound] if d is None else [d] if isinstance(d, int) else d
+    for _ in range(50):
+        inst = sample_instance(variant, dim, d, rng)
+        p = _weight_probabilities(variant, dim, tuple(weights))
+        weight = weights[int(ref.choice(len(weights), p=p))]
+        chosen = ref.choice(len(pool), size=weight, replace=False) if weight else []
+        j = int(ref.integers(0, dim // 2))
+        assert inst.hidden_j == j
+        assert inst.syndrome.mask == tuple(int(x in {pool[i] for i in chosen}) for x in range(dim))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _FixedUniform:
+    """A Generator stand-in whose random() returns given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.rng = np.random.default_rng(0)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_weight_class_draw_on_a_cdf_value_goes_right():
+    # Generator.choice(p=...) maps u to cdf.searchsorted(u, side="right")
+    dim, weights = 128, (0, 3, 7)
+    p = _weight_probabilities("unrestricted", dim, weights)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for u in [0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0)]:
+        inst = sample_instance("unrestricted", dim, weights, _FixedUniform([u]))
+        assert inst.syndrome.weight == weights[int(cdf.searchsorted(u, side="right"))]

@@ -3,7 +3,9 @@
 The references run each instance through run_pipeline and merge_two_to_one
 alone and measure with Generator.choice, one call per round, the way the
 decision procedures worked before the circuit ran block-wise.  Instance
-counts are chosen so that the stream crosses block boundaries.
+counts are chosen so that the stream crosses block boundaries.  The sampled
+blocks that solve decides are checked the same way, against instances drawn
+one at a time by sample_instance.
 """
 
 import numpy as np
@@ -20,7 +22,14 @@ from spinoracle import (
     sample_instance,
     worst_case_error_mask,
 )
-from spinoracle.oracle_circuit import BLOCK_ENTRIES, decide_stream, worst_case_spectrum
+from spinoracle.codewords import sample_blocks
+from spinoracle.oracle_circuit import (
+    BLOCK_ENTRIES,
+    block_rows,
+    decide_blocks,
+    decide_stream,
+    worst_case_spectrum,
+)
 
 
 def reference_vote(inst, reps, rng, transform="hadamard", pairing="symmetric", back=1):
@@ -103,3 +112,87 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
         list(decide_stream([inst], "unrestricted", 0, rng))
     with pytest.raises(ConfigError):
         list(decide_stream([inst], "unrestricted", 3))
+
+
+def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
+    """(block, row) pairs of the sampled blocks solve decides, with each row's decision."""
+    rng = np.random.default_rng(seed)
+    blocks = sample_blocks(variant, dim, d, trials, block_rows(dim), rng, reps, syndrome=mask)
+    rows = [(block, decided, i) for block, decided in decide_blocks(blocks) for i in range(len(block))]
+    return rows, rng
+
+
+def boundary_counts(dim):
+    rows = block_rows(dim)
+    return [rows - 1, rows, rows + 1, 2 * rows + 1]
+
+
+@pytest.mark.parametrize("trials", boundary_counts(128))
+def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
+    dim = 128  # 64 rows per block
+    rows, rng = sampled_rows("restricted", dim, None, trials, 0, 31)
+    ref_rng = np.random.default_rng(31)
+    assert len(rows) == trials
+    for block, decided, i in rows:
+        inst = sample_instance("restricted", dim, None, ref_rng)
+        assert block.js[i] == inst.hidden_j
+        assert tuple(block.masks[i].tolist()) == inst.syndrome.mask
+        assert block.weights[i] == inst.syndrome.weight
+        ref_raw, ref_probs, ref_decision = reference_vote(inst, 1, None)
+        assert decided.raw[i].tobytes() == ref_raw.tobytes()
+        assert decided.probs[i].tobytes() == ref_probs.tobytes()
+        assert decided.pr_top[i] == ref_probs[dim - 1]
+        assert ("A" if decided.is_a[i] else "B") == ref_decision == inst.label
+        assert decided.rounds == 1
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", boundary_counts(64))
+@pytest.mark.parametrize("mode", ["random", "worst"])
+def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode, trials):
+    dim, weight, reps = 64, 3, 7  # 128 rows per block
+    mask = worst_case_error_mask(dim, weight) if mode == "worst" else None
+    rows, rng = sampled_rows("unrestricted", dim, weight, trials, reps, 17, mask)
+    ref_rng = np.random.default_rng(17)
+    assert len(rows) == trials
+    for block, decided, i in rows:
+        if mode == "random":
+            inst = sample_instance("unrestricted", dim, weight, ref_rng)
+        else:
+            inst = instance_from_parts("unrestricted", dim, int(ref_rng.integers(0, dim // 2)), mask)
+        assert block.js[i] == inst.hidden_j
+        assert tuple(block.masks[i].tolist()) == inst.syndrome.mask
+        assert block.is_a[i] == (inst.label == "A")
+        ref_raw, ref_probs, ref_decision = reference_vote(inst, reps, ref_rng)
+        assert decided.raw[i].tobytes() == ref_raw.tobytes()
+        assert decided.probs[i].tobytes() == ref_probs.tobytes()
+        assert decided.pr_top[i] == ref_probs[dim - 1]
+        assert ("A" if decided.is_a[i] else "B") == ref_decision
+        assert decided.rounds == reps
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "variant, dim, d",
+    [("restricted", 256, None), ("restricted", 16, 2), ("unrestricted", 64, None),
+     ("unrestricted", 64, (0, 2)), ("fourier", 16, None)],
+)
+def test_block_sampler_draws_what_sample_instance_draws(variant, dim, d):
+    trials, rows = 41, 8  # five full blocks and a last one of one row
+    rng = np.random.default_rng(4)
+    blocks = list(sample_blocks(variant, dim, d, trials, rows, rng))
+    ref_rng = np.random.default_rng(4)
+    instances = [sample_instance(variant, dim, d, ref_rng) for _ in range(trials)]
+    assert [len(block) for block in blocks] == [8] * 5 + [1]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    js = np.concatenate([block.js for block in blocks])
+    assert js.tolist() == [inst.hidden_j for inst in instances]
+    is_a = np.concatenate([block.is_a for block in blocks])
+    assert ["A" if a else "B" for a in is_a] == [inst.label for inst in instances]
+    if variant == "fourier":
+        assert all(block.masks is None for block in blocks)
+        return
+    masks = np.concatenate([block.masks for block in blocks])
+    assert [tuple(row) for row in masks.tolist()] == [inst.syndrome.mask for inst in instances]
+    weights = np.concatenate([block.weights for block in blocks])
+    assert weights.tolist() == [inst.syndrome.weight for inst in instances]

@@ -7,6 +7,7 @@ import pytest
 
 from spinoracle import (
     ConfigError,
+    InvariantError,
     PhaseOracle,
     StateVector,
     apply_mask,
@@ -30,6 +31,7 @@ from spinoracle import (
     walsh_hadamard,
     worst_case_error_mask,
 )
+from spinoracle.oracle_circuit import Decisions
 
 
 def two_component(dim, a, b):
@@ -218,6 +220,35 @@ def test_measure_designated_uniform():
     assert report.decision == "B"
     with pytest.raises(ConfigError):
         measure_designated(uniform, dim)
+
+
+def test_majority_measurement_maps_draws_as_searchsorted_does():
+    rng = np.random.default_rng(2)
+    for dim in (4, 8, 64):
+        raw = rng.random(dim) * (rng.random(dim) < 0.6)  # zero outcomes make flat CDF steps
+        raw[dim // 2] += 0.1
+        probs = raw / raw.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        draws = np.concatenate([rng.random(15), cdf[:-1], np.nextafter(cdf[:-1], 0)])
+        for index in range(dim):
+            hits = np.count_nonzero(cdf.searchsorted(draws, side="right") == index)
+            report = measure_designated(raw, index, draws)
+            assert report.decision == ("A" if hits > len(draws) / 2 else "B")
+            assert report.queries == report.repetitions == len(draws)
+        for index in range(dim):  # the interval [cdf[index-1], cdf[index]) is index's own
+            lo = cdf[index - 1] if index else 0.0
+            if lo < cdf[index]:
+                assert measure_designated(raw, index, np.array([lo])).decision == "A"
+            assert measure_designated(raw, index, np.array([cdf[index]])).decision == "B"
+
+
+def test_measurement_checks_the_outcome_probabilities():
+    with pytest.raises(InvariantError):  # pr_top = 2 after normalizing
+        measure_designated(np.array([-1.0, 2.0, 0.0, 0.0]), 1)
+    with pytest.raises(InvariantError):  # sums to 1 + 1e-9 per row
+        Decisions(np.ones((1, 2)), np.array([[0.5, 0.5 + 1e-9]]), np.array([0.5]),
+                  np.array([False]), 1)
 
 
 def test_norm_preserved_through_stages():
