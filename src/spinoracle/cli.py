@@ -212,7 +212,8 @@ def _json(doc: dict) -> str:
 
 
 def _json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, TypeError included."""
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, TypeError included;
+    dict keys must be strings (json.dumps would also take numbers, bools and None)."""
     out = []
     _encode(value, "\n", out)
     return "".join(out)
@@ -234,18 +235,6 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return '"' + _float_text(key) + '"'
-    if key is True or key is False or key is None:
-        return '"' + _SCALAR_TEXT[type(key)](key) + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _encode(value, newline: str, out: list) -> None:
@@ -294,7 +283,9 @@ def _encode(value, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            head = sep + (encode_basestring_ascii(key) if type(key) is str else _key_text(key))
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            head = sep + encode_basestring_ascii(key)
             scalar = _SCALAR_TEXT.get(type(item))
             if scalar:
                 out.append(head + ": " + scalar(item))

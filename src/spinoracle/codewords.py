@@ -318,7 +318,7 @@ class ProblemInstance:
             return
         if self.syndrome is None or len(self.syndrome.mask) != dim:
             raise ConfigError("syndrome missing or of wrong length")
-        bound = dim // 4 if self.variant == RESTRICTED else dim / 16
+        bound = _weight_bound(self.variant, dim)
         if not self.syndrome.weight < bound:
             raise ConfigError(
                 f"{self.variant} weight {self.syndrome.weight} not below {bound}"
@@ -340,8 +340,13 @@ class ProblemInstance:
         return _phase_rows(self.variant, self.dim, np.array([self.hidden_j]), mask)[0]
 
 
+def _weight_bound(variant: str, dim: int):
+    """Error weights of a Hadamard instance lie below N/4 (restricted) or N/16."""
+    return dim // 4 if variant == RESTRICTED else dim / 16
+
+
 def _valid_weights(variant: str, dim: int) -> list[int]:
-    bound = dim // 4 if variant == RESTRICTED else dim / 16
+    bound = _weight_bound(variant, dim)
     return [m for m in range(dim) if m < bound]
 
 
@@ -508,7 +513,7 @@ class InstanceBlock:
         if not np.array_equal(weights, self.weights):
             bad = int(np.flatnonzero(weights != self.weights)[0])
             raise ConfigError(f"mask weight {weights[bad]} != declared {self.weights[bad]}")
-        bound = dim // 4 if self.variant == RESTRICTED else dim / 16
+        bound = _weight_bound(self.variant, dim)
         if not weights.max() < bound:
             raise ConfigError(f"{self.variant} weight {weights.max()} not below {bound}")
         if self.variant == RESTRICTED and np.any(self.masks > _parity_table(dim)):
@@ -545,16 +550,14 @@ def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
         js, cols, weights, *labels = zip(*parts)
         js = np.array(js, dtype=np.int64)
         is_a = np.array(labels[0]) if labels else js == designated_index(dim)
-        masks = None
+        masks = declared = None
         if variant != FOURIER:
+            declared = np.array(weights)
             masks = np.zeros((len(parts), dim), dtype=np.uint8)
-            masks[np.repeat(np.arange(len(parts)), weights), np.concatenate(cols)] = 1
-            weights = np.array(weights)
-        else:
-            weights = None
+            masks[np.repeat(np.arange(len(parts)), declared), np.concatenate(cols)] = 1
         if draws is not None:
             draws = draws[: len(parts)]
-        yield InstanceBlock(variant, dim, js, is_a, masks, weights, draws)
+        yield InstanceBlock(variant, dim, js, is_a, masks, declared, draws)
 
 
 def sample_blocks(variant: str, dim: int, d, trials: int, rows: int,

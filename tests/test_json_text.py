@@ -42,10 +42,6 @@ CORPUS = [
     2**100,
     -(2**70),
     [2**64, -(2**63), 0],
-    {1: "int key", 2.5: "float key", -3: "negative"},
-    {True: "t"},
-    {None: "n"},
-    {math.nan: "nan key"},
     {"variant": "unrestricted", "N": 64, "hiddenJ": 31, "decision": "A", "prTop": 0.5625,
      "queries": 9, "repetitions": 9, "perOutcome": [0.0, 0.015625, 0.5625], "label": "A"},
 ]
@@ -73,3 +69,10 @@ def test_rejects_what_json_dumps_rejects(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, True, None], ids=["int", "float", "bool", "none"])
+def test_takes_only_string_keys(key):
+    json.dumps({key: 1}, indent=2, sort_keys=True)  # json.dumps would write it as a string
+    with pytest.raises(TypeError):
+        _json_text({key: 1})
