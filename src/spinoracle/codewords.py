@@ -45,7 +45,7 @@ from .errors import ConfigError, DegenerateInstanceError, ResourceLimitError
 
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
-MAX_REPETITIONS = 2**20  # majority-vote draws held per instance: 8 MB each
+MAX_REPETITIONS = 2**20  # majority-vote draws per instance, and per block: 8 MB
 
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
@@ -532,12 +532,16 @@ def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
 
     A trial is (j, error positions, weight), with its label (A or not) when
     it comes from a given instance.  Its ``repetitions`` vote variates are
-    drawn right after it is pulled; 0 repetitions draw none.
+    drawn right after it is pulled; 0 repetitions draw none.  A block holds
+    at most MAX_REPETITIONS variates, so with many repetitions it has fewer
+    rows; the draw order, and so every result, does not depend on the rows.
     """
     if repetitions > MAX_REPETITIONS:
         raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
     if repetitions and rng is None:
         raise ConfigError("majority voting needs a seeded Generator")
+    if repetitions:
+        rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
     while True:
         draws = np.empty((rows, repetitions)) if repetitions else None
         parts = []

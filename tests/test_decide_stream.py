@@ -196,3 +196,16 @@ def test_block_sampler_draws_what_sample_instance_draws(variant, dim, d):
     assert [tuple(row) for row in masks.tolist()] == [inst.syndrome.mask for inst in instances]
     weights = np.concatenate([block.weights for block in blocks])
     assert weights.tolist() == [inst.syndrome.weight for inst in instances]
+
+
+def test_many_repetitions_shrink_the_vote_block_not_the_draws():
+    dim, weight, reps, trials = 64, 3, 2**19 + 1, 3  # one instance's variates per block
+    rng = np.random.default_rng(6)
+    blocks = list(sample_blocks("unrestricted", dim, weight, trials, block_rows(dim), rng, reps))
+    ref_rng = np.random.default_rng(6)
+    assert [len(block) for block in blocks] == [1] * trials
+    for block in blocks:
+        inst = sample_instance("unrestricted", dim, weight, ref_rng)
+        assert block.js[0] == inst.hidden_j
+        assert block.draws.tobytes() == ref_rng.random(reps).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
