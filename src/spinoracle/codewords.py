@@ -169,10 +169,10 @@ def apply_mask(bits: Sequence[int], mask: Sequence[int]) -> tuple[int, ...]:
     return tuple(b ^ m for b, m in zip(bits, mask))
 
 
-def _error_positions(dim: int, restricted: bool) -> tuple[int, ...]:
+def _error_positions(dim: int, restricted: bool) -> np.ndarray:
     if restricted:
-        return tuple(np.flatnonzero(_parity_table(dim)).tolist())
-    return tuple(range(dim))
+        return np.flatnonzero(_parity_table(dim))
+    return np.arange(dim)
 
 
 def syndrome_count(dim: int, d: int, restricted: bool) -> int:
@@ -194,7 +194,7 @@ def syndromes(dim: int, d: int, restricted: bool) -> Iterator[ErrorSyndrome]:
         raise ResourceLimitError(
             f"{count} syndromes exceed the enumeration limit; sample instead"
         )
-    positions = _error_positions(dim, restricted)
+    positions = _error_positions(dim, restricted).tolist()
     for combo in itertools.combinations(positions, d):
         mask = [0] * dim
         for x in combo:
@@ -220,8 +220,7 @@ def sample_syndrome(
 ) -> ErrorSyndrome:
     """Uniform weight-d mask without enumeration: a uniform d-subset of positions."""
     syndrome_count(dim, d, restricted)  # validates range
-    positions = np.array(_error_positions(dim, restricted), dtype=np.int64)
-    cols = _draw_positions(positions, d, rng)
+    cols = _draw_positions(_error_positions(dim, restricted), d, rng)
     return ErrorSyndrome(mask=_mask_row(dim, cols), weight=d, restricted=restricted)
 
 
@@ -388,11 +387,11 @@ def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> n
 
 
 @functools.lru_cache(maxsize=64)
-def _weight_cdf(variant: str, dim: int, weights: tuple[int, ...]) -> list[float]:
+def _weight_cdf(variant: str, dim: int, weights: tuple[int, ...]) -> tuple[float, ...]:
     """The CDF that Generator.choice(len(weights), p=...) builds from the class shares."""
     cdf = _weight_probabilities(variant, dim, weights).cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return tuple(cdf.tolist())
 
 
 def _require_error_free(d) -> None:
@@ -425,7 +424,7 @@ def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
             yield int(rng.integers(0, dim // 2)), cols, weight
     weights = tuple(_resolve_weights(variant, dim, d))
     cdf = _weight_cdf(variant, dim, weights)
-    positions = np.array(_error_positions(dim, variant == RESTRICTED), dtype=np.int64)
+    positions = _error_positions(dim, variant == RESTRICTED)
     while True:
         weight = weights[bisect.bisect_right(cdf, rng.random())]
         cols = _draw_positions(positions, weight, rng)
