@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinoracle
@@ -304,6 +305,27 @@ def test_exit_code_numerics_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(squeezing, "optimize_mu", boom)
     assert main(["qfunc", "--n", "3", "--state", "squeezed", "--out", str(tmp_path / "v")]) == 4
+
+
+def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
+    from spinoracle.squeezing import _propagator
+
+    real_eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, v = real_eigh(a)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    _propagator.cache_clear()  # a cached factorization would skip the eigh
+    try:
+        code, out = run(tmp_path, "squeeze-scan", "--s-range", "3/2:7/2")
+    finally:
+        _propagator.cache_clear()
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Sx spectrum off by") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from spinoracle import (
     spin_operators,
     sweep_point,
 )
+from spinoracle.spin_core import _ladder_coefficients
 from spinoracle.squeezing import _propagator, twist_generator
 
 MU_STAR = math.pi / (6 * math.sqrt(3))
@@ -32,6 +33,36 @@ SWEEP_EXPONENTS = (2, 3, 4, 5, 6, 7, 8, 9)  # s = 3/2 .. 511/2
 def squeeze_matrix(sys, mu):
     """U(mu) as a dense matrix: the structured factorization applied to the identity."""
     return _propagator(sys).apply(mu, np.eye(sys.dim))
+
+
+def sx_even_odd(sys):
+    """Sx[even, odd]: the real bidiagonal block that couples the two parities."""
+    c = _ladder_coefficients(sys) / 2
+    return np.diag(c[0::2]) + np.diag(c[1::2], -1)
+
+
+def svd_route(sys):
+    """psi -> U(mu) psi by the SVD route: an eigh per parity block and an SVD of B.
+
+    It uses no mirror identity, so it is the reference at sizes past the dense tests.
+    """
+    gen = twist_generator(sys)
+    blocks = [np.linalg.eigh(gen[p::2, p::2]) for p in (0, 1)]
+    rot_p, sigma, rot_qt = np.linalg.svd(sx_even_odd(sys))
+    cos, sin = np.cos(math.pi / 4 * sigma), np.sin(math.pi / 4 * sigma)
+    psi = coherent_state(sys, math.pi / 2, 0.0).amps
+
+    def state(mu):
+        y = np.empty(sys.dim, dtype=complex)
+        for p, (w, v) in enumerate(blocks):
+            y[p::2] = v @ (np.exp(1j * mu * w) * (v.T @ psi[p::2]))
+        a, b = rot_p.T @ y[0::2], rot_qt @ y[1::2]
+        out = np.empty(sys.dim, dtype=complex)
+        out[0::2] = rot_p @ (cos * a - 1j * sin * b)
+        out[1::2] = rot_qt.T @ (cos * b - 1j * sin * a)
+        return out
+
+    return state
 
 
 def unitarity_gap(u):
@@ -79,6 +110,66 @@ def test_structured_propagator_matches_dense_reference(n):
     half = sys.dim // 2
     for mu in np.linspace(0.0, 4.0 / sys.s, 7):
         ref = np.abs(rot @ (expi_hermitian(twist, mu) @ psi)) ** 2
+        assert np.max(np.abs(prop.state_at(mu).probabilities() - ref)) < 1e-12
+        assert abs(prop.tail_weight(mu) - (1.0 - ref[half - 1] - ref[half])) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_generators_are_mirror_symmetric(n):
+    # the premises of the factorization, bit for bit: with J the reversal of
+    # a half-length index, odd twist block = J (even twist block) J, B = J B^T J
+    sys = make_spin_system(n)
+    gen = twist_generator(sys)
+    assert np.array_equal(gen[1::2, 1::2], gen[0::2, 0::2][::-1, ::-1])
+    coupling = sx_even_odd(sys)
+    assert np.array_equal(coupling, coupling.T[::-1, ::-1])
+    if n <= 6:
+        assert np.array_equal(coupling, spin_operators(sys).sx[0::2, 1::2].real)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_rotation_factors_reconstruct_sx(n):
+    sys = make_spin_system(n)
+    prop = _propagator(sys)
+    coupling = sx_even_odd(sys)
+    p, q = prop.rot_p, prop.rot_q
+    sigma = np.diag(p.T @ coupling @ q)
+    eye = np.eye(sys.dim // 2)
+    assert np.max(np.abs(q.T @ q - eye)) < 1e-12
+    assert np.max(np.abs(p.T @ p - eye)) < 1e-12
+    assert np.max(np.abs((p * sigma) @ q.T - coupling)) < 1e-12 * sys.s
+    assert np.max(np.abs(np.sort(sigma) - (np.arange(sys.dim // 2) + 0.5))) < 1e-12 * sys.s
+    assert np.max(np.abs(prop.rot_cos[:, 0] - np.cos(math.pi / 4 * sigma))) < 1e-12
+    assert np.max(np.abs(prop.rot_sin[:, 0] - np.sin(math.pi / 4 * sigma))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_factorization_runs_two_eigh_and_no_svd(n, monkeypatch):
+    calls = {"eigh": 0, "svd": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    _propagator.__wrapped__(make_spin_system(n))
+    assert calls == {"eigh": 2, "svd": 0}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_propagator_matches_svd_route(n):
+    sys = make_spin_system(n)
+    prop = _propagator(sys)
+    reference = svd_route(sys)
+    half = sys.dim // 2
+    for mu in np.linspace(0.0, 4.0 / sys.s, 7):
+        ref = np.abs(reference(mu)) ** 2
         assert np.max(np.abs(prop.state_at(mu).probabilities() - ref)) < 1e-12
         assert abs(prop.tail_weight(mu) - (1.0 - ref[half - 1] - ref[half])) < 1e-12
 
