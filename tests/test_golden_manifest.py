@@ -38,6 +38,8 @@ COMMANDS = [
     ("solve", "--variant", "restricted", "--n", "8", "--trials", "65", "--seed", "21"),
     ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "101",
      "--trials", "257", "--error-mode", "random", "--seed", "21"),
+    ("solve", "--variant", "restricted", "--n", "4"),
+    ("solve", "--variant", "fourier", "--n", "8"),
 ]
 
 
