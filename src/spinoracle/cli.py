@@ -347,8 +347,7 @@ def _blocks(cfg: RunConfig, dim: int, rng):
     """The instance blocks a solve run decides; sampled ones are drawn lazily."""
     rows = oracle_circuit.block_rows(dim)
     if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
-        instances = codewords.enumerate_instances(cfg.variant, dim, cfg.errors)
-        return codewords.instance_blocks(instances, cfg.variant, dim, rows)
+        return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors, rows)
     if cfg.variant == "restricted":
         return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rows, rng)
     weight = cfg.errors or 0

@@ -24,9 +24,10 @@ explicitly passed numpy Generator, never global state.
 
 Decisions run on InstanceBlocks: a block of instances held as arrays (the
 codeword indices, a rows x N mask block, the majority-vote variates) and
-checked once as a whole.  sample_blocks draws them trial by trial in the same
-order as repeated sample_instance calls, so a seeded run does not depend on
-the block size.
+checked once as a whole; a ProblemInstance is checked as its one-row block.
+sample_blocks draws them trial by trial in the same order as repeated
+sample_instance calls, so a seeded run does not depend on the block size, and
+enumerate_blocks holds enumerate_instances' rows in its order.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def _fourier_residues(dim: int, j) -> np.ndarray:
     return np.where(r > dim, r - 2 * dim, r)
 
 
-def _phase_rows(variant: str, dim: int, js: np.ndarray, masks) -> np.ndarray:
-    """Oracle rows e^(i pi z_x), one per codeword index in ``js`` (with its mask row)."""
-    if variant == FOURIER:
-        r = _fourier_residues(dim, js[:, None])
-        return np.exp(1j * math.pi * (r / dim))
-    bits = _parity_table(dim)[js[:, None] & np.arange(dim)] ^ masks
-    return (1.0 - 2.0 * bits).astype(complex)
-
-
 def designated_index(dim: int) -> int:
     """The fixed codeword index j* = N/2 - 1 whose membership defines label A.
 
@@ -126,12 +118,20 @@ class ErrorSyndrome:
     restricted: bool
 
     def __post_init__(self):
-        if sum(self.mask) != self.weight:
-            raise ConfigError(f"mask weight {sum(self.mask)} != declared {self.weight}")
-        if self.restricted:
-            guard = _parity_table(_check_dim(len(self.mask)))
-            if np.any(np.asarray(self.mask, dtype=bool) > guard):
-                raise ConfigError("restricted mask not dominated by W_(N-1)")
+        _check_masks(np.array([self.mask]), np.array([self.weight]), self.restricted)
+
+
+def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> None:
+    """The mask check of ErrorSyndrome and InstanceBlock over a block of mask rows:
+    bits only, each row of its declared weight, restricted rows dominated by W_(N-1)."""
+    if np.any((masks != 0) & (masks != 1)):
+        raise ConfigError("mask entries must be 0 or 1")
+    counted = masks.sum(axis=1)
+    if not np.array_equal(counted, weights):
+        bad = int(np.flatnonzero(counted != weights)[0])
+        raise ConfigError(f"mask weight {counted[bad]} != declared {weights[bad]}")
+    if restricted and np.any(masks > _parity_table(_check_dim(masks.shape[1]))):
+        raise ConfigError("restricted mask not dominated by W_(N-1)")
 
 
 def hadamard_bits(dim: int, j: int) -> np.ndarray:
@@ -189,17 +189,10 @@ def syndromes(dim: int, d: int, restricted: bool) -> Iterator[ErrorSyndrome]:
 
     Enumeration is refused above 10^6 masks; use sample_syndrome there.
     """
-    count = syndrome_count(dim, d, restricted)
-    if count > _ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{count} syndromes exceed the enumeration limit; sample instead"
-        )
-    positions = _error_positions(dim, restricted).tolist()
-    for combo in itertools.combinations(positions, d):
-        mask = [0] * dim
-        for x in combo:
-            mask[x] = 1
-        yield ErrorSyndrome(mask=tuple(mask), weight=d, restricted=restricted)
+    syndrome_count(dim, d, restricted)  # validates range
+    variant = RESTRICTED if restricted else UNRESTRICTED
+    for _, cols, _ in _enumerate_trials(variant, dim, d, js=[0]):
+        yield ErrorSyndrome(mask=_mask_row(dim, cols), weight=d, restricted=restricted)
 
 
 def _draw_positions(positions: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -304,26 +297,25 @@ class ProblemInstance:
     label: str
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        dim = _check_dim(self.dim)
-        if not isinstance(self.hidden_j, (int, np.integer)) or not 0 <= self.hidden_j < dim:
-            raise ConfigError(f"codeword index {self.hidden_j!r} outside Z_{dim}")
-        if self.label != _label(dim, self.hidden_j):
-            raise ConfigError(f"label {self.label!r} inconsistent with j={self.hidden_j}")
-        if self.variant == FOURIER:
-            if self.syndrome is not None:
-                raise ConfigError("fourier instances carry no error syndrome")
-            return
-        if self.syndrome is None or len(self.syndrome.mask) != dim:
-            raise ConfigError("syndrome missing or of wrong length")
-        bound = _weight_bound(self.variant, dim)
-        if not self.syndrome.weight < bound:
-            raise ConfigError(
-                f"{self.variant} weight {self.syndrome.weight} not below {bound}"
-            )
+        """The check of the one-row block, plus what a block does not hold."""
+        if self.label not in ("A", "B"):
+            raise ConfigError(f"label {self.label!r} is neither A nor B")
+        self.block()
         if self.variant == RESTRICTED and not self.syndrome.restricted:
             raise ConfigError("restricted instance with unrestricted syndrome")
+
+    def block(self, repetitions: int = 0,
+              rng: np.random.Generator | None = None) -> InstanceBlock:
+        """The instance as a one-row InstanceBlock, with ``repetitions`` vote
+        variates drawn from ``rng``."""
+        masks = weights = None
+        if self.syndrome is not None:
+            masks = np.array([self.syndrome.mask], dtype=np.uint8)
+            weights = np.array([self.syndrome.weight])
+        _check_votes(repetitions, rng)
+        draws = rng.random((1, repetitions)) if repetitions else None
+        return InstanceBlock(self.variant, self.dim, np.array([self.hidden_j]),
+                             np.array([self.label == "A"]), masks, weights, draws)
 
     @functools.cached_property
     def z(self) -> tuple:
@@ -335,8 +327,7 @@ class ProblemInstance:
     @property
     def phases(self) -> np.ndarray:
         """The complex oracle row e^(i pi z_x), equal bit for bit to PhaseOracle(z)'s."""
-        mask = None if self.syndrome is None else np.asarray(self.syndrome.mask, dtype=np.uint8)
-        return _phase_rows(self.variant, self.dim, np.array([self.hidden_j]), mask)[0]
+        return self.block().phases()[0]
 
 
 def _weight_bound(variant: str, dim: int):
@@ -399,6 +390,38 @@ def _require_error_free(d) -> None:
         raise ConfigError("fourier instances are error-free (d must be 0)")
 
 
+def _enumerate_trials(variant: str, dim: int, d, js=None):
+    """Every (j, error positions, weight) of the variant; the one enumeration order.
+
+    j runs outer, then the weight class, then itertools.combinations over the
+    error positions.  By default j runs over the instance class (Z_N for the
+    error-free Fourier instances, Z_(N/2) otherwise) and d is resolved as
+    sample_instance resolves it; given ``js``, d is the one weight to list.
+    Enumeration is refused above 10^6 masks in a weight class.
+    """
+    dim = _check_dim(dim)
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if js is not None:
+        weights = [d]
+    elif variant == FOURIER:
+        _require_error_free(d)
+        js, weights = range(dim), [0]
+    else:
+        js, weights = range(dim // 2), _resolve_weights(variant, dim, d)
+    positions = tuple(_error_positions(dim, variant == RESTRICTED).tolist())  # not copied per j
+    for m in weights:
+        count = math.comb(len(positions), m)
+        if count > _ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"{count} syndromes exceed the enumeration limit; sample instead"
+            )
+    for j in js:
+        for m in weights:
+            for cols in itertools.combinations(positions, m):
+                yield j, np.array(cols, dtype=np.int64), m
+
+
 def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
                  syndrome: ErrorSyndrome | None = None):
     """Endless (j, error positions, weight) draws; the one draw order of every sample.
@@ -441,7 +464,10 @@ def sample_instance(
     from weighting each class by its syndrome count.  Fourier instances are
     error-free codewords with j uniform over Z_N.
     """
-    j, cols, weight = next(_draw_trials(variant, dim, d, rng))
+    return _instance(variant, dim, *next(_draw_trials(variant, dim, d, rng)))
+
+
+def _instance(variant: str, dim: int, j: int, cols, weight: int) -> ProblemInstance:
     syndrome = None
     if variant != FOURIER:
         syndrome = ErrorSyndrome(_mask_row(dim, cols), weight, variant == RESTRICTED)
@@ -457,17 +483,8 @@ def instance_from_parts(
 
 def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInstance]:
     """Every instance of the variant, all codeword indices x all valid masks."""
-    dim = _check_dim(dim)
-    if variant == FOURIER:
-        _require_error_free(d)
-        for j in range(dim):
-            yield ProblemInstance(variant, dim, j, None, _label(dim, j))
-        return
-    weights = _resolve_weights(variant, dim, d)
-    for j in range(dim // 2):
-        for m in weights:
-            for syndrome in syndromes(dim, m, variant == RESTRICTED):
-                yield instance_from_parts(variant, dim, j, syndrome)
+    for trial in _enumerate_trials(variant, dim, d):
+        yield _instance(variant, dim, *trial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,8 +494,8 @@ class InstanceBlock:
     js are the codeword indices and is_a the rows labelled A; masks is the
     (rows x N) uint8 error-mask block with each row's declared weight in
     weights (both None for Fourier); draws holds each row's majority-vote
-    variates, or is None for exact decisions.  Every check of ErrorSyndrome
-    and ProblemInstance runs here, once over the whole block.
+    variates, or is None for exact decisions.  Every instance check runs
+    here, once over the whole block.
     """
 
     variant: str
@@ -508,37 +525,40 @@ class InstanceBlock:
             return
         if self.masks is None or self.masks.shape != (len(js), dim):
             raise ConfigError("syndrome missing or of wrong length")
-        weights = self.masks.sum(axis=1)
-        if not np.array_equal(weights, self.weights):
-            bad = int(np.flatnonzero(weights != self.weights)[0])
-            raise ConfigError(f"mask weight {weights[bad]} != declared {self.weights[bad]}")
+        _check_masks(self.masks, self.weights, self.variant == RESTRICTED)
         bound = _weight_bound(self.variant, dim)
-        if not weights.max() < bound:
-            raise ConfigError(f"{self.variant} weight {weights.max()} not below {bound}")
-        if self.variant == RESTRICTED and np.any(self.masks > _parity_table(dim)):
-            raise ConfigError("restricted mask not dominated by W_(N-1)")
+        if not self.weights.max() < bound:
+            raise ConfigError(f"{self.variant} weight {self.weights.max()} not below {bound}")
 
     def __len__(self) -> int:
         return len(self.js)
 
     def phases(self) -> np.ndarray:
-        """The (rows x N) oracle rows, each equal bit for bit to its instance's phases."""
-        return _phase_rows(self.variant, self.dim, self.js, self.masks)
+        """The (rows x N) oracle rows e^(i pi z_x), from integers only."""
+        js, dim = self.js[:, None], self.dim
+        if self.variant == FOURIER:
+            return np.exp(1j * math.pi * (_fourier_residues(dim, js) / dim))
+        bits = _parity_table(dim)[js & np.arange(dim)] ^ self.masks
+        return (1.0 - 2.0 * bits).astype(complex)
+
+
+def _check_votes(repetitions: int, rng) -> None:
+    if repetitions > MAX_REPETITIONS:
+        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
+    if repetitions and rng is None:
+        raise ConfigError("majority voting needs a seeded Generator")
 
 
 def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
     """InstanceBlocks of up to ``rows`` trials pulled from ``trials``.
 
-    A trial is (j, error positions, weight), with its label (A or not) when
-    it comes from a given instance.  Its ``repetitions`` vote variates are
-    drawn right after it is pulled; 0 repetitions draw none.  A block holds
-    at most MAX_REPETITIONS variates, so with many repetitions it has fewer
-    rows; the draw order, and so every result, does not depend on the rows.
+    A trial is (j, error positions, weight).  Its ``repetitions`` vote
+    variates are drawn right after it is pulled; 0 repetitions draw none.  A
+    block holds at most MAX_REPETITIONS variates, so with many repetitions it
+    has fewer rows; the draw order, and so every result, does not depend on
+    the rows.
     """
-    if repetitions > MAX_REPETITIONS:
-        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
-    if repetitions and rng is None:
-        raise ConfigError("majority voting needs a seeded Generator")
+    _check_votes(repetitions, rng)
     if repetitions:
         rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
     while True:
@@ -550,9 +570,9 @@ def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
             parts.append(trial)
         if not parts:
             return
-        js, cols, weights, *labels = zip(*parts)
+        js, cols, weights = zip(*parts)
         js = np.array(js, dtype=np.int64)
-        is_a = np.array(labels[0]) if labels else js == designated_index(dim)
+        is_a = js == designated_index(dim)
         masks = declared = None
         if variant != FOURIER:
             declared = np.array(weights)
@@ -573,20 +593,6 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rows: int,
     return _blocks(variant, dim, draws, min(rows, max(trials, 1)), repetitions, rng)
 
 
-def instance_blocks(instances, variant: str, dim: int, rows: int, repetitions: int = 0,
-                    rng: np.random.Generator | None = None) -> Iterator[InstanceBlock]:
-    """Given instances, ``rows`` to a block, each followed by its vote variates."""
-
-    def parts():
-        for inst in instances:
-            if inst.variant != variant:
-                raise ConfigError(f"expected a {variant} instance, got {inst.variant!r}")
-            if inst.dim != dim:
-                raise ConfigError(f"expected N = {dim}, got an instance of N = {inst.dim}")
-            is_a = inst.label == "A"
-            if inst.syndrome is None:
-                yield inst.hidden_j, None, 0, is_a
-            else:
-                yield inst.hidden_j, np.flatnonzero(inst.syndrome.mask), inst.syndrome.weight, is_a
-
-    return _blocks(variant, dim, parts(), rows, repetitions, rng)
+def enumerate_blocks(variant: str, dim: int, d, rows: int) -> Iterator[InstanceBlock]:
+    """Every instance of the variant, ``rows`` to a block, in enumerate_instances' order."""
+    return _blocks(variant, dim, _enumerate_trials(variant, dim, d), rows, 0, None)

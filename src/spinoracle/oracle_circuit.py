@@ -18,8 +18,6 @@ for the Hadamard variants, index N-2 (adjacent merge) for the Fourier one.
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +34,8 @@ from .codewords import (
     ProblemInstance,
     apply_mask,
     designated_index,
-    enumerate_instances,
+    enumerate_blocks,
     hadamard_codeword,
-    instance_blocks,
 )
 from .errors import ConfigError, InvariantError
 from .spin_core import NORM_TOL, SpinSystem, StateVector
@@ -213,23 +210,6 @@ class DecisionReport:
     repetitions: int
     per_outcome: np.ndarray | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.pr_top <= 1.0 + PROB_SUM_TOL:
-            raise InvariantError(f"pr_top outside [0,1]: {self.pr_top!r}")
-        if self.per_outcome is not None:
-            p = np.asarray(self.per_outcome, dtype=float)
-            p.flags.writeable = False
-            object.__setattr__(self, "per_outcome", p)
-            if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-                raise InvariantError("per-outcome probabilities do not sum to 1")
-
-    def to_dict(self, variant: str, dim: int, hidden_j: int) -> dict:
-        """Wire format; the outcome spectrum is embedded only for N <= 64."""
-        spectra = None if self.per_outcome is None else self.per_outcome[None]
-        [doc] = report_docs(variant, dim, np.array([hidden_j]), np.array([self.decision == "A"]),
-                            np.array([self.pr_top]), self.queries, self.repetitions, spectra)
-        return doc
-
 
 def report_docs(variant: str, dim: int, js: np.ndarray, is_a: np.ndarray, pr_top: np.ndarray,
                 queries: int, repetitions: int, spectra: np.ndarray | None = None) -> list[dict]:
@@ -265,9 +245,12 @@ class Decisions:
             raise InvariantError("per-outcome probabilities do not sum to 1")
 
     def report(self, i: int) -> DecisionReport:
+        """Row i's report; its spectrum is a read-only view of the block's."""
+        per_outcome = self.probs[i]
+        per_outcome.flags.writeable = False
         return DecisionReport(
             decision="A" if self.is_a[i] else "B", pr_top=float(self.pr_top[i]),
-            queries=self.rounds, repetitions=self.rounds, per_outcome=self.probs[i],
+            queries=self.rounds, repetitions=self.rounds, per_outcome=per_outcome,
         )
 
 
@@ -305,6 +288,8 @@ def measure_designated(
     raw = state.probabilities() if isinstance(state, StateVector) else state
     if not 0 <= index < len(raw):
         raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")
+    if draws is not None and (draws.ndim != 1 or not len(draws)):
+        raise ConfigError("a majority vote needs a non-empty row of draws")
     return _measure(raw[None], index, None if draws is None else draws[None]).report(0)
 
 
@@ -322,39 +307,24 @@ def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
         yield block, _measure(raw, block.dim - back, block.draws)
 
 
-def decide_stream(instances, variant: str, repetitions: int = 1, rng=None):
-    """Yield (instance, report, unnormalized spectrum) for each given instance.
-
-    The instances run through decide_blocks, block_rows(N) at a time.  With
-    an rng, the q = repetitions variates of an instance are drawn right after
-    it is pulled, and decide it by majority vote; without one the decision
-    is exact.
-    """
+def _decide_instance(instance: ProblemInstance, variant: str, repetitions: int = 1,
+                     rng: np.random.Generator | None = None) -> DecisionReport:
+    """Decide one instance as its one-row block: by a majority vote over
+    ``repetitions`` variates drawn from ``rng``, or exactly without one."""
+    if instance.variant != variant:
+        raise ConfigError(f"expected a {variant} instance, got {instance.variant!r}")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if rng is None and repetitions > 1:
         raise ConfigError("majority voting needs a seeded Generator")
-    instances = iter(instances)
-    first = next(instances, None)
-    if first is None:
-        return
-    pulled = collections.deque()
-
-    def tapped():
-        for inst in itertools.chain([first], instances):
-            pulled.append(inst)
-            yield inst
-
-    votes = 0 if rng is None else repetitions
-    blocks = instance_blocks(tapped(), variant, first.dim, block_rows(first.dim), votes, rng)
-    for block, decided in decide_blocks(blocks):
-        for i in range(len(block)):
-            yield pulled.popleft(), decided.report(i), decided.raw[i]
+    block = instance.block(0 if rng is None else repetitions, rng)
+    [(_, decided)] = decide_blocks([block])
+    return decided.report(0)
 
 
 def decide_restricted(instance: ProblemInstance) -> DecisionReport:
     """Single-query exact decision; correct with certainty on restricted instances."""
-    return next(decide_stream([instance], RESTRICTED))[1]
+    return _decide_instance(instance, RESTRICTED)
 
 
 def decide_unrestricted(
@@ -363,12 +333,12 @@ def decide_unrestricted(
     rng: np.random.Generator | None = None,
 ) -> DecisionReport:
     """Repeat the pipeline q times and majority-vote the designated outcome."""
-    return next(decide_stream([instance], UNRESTRICTED, repetitions, rng))[1]
+    return _decide_instance(instance, UNRESTRICTED, repetitions, rng)
 
 
 def decide_fourier(instance: ProblemInstance) -> DecisionReport:
     """DFT pipeline, adjacent merge, exact measurement of index N-2."""
-    return next(decide_stream([instance], FOURIER))[1]
+    return _decide_instance(instance, FOURIER)
 
 
 def fourier_probability_table(dim: int) -> np.ndarray:
@@ -378,7 +348,7 @@ def fourier_probability_table(dim: int) -> np.ndarray:
     neighbours j = N/2-2 and N/2, which retain probability 1/4, so adjacent
     indices are not distinguished with certainty by this measurement.
     """
-    blocks = instance_blocks(enumerate_instances(FOURIER, dim), FOURIER, dim, block_rows(dim))
+    blocks = enumerate_blocks(FOURIER, dim, None, block_rows(dim))
     return np.concatenate([decided.raw[:, dim - 2] for _, decided in decide_blocks(blocks)])
 
 

@@ -412,11 +412,19 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
 
 
 def count_codeword_builds(monkeypatch):
-    """Count calls to the codeword builders wherever a module holds them."""
+    """Count calls to the codeword builders wherever a module holds them, and
+    ProblemInstance constructions."""
     from spinoracle import codewords, oracle_circuit
 
-    calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword"), 0)
-    for name in calls:
+    calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword", "ProblemInstance"), 0)
+    check_instance = codewords.ProblemInstance.__post_init__
+
+    def counted_instance(self):
+        calls["ProblemInstance"] += 1
+        check_instance(self)
+
+    monkeypatch.setattr(codewords.ProblemInstance, "__post_init__", counted_instance)
+    for name in ("hadamard_codeword", "fourier_codeword"):
         original = getattr(codewords, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -442,7 +450,9 @@ def count_codeword_builds(monkeypatch):
 def test_decision_runs_rebuild_no_codewords(tmp_path, monkeypatch, args, hadamard_builds):
     calls = count_codeword_builds(monkeypatch)
     assert main(["solve", *args, "--out", str(tmp_path)]) == 0
-    assert calls == {"hadamard_codeword": hadamard_builds, "fourier_codeword": 0}
+    # enumerated runs too build their blocks straight from the enumeration
+    assert calls == {"hadamard_codeword": hadamard_builds, "fourier_codeword": 0,
+                     "ProblemInstance": 0}
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from spinoracle import (
     ErrorSyndrome,
     PhaseOracle,
     ProblemInstance,
+    ResourceLimitError,
     apply_mask,
     enumerate_instances,
     fourier_codeword,
@@ -24,7 +25,8 @@ from spinoracle import (
     syndrome_count,
     syndromes,
 )
-from spinoracle.codewords import InstanceBlock, _weight_probabilities
+from spinoracle.codewords import InstanceBlock, _weight_probabilities, enumerate_blocks
+from spinoracle.oracle_circuit import block_rows
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -104,6 +106,20 @@ def test_restricted_masks_are_dominated():
     guard = hadamard_codeword(16, 15).bits
     for s in syndromes(16, 3, True):
         assert all(g == 1 for m, g in zip(s.mask, guard) if m)
+
+
+def test_syndrome_checks_are_the_block_mask_checks():
+    bad = [
+        ((0, 1, 0, 0), 2, False),  # weight not the declared one
+        ((1, 0, 0, 0), 1, True),  # restricted mask not dominated by W_(N-1)
+        ((0, 1, 0, 0, 0, 0), 1, True),  # restricted length not a power of two
+        ((2, 0, 0, 0), 2, False),  # entries are bits
+        ((-1, 1, 0, 0), 0, False),
+    ]
+    for mask, weight, restricted in bad:
+        with pytest.raises(ConfigError):
+            ErrorSyndrome(mask=mask, weight=weight, restricted=restricted)
+    assert ErrorSyndrome(mask=(0, 1, 0, 0), weight=1, restricted=True).weight == 1
 
 
 def test_restricted_set_size():
@@ -266,6 +282,8 @@ def test_instance_checks_survive_without_a_stored_string():
     with pytest.raises(ConfigError):
         ProblemInstance("fourier", 8, 3, None, "B")  # j* = 3 is label A
     with pytest.raises(ConfigError):
+        ProblemInstance("fourier", 8, 0, None, "C")  # labels are A or B only
+    with pytest.raises(ConfigError):
         ProblemInstance("restricted", 8, 0, mask_at(8, 1), "A")
     with pytest.raises(ConfigError):
         instance_from_parts("restricted", 16, 0, mask_at(8, 1))  # mask of length 8
@@ -282,6 +300,43 @@ def test_instance_checks_survive_without_a_stored_string():
     inst = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
     assert inst.label == "A"
     assert inst.z == apply_mask(hadamard_codeword(8, 3).bits, inst.syndrome.mask)
+
+
+@pytest.mark.parametrize(
+    "variant, dim, d, block_count",
+    [("restricted", 8, None, 1), ("restricted", 8, 1, 1), ("restricted", 16, None, 2),
+     ("restricted", 16, 2, 1), ("fourier", 128, None, 2)],
+)
+def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d, block_count):
+    blocks = list(enumerate_blocks(variant, dim, d, block_rows(dim)))  # solve's blocks
+    instances = list(enumerate_instances(variant, dim, d))
+    assert len(blocks) == block_count
+    assert sum(len(block) for block in blocks) == len(instances)
+    js = np.concatenate([block.js for block in blocks])
+    assert js.tolist() == [inst.hidden_j for inst in instances]
+    is_a = np.concatenate([block.is_a for block in blocks])
+    assert ["A" if a else "B" for a in is_a] == [inst.label for inst in instances]
+    phases = np.concatenate([block.phases() for block in blocks])
+    assert phases.tobytes() == np.stack([inst.phases for inst in instances]).tobytes()
+    if variant == "fourier":
+        assert all(block.masks is None and block.weights is None for block in blocks)
+        return
+    masks = np.concatenate([block.masks for block in blocks])
+    assert [tuple(row) for row in masks.tolist()] == [inst.syndrome.mask for inst in instances]
+    weights = np.concatenate([block.weights for block in blocks])
+    assert weights.tolist() == [inst.syndrome.weight for inst in instances]
+
+
+def test_enumeration_checks_survive_in_blocks():
+    with pytest.raises(ConfigError):  # Fourier instances are error-free
+        list(enumerate_blocks("fourier", 8, 1, 8))
+    with pytest.raises(ConfigError):
+        list(enumerate_blocks("bogus", 8, None, 8))
+    for enumerate_rows in (enumerate_instances, lambda *args: enumerate_blocks(*args, 8)):
+        with pytest.raises(DegenerateInstanceError):  # d = 2 is not below N/4 at N = 8
+            list(enumerate_rows("restricted", 8, 2))
+    with pytest.raises(ResourceLimitError):  # C(32, 7) masks in one weight class
+        next(enumerate_blocks("restricted", 64, None, 8))
 
 
 def test_instance_block_runs_every_instance_check():

@@ -3,9 +3,11 @@
 The references run each instance through run_pipeline and merge_two_to_one
 alone and measure with Generator.choice, one call per round, the way the
 decision procedures worked before the circuit ran block-wise.  Instance
-counts are chosen so that the stream crosses block boundaries.  The sampled
-blocks that solve decides are checked the same way, against instances drawn
-one at a time by sample_instance.
+counts are chosen so that the blocks cross block boundaries.  The enumerated
+and sampled blocks that solve decides are checked the same way, against
+instances listed by enumerate_instances or drawn one at a time by
+sample_instance; the decide_* functions, which decide one instance as a
+one-row block, against the same references.
 """
 
 import numpy as np
@@ -13,7 +15,10 @@ import pytest
 
 from spinoracle import (
     ConfigError,
+    ResourceLimitError,
     apply_mask,
+    decide_restricted,
+    decide_unrestricted,
     enumerate_instances,
     hadamard_codeword,
     instance_from_parts,
@@ -22,12 +27,11 @@ from spinoracle import (
     sample_instance,
     worst_case_error_mask,
 )
-from spinoracle.codewords import sample_blocks
+from spinoracle.codewords import MAX_REPETITIONS, enumerate_blocks, sample_blocks
 from spinoracle.oracle_circuit import (
     BLOCK_ENTRIES,
     block_rows,
     decide_blocks,
-    decide_stream,
     worst_case_spectrum,
 )
 
@@ -44,7 +48,8 @@ def reference_vote(inst, reps, rng, transform="hadamard", pairing="symmetric", b
 
 @pytest.mark.parametrize("mode", ["random", "worst"])
 def test_majority_votes_match_per_round_choice(mode):
-    dim, weight, reps, trials = 64, 3, 5, 300  # 128 rows per block: 3 blocks
+    # decide_unrestricted draws an instance's vote variates right after the instance
+    dim, weight, reps, trials = 64, 3, 5, 300
     mask = worst_case_error_mask(dim, weight)
 
     def draw(rng):
@@ -53,45 +58,47 @@ def test_majority_votes_match_per_round_choice(mode):
         return instance_from_parts("unrestricted", dim, int(rng.integers(0, dim // 2)), mask)
 
     rng = np.random.default_rng(11)
-    stream = decide_stream((draw(rng) for _ in range(trials)), "unrestricted", reps, rng)
     ref_rng = np.random.default_rng(11)
-    count = 0
-    for inst, report, raw in stream:
-        ref_inst = draw(ref_rng)
-        assert inst.z == ref_inst.z
-        ref_raw, ref_probs, ref_decision = reference_vote(ref_inst, reps, ref_rng)
-        assert raw.tobytes() == ref_raw.tobytes()
+    for _ in range(trials):
+        report = decide_unrestricted(draw(rng), reps, rng)
+        ref_raw, ref_probs, ref_decision = reference_vote(draw(ref_rng), reps, ref_rng)
         assert report.per_outcome.tobytes() == ref_probs.tobytes()
         assert report.pr_top == ref_probs[dim - 1]
         assert report.decision == ref_decision
         assert report.queries == report.repetitions == reps
-        count += 1
-    assert count == trials
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_fourier_stream_matches_single_runs_across_blocks():
     dim = 128  # 64 rows per block: 2 blocks
     assert BLOCK_ENTRIES // dim < dim
-    seen = 0
-    for inst, report, raw in decide_stream(enumerate_instances("fourier", dim), "fourier"):
+    pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None, block_rows(dim))))
+    assert [len(block) for block, _ in pairs] == [64, 64]
+    rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
+    instances = list(enumerate_instances("fourier", dim))
+    assert len(rows) == len(instances) == dim
+    for (decided, i), inst in zip(rows, instances):
         ref_raw, ref_probs, ref_decision = reference_vote(
             inst, 1, None, "fourier", "adjacent", back=2
         )
-        assert raw.tobytes() == ref_raw.tobytes()
-        assert report.pr_top == ref_probs[dim - 2]
-        assert report.decision == ref_decision == inst.label
-        assert report.queries == 1
-        seen += 1
-    assert seen == dim
+        assert decided.raw[i].tobytes() == ref_raw.tobytes()
+        assert decided.pr_top[i] == ref_probs[dim - 2]
+        assert ("A" if decided.is_a[i] else "B") == ref_decision == inst.label
+        assert decided.rounds == 1
 
 
 def test_words_longer_than_a_block_run_one_per_block():
     dim = 2 * BLOCK_ENTRIES
     rng = np.random.default_rng(5)
-    instances = [sample_instance("restricted", dim, 3, rng) for _ in range(2)]
-    decided = list(decide_stream(instances, "restricted"))
-    assert [rep.decision for _, rep, _ in decided] == [inst.label for inst in instances]
+    blocks = list(sample_blocks("restricted", dim, 3, 2, block_rows(dim), rng))
+    assert [len(block) for block in blocks] == [1, 1]
+    decided = [decided for _, decided in decide_blocks(blocks)]
+    assert [d.is_a.tolist() for d in decided] == [block.is_a.tolist() for block in blocks]
+    ref_rng = np.random.default_rng(5)
+    instances = [sample_instance("restricted", dim, 3, ref_rng) for _ in range(2)]
+    assert [decide_restricted(inst).decision for inst in instances] == [
+        inst.label for inst in instances
+    ]
 
 
 def test_worst_case_spectrum_matches_single_run():
@@ -107,11 +114,15 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
     rng = np.random.default_rng(0)
     inst = sample_instance("unrestricted", 64, 2, rng)
     with pytest.raises(ConfigError):
-        list(decide_stream([inst], "restricted"))
+        decide_restricted(inst)
     with pytest.raises(ConfigError):
-        list(decide_stream([inst], "unrestricted", 0, rng))
+        decide_unrestricted(inst, 0, rng)
     with pytest.raises(ConfigError):
-        list(decide_stream([inst], "unrestricted", 3))
+        decide_unrestricted(inst, 3)
+    state = rng.bit_generator.state
+    with pytest.raises(ResourceLimitError):  # refused before a variate is drawn
+        decide_unrestricted(inst, MAX_REPETITIONS + 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):

@@ -31,7 +31,8 @@ from spinoracle import (
     walsh_hadamard,
     worst_case_error_mask,
 )
-from spinoracle.oracle_circuit import Decisions
+from spinoracle.codewords import enumerate_blocks, sample_blocks
+from spinoracle.oracle_circuit import Decisions, decide_blocks, report_docs
 
 
 def two_component(dim, a, b):
@@ -243,6 +244,13 @@ def test_majority_measurement_maps_draws_as_searchsorted_does():
             assert measure_designated(raw, index, np.array([cdf[index]])).decision == "B"
 
 
+def test_majority_measurement_needs_a_row_of_draws():
+    uniform = np.full(4, 0.25)
+    for draws in (np.array([]), np.zeros((1, 3)), np.zeros((0, 3))):
+        with pytest.raises(ConfigError):
+            measure_designated(uniform, 1, draws)
+
+
 def test_measurement_checks_the_outcome_probabilities():
     with pytest.raises(InvariantError):  # pr_top = 2 after normalizing
         measure_designated(np.array([-1.0, 2.0, 0.0, 0.0]), 1)
@@ -379,17 +387,21 @@ def test_oracle_phases_exact_for_bits():
     assert np.all(oracle.phases.imag == 0.0)
 
 
+def first_report_doc(variant, dim, blocks):
+    """The wire format solve writes for the first row of the first decided block."""
+    block, decided = next(decide_blocks(blocks))
+    return report_docs(variant, dim, block.js, decided.is_a, decided.pr_top,
+                       decided.rounds, decided.rounds, decided.probs)[0]
+
+
 def test_report_serialization():
-    inst = next(iter(enumerate_instances("restricted", 8)))
-    report = decide_restricted(inst)
-    doc = report.to_dict("restricted", 8, inst.hidden_j)
+    doc = first_report_doc("restricted", 8, enumerate_blocks("restricted", 8, None, 4))
     assert set(doc) == {
         "variant", "N", "hiddenJ", "decision", "prTop", "queries", "repetitions", "perOutcome",
     }
     assert len(doc["perOutcome"]) == 8
     # spectra embed only up to N = 64
-    inst128 = instance_from_parts(
-        "restricted", 128, 0, next(iter(syndromes(128, 1, True)))
-    )
-    doc128 = decide_restricted(inst128).to_dict("restricted", 128, 0)
+    rng = np.random.default_rng(0)
+    doc128 = first_report_doc("restricted", 128, sample_blocks("restricted", 128, 1, 1, 1, rng))
+    assert doc128["N"] == 128
     assert "perOutcome" not in doc128
