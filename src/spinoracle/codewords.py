@@ -523,7 +523,8 @@ class InstanceBlock:
             if self.masks is not None:
                 raise ConfigError("fourier instances carry no error syndrome")
             return
-        if self.masks is None or self.masks.shape != (len(js), dim):
+        if (self.masks is None or self.masks.shape != (len(js), dim)
+                or np.shape(self.weights) != (len(js),)):
             raise ConfigError("syndrome missing or of wrong length")
         _check_masks(self.masks, self.weights, self.variant == RESTRICTED)
         bound = _weight_bound(self.variant, dim)

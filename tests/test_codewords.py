@@ -358,6 +358,8 @@ def test_instance_block_runs_every_instance_check():
         dict(is_a=np.array([True, False])),  # label inconsistent with j
         dict(masks=masks[:, :8]),  # wrong length
         dict(masks=None),  # syndrome missing
+        dict(weights=None),  # declared weights missing
+        dict(weights=np.array([1, 1, 1])),  # one declared weight per row
         dict(dim=12),  # N not a power of two
         dict(variant="bogus"),
         dict(draws=np.zeros((3, 5))),  # one row of draws per instance

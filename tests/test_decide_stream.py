@@ -61,7 +61,7 @@ def test_majority_votes_match_per_round_choice(mode):
     ref_rng = np.random.default_rng(11)
     for _ in range(trials):
         report = decide_unrestricted(draw(rng), reps, rng)
-        ref_raw, ref_probs, ref_decision = reference_vote(draw(ref_rng), reps, ref_rng)
+        _, ref_probs, ref_decision = reference_vote(draw(ref_rng), reps, ref_rng)
         assert report.per_outcome.tobytes() == ref_probs.tobytes()
         assert report.pr_top == ref_probs[dim - 1]
         assert report.decision == ref_decision
