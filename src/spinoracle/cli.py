@@ -33,7 +33,7 @@ import numpy as np
 from . import classical_baseline, codewords, oracle_circuit, squeezing
 from .errors import ConfigError, InvariantError, NumericsError, ResourceLimitError
 from .qfunction import q_function
-from .spin_core import coherent_state, make_spin_system
+from .spin_core import MAX_EXPONENT, MIN_EXPONENT, coherent_state, make_spin_system
 
 SCHEMA_VERSION = 1
 MAX_TRIALS = 2**16  # solve holds every decision report in memory until it is written
@@ -65,7 +65,8 @@ def _s_range_exponents(text: str) -> list[int]:
         raise ConfigError(f"--s-range must hold fractions, got {text!r}") from exc
     if len(bounds) > 2:
         raise ConfigError(f"--s-range must be 'lo:hi' or a single value, got {text!r}")
-    exps = [n for n in range(2, 15) if bounds[0] <= (2**n - 1) / 2 <= bounds[-1]]
+    exps = [n for n in range(MIN_EXPONENT, MAX_EXPONENT + 1)
+            if bounds[0] <= (2**n - 1) / 2 <= bounds[-1]]
     if not exps:
         raise ConfigError(f"no power-of-two spin systems inside --s-range {text!r}")
     return exps
@@ -345,19 +346,23 @@ def cmd_qfunc(cfg: RunConfig) -> dict[str, str]:
 
 def _blocks(cfg: RunConfig, dim: int, rng):
     """The instance blocks a solve run decides; sampled ones are drawn lazily."""
-    rows = oracle_circuit.block_rows(dim)
     if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
-        return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors, rows)
+        return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors)
     if cfg.variant == "restricted":
-        return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rows, rng)
+        return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
     weight = cfg.errors or 0
     mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
     return codewords.sample_blocks(
-        "unrestricted", dim, weight, cfg.trials, rows, rng, cfg.reps, syndrome=mask
+        "unrestricted", dim, weight, cfg.trials, rng, cfg.reps, syndrome=mask
     )
 
 
 def cmd_solve(cfg: RunConfig) -> dict[str, str]:
+    if cfg.variant != "unrestricted" and cfg.reps != 1:
+        raise ConfigError(
+            f"--reps must be 1 for the {cfg.variant} variant, whose decision is exact "
+            f"with one query; got {cfg.reps}"
+        )
     sys = make_spin_system(cfg.n)
     dim = sys.dim
     rng = np.random.default_rng(cfg.seed)
@@ -365,19 +370,15 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str]:
     if cfg.variant == "unrestricted" and cfg.error_mode != "random":
         spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
         extra["worst_case_spectrum"] = spectrum.tolist()
+    fourier = cfg.variant == "fourier"
     reports, table = [], []
     correct = 0
     for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim, rng)):
-        rows = oracle_circuit.report_docs(
-            cfg.variant, dim, block.js, decided.is_a, decided.pr_top,
-            decided.rounds, decided.rounds, decided.probs,
-        )
-        for row, label in zip(rows, np.where(block.is_a, "A", "B").tolist()):
-            row["label"] = label
-        reports += rows
+        reports += oracle_circuit.report_docs(block, decided)
         correct += int(np.count_nonzero(decided.is_a == block.is_a))
-        table += decided.raw[:, dim - 2].tolist()  # the raw Pr[N-2]; prTop is normalized
-    if cfg.variant == "fourier":
+        if fourier:  # the raw Pr[designated outcome]; prTop is normalized
+            table += decided.raw[:, decided.index].tolist()
+    if fourier:
         extra["probability_table"] = table
     summary = {"instances": len(reports)}
     if reports:

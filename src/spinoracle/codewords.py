@@ -47,6 +47,7 @@ from .errors import ConfigError, DegenerateInstanceError, ResourceLimitError
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
 MAX_REPETITIONS = 2**20  # majority-vote draws per instance, and per block: 8 MB
+BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
 
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
@@ -298,9 +299,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         """The check of the one-row block, plus what a block does not hold."""
-        if self.label not in ("A", "B"):
-            raise ConfigError(f"label {self.label!r} is neither A nor B")
         self.block()
+        if self.label != _label(self.dim, self.hidden_j):
+            raise ConfigError(f"label {self.label!r} does not fit codeword index {self.hidden_j}")
         if self.variant == RESTRICTED and not self.syndrome.restricted:
             raise ConfigError("restricted instance with unrestricted syndrome")
 
@@ -315,7 +316,7 @@ class ProblemInstance:
         _check_votes(repetitions, rng)
         draws = rng.random((1, repetitions)) if repetitions else None
         return InstanceBlock(self.variant, self.dim, np.array([self.hidden_j]),
-                             np.array([self.label == "A"]), masks, weights, draws)
+                             masks, weights, draws)
 
     @functools.cached_property
     def z(self) -> tuple:
@@ -491,22 +492,24 @@ def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInsta
 class InstanceBlock:
     """A block of instances of one variant, held as arrays and checked once.
 
-    js are the codeword indices and is_a the rows labelled A; masks is the
-    (rows x N) uint8 error-mask block with each row's declared weight in
-    weights (both None for Fourier); draws holds each row's majority-vote
-    variates, or is None for exact decisions.  Every instance check runs
-    here, once over the whole block.
+    js are the codeword indices; masks is the (rows x N) uint8 error-mask
+    block with each row's declared weight in weights (both None for
+    Fourier); draws holds each row's majority-vote variates, or is None for
+    exact decisions.  Every instance check runs here, once over the whole
+    block, after the arrays are made read-only so no check can be undone.
     """
 
     variant: str
     dim: int
     js: np.ndarray
-    is_a: np.ndarray
     masks: np.ndarray | None = None
     weights: np.ndarray | None = None
     draws: np.ndarray | None = None
 
     def __post_init__(self):
+        for arr in (self.js, self.masks, self.weights, self.draws):
+            if arr is not None:
+                arr.flags.writeable = False
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         dim = _check_dim(self.dim)
@@ -515,8 +518,6 @@ class InstanceBlock:
             raise ConfigError("a block needs a non-empty row of integer codeword indices")
         if js.min() < 0 or js.max() >= dim:
             raise ConfigError(f"codeword index outside Z_{dim} in {js.tolist()}")
-        if not np.array_equal(self.is_a, js == designated_index(dim)):
-            raise ConfigError("labels inconsistent with the codeword indices")
         if self.draws is not None and len(self.draws) != len(js):
             raise ConfigError("one row of vote draws per instance")
         if self.variant == FOURIER:
@@ -534,6 +535,11 @@ class InstanceBlock:
     def __len__(self) -> int:
         return len(self.js)
 
+    @property
+    def is_a(self) -> np.ndarray:
+        """The rows labelled A: those holding the designated codeword index."""
+        return self.js == designated_index(self.dim)
+
     def phases(self) -> np.ndarray:
         """The (rows x N) oracle rows e^(i pi z_x), from integers only."""
         js, dim = self.js[:, None], self.dim
@@ -550,16 +556,17 @@ def _check_votes(repetitions: int, rng) -> None:
         raise ConfigError("majority voting needs a seeded Generator")
 
 
-def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
-    """InstanceBlocks of up to ``rows`` trials pulled from ``trials``.
+def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
+    """InstanceBlocks of trials pulled from ``trials``.
 
     A trial is (j, error positions, weight).  Its ``repetitions`` vote
     variates are drawn right after it is pulled; 0 repetitions draw none.  A
-    block holds at most MAX_REPETITIONS variates, so with many repetitions it
-    has fewer rows; the draw order, and so every result, does not depend on
-    the rows.
+    block holds BLOCK_ENTRIES phase entries (at least one row) and at most
+    MAX_REPETITIONS variates, so with many repetitions it has fewer rows;
+    the draw order, and so every result, does not depend on the rows.
     """
     _check_votes(repetitions, rng)
+    rows = max(BLOCK_ENTRIES // dim, 1)
     if repetitions:
         rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
     while True:
@@ -573,7 +580,6 @@ def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
             return
         js, cols, weights = zip(*parts)
         js = np.array(js, dtype=np.int64)
-        is_a = js == designated_index(dim)
         masks = declared = None
         if variant != FOURIER:
             declared = np.array(weights)
@@ -581,19 +587,19 @@ def _blocks(variant: str, dim: int, trials, rows: int, repetitions: int, rng):
             masks[np.repeat(np.arange(len(parts)), declared), np.concatenate(cols)] = 1
         if draws is not None:
             draws = draws[: len(parts)]
-        yield InstanceBlock(variant, dim, js, is_a, masks, declared, draws)
+        yield InstanceBlock(variant, dim, js, masks, declared, draws)
 
 
-def sample_blocks(variant: str, dim: int, d, trials: int, rows: int,
-                  rng: np.random.Generator, repetitions: int = 0,
+def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generator,
+                  repetitions: int = 0,
                   syndrome: ErrorSyndrome | None = None) -> Iterator[InstanceBlock]:
-    """``trials`` sampled instances, ``rows`` to a block, drawn as repeated
-    sample_instance calls would draw them (or, with a fixed ``syndrome``, only
-    their codeword indices), each followed by its ``repetitions`` vote variates."""
+    """``trials`` sampled instances in blocks, drawn as repeated sample_instance
+    calls would draw them (or, with a fixed ``syndrome``, only their codeword
+    indices), each followed by its ``repetitions`` vote variates."""
     draws = itertools.islice(_draw_trials(variant, dim, d, rng, syndrome), trials)
-    return _blocks(variant, dim, draws, min(rows, max(trials, 1)), repetitions, rng)
+    return _blocks(variant, dim, draws, repetitions, rng)
 
 
-def enumerate_blocks(variant: str, dim: int, d, rows: int) -> Iterator[InstanceBlock]:
-    """Every instance of the variant, ``rows`` to a block, in enumerate_instances' order."""
-    return _blocks(variant, dim, _enumerate_trials(variant, dim, d), rows, 0, None)
+def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
+    """Every instance of the variant in blocks, in enumerate_instances' order."""
+    return _blocks(variant, dim, _enumerate_trials(variant, dim, d), 0, None)

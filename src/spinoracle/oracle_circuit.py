@@ -46,7 +46,6 @@ PROB_SUM_TOL = 1e-12  # per-outcome probabilities sum to 1 within this; pr_top <
 
 TRANSFORMS = ("hadamard", "fourier")
 PAIRINGS = ("symmetric", "adjacent")
-BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
 
 # variant -> (transform, pairing, designated outcome counted back from N)
 _CIRCUITS = {
@@ -181,11 +180,6 @@ def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
     return out
 
 
-def block_rows(dim: int) -> int:
-    """Instances per circuit block: BLOCK_ENTRIES phase entries, at least one row."""
-    return max(BLOCK_ENTRIES // dim, 1)
-
-
 def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     """Unnormalized |merged amplitudes|^2 for a (rows x N) block of oracle phases.
 
@@ -211,29 +205,16 @@ class DecisionReport:
     per_outcome: np.ndarray | None = None
 
 
-def report_docs(variant: str, dim: int, js: np.ndarray, is_a: np.ndarray, pr_top: np.ndarray,
-                queries: int, repetitions: int, spectra: np.ndarray | None = None) -> list[dict]:
-    """The wire format of a block of reports, one dict per row; the normalized
-    outcome spectra are embedded only for N <= 64."""
-    docs = [
-        {"variant": variant, "N": dim, "hiddenJ": j, "decision": decision, "prTop": p,
-         "queries": queries, "repetitions": repetitions}
-        for j, decision, p in zip(js.tolist(), np.where(is_a, "A", "B").tolist(), pr_top.tolist())
-    ]
-    if spectra is not None and dim <= PER_OUTCOME_DIM_LIMIT:
-        for doc, spectrum in zip(docs, spectra.tolist()):
-            doc["perOutcome"] = spectrum
-    return docs
-
-
 @dataclass(frozen=True, eq=False)
 class Decisions:
     """The reports of one block as arrays: raw (unnormalized) and normalized
-    spectra, Pr[designated outcome], the rows decided A, and the rounds each
-    decision took.  The per-outcome sums and pr_top are checked once per block."""
+    spectra, the designated outcome index and its probability, the rows
+    decided A, and the rounds each decision took.  The per-outcome sums and
+    pr_top are checked once per block."""
 
     raw: np.ndarray
     probs: np.ndarray
+    index: int
     pr_top: np.ndarray
     is_a: np.ndarray
     rounds: int
@@ -266,13 +247,13 @@ def _measure(raw: np.ndarray, index: int, draws: np.ndarray | None) -> Decisions
     probs = raw / raw.sum(axis=1, keepdims=True)  # exact-unit totals for the sampler
     pr_top = probs[:, index]
     if draws is None:
-        return Decisions(raw, probs, pr_top, pr_top > 0.5, 1)
+        return Decisions(raw, probs, index, pr_top, pr_top > 0.5, 1)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     below_hi = np.count_nonzero(draws < cdf[:, index, None], axis=1)
     below_lo = np.count_nonzero(draws < cdf[:, index - 1, None], axis=1) if index else 0
     rounds = draws.shape[1]
-    return Decisions(raw, probs, pr_top, below_hi - below_lo > rounds / 2, rounds)
+    return Decisions(raw, probs, index, pr_top, below_hi - below_lo > rounds / 2, rounds)
 
 
 def measure_designated(
@@ -305,6 +286,24 @@ def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
         transform, pairing, back = _CIRCUITS[block.variant]
         raw = _spectra(block.phases(), transform, pairing)
         yield block, _measure(raw, block.dim - back, block.draws)
+
+
+def report_docs(block: InstanceBlock, decided: Decisions) -> list[dict]:
+    """The wire format of a decided block, one dict per row; the normalized
+    outcome spectra are embedded only for N <= 64."""
+    labels = np.where(block.is_a, "A", "B").tolist()
+    decisions = np.where(decided.is_a, "A", "B").tolist()
+    docs = [
+        {"variant": block.variant, "N": block.dim, "hiddenJ": j, "label": label,
+         "decision": decision, "prTop": p, "queries": decided.rounds,
+         "repetitions": decided.rounds}
+        for j, label, decision, p in zip(block.js.tolist(), labels, decisions,
+                                         decided.pr_top.tolist())
+    ]
+    if block.dim <= PER_OUTCOME_DIM_LIMIT:
+        for doc, spectrum in zip(docs, decided.probs.tolist()):
+            doc["perOutcome"] = spectrum
+    return docs
 
 
 def _decide_instance(instance: ProblemInstance, variant: str, repetitions: int = 1,
@@ -348,8 +347,8 @@ def fourier_probability_table(dim: int) -> np.ndarray:
     neighbours j = N/2-2 and N/2, which retain probability 1/4, so adjacent
     indices are not distinguished with certainty by this measurement.
     """
-    blocks = enumerate_blocks(FOURIER, dim, None, block_rows(dim))
-    return np.concatenate([decided.raw[:, dim - 2] for _, decided in decide_blocks(blocks)])
+    blocks = enumerate_blocks(FOURIER, dim, None)
+    return np.concatenate([decided.raw[:, decided.index] for _, decided in decide_blocks(blocks)])
 
 
 def worst_case_error_mask(dim: int, weight: int) -> ErrorSyndrome:

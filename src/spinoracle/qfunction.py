@@ -3,7 +3,8 @@
 The quasi-probability at (theta, phi) is Q(theta, phi) = |<theta, phi|psi>|^2
 with the coherent state of spin_core.coherent_state, whose amplitude on
 |s-k> (qudit index N-1-k) is C(2s,k)^(1/2) cos(theta/2)^(2s-k)
-sin(theta/2)^k e^(i k phi):
+sin(theta/2)^k e^(i k phi); both take the magnitudes from
+spin_core._coherent_magnitudes:
 
     Q(theta, phi) = | sum_k C(2s,k)^(1/2) sin(theta/2)^k cos(theta/2)^(2s-k)
                       e^(-i k phi) a_(N-1-k) |^2
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError, ResourceLimitError
-from .spin_core import SpinSystem, StateVector, _half_log_binomials
+from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _half_log_binomials
 
 MAX_GRID_CELLS = 2**20  # Q values per grid, each one output row
 MAX_PHASE_ENTRIES = 2**24  # the (phi_steps x N) complex phase matrix: 256 MiB
@@ -75,22 +76,12 @@ def q_values_at(state: StateVector, sys: SpinSystem, thetas, phis) -> np.ndarray
     """Evaluate Q on the outer product of the given angle arrays."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    two_s = sys.two_s
-    k = np.arange(sys.dim)
-    half_log_binom = _half_log_binomials(two_s)
-    phase = np.exp(-1j * np.outer(phis, k))  # (P, N): the bra's conjugated phase
+    half_log_binom = _half_log_binomials(sys.two_s)
+    phase = np.exp(-1j * np.outer(phis, np.arange(sys.dim)))  # (P, N): the bra's conjugated phase
     amps = state.amps[::-1]  # amps[k] sits on |s-k>
     out = np.empty((len(thetas), len(phis)))
     for t, theta in enumerate(thetas):
-        sin_h, cos_h = math.sin(theta / 2), math.cos(theta / 2)
-        if sin_h == 0.0 or cos_h == 0.0:
-            coeff = np.zeros(sys.dim)
-            coeff[0 if sin_h == 0.0 else two_s] = 1.0
-        else:
-            coeff = np.exp(
-                half_log_binom + k * math.log(sin_h) + (two_s - k) * math.log(cos_h)
-            )
-        out[t] = np.abs(phase @ (coeff * amps)) ** 2
+        out[t] = np.abs(phase @ (_coherent_magnitudes(theta, half_log_binom) * amps)) ** 2
     return out
 
 

@@ -29,8 +29,8 @@ from .errors import ConfigError, InvariantError, NumericsError
 
 NORM_TOL = 1e-12
 
-_MIN_EXPONENT = 2
-_MAX_EXPONENT = 14  # dense ops stay desk-scale; transforms alone go further
+MIN_EXPONENT = 2
+MAX_EXPONENT = 14  # dense ops stay desk-scale; transforms alone go further
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ def make_spin_system(n: int) -> SpinSystem:
     """
     if not isinstance(n, (int, np.integer)):
         raise ConfigError(f"exponent must be an integer, got {n!r}")
-    if not _MIN_EXPONENT <= n <= _MAX_EXPONENT:
+    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
         raise ConfigError(
-            f"exponent n={n} outside supported range [{_MIN_EXPONENT}, {_MAX_EXPONENT}]"
+            f"exponent n={n} outside supported range [{MIN_EXPONENT}, {MAX_EXPONENT}]"
         )
     return SpinSystem(n=int(n), dim=2 ** int(n))
 
@@ -167,6 +167,24 @@ def _half_log_binomials(m: int) -> np.ndarray:
     )
 
 
+def _coherent_magnitudes(theta: float, half_log_binom: np.ndarray) -> np.ndarray:
+    """C(2s,k)^(1/2) sin(theta/2)^k cos(theta/2)^(2s-k) for k = 0..2s.
+
+    ``half_log_binom`` is _half_log_binomials(2s), passed in so a caller
+    evaluating many thetas computes it once.  Evaluated in log space so the
+    binomial weights stay representable up to N = 16384; at a pole the one
+    surviving term is exactly 1.
+    """
+    two_s = len(half_log_binom) - 1
+    sin_h, cos_h = math.sin(theta / 2), math.cos(theta / 2)
+    if sin_h == 0.0 or cos_h == 0.0:
+        mags = np.zeros(two_s + 1)
+        mags[0 if sin_h == 0.0 else two_s] = 1.0
+        return mags
+    k = np.arange(two_s + 1)
+    return np.exp(half_log_binom + k * math.log(sin_h) + (two_s - k) * math.log(cos_h))
+
+
 def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     """Coherent spin state |theta, phi>.
 
@@ -175,27 +193,17 @@ def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     finite for every theta including the poles.  Note the expansion places
     theta = 0 on |s>, the top of the ladder rather than the |-s> ground
     state; the equatorial states used downstream are symmetric between the
-    poles, so nothing depends on that labeling.  Evaluated in log space so
-    the binomial weights stay representable up to N = 16384, then
-    renormalized (relative correction ~1e-13).
+    poles, so nothing depends on that labeling.  The magnitudes come from
+    _coherent_magnitudes, then the state is renormalized (relative
+    correction ~1e-13).
     """
     if not 0.0 <= theta <= math.pi:
         raise ConfigError(f"theta={theta} outside [0, pi]")
     if not 0.0 <= phi < 2 * math.pi:
         raise ConfigError(f"phi={phi} outside [0, 2*pi)")
-    two_s = sys.two_s
-    half = theta / 2
-    sin_h, cos_h = math.sin(half), math.cos(half)
-    amps = np.zeros(sys.dim, dtype=complex)
-    if sin_h == 0.0:
-        amps[sys.dim - 1] = 1.0  # k = 0 only: |s>
-        return StateVector(amps)
-    if cos_h == 0.0:
-        amps[0] = 1.0  # k = 2s only: |-s>
-        return StateVector(amps)
-    k = np.arange(two_s + 1)
-    log_mag = _half_log_binomials(two_s) + k * math.log(sin_h) + (two_s - k) * math.log(cos_h)
-    mags = np.exp(log_mag)
+    k = np.arange(sys.dim)
+    mags = _coherent_magnitudes(theta, _half_log_binomials(sys.two_s))
+    amps = np.empty(sys.dim, dtype=complex)
     # |s-k> lives at qudit index N-1-k
     amps[sys.dim - 1 - k] = mags * np.exp(1j * phi * k)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))

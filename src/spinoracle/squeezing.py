@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,25 +51,24 @@ _INV_PHI = (math.sqrt(5) - 1) / 2
 
 @dataclass(frozen=True)
 class SqueezeResult:
-    """Optimally squeezed state with its probability distribution."""
+    """Optimally squeezed state; its probability distribution is mirror-symmetric."""
 
     mu: float
     state: StateVector
     v_minus: float
-    distribution: np.ndarray
 
     def __post_init__(self):
-        dist = np.asarray(self.distribution, dtype=float)
-        dist.flags.writeable = False
-        object.__setattr__(self, "distribution", dist)
-        probs = self.state.probabilities()
-        if float(np.max(np.abs(dist - probs))) > 1e-14:
-            raise InvariantError("distribution does not match squared amplitudes")
-        if abs(float(np.sum(dist)) - 1.0) > 1e-12:
-            raise InvariantError("distribution does not sum to 1")
+        dist = self.distribution
         mirror_dev = float(np.max(np.abs(dist - dist[::-1])))
         if mirror_dev >= MIRROR_TOL:
             raise InvariantError(f"distribution not mirror-symmetric: dev={mirror_dev:.3e}")
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        """The state's basis-state probabilities, read-only."""
+        dist = self.state.probabilities()
+        dist.flags.writeable = False
+        return dist
 
 
 @dataclass(frozen=True)
@@ -360,12 +359,7 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     prop = _propagator(sys)
     mu_opt = _minimize_scanned(prop.tail_weight, 4.0 / sys.s, tol)
     state = prop.state_at(mu_opt)
-    return SqueezeResult(
-        mu=mu_opt,
-        state=state,
-        v_minus=reduced_variance(state, sys),
-        distribution=state.probabilities(),
-    )
+    return SqueezeResult(mu=mu_opt, state=state, v_minus=reduced_variance(state, sys))
 
 
 def sweep_row(sys: SpinSystem, res: SqueezeResult) -> dict:

@@ -355,6 +355,8 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
         ("solve", "--variant", "restricted", "--n", "3", "--reps", "-1"),
         ("solve", "--n", "abc"),
         ("squeeze-scan", "--s-range", "3/2", "--tol", "-inf"),
+        ("solve", "--variant", "restricted", "--n", "3", "--reps", "5"),
+        ("solve", "--variant", "restricted", "--n", "3", "--reps", "1000000000000"),
     ],
 )
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
@@ -391,6 +393,10 @@ def test_cli_imports_only_declared_dependencies(tmp_path):
         (("--variant", "restricted", "--n", "3", "--seed", "-1"), "--seed"),
         (("--variant", "restricted", "--n", "3", "--reps", "-1"), "--reps"),
         (("--variant", "fourier", "--n", "3", "--reps", "0"), "--reps"),
+        # restricted and fourier decisions are exact with one query
+        (("--variant", "restricted", "--n", "3", "--reps", "5"), "--reps"),
+        (("--variant", "restricted", "--n", "3", "--reps", "1000000000000"), "--reps"),
+        (("--variant", "fourier", "--n", "3", "--reps", "2"), "--reps"),
     ],
 )
 def test_negative_counts_are_rejected(tmp_path, capsys, args, flag):

@@ -25,8 +25,12 @@ from spinoracle import (
     syndrome_count,
     syndromes,
 )
-from spinoracle.codewords import InstanceBlock, _weight_probabilities, enumerate_blocks
-from spinoracle.oracle_circuit import block_rows
+from spinoracle.codewords import (
+    InstanceBlock,
+    _weight_probabilities,
+    enumerate_blocks,
+    sample_blocks,
+)
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -308,7 +312,7 @@ def test_instance_checks_survive_without_a_stored_string():
      ("restricted", 16, 2, 1), ("fourier", 128, None, 2)],
 )
 def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d, block_count):
-    blocks = list(enumerate_blocks(variant, dim, d, block_rows(dim)))  # solve's blocks
+    blocks = list(enumerate_blocks(variant, dim, d))  # solve's blocks
     instances = list(enumerate_instances(variant, dim, d))
     assert len(blocks) == block_count
     assert sum(len(block) for block in blocks) == len(instances)
@@ -329,14 +333,14 @@ def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d,
 
 def test_enumeration_checks_survive_in_blocks():
     with pytest.raises(ConfigError):  # Fourier instances are error-free
-        list(enumerate_blocks("fourier", 8, 1, 8))
+        list(enumerate_blocks("fourier", 8, 1))
     with pytest.raises(ConfigError):
-        list(enumerate_blocks("bogus", 8, None, 8))
-    for enumerate_rows in (enumerate_instances, lambda *args: enumerate_blocks(*args, 8)):
+        list(enumerate_blocks("bogus", 8, None))
+    for enumerate_rows in (enumerate_instances, enumerate_blocks):
         with pytest.raises(DegenerateInstanceError):  # d = 2 is not below N/4 at N = 8
             list(enumerate_rows("restricted", 8, 2))
     with pytest.raises(ResourceLimitError):  # C(32, 7) masks in one weight class
-        next(enumerate_blocks("restricted", 64, None, 8))
+        next(enumerate_blocks("restricted", 64, None))
 
 
 def test_instance_block_runs_every_instance_check():
@@ -344,18 +348,16 @@ def test_instance_block_runs_every_instance_check():
     js = np.array([3, 5])
     masks = np.zeros((2, dim), dtype=np.uint8)
     masks[0, 1] = masks[1, 2] = 1  # positions 1 and 2 have odd parity
-    ok = dict(variant="restricted", dim=dim, js=js, is_a=js == 7, masks=masks,
-              weights=np.array([1, 1]))
+    ok = dict(variant="restricted", dim=dim, js=js, masks=masks, weights=np.array([1, 1]))
     assert len(InstanceBlock(**ok)) == 2
     bad = masks.copy()
     bad[1, 3] = 1  # position 3 has even parity
     cases = [
         dict(weights=np.array([1, 2])),  # weight not the declared one
         dict(masks=bad, weights=np.array([1, 2])),  # restricted mask not dominated by W_(N-1)
-        dict(js=np.array([3, 16]), is_a=np.array([False, False])),  # j outside Z_N
-        dict(js=np.array([-1, 5]), is_a=np.array([False, False])),
+        dict(js=np.array([3, 16])),  # j outside Z_N
+        dict(js=np.array([-1, 5])),
         dict(js=np.array([3.0, 5.0])),  # not integers
-        dict(is_a=np.array([True, False])),  # label inconsistent with j
         dict(masks=masks[:, :8]),  # wrong length
         dict(masks=None),  # syndrome missing
         dict(weights=None),  # declared weights missing
@@ -370,14 +372,26 @@ def test_instance_block_runs_every_instance_check():
     heavy = np.zeros((1, dim), dtype=np.uint8)
     heavy[0, [1, 2, 4, 7]] = 1  # weight N/4 is not below the bound
     with pytest.raises(ConfigError):
-        InstanceBlock("restricted", dim, np.array([0]), np.array([False]), heavy, np.array([4]))
+        InstanceBlock("restricted", dim, np.array([0]), heavy, np.array([4]))
     unrestricted = np.zeros((1, dim), dtype=np.uint8)
     unrestricted[0, 0] = 1  # weight 1 is not below N/16 = 1
     with pytest.raises(ConfigError):
-        InstanceBlock("unrestricted", dim, np.array([0]), np.array([False]), unrestricted,
-                      np.array([1]))
+        InstanceBlock("unrestricted", dim, np.array([0]), unrestricted, np.array([1]))
     with pytest.raises(ConfigError):
-        InstanceBlock("fourier", dim, js, js == 7, masks, np.array([1, 1]))
+        InstanceBlock("fourier", dim, js, masks, np.array([1, 1]))
+
+
+def test_instance_block_arrays_are_read_only_once_checked():
+    # a block's checks hold only if its arrays cannot be written afterwards,
+    # e.g. js[0] = j* = 3 on a checked block
+    rng = np.random.default_rng(0)
+    [block] = sample_blocks("restricted", 8, None, 2, rng, repetitions=3)
+    assert not block.is_a[0]
+    for name, index, value in [("js", 0, 3), ("masks", (0, 1), 1), ("weights", 0, 2),
+                               ("draws", (0, 0), 0.5)]:
+        with pytest.raises(ValueError):
+            getattr(block, name)[index] = value
+    assert not block.is_a[0]
 
 
 @pytest.mark.parametrize(

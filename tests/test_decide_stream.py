@@ -27,13 +27,9 @@ from spinoracle import (
     sample_instance,
     worst_case_error_mask,
 )
-from spinoracle.codewords import MAX_REPETITIONS, enumerate_blocks, sample_blocks
-from spinoracle.oracle_circuit import (
-    BLOCK_ENTRIES,
-    block_rows,
-    decide_blocks,
-    worst_case_spectrum,
-)
+from spinoracle import codewords
+from spinoracle.codewords import BLOCK_ENTRIES, MAX_REPETITIONS, enumerate_blocks, sample_blocks
+from spinoracle.oracle_circuit import decide_blocks, worst_case_spectrum
 
 
 def reference_vote(inst, reps, rng, transform="hadamard", pairing="symmetric", back=1):
@@ -72,7 +68,7 @@ def test_majority_votes_match_per_round_choice(mode):
 def test_fourier_stream_matches_single_runs_across_blocks():
     dim = 128  # 64 rows per block: 2 blocks
     assert BLOCK_ENTRIES // dim < dim
-    pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None, block_rows(dim))))
+    pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None)))
     assert [len(block) for block, _ in pairs] == [64, 64]
     rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
     instances = list(enumerate_instances("fourier", dim))
@@ -90,7 +86,7 @@ def test_fourier_stream_matches_single_runs_across_blocks():
 def test_words_longer_than_a_block_run_one_per_block():
     dim = 2 * BLOCK_ENTRIES
     rng = np.random.default_rng(5)
-    blocks = list(sample_blocks("restricted", dim, 3, 2, block_rows(dim), rng))
+    blocks = list(sample_blocks("restricted", dim, 3, 2, rng))
     assert [len(block) for block in blocks] == [1, 1]
     decided = [decided for _, decided in decide_blocks(blocks)]
     assert [d.is_a.tolist() for d in decided] == [block.is_a.tolist() for block in blocks]
@@ -128,13 +124,13 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
 def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
     """(block, row) pairs of the sampled blocks solve decides, with each row's decision."""
     rng = np.random.default_rng(seed)
-    blocks = sample_blocks(variant, dim, d, trials, block_rows(dim), rng, reps, syndrome=mask)
+    blocks = sample_blocks(variant, dim, d, trials, rng, reps, syndrome=mask)
     rows = [(block, decided, i) for block, decided in decide_blocks(blocks) for i in range(len(block))]
     return rows, rng
 
 
 def boundary_counts(dim):
-    rows = block_rows(dim)
+    rows = BLOCK_ENTRIES // dim
     return [rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
@@ -188,10 +184,11 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
     [("restricted", 256, None), ("restricted", 16, 2), ("unrestricted", 64, None),
      ("unrestricted", 64, (0, 2)), ("fourier", 16, None)],
 )
-def test_block_sampler_draws_what_sample_instance_draws(variant, dim, d):
+def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, dim, d):
     trials, rows = 41, 8  # five full blocks and a last one of one row
+    monkeypatch.setattr(codewords, "BLOCK_ENTRIES", rows * dim)
     rng = np.random.default_rng(4)
-    blocks = list(sample_blocks(variant, dim, d, trials, rows, rng))
+    blocks = list(sample_blocks(variant, dim, d, trials, rng))
     ref_rng = np.random.default_rng(4)
     instances = [sample_instance(variant, dim, d, ref_rng) for _ in range(trials)]
     assert [len(block) for block in blocks] == [8] * 5 + [1]
@@ -212,7 +209,7 @@ def test_block_sampler_draws_what_sample_instance_draws(variant, dim, d):
 def test_many_repetitions_shrink_the_vote_block_not_the_draws():
     dim, weight, reps, trials = 64, 3, 2**19 + 1, 3  # one instance's variates per block
     rng = np.random.default_rng(6)
-    blocks = list(sample_blocks("unrestricted", dim, weight, trials, block_rows(dim), rng, reps))
+    blocks = list(sample_blocks("unrestricted", dim, weight, trials, rng, reps))
     ref_rng = np.random.default_rng(6)
     assert [len(block) for block in blocks] == [1] * trials
     for block in blocks:

@@ -255,7 +255,7 @@ def test_measurement_checks_the_outcome_probabilities():
     with pytest.raises(InvariantError):  # pr_top = 2 after normalizing
         measure_designated(np.array([-1.0, 2.0, 0.0, 0.0]), 1)
     with pytest.raises(InvariantError):  # sums to 1 + 1e-9 per row
-        Decisions(np.ones((1, 2)), np.array([[0.5, 0.5 + 1e-9]]), np.array([0.5]),
+        Decisions(np.ones((1, 2)), np.array([[0.5, 0.5 + 1e-9]]), 0, np.array([0.5]),
                   np.array([False]), 1)
 
 
@@ -387,21 +387,20 @@ def test_oracle_phases_exact_for_bits():
     assert np.all(oracle.phases.imag == 0.0)
 
 
-def first_report_doc(variant, dim, blocks):
+def first_report_doc(blocks):
     """The wire format solve writes for the first row of the first decided block."""
-    block, decided = next(decide_blocks(blocks))
-    return report_docs(variant, dim, block.js, decided.is_a, decided.pr_top,
-                       decided.rounds, decided.rounds, decided.probs)[0]
+    return report_docs(*next(decide_blocks(blocks)))[0]
 
 
 def test_report_serialization():
-    doc = first_report_doc("restricted", 8, enumerate_blocks("restricted", 8, None, 4))
+    doc = first_report_doc(enumerate_blocks("restricted", 8, None))
     assert set(doc) == {
-        "variant", "N", "hiddenJ", "decision", "prTop", "queries", "repetitions", "perOutcome",
+        "variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions",
+        "perOutcome",
     }
     assert len(doc["perOutcome"]) == 8
     # spectra embed only up to N = 64
     rng = np.random.default_rng(0)
-    doc128 = first_report_doc("restricted", 128, sample_blocks("restricted", 128, 1, 1, 1, rng))
+    doc128 = first_report_doc(sample_blocks("restricted", 128, 1, 1, rng))
     assert doc128["N"] == 128
     assert "perOutcome" not in doc128

@@ -49,6 +49,20 @@ def test_coherent_state_peaks_at_its_own_angles(n):
         assert grid.max() == grid[-1, -1]
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_q_values_are_overlaps_with_coherent_states(n):
+    # q_values_at and coherent_state share one expansion; Q = |<theta,phi|psi>|^2
+    sys = make_spin_system(n)
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=sys.dim) + 1j * rng.normal(size=sys.dim)
+    state = StateVector(amps / np.linalg.norm(amps))
+    thetas = np.linspace(0.0, math.pi, 9)  # both poles included
+    phis = np.arange(7) * (2 * math.pi / 7)
+    expected = [[abs(np.vdot(coherent_state(sys, t, p).amps, state.amps)) ** 2 for p in phis]
+                for t in thetas]
+    assert np.max(np.abs(q_values_at(state, sys, thetas, phis) - expected)) <= 1e-12
+
+
 @pytest.mark.parametrize("squeezed", [False, True])
 def test_quadrature_normalization(squeezed):
     sys = make_spin_system(6)
