@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -203,9 +204,12 @@ def _fmt(x) -> str:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, (",".join(_fmt(cell) for cell in row) for row in rows))
+
+
+def _csv_text(header: list[str], lines) -> str:
+    """The CSV file around already formatted data lines."""
+    return "\n".join([f"# schema_version={SCHEMA_VERSION}", ",".join(header), *lines]) + "\n"
 
 
 def _json(doc: dict) -> str:
@@ -215,9 +219,9 @@ def _json(doc: dict) -> str:
 def _json_text(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, TypeError included;
     dict keys must be strings (json.dumps would also take numbers, bools and None)."""
-    out = []
-    _encode(value, "\n", out)
-    return "".join(out)
+    writer = _JsonWriter()
+    writer.encode(value, "\n")
+    return "".join(writer.out)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as allow_nan writes them
@@ -238,65 +242,101 @@ _SCALAR_TEXT = {
 }
 
 
-def _encode(value, newline: str, out: list) -> None:
-    """Append the text json.dumps(value, indent=2, sort_keys=True) gives ``value``,
-    byte for byte; ``newline`` is a line break plus the enclosing indent.
+def _dict_layout(keys: tuple, newline: str) -> list[tuple[str, str]]:
+    """The sorted keys of a dict, each with the text that opens its entry."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+    inner = newline + "  "
+    return [(key, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            for i, key in enumerate(sorted(keys))]
+
+
+class _JsonWriter:
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, built in ``out``.
 
     The stdlib's C encoder does not take ``indent``, and its pure-Python
     fallback cost more than the rest of a sampled solve run.  Scalars of an
-    exact builtin type are written inline, and a list made only of finite
-    floats is one join.
+    exact builtin type are written inline.  A solve document repeats the
+    same outcome spectra and the same report keys thousands of times, so
+    the writer keeps two memos for the life of one document: the text of
+    each list made only of finite floats, under its indent and exact bits,
+    and the sorted, escaped key heads of each dict, under its indent and
+    keys.
     """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append(_SCALAR_TEXT[type(value)](value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        try:
-            text = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:  # not only floats
-            text = "n"
-        if "n" not in text:  # no nan or inf either
-            out.append("[" + inner + text + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            scalar = _SCALAR_TEXT.get(type(item))
-            if scalar:
-                out.append(sep + scalar(item))
-            else:
-                out.append(sep)
-                _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            head = sep + encode_basestring_ascii(key)
-            scalar = _SCALAR_TEXT.get(type(item))
-            if scalar:
-                out.append(head + ": " + scalar(item))
-            else:
-                out.append(head + ": ")
-                _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    def __init__(self):
+        self.out = []
+        self._float_lists = {}  # (newline, bits) -> text
+        self._layouts = {}  # (newline, keys) -> _dict_layout
+
+    def encode(self, value, newline: str) -> None:
+        """Append the text of ``value``; ``newline`` is a line break plus the
+        enclosing indent."""
+        out = self.out
+        if isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif value is None or value is True or value is False:
+            out.append(_SCALAR_TEXT[type(value)](value))
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, float):
+            out.append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                return
+            text = self._float_list_text(value, newline)
+            if text is not None:
+                out.append(text)
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                scalar = _SCALAR_TEXT.get(type(item))
+                if scalar:
+                    out.append(sep + scalar(item))
+                else:
+                    out.append(sep)
+                    self.encode(item, inner)
+                sep = "," + inner
+            out.append(newline + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            key = (newline, tuple(value))
+            layout = self._layouts.get(key)
+            if layout is None:
+                layout = self._layouts[key] = _dict_layout(key[1], newline)
+            inner = newline + "  "
+            for name, head in layout:
+                item = value[name]
+                scalar = _SCALAR_TEXT.get(type(item))
+                if scalar:
+                    out.append(head + scalar(item))
+                else:
+                    out.append(head)
+                    self.encode(item, inner)
+            out.append(newline + "}")
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    def _float_list_text(self, value, newline: str) -> str | None:
+        """The text of a non-empty list made only of finite floats, else None."""
+        # The type test runs on every list, hit or miss: an int, a bool or a
+        # Fraction converts to the same bits as an equal float.
+        if set(map(type, value)) != {float}:
+            return None
+        key = (newline, array("d", value).tobytes())  # bits: -0.0 is not 0.0
+        text = self._float_lists.get(key)
+        if text is None:
+            inner = newline + "  "
+            text = "[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]"
+            if "n" in text:  # nan or inf: the caller writes it item by item
+                return None
+            self._float_lists[key] = text
+        return text
 
 
 def _table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> dict[str, str]:
@@ -336,12 +376,25 @@ def cmd_qfunc(cfg: RunConfig) -> dict[str, str]:
         state = coherent_state(sys, math.pi / 2, 0.0)
     t_steps, p_steps = _grid_shape(cfg.grid)
     grid = q_function(state, sys, t_steps, p_steps)
-    q_rows = [[theta, phi, q] for theta, phi, q in grid.rows()]
+    stem, header = f"qfunc_{cfg.state}_N{sys.dim}", ["theta", "phi", "q"]
+    if cfg.format == "json":
+        q_files = _table(cfg, stem, header, list(grid.rows()))
+    else:
+        q_files = {f"{stem}.csv": _csv_text(header, _q_grid_lines(grid))}
     dist_rows = [[i, float(p)] for i, p in enumerate(state.probabilities())]
-    return (
-        _table(cfg, f"qfunc_{cfg.state}_N{sys.dim}", ["theta", "phi", "q"], q_rows)
-        | _table(cfg, f"dist_{cfg.state}_N{sys.dim}", ["index", "probability"], dist_rows)
-    )
+    dist_files = _table(cfg, f"dist_{cfg.state}_N{sys.dim}", ["index", "probability"], dist_rows)
+    return q_files | dist_files
+
+
+def _q_grid_lines(grid) -> list[str]:
+    """The CSV lines _csv would write for grid.rows(), with each theta and phi
+    formatted once instead of once per cell."""
+    phis = [_fmt(phi) + "," for phi in grid.phis.tolist()]
+    lines = []
+    for theta, qs in zip(grid.thetas.tolist(), grid.values.tolist()):
+        head = _fmt(theta) + ","
+        lines += [head + phi + _fmt(q) for phi, q in zip(phis, qs)]
+    return lines
 
 
 def _blocks(cfg: RunConfig, dim: int, rng):

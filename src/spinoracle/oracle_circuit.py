@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -138,14 +139,23 @@ def run_pipeline(oracle, transform: str = "hadamard") -> StateVector:
     return StateVector(_transform_phase_transform(oracle.phases, transform))
 
 
+@lru_cache(maxsize=32)  # one per (N, transform) a run uses
+def _transformed_input(dim: int, transform: str) -> np.ndarray:
+    """R|in>, read-only: every row of every block starts from it."""
+    amps = _input_amps(dim)
+    out = _fwht(amps) if transform == "hadamard" else np.fft.ifft(amps, norm="ortho")
+    out.flags.writeable = False
+    return out
+
+
 def _transform_phase_transform(phases: np.ndarray, transform: str) -> np.ndarray:
     """R^dag U_z R |in> for each row of oracle phases.  R|in> is shared by all
     rows and every other step acts along the last axis, so each row's
     arithmetic is that of a single-row run, bit for bit."""
-    amps = _input_amps(phases.shape[-1])
+    r_in = _transformed_input(phases.shape[-1], transform)
     if transform == "hadamard":
-        return _fwht(_fwht(amps) * phases)
-    return np.fft.fft(np.fft.ifft(amps, norm="ortho") * phases, norm="ortho")
+        return _fwht(r_in * phases)
+    return np.fft.fft(r_in * phases, norm="ortho")
 
 
 def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVector:

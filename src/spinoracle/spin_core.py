@@ -173,11 +173,12 @@ def _coherent_magnitudes(theta: float, half_log_binom: np.ndarray) -> np.ndarray
     ``half_log_binom`` is _half_log_binomials(2s), passed in so a caller
     evaluating many thetas computes it once.  Evaluated in log space so the
     binomial weights stay representable up to N = 16384; at a pole the one
-    surviving term is exactly 1.
+    surviving term is exactly 1.  The south pole is found by theta itself:
+    cos(pi/2) is 6.1e-17 in floating point, not 0.
     """
     two_s = len(half_log_binom) - 1
     sin_h, cos_h = math.sin(theta / 2), math.cos(theta / 2)
-    if sin_h == 0.0 or cos_h == 0.0:
+    if sin_h == 0.0 or theta == math.pi:
         mags = np.zeros(two_s + 1)
         mags[0 if sin_h == 0.0 else two_s] = 1.0
         return mags

@@ -83,6 +83,17 @@ def test_qfunc_outputs(tmp_path):
     assert sum(float(r[1]) for r in dist_rows) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_qfunc_csv_matches_the_json_rows_at_nine_digits(tmp_path):
+    args = ("qfunc", "--n", "3", "--state", "coherent", "--grid", "9x12")
+    assert main([*args, "--out", str(tmp_path / "csv")]) == 0
+    assert main([*args, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+    _, rows = read_csv(tmp_path / "csv" / "qfunc_coherent_N8.csv")
+    doc = json.loads((tmp_path / "json" / "qfunc_coherent_N8.json").read_text())
+    expected = [[format(row[key], ".9g") for key in ("theta", "phi", "q")]
+                for row in doc["qfunc_coherent_N8"]]
+    assert rows == expected
+
+
 def test_solve_restricted_exhaustive(tmp_path):
     code, out = run(tmp_path, "solve", "--variant", "restricted", "--n", "4")
     assert code == 0
@@ -329,42 +340,50 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args",  # the documented exit code, then the command line
     [
-        ("qfunc", "--n", "99"),
-        ("qfunc", "--n", "3", "--grid", "abc"),
-        ("qfunc", "--n", "3", "--state", "squeezed", "--tol", "1e-300"),
-        ("squeeze-scan", "--s-range", "2047/2:2047/2"),
-        ("squeeze-scan", "--s-range", "3/2", "--tol", "-1"),
-        ("squeeze-scan", "--s-range", "1e400:1e401"),
-        ("classical", "--s-range", "abc"),
-        ("solve", "--variant", "restricted", "--n", "8", "--trials", "20"),
-        ("solve", "--variant", "restricted", "--n", "5", "--errors", "99", "--trials", "3"),
-        ("solve", "--variant", "unrestricted", "--n", "3", "--errors", "1"),
-        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "0",
+        (2, "qfunc", "--n", "99"),
+        (2, "qfunc", "--n", "3", "--grid", "abc"),
+        (4, "qfunc", "--n", "3", "--state", "squeezed", "--tol", "1e-300"),
+        (3, "squeeze-scan", "--s-range", "2047/2:2047/2"),
+        (2, "squeeze-scan", "--s-range", "3/2", "--tol", "-1"),
+        (2, "squeeze-scan", "--s-range", "1e400:1e401"),
+        (2, "classical", "--s-range", "abc"),
+        (3, "solve", "--variant", "restricted", "--n", "3", "--trials", "65537"),
+        (2, "solve", "--variant", "restricted", "--n", "5", "--errors", "99", "--trials", "3"),
+        (2, "solve", "--variant", "unrestricted", "--n", "3", "--errors", "1"),
+        (2, "solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "0",
          "--trials", "5"),
-        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "70", "--trials", "0"),
-        ("solve", "--variant", "fourier", "--n", "20"),
-        ("solve", "--variant", "restricted", "--n", "5", "--trials", "-5"),
-        ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"),
-        ("qfunc", "--config", "missing.cfg"),
-        ("qfunc", "--config", "bad.cfg"),
-        ("qfunc", "--n", "3", "--out", "bad.cfg"),
-        ("solve", "--variant", "restricted", "--n", "3", "--seed", "-1"),
-        ("squeeze-scan", "--s-range", "3/2", "--tol", "inf"),
-        ("solve", "--variant", "restricted", "--n", "3", "--reps", "-1"),
-        ("solve", "--n", "abc"),
-        ("squeeze-scan", "--s-range", "3/2", "--tol", "-inf"),
-        ("solve", "--variant", "restricted", "--n", "3", "--reps", "5"),
-        ("solve", "--variant", "restricted", "--n", "3", "--reps", "1000000000000"),
+        (2, "solve", "--variant", "unrestricted", "--n", "6", "--errors", "70", "--trials", "0"),
+        (2, "solve", "--variant", "fourier", "--n", "20"),
+        (2, "solve", "--variant", "restricted", "--n", "5", "--trials", "-5"),
+        (2, "solve", "--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"),
+        (2, "qfunc", "--config", "missing.cfg"),
+        (2, "qfunc", "--config", "bad.cfg"),
+        (2, "qfunc", "--n", "3", "--out", "bad.cfg"),
+        (2, "solve", "--variant", "restricted", "--n", "3", "--seed", "-1"),
+        (2, "squeeze-scan", "--s-range", "3/2", "--tol", "inf"),
+        (2, "solve", "--variant", "restricted", "--n", "3", "--reps", "-1"),
+        (2, "solve", "--n", "abc"),
+        (2, "squeeze-scan", "--s-range", "3/2", "--tol", "-inf"),
+        (2, "solve", "--variant", "restricted", "--n", "3", "--reps", "5"),
+        (2, "solve", "--variant", "restricted", "--n", "3", "--reps", "1000000000000"),
     ],
 )
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
+    code, *argv = args
     (tmp_path / "bad.cfg").write_text("n=abc\n")
-    done = run_process(tmp_path, *args)
-    assert done.returncode in (0, 2, 3, 4), done.stderr
-    if done.returncode:
-        assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+    done = run_process(tmp_path, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+
+
+def test_sampled_restricted_solve_above_the_enumeration_size_succeeds(tmp_path):
+    # N = 256 is sampled, not enumerated (cli._blocks)
+    done = run_process(tmp_path, "solve", "--variant", "restricted", "--n", "8", "--trials", "20",
+                       "--out", "out")
+    assert done.returncode == 0, done.stderr
+    assert [path.name for path in (tmp_path / "out").iterdir()] == ["solve_restricted_N256.json"]
 
 
 IMPORTED_PACKAGES = """

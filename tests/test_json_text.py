@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,3 +77,60 @@ def test_takes_only_string_keys(key):
     json.dumps({key: 1}, indent=2, sort_keys=True)  # json.dumps would write it as a string
     with pytest.raises(TypeError):
         _json_text({key: 1})
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# The writer keeps the text of each all-float list under its indent and bits,
+# and each dict's key layout under its indent and keys, for one document.
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([1.0, 2.0], [1, 2.0]),
+        ([1.0], [True]),
+        ([0.0], [-0.0]),
+        ([-0.0, 0.5], [0.0, 0.5]),
+        ([0.25, 0.5], [np.float64(0.25), np.float64(0.5)]),
+        ([np.float64(0.25)], [0.25]),
+    ],
+    ids=["int", "bool", "negative-zero", "zero-after-negative-zero", "float64", "float64-first"],
+)
+def test_lists_equal_by_value_keep_their_own_text(first, second):
+    doc = {"a": first, "b": second, "c": [first, second, second, first]}
+    assert _json_text(doc) == dumps(doc)
+
+
+def test_a_float_list_at_two_depths():
+    spectrum = [0.1, 0.2, 0.7]
+    doc = {"a": spectrum, "b": {"c": [spectrum, {"d": spectrum}]}, "e": spectrum}
+    assert _json_text(doc) == dumps(doc)
+
+
+def test_dicts_with_the_same_keys_in_other_orders_and_depths():
+    doc = [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"a": {"b": 5, "a": 6}}, {"b": [{"a": 7, "b": 8}]}]
+    assert _json_text(doc) == dumps(doc)
+
+
+def test_a_report_shaped_document_with_repeated_spectra():
+    rng = np.random.default_rng(14)
+    spectra = [rng.dirichlet(np.ones(64)).tolist() for _ in range(32)]
+    spectra[0][5] = -0.0
+    reports = [
+        {"variant": "unrestricted", "N": 64, "hiddenJ": i % 32, "label": "AB"[i % 2],
+         "decision": "AB"[i % 3 % 2], "prTop": spectra[i % 32][63], "queries": 9,
+         "repetitions": 9, "perOutcome": spectra[i % 32]}
+        for i in range(2000)
+    ]
+    doc = {"schema_version": 1, "summary": {"instances": 2000, "accuracy": 0.5},
+           "reports": reports, "worst_case_spectrum": spectra[3]}
+    assert _json_text(doc) == dumps(doc)
+
+
+def test_a_fraction_list_is_rejected_after_an_equal_float_list():
+    doc = {"a": [0.5], "b": [Fraction(1, 2)]}
+    with pytest.raises(TypeError):
+        dumps(doc)
+    with pytest.raises(TypeError):
+        _json_text(doc)

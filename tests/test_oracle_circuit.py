@@ -381,6 +381,30 @@ def test_query_counter_increments_once_per_pipeline():
     assert oracle.queries == 2
 
 
+@pytest.mark.parametrize(
+    "transform, blocks",
+    [
+        ("hadamard", lambda: sample_blocks("restricted", 256, None, 200, np.random.default_rng(5))),
+        ("fourier", lambda: enumerate_blocks("fourier", 512, None)),
+    ],
+    ids=["hadamard", "fourier"],
+)
+def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transform, blocks):
+    from spinoracle import oracle_circuit
+
+    built = []
+    real = oracle_circuit._input_amps
+    monkeypatch.setattr(oracle_circuit, "_input_amps", lambda dim: built.append(dim) or real(dim))
+    oracle_circuit._transformed_input.cache_clear()
+    try:
+        assert len(list(decide_blocks(blocks()))) > 1
+        shared = oracle_circuit._transformed_input(built[0], transform)
+    finally:
+        oracle_circuit._transformed_input.cache_clear()
+    assert built == [built[0]]  # one R|in> for every block
+    assert not shared.flags.writeable
+
+
 def test_oracle_phases_exact_for_bits():
     oracle = PhaseOracle(hadamard_codeword(8, 7).bits)
     assert set(oracle.phases.real.tolist()) == {1.0, -1.0}

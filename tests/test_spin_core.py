@@ -14,6 +14,7 @@ from spinoracle import (
     make_spin_system,
     spin_operators,
 )
+from spinoracle.spin_core import _coherent_magnitudes, _half_log_binomials
 
 TEST_DIMS = (4, 8, 16, 32, 64)
 
@@ -86,6 +87,15 @@ def test_coherent_state_poles():
     assert top.probabilities()[sys.dim - 1] == pytest.approx(1.0, abs=1e-15)
     bottom = coherent_state(sys, math.pi, 0.0)
     assert bottom.probabilities()[0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("two_s", [3, 63, 1023])
+def test_coherent_magnitudes_at_the_poles_are_exact_basis_vectors(two_s):
+    half_log_binom = _half_log_binomials(two_s)
+    for theta, k in [(0.0, 0), (math.pi, two_s)]:  # cos(pi/2) is not 0.0 in floating point
+        expected = np.zeros(two_s + 1)
+        expected[k] = 1.0
+        assert np.array_equal(_coherent_magnitudes(theta, half_log_binom), expected)
 
 
 def test_equatorial_state_is_binomial():
