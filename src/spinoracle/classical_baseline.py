@@ -13,14 +13,13 @@ measured, not asserted: no matching optimality claim exists for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .codewords import designated_index, hadamard_codeword
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, Frozen, ResourceLimitError
 
 
 class BitOracle:
@@ -40,11 +39,13 @@ class BitOracle:
         return int(self.bits[x])
 
 
-@dataclass(frozen=True)
-class IdentifyResult:
-    j: int
-    queries: int
-    consistent: bool
+class IdentifyResult(Frozen):
+    __slots__ = ("j", "queries", "consistent")
+
+    def __init__(self, j: int, queries: int, consistent: bool):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "consistent", consistent)
 
 
 def classical_identify(oracle: BitOracle, dim: int) -> IdentifyResult:
@@ -66,11 +67,13 @@ def classical_identify(oracle: BitOracle, dim: int) -> IdentifyResult:
     )
 
 
-@dataclass(frozen=True)
-class NoisyDecision:
-    decision: str
-    j_estimate: int
-    queries: int
+class NoisyDecision(Frozen):
+    __slots__ = ("decision", "j_estimate", "queries")
+
+    def __init__(self, decision: str, j_estimate: int, queries: int):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "j_estimate", j_estimate)
+        object.__setattr__(self, "queries", queries)
 
 
 def classical_decide_noisy(

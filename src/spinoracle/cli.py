@@ -23,7 +23,6 @@ import argparse
 import math
 import sys as _sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import classical_baseline, codewords, oracle_circuit, squeezing
-from .errors import ConfigError, InvariantError, NumericsError, ResourceLimitError
+from .errors import ConfigError, Frozen, InvariantError, NumericsError, ResourceLimitError
 from .qfunction import q_function
 from .spin_core import MAX_EXPONENT, MIN_EXPONENT, coherent_state, make_spin_system
 
@@ -40,22 +39,29 @@ SCHEMA_VERSION = 1
 MAX_TRIALS = 2**16  # solve holds every decision report in memory until it is written
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None
-    s_range: str | None
-    variant: str | None
-    errors: int | None
-    reps: int
-    trials: int
-    seed: int
-    grid: str | None
-    tol: float
-    out: Path
-    format: str
-    state: str | None
-    error_mode: str | None
+class RunConfig(Frozen):
+    """One command's resolved options."""
+
+    __slots__ = ("command", "n", "s_range", "variant", "errors", "reps", "trials", "seed",
+                 "grid", "tol", "out", "format", "state", "error_mode")
+
+    def __init__(self, command: str, n: int | None, s_range: str | None, variant: str | None,
+                 errors: int | None, reps: int, trials: int, seed: int, grid: str | None,
+                 tol: float, out: Path, format: str, state: str | None, error_mode: str | None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s_range", s_range)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "error_mode", error_mode)
 
 
 def _s_range_exponents(text: str) -> list[int]:

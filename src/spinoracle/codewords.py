@@ -36,13 +36,12 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInstanceError, ResourceLimitError
+from .errors import ConfigError, DegenerateInstanceError, Frozen, ResourceLimitError
 
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
@@ -88,38 +87,42 @@ def designated_index(dim: int) -> int:
     return dim // 2 - 1
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Frozen):
     """One Hadamard codeword: length-N bits plus its row index."""
 
-    bits: tuple[int, ...]
-    index: int
+    __slots__ = ("bits", "index")
+
+    def __init__(self, bits: tuple[int, ...], index: int):
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class FractionalWord:
+class FractionalWord(Frozen):
     """One Fourier codeword: length-N exact rationals in (-1, 1]."""
 
-    vals: tuple[Fraction, ...]
-    index: int
+    __slots__ = ("vals", "index")
+
+    def __init__(self, vals: tuple[Fraction, ...], index: int):
+        object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.vals)
 
 
-@dataclass(frozen=True)
-class ErrorSyndrome:
+class ErrorSyndrome(Frozen):
     """Weight-d error mask; restricted masks are dominated by W_(N-1)."""
 
-    mask: tuple[int, ...]
-    weight: int
-    restricted: bool
+    __slots__ = ("mask", "weight", "restricted")
 
-    def __post_init__(self):
-        _check_masks(np.array([self.mask]), np.array([self.weight]), self.restricted)
+    def __init__(self, mask: tuple[int, ...], weight: int, restricted: bool):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "restricted", restricted)
+        _check_masks(np.array([mask]), np.array([weight]), restricted)
 
 
 def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> None:
@@ -230,13 +233,16 @@ def restricted_set_size(dim: int) -> int:
     return sum(math.comb(dim // 2, m) for m in range(dim // 4))
 
 
-@dataclass(frozen=True)
-class GroupLawReport:
+class GroupLawReport(Frozen):
     """Outcome of the codeword group-structure verification."""
 
-    dim: int
-    laws_checked: tuple[str, ...]
-    failures: tuple[tuple[str, int, int], ...]
+    __slots__ = ("dim", "laws_checked", "failures")
+
+    def __init__(self, dim: int, laws_checked: tuple[str, ...],
+                 failures: tuple[tuple[str, int, int], ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "laws_checked", laws_checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -281,8 +287,7 @@ def _label(dim: int, j: int) -> str:
     return "A" if j == designated_index(dim) else "B"
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Frozen):
     """A sampled oracle string, held as its hidden ground truth.
 
     The string z is W_j XOR mask (Hadamard variants) or T_j (Fourier), so a
@@ -291,14 +296,16 @@ class ProblemInstance:
     straight from integers; ``z`` builds the word on demand.
     """
 
-    variant: str
-    dim: int
-    hidden_j: int
-    syndrome: ErrorSyndrome | None
-    label: str
+    __slots__ = ("variant", "dim", "hidden_j", "syndrome", "label")
 
-    def __post_init__(self):
-        """The check of the one-row block, plus what a block does not hold."""
+    def __init__(self, variant: str, dim: int, hidden_j: int,
+                 syndrome: ErrorSyndrome | None, label: str):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hidden_j", hidden_j)
+        object.__setattr__(self, "syndrome", syndrome)
+        object.__setattr__(self, "label", label)
+        # the check of the one-row block, plus what a block does not hold
         self.block()
         if self.label != _label(self.dim, self.hidden_j):
             raise ConfigError(f"label {self.label!r} does not fit codeword index {self.hidden_j}")
@@ -318,7 +325,7 @@ class ProblemInstance:
         return InstanceBlock(self.variant, self.dim, np.array([self.hidden_j]),
                              masks, weights, draws)
 
-    @functools.cached_property
+    @property
     def z(self) -> tuple:
         """The oracle string: T_j as Fractions, or the bits of W_j XOR mask."""
         if self.variant == FOURIER:
@@ -488,8 +495,7 @@ def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInsta
         yield _instance(variant, dim, *trial)
 
 
-@dataclass(frozen=True, eq=False)
-class InstanceBlock:
+class InstanceBlock(Frozen):
     """A block of instances of one variant, held as arrays and checked once.
 
     js are the codeword indices; masks is the (rows x N) uint8 error-mask
@@ -497,17 +503,23 @@ class InstanceBlock:
     Fourier); draws holds each row's majority-vote variates, or is None for
     exact decisions.  Every instance check runs here, once over the whole
     block, after the arrays are made read-only so no check can be undone.
+    Blocks compare by identity.
     """
 
-    variant: str
-    dim: int
-    js: np.ndarray
-    masks: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    draws: np.ndarray | None = None
+    __slots__ = ("variant", "dim", "js", "masks", "weights", "draws")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for arr in (self.js, self.masks, self.weights, self.draws):
+    def __init__(self, variant: str, dim: int, js: np.ndarray,
+                 masks: np.ndarray | None = None, weights: np.ndarray | None = None,
+                 draws: np.ndarray | None = None):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "js", js)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "draws", draws)
+        for arr in (js, masks, weights, draws):
             if arr is not None:
                 arr.flags.writeable = False
         if self.variant not in VARIANTS:

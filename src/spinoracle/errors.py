@@ -1,9 +1,43 @@
-"""Exception hierarchy shared by all spinoracle modules.
+"""Exception hierarchy and the immutable value base shared by all spinoracle modules.
 
-The CLI maps these onto process exit codes, each with a one-line message
-on stderr: ConfigError -> 2, ResourceLimitError -> 3, InvariantError -> 4,
-NumericsError -> 4.
+The CLI maps the exceptions onto process exit codes, each with a one-line
+message on stderr: ConfigError -> 2, ResourceLimitError -> 3,
+InvariantError -> 4, NumericsError -> 4.
 """
+
+
+class Frozen:
+    """Base of the value types: fields in __slots__, set once in __init__.
+
+    A subclass lists its fields in __slots__, and its __init__ sets each one
+    with object.__setattr__ before running its checks.  Afterwards setting
+    or deleting a field raises AttributeError.  Equality, hash and repr are
+    taken over the fields; a type compared by identity sets __eq__ and
+    __hash__ back to object's.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SpinOracleError(Exception):

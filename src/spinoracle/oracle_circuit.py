@@ -19,7 +19,6 @@ for the Hadamard variants, index N-2 (adjacent merge) for the Fourier one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -38,7 +37,7 @@ from .codewords import (
     enumerate_blocks,
     hadamard_codeword,
 )
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, Frozen, InvariantError
 from .spin_core import NORM_TOL, SpinSystem, StateVector
 
 PHASE_UNIT_TOL = 1e-15
@@ -204,32 +203,41 @@ def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     return raw
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Frozen):
     """Outcome of one decision run, with the exact outcome spectrum."""
 
-    decision: str
-    pr_top: float
-    queries: int
-    repetitions: int
-    per_outcome: np.ndarray | None = None
+    __slots__ = ("decision", "pr_top", "queries", "repetitions", "per_outcome")
+
+    def __init__(self, decision: str, pr_top: float, queries: int, repetitions: int,
+                 per_outcome: np.ndarray | None = None):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "pr_top", pr_top)
+        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "repetitions", repetitions)
+        object.__setattr__(self, "per_outcome", per_outcome)
 
 
-@dataclass(frozen=True, eq=False)
-class Decisions:
+class Decisions(Frozen):
     """The reports of one block as arrays: raw (unnormalized) and normalized
     spectra, the designated outcome index and its probability, the rows
-    decided A, and the rounds each decision took.  The per-outcome sums and
-    pr_top are checked once per block."""
+    decided A, and the rounds each decision took.  The arrays are made
+    read-only, then the per-outcome sums and pr_top are checked once per
+    block.  Decisions compare by identity."""
 
-    raw: np.ndarray
-    probs: np.ndarray
-    index: int
-    pr_top: np.ndarray
-    is_a: np.ndarray
-    rounds: int
+    __slots__ = ("raw", "probs", "index", "pr_top", "is_a", "rounds")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, raw: np.ndarray, probs: np.ndarray, index: int, pr_top: np.ndarray,
+                 is_a: np.ndarray, rounds: int):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pr_top", pr_top)
+        object.__setattr__(self, "is_a", is_a)
+        object.__setattr__(self, "rounds", rounds)
+        for arr in (raw, probs, pr_top, is_a):  # pr_top is a view of probs: its own flag
+            arr.flags.writeable = False
         if not np.all((self.pr_top >= 0.0) & (self.pr_top <= 1.0 + PROB_SUM_TOL)):
             raise InvariantError(f"pr_top outside [0,1]: {self.pr_top.tolist()!r}")
         if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > PROB_SUM_TOL):
@@ -237,11 +245,9 @@ class Decisions:
 
     def report(self, i: int) -> DecisionReport:
         """Row i's report; its spectrum is a read-only view of the block's."""
-        per_outcome = self.probs[i]
-        per_outcome.flags.writeable = False
         return DecisionReport(
             decision="A" if self.is_a[i] else "B", pr_top=float(self.pr_top[i]),
-            queries=self.rounds, repetitions=self.rounds, per_outcome=per_outcome,
+            queries=self.rounds, repetitions=self.rounds, per_outcome=self.probs[i],
         )
 
 

@@ -21,29 +21,28 @@ row-major over theta then phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ResourceLimitError
+from .errors import ConfigError, Frozen, InvariantError, ResourceLimitError
 from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _half_log_binomials
 
 MAX_GRID_CELLS = 2**20  # Q values per grid, each one output row
 MAX_PHASE_ENTRIES = 2**24  # the (phi_steps x N) complex phase matrix: 256 MiB
 
 
-@dataclass(frozen=True)
-class SphericalGrid:
-    """Non-negative Q values sampled on the standard spherical grid."""
+class SphericalGrid(Frozen):
+    """Non-negative Q values sampled on the standard spherical grid.
 
-    dim: int
-    thetas: np.ndarray
-    phis: np.ndarray
-    values: np.ndarray  # shape (len(thetas), len(phis))
+    values has shape (len(thetas), len(phis)); the arrays are read-only.
+    """
 
-    def __post_init__(self):
-        for name in ("thetas", "phis", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+    __slots__ = ("dim", "thetas", "phis", "values")
+
+    def __init__(self, dim: int, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
+        object.__setattr__(self, "dim", dim)
+        for name, arr in (("thetas", thetas), ("phis", phis), ("values", values)):
+            arr = np.asarray(arr, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.values.shape != (len(self.thetas), len(self.phis)):

@@ -20,12 +20,11 @@ pure, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, NumericsError
+from .errors import ConfigError, Frozen, InvariantError, NumericsError
 
 NORM_TOL = 1e-12
 
@@ -33,14 +32,14 @@ MIN_EXPONENT = 2
 MAX_EXPONENT = 14  # dense ops stay desk-scale; transforms alone go further
 
 
-@dataclass(frozen=True)
-class SpinSystem:
+class SpinSystem(Frozen):
     """Problem dimensions: exponent n, dimension N = 2^n, spin s = (N-1)/2."""
 
-    n: int
-    dim: int
+    __slots__ = ("n", "dim")
 
-    def __post_init__(self):
+    def __init__(self, n: int, dim: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", dim)
         if self.dim != 2 ** self.n or self.dim < 4:
             raise InvariantError(f"inconsistent spin system (n={self.n}, dim={self.dim})")
 
@@ -79,15 +78,13 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """Unit-norm complex amplitude vector over the qudit basis."""
 
-    amps: np.ndarray
+    __slots__ = ("amps",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", _frozen_array(amps))
+    def __init__(self, amps: np.ndarray):
+        object.__setattr__(self, "amps", _frozen_array(np.asarray(amps, dtype=complex)))
         norm_sq = float(np.sum(np.abs(self.amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise InvariantError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
@@ -106,13 +103,15 @@ class StateVector:
         return StateVector(amps)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(Frozen):
     """Sx, Sy and Sz as read-only N x N complex arrays."""
 
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
+    __slots__ = ("sx", "sy", "sz")
+
+    def __init__(self, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
+        object.__setattr__(self, "sx", sx)
+        object.__setattr__(self, "sy", sy)
+        object.__setattr__(self, "sz", sz)
 
 
 def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:

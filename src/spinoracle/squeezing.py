@@ -31,13 +31,12 @@ eps = 1/64 exactly, i.e. each central component holds at least
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, NumericsError, ResourceLimitError
+from .errors import ConfigError, Frozen, InvariantError, NumericsError, ResourceLimitError
 from .spin_core import SpinSystem, StateVector, _ladder_coefficients, coherent_state
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
@@ -49,34 +48,34 @@ _WIDEN_RETRIES = 3
 _INV_PHI = (math.sqrt(5) - 1) / 2
 
 
-@dataclass(frozen=True)
-class SqueezeResult:
-    """Optimally squeezed state; its probability distribution is mirror-symmetric."""
+class SqueezeResult(Frozen):
+    """Optimally squeezed state; its probability distribution is mirror-symmetric.
 
-    mu: float
-    state: StateVector
-    v_minus: float
+    distribution holds the state's basis-state probabilities, read-only.
+    """
 
-    def __post_init__(self):
-        dist = self.distribution
+    __slots__ = ("mu", "state", "v_minus", "distribution")
+
+    def __init__(self, mu: float, state: StateVector, v_minus: float):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "v_minus", v_minus)
+        dist = state.probabilities()
+        dist.flags.writeable = False
+        object.__setattr__(self, "distribution", dist)
         mirror_dev = float(np.max(np.abs(dist - dist[::-1])))
         if mirror_dev >= MIRROR_TOL:
             raise InvariantError(f"distribution not mirror-symmetric: dev={mirror_dev:.3e}")
 
-    @cached_property
-    def distribution(self) -> np.ndarray:
-        """The state's basis-state probabilities, read-only."""
-        dist = self.state.probabilities()
-        dist.flags.writeable = False
-        return dist
 
-
-@dataclass(frozen=True)
-class BoundingDistribution:
+class BoundingDistribution(Frozen):
     """Tail-bounding template pinned by Var = 1/2; eps and pc are exact."""
 
-    epsilon: Fraction
-    pc: Fraction
+    __slots__ = ("epsilon", "pc")
+
+    def __init__(self, epsilon: Fraction, pc: Fraction):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "pc", pc)
 
     def template(self, dim: int) -> list[Fraction]:
         """The length-dim template distribution (needs dim >= 8)."""

@@ -404,6 +404,14 @@ def test_cli_imports_only_declared_dependencies(tmp_path):
     assert not undeclared, sorted(undeclared)
 
 
+def test_cli_import_loads_no_dataclasses(tmp_path):
+    # the value types are slots classes: building dataclasses was a third of the import
+    done = run_python(tmp_path, "-c",
+                      "import sys, spinoracle.cli; print('dataclasses' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [
@@ -442,13 +450,13 @@ def count_codeword_builds(monkeypatch):
     from spinoracle import codewords, oracle_circuit
 
     calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword", "ProblemInstance"), 0)
-    check_instance = codewords.ProblemInstance.__post_init__
+    build_instance = codewords.ProblemInstance.__init__
 
-    def counted_instance(self):
+    def counted_instance(self, *args, **kwargs):
         calls["ProblemInstance"] += 1
-        check_instance(self)
+        build_instance(self, *args, **kwargs)
 
-    monkeypatch.setattr(codewords.ProblemInstance, "__post_init__", counted_instance)
+    monkeypatch.setattr(codewords.ProblemInstance, "__init__", counted_instance)
     for name in ("hadamard_codeword", "fourier_codeword"):
         original = getattr(codewords, name)
 
