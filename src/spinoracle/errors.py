@@ -24,6 +24,11 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
+    def __setstate__(self, state):
+        # pickle and copy restore the fields here: state is (None, {field: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 

@@ -1,7 +1,9 @@
 """Value semantics of every public value type: immutable fields, equality,
 hashing and repr over the fields, identity for the block types."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +80,14 @@ def test_fields_cannot_be_set_or_deleted(value):
             delattr(value, name)
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_survive_pickle_and_copy(value):
+    for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(restored) is type(value) and repr(restored) == repr(value)
+        with pytest.raises(AttributeError):
+            restored.extra = 1
 
 
 def test_every_value_type_is_covered():
