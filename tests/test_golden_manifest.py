@@ -46,6 +46,9 @@ COMMANDS = [
      "--seed", "7"),
     ("qfunc", "--n", "4", "--state", "squeezed", "--grid", "16x16", "--format", "json",
      "--seed", "7"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "4", "--trials", "0",
+     "--format", "csv", "--seed", "7"),
+    ("solve", "--variant", "fourier", "--n", "3", "--format", "csv", "--seed", "1"),
 ]
 
 
