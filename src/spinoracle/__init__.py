@@ -3,8 +3,6 @@
 from .classical_baseline import (
     BitOracle,
     IdentifyResult,
-    NoisyDecision,
-    classical_decide_noisy,
     classical_identify,
     min_decision_tree_depth,
 )
@@ -13,20 +11,18 @@ from .codewords import (
     ErrorSyndrome,
     FractionalWord,
     GroupLawReport,
-    ProblemInstance,
+    InstanceBlock,
     apply_mask,
     designated_index,
-    enumerate_instances,
+    enumerate_blocks,
     fourier_codeword,
     group_properties_check,
     hadamard_bits,
     hadamard_codeword,
     instance_from_parts,
     restricted_set_size,
+    sample_blocks,
     sample_instance,
-    sample_syndrome,
-    syndrome_count,
-    syndromes,
 )
 from .errors import (
     ConfigError,
@@ -37,18 +33,15 @@ from .errors import (
     SpinOracleError,
 )
 from .oracle_circuit import (
-    DecisionReport,
-    PhaseOracle,
+    Decisions,
+    decide_blocks,
     decide_fourier,
     decide_restricted,
     decide_unrestricted,
-    dft,
     fourier_probability_table,
-    input_state,
     measure_designated,
     merge_two_to_one,
     run_pipeline,
-    walsh_hadamard,
     worst_case_error_mask,
 )
 from .qfunction import SphericalGrid, q_function, q_values_at
@@ -70,7 +63,7 @@ from .squeezing import (
     ideal_overlap,
     optimize_mu,
     reduced_variance,
-    sweep_point,
+    sweep_row,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Classical bit-query strategies and a brute-force lower-bound checker.
+"""The classical bit-query strategy and a brute-force lower-bound checker.
 
 A classical algorithm may only read individual bits z_x of the oracle
 string.  For an error-free Hadamard codeword the n probe positions
@@ -6,9 +6,6 @@ x = 2^t recover index j outright, because bit t of j equals z at x = 2^t.
 Deciding j = N/2-1 against the other indices therefore costs n = log2 N
 queries, and an exhaustive adversary search over deterministic decision
 trees confirms at small N that no strategy does better than Theta(n).
-
-The noisy strategy is a best-effort probe-set majority whose accuracy is
-measured, not asserted: no matching optimality claim exists for it.
 """
 
 from __future__ import annotations
@@ -65,49 +62,6 @@ def classical_identify(oracle: BitOracle, dim: int) -> IdentifyResult:
     return IdentifyResult(
         j=j, queries=oracle.queries - before, consistent=(j >> (n - 1)) & 1 == 0
     )
-
-
-class NoisyDecision(Frozen):
-    __slots__ = ("decision", "j_estimate", "queries")
-
-    def __init__(self, decision: str, j_estimate: int, queries: int):
-        object.__setattr__(self, "decision", decision)
-        object.__setattr__(self, "j_estimate", j_estimate)
-        object.__setattr__(self, "queries", queries)
-
-
-def classical_decide_noisy(
-    oracle: BitOracle,
-    reps_per_position: int,
-    d: int,
-    restricted: bool,
-    rng: np.random.Generator,
-) -> NoisyDecision:
-    """Probe-set majority decision under at most d bit errors.
-
-    Each index bit t is estimated from reps_per_position random probe pairs
-    (x, x XOR 2^t), whose XOR equals bit t of j on an error-free string;
-    a majority over the pairs outvotes errors that hit few probes.  With
-    reps_per_position <= 1 this degenerates to the n-query identification.
-    Query count is n for the degenerate case, 2 n reps otherwise.
-    """
-    del d, restricted  # the strategy is oblivious to the error model
-    dim = oracle.dim
-    n = dim.bit_length() - 1
-    before = oracle.queries
-    if reps_per_position <= 1:
-        ident = classical_identify(oracle, dim)
-        j = ident.j
-    else:
-        j = 0
-        for t in range(n):
-            votes = 0
-            for _ in range(reps_per_position):
-                x = int(rng.integers(0, dim))
-                votes += oracle.query(x) ^ oracle.query(x ^ (1 << t))
-            j |= (votes * 2 > reps_per_position) << t
-    decision = "A" if j == designated_index(dim) else "B"
-    return NoisyDecision(decision=decision, j_estimate=j, queries=oracle.queries - before)
 
 
 _BRUTE_FORCE_DIMS = (4, 8, 16)

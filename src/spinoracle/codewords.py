@@ -1,4 +1,4 @@
-"""Hadamard and Fourier codewords, error syndromes, and problem instances.
+"""Hadamard and Fourier codewords, error syndromes, and blocks of problem instances.
 
 Hadamard codewords are the rows of the base-(-1) logarithm of the scaled
 N = 2^n Walsh-Hadamard matrix in Sylvester order: bit x of W_j is the parity
@@ -15,19 +15,15 @@ Error syndromes are weight-d masks; "restricted" masks may only touch the
 N/2 positions where W_(N-1) has a one (the odd-parity positions), which is
 exactly the error pattern the quantum pipeline cancels.
 
-Problem instances are valid by construction: they hold the codeword index
-and the mask, never a string to be checked against a rebuilt copy.  Their
-oracle phases come from exact integers (the parity table of popcount(x) mod 2
-for Hadamard words, the residues 2jk mod 2N for Fourier words); the word
-itself, with its Fractions, is derived only on demand.  Sampling uses an
-explicitly passed numpy Generator, never global state.
-
-Decisions run on InstanceBlocks: a block of instances held as arrays (the
-codeword indices, a rows x N mask block, the majority-vote variates) and
-checked once as a whole; a ProblemInstance is checked as its one-row block.
-sample_blocks draws them trial by trial in the same order as repeated
-sample_instance calls, so a seeded run does not depend on the block size, and
-enumerate_blocks holds enumerate_instances' rows in its order.
+Problem instances live in InstanceBlocks: a block of instances held as
+arrays (the codeword indices, a rows x N mask block, the majority-vote
+variates) and checked once as a whole.  They hold the codeword index and the
+mask, never a string to be checked against a rebuilt copy, and their oracle
+phases come from exact integers (the parity table of popcount(x) mod 2 for
+Hadamard words, the residues 2jk mod 2N for Fourier words).  sample_blocks
+draws them trial by trial, so a seeded run does not depend on the block size,
+and enumerate_blocks lists them in _enumerate_trials' order.  Sampling uses
+an explicitly passed numpy Generator, never global state.
 """
 
 from __future__ import annotations
@@ -179,46 +175,11 @@ def _error_positions(dim: int, restricted: bool) -> np.ndarray:
     return np.arange(dim)
 
 
-def syndrome_count(dim: int, d: int, restricted: bool) -> int:
-    """C(N/2, d) for restricted masks, C(N, d) otherwise."""
-    dim = _check_dim(dim)
-    pool = dim // 2 if restricted else dim
-    if not 0 <= d <= pool:
-        raise ConfigError(f"error weight {d} outside [0, {pool}]")
-    return math.comb(pool, d)
-
-
-def syndromes(dim: int, d: int, restricted: bool) -> Iterator[ErrorSyndrome]:
-    """Enumerate every weight-d mask (restricted ones only touch odd-parity bits).
-
-    Enumeration is refused above 10^6 masks; use sample_syndrome there.
-    """
-    syndrome_count(dim, d, restricted)  # validates range
-    variant = RESTRICTED if restricted else UNRESTRICTED
-    for _, cols, _ in _enumerate_trials(variant, dim, d, js=[0]):
-        yield ErrorSyndrome(mask=_mask_row(dim, cols), weight=d, restricted=restricted)
-
-
 def _draw_positions(positions: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform d-subset of the error positions; weight 0 draws nothing."""
     if not d:
         return positions[:0]
     return positions[rng.choice(len(positions), size=d, replace=False)]
-
-
-def _mask_row(dim: int, cols) -> tuple[int, ...]:
-    mask = np.zeros(dim, dtype=np.uint8)
-    mask[cols] = 1
-    return tuple(mask.tolist())
-
-
-def sample_syndrome(
-    dim: int, d: int, restricted: bool, rng: np.random.Generator
-) -> ErrorSyndrome:
-    """Uniform weight-d mask without enumeration: a uniform d-subset of positions."""
-    syndrome_count(dim, d, restricted)  # validates range
-    cols = _draw_positions(_error_positions(dim, restricted), d, rng)
-    return ErrorSyndrome(mask=_mask_row(dim, cols), weight=d, restricted=restricted)
 
 
 def restricted_set_size(dim: int) -> int:
@@ -283,61 +244,6 @@ def _add_reduced(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction
     return tuple(_reduce_signed(x + y) for x, y in zip(a, b))
 
 
-def _label(dim: int, j: int) -> str:
-    return "A" if j == designated_index(dim) else "B"
-
-
-class ProblemInstance(Frozen):
-    """A sampled oracle string, held as its hidden ground truth.
-
-    The string z is W_j XOR mask (Hadamard variants) or T_j (Fourier), so a
-    valid (variant, dim, j, syndrome) is a valid instance and nothing is
-    rebuilt to check it.  ``phases`` gives the oracle row e^(i pi z_x)
-    straight from integers; ``z`` builds the word on demand.
-    """
-
-    __slots__ = ("variant", "dim", "hidden_j", "syndrome", "label")
-
-    def __init__(self, variant: str, dim: int, hidden_j: int,
-                 syndrome: ErrorSyndrome | None, label: str):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "hidden_j", hidden_j)
-        object.__setattr__(self, "syndrome", syndrome)
-        object.__setattr__(self, "label", label)
-        # the check of the one-row block, plus what a block does not hold
-        self.block()
-        if self.label != _label(self.dim, self.hidden_j):
-            raise ConfigError(f"label {self.label!r} does not fit codeword index {self.hidden_j}")
-        if self.variant == RESTRICTED and not self.syndrome.restricted:
-            raise ConfigError("restricted instance with unrestricted syndrome")
-
-    def block(self, repetitions: int = 0,
-              rng: np.random.Generator | None = None) -> InstanceBlock:
-        """The instance as a one-row InstanceBlock, with ``repetitions`` vote
-        variates drawn from ``rng``."""
-        masks = weights = None
-        if self.syndrome is not None:
-            masks = np.array([self.syndrome.mask], dtype=np.uint8)
-            weights = np.array([self.syndrome.weight])
-        _check_votes(repetitions, rng)
-        draws = rng.random((1, repetitions)) if repetitions else None
-        return InstanceBlock(self.variant, self.dim, np.array([self.hidden_j]),
-                             masks, weights, draws)
-
-    @property
-    def z(self) -> tuple:
-        """The oracle string: T_j as Fractions, or the bits of W_j XOR mask."""
-        if self.variant == FOURIER:
-            return fourier_codeword(self.dim, self.hidden_j).vals
-        return apply_mask(hadamard_codeword(self.dim, self.hidden_j).bits, self.syndrome.mask)
-
-    @property
-    def phases(self) -> np.ndarray:
-        """The complex oracle row e^(i pi z_x), equal bit for bit to PhaseOracle(z)'s."""
-        return self.block().phases()[0]
-
-
 def _weight_bound(variant: str, dim: int):
     """Error weights of a Hadamard instance lie below N/4 (restricted) or N/16."""
     return dim // 4 if variant == RESTRICTED else dim / 16
@@ -398,21 +304,18 @@ def _require_error_free(d) -> None:
         raise ConfigError("fourier instances are error-free (d must be 0)")
 
 
-def _enumerate_trials(variant: str, dim: int, d, js=None):
+def _enumerate_trials(variant: str, dim: int, d):
     """Every (j, error positions, weight) of the variant; the one enumeration order.
 
-    j runs outer, then the weight class, then itertools.combinations over the
-    error positions.  By default j runs over the instance class (Z_N for the
-    error-free Fourier instances, Z_(N/2) otherwise) and d is resolved as
-    sample_instance resolves it; given ``js``, d is the one weight to list.
-    Enumeration is refused above 10^6 masks in a weight class.
+    j runs outer over the instance class (Z_N for the error-free Fourier
+    instances, Z_(N/2) otherwise), then the weight class (d resolved as
+    sampling resolves it), then itertools.combinations over the error
+    positions.  Enumeration is refused above 10^6 masks in a weight class.
     """
     dim = _check_dim(dim)
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    if js is not None:
-        weights = [d]
-    elif variant == FOURIER:
+    if variant == FOURIER:
         _require_error_free(d)
         js, weights = range(dim), [0]
     else:
@@ -460,39 +363,6 @@ def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
         weight = weights[bisect.bisect_right(cdf, rng.random())]
         cols = _draw_positions(positions, weight, rng)
         yield int(rng.integers(0, dim // 2)), cols, weight
-
-
-def sample_instance(
-    variant: str, dim: int, d=None, rng: np.random.Generator | None = None
-) -> ProblemInstance:
-    """Draw one instance uniformly from the stated problem set.
-
-    ``d`` selects the error weight: an int, an iterable of ints, or None for
-    the full valid range.  Uniformity over a union of weight classes follows
-    from weighting each class by its syndrome count.  Fourier instances are
-    error-free codewords with j uniform over Z_N.
-    """
-    return _instance(variant, dim, *next(_draw_trials(variant, dim, d, rng)))
-
-
-def _instance(variant: str, dim: int, j: int, cols, weight: int) -> ProblemInstance:
-    syndrome = None
-    if variant != FOURIER:
-        syndrome = ErrorSyndrome(_mask_row(dim, cols), weight, variant == RESTRICTED)
-    return ProblemInstance(variant, dim, j, syndrome, _label(dim, j))
-
-
-def instance_from_parts(
-    variant: str, dim: int, j: int, syndrome: ErrorSyndrome
-) -> ProblemInstance:
-    """Build a validated instance from an explicit codeword index and mask."""
-    return ProblemInstance(variant, dim, j, syndrome, _label(dim, j))
-
-
-def enumerate_instances(variant: str, dim: int, d=None) -> Iterator[ProblemInstance]:
-    """Every instance of the variant, all codeword indices x all valid masks."""
-    for trial in _enumerate_trials(variant, dim, d):
-        yield _instance(variant, dim, *trial)
 
 
 class InstanceBlock(Frozen):
@@ -605,13 +475,36 @@ def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
 def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generator,
                   repetitions: int = 0,
                   syndrome: ErrorSyndrome | None = None) -> Iterator[InstanceBlock]:
-    """``trials`` sampled instances in blocks, drawn as repeated sample_instance
-    calls would draw them (or, with a fixed ``syndrome``, only their codeword
-    indices), each followed by its ``repetitions`` vote variates."""
+    """``trials`` sampled instances in blocks, drawn in _draw_trials' order (or,
+    with a fixed ``syndrome``, only their codeword indices), each followed by
+    its ``repetitions`` vote variates.
+
+    ``d`` selects the error weight: an int, an iterable of ints, or None for
+    the full valid range.  Uniformity over a union of weight classes follows
+    from weighting each class by its syndrome count.
+    """
     draws = itertools.islice(_draw_trials(variant, dim, d, rng, syndrome), trials)
     return _blocks(variant, dim, draws, repetitions, rng)
 
 
 def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
-    """Every instance of the variant in blocks, in enumerate_instances' order."""
+    """Every instance of the variant in blocks, in _enumerate_trials' order."""
     return _blocks(variant, dim, _enumerate_trials(variant, dim, d), 0, None)
+
+
+def sample_instance(variant: str, dim: int, d=None,
+                    rng: np.random.Generator | None = None) -> InstanceBlock:
+    """One sampled instance as a one-row block, drawn as sample_blocks draws it."""
+    return next(sample_blocks(variant, dim, d, 1, rng))
+
+
+def instance_from_parts(variant: str, dim: int, j: int,
+                        syndrome: ErrorSyndrome | None) -> InstanceBlock:
+    """A checked one-row block from an explicit codeword index and mask."""
+    masks = weights = None
+    if syndrome is not None:
+        if variant == RESTRICTED and not syndrome.restricted:
+            raise ConfigError("restricted instance with unrestricted syndrome")
+        masks = np.array([syndrome.mask], dtype=np.uint8)
+        weights = np.array([syndrome.weight])
+    return InstanceBlock(variant, dim, np.array([j]), masks, weights)

@@ -5,6 +5,8 @@ message on stderr: ConfigError -> 2, ResourceLimitError -> 3,
 InvariantError -> 4, NumericsError -> 4.
 """
 
+import numpy as np
+
 
 class Frozen:
     """Base of the value types: fields in __slots__, set once in __init__.
@@ -25,8 +27,11 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __setstate__(self, state):
-        # pickle and copy restore the fields here: state is (None, {field: value})
+        # pickle and copy restore the fields here: state is (None, {field: value});
+        # neither keeps an array's writeable flag, so each array is frozen again
         for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

@@ -12,8 +12,11 @@ l unrestricted in-phase errors shrink the principal amplitude to
 With the DFT and z = T_j the output is the adjacent pair
 (|N/2-1+j> + |N/2+j>)/sqrt(2) with indices mod N.
 
-Decision rules measure the merged basis state: index N-1 (symmetric merge)
-for the Hadamard variants, index N-2 (adjacent merge) for the Fourier one.
+Decisions run only through decide_blocks, which measures the merged basis
+state of every row of an InstanceBlock into one Decisions: index N-1
+(symmetric merge) for the Hadamard variants, index N-2 (adjacent merge) for
+the Fourier one.  The one-row helpers below (decide_*, measure_designated,
+run_pipeline) go through the same circuit.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ from .codewords import (
     UNRESTRICTED,
     ErrorSyndrome,
     InstanceBlock,
-    ProblemInstance,
     apply_mask,
     designated_index,
     enumerate_blocks,
     hadamard_codeword,
 )
 from .errors import ConfigError, Frozen, InvariantError
-from .spin_core import NORM_TOL, SpinSystem, StateVector
+from .spin_core import NORM_TOL, StateVector
 
 PHASE_UNIT_TOL = 1e-15
 PER_OUTCOME_DIM_LIMIT = 64  # serialized reports embed the spectrum only up to here
@@ -55,26 +57,12 @@ _CIRCUITS = {
 }
 
 
-class PhaseOracle:
-    """Diagonal phase oracle e^(i pi z_x) with a per-application query counter.
-
-    Bit-valued words produce exact +-1 phases; fractional words produce unit
-    complex phases.  The counter is confined to one instance and is the only
-    mutable state in this module.
-    """
-
-    def __init__(self, word):
-        vals = list(word)
-        if all(isinstance(v, (int, np.integer)) and v in (0, 1) for v in vals):
-            phases = 1.0 - 2.0 * np.array(vals, dtype=float)
-        else:
-            phases = np.exp(1j * math.pi * np.array([float(Fraction(v)) for v in vals]))
-        self.phases = _unit_modulus(phases.astype(complex))
-        self.queries = 0
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        self.queries += 1
-        return amps * self.phases
+def _word_phases(word) -> np.ndarray:
+    """The oracle row e^(i pi z_x) of a word: exact +-1 for bits, else from Fractions."""
+    vals = list(word)
+    if all(isinstance(v, (int, np.integer)) and v in (0, 1) for v in vals):
+        return (1.0 - 2.0 * np.array(vals, dtype=float)).astype(complex)
+    return np.exp(1j * math.pi * np.array([float(Fraction(v)) for v in vals]))
 
 
 def _unit_modulus(phases: np.ndarray) -> np.ndarray:
@@ -85,12 +73,8 @@ def _unit_modulus(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def input_state(sys: SpinSystem) -> StateVector:
-    """(|N/2-1> + |N/2>)/sqrt(2), the spin |+-1/2> superposition."""
-    return StateVector(_input_amps(sys.dim))
-
-
 def _input_amps(dim: int) -> np.ndarray:
+    """(|N/2-1> + |N/2>)/sqrt(2), the spin |+-1/2> superposition."""
     amps = np.zeros(dim, dtype=complex)
     amps[dim // 2 - 1] = amps[dim // 2] = 1 / math.sqrt(2)
     return amps
@@ -110,32 +94,11 @@ def _fwht(amps: np.ndarray) -> np.ndarray:
     return out / math.sqrt(out.shape[-1])
 
 
-def walsh_hadamard(state: StateVector) -> StateVector:
-    """Apply H^(tensor n); involutive, requires a power-of-two dimension."""
-    if state.dim & (state.dim - 1):
-        raise ConfigError(f"Walsh-Hadamard needs a power-of-two dim, got {state.dim}")
-    return StateVector(_fwht(state.amps))
-
-
-def dft(state: StateVector, inverse: bool = False) -> StateVector:
-    """Unitary DFT with kernel e^(2 pi i jk/N)/sqrt(N) (conjugated if inverse)."""
-    if inverse:
-        return StateVector(np.fft.fft(state.amps, norm="ortho"))
-    return StateVector(np.fft.ifft(state.amps, norm="ortho"))
-
-
-def run_pipeline(oracle, transform: str = "hadamard") -> StateVector:
-    """R^dag U_z R applied to the two-component input state.
-
-    ``oracle`` may be a PhaseOracle (whose query counter increments once) or
-    a raw word, which is wrapped on the fly.
-    """
+def run_pipeline(word, transform: str = "hadamard") -> StateVector:
+    """R^dag U_z R applied to the two-component input state, for one word z."""
     if transform not in TRANSFORMS:
         raise ConfigError(f"unknown transform {transform!r}")
-    if not isinstance(oracle, PhaseOracle):
-        oracle = PhaseOracle(oracle)
-    oracle.queries += 1
-    return StateVector(_transform_phase_transform(oracle.phases, transform))
+    return StateVector(_transform_phase_transform(_unit_modulus(_word_phases(word)), transform))
 
 
 @lru_cache(maxsize=32)  # one per (N, transform) a run uses
@@ -203,20 +166,6 @@ def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     return raw
 
 
-class DecisionReport(Frozen):
-    """Outcome of one decision run, with the exact outcome spectrum."""
-
-    __slots__ = ("decision", "pr_top", "queries", "repetitions", "per_outcome")
-
-    def __init__(self, decision: str, pr_top: float, queries: int, repetitions: int,
-                 per_outcome: np.ndarray | None = None):
-        object.__setattr__(self, "decision", decision)
-        object.__setattr__(self, "pr_top", pr_top)
-        object.__setattr__(self, "queries", queries)
-        object.__setattr__(self, "repetitions", repetitions)
-        object.__setattr__(self, "per_outcome", per_outcome)
-
-
 class Decisions(Frozen):
     """The reports of one block as arrays: raw (unnormalized) and normalized
     spectra, the designated outcome index and its probability, the rows
@@ -243,13 +192,6 @@ class Decisions(Frozen):
         if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > PROB_SUM_TOL):
             raise InvariantError("per-outcome probabilities do not sum to 1")
 
-    def report(self, i: int) -> DecisionReport:
-        """Row i's report; its spectrum is a read-only view of the block's."""
-        return DecisionReport(
-            decision="A" if self.is_a[i] else "B", pr_top=float(self.pr_top[i]),
-            queries=self.rounds, repetitions=self.rounds, per_outcome=self.probs[i],
-        )
-
 
 def _measure(raw: np.ndarray, index: int, draws: np.ndarray | None) -> Decisions:
     """Measure the designated outcome of each row of a (rows x N) spectrum block.
@@ -274,20 +216,18 @@ def _measure(raw: np.ndarray, index: int, draws: np.ndarray | None) -> Decisions
 
 def measure_designated(
     state: StateVector | np.ndarray, index: int, draws: np.ndarray | None = None
-) -> DecisionReport:
-    """Projective measurement report for the designated outcome index.
+) -> Decisions:
+    """The one-row Decisions of measuring the designated outcome index.
 
-    ``state`` is the measured state or its outcome spectrum.  Exact mode
-    (draws None) decides from the amplitude directly; majority mode maps
-    each uniform variate in ``draws`` to one outcome through the CDF, as
-    Generator.choice does, and answers A on more than len(draws)/2 hits.
+    ``state`` is the measured state or its outcome spectrum; ``draws``, a
+    row of vote variates or None, is measured as _measure measures a block.
     """
     raw = state.probabilities() if isinstance(state, StateVector) else state
     if not 0 <= index < len(raw):
         raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")
     if draws is not None and (draws.ndim != 1 or not len(draws)):
         raise ConfigError("a majority vote needs a non-empty row of draws")
-    return _measure(raw[None], index, None if draws is None else draws[None]).report(0)
+    return _measure(raw[None], index, None if draws is None else draws[None])
 
 
 def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
@@ -322,38 +262,26 @@ def report_docs(block: InstanceBlock, decided: Decisions) -> list[dict]:
     return docs
 
 
-def _decide_instance(instance: ProblemInstance, variant: str, repetitions: int = 1,
-                     rng: np.random.Generator | None = None) -> DecisionReport:
-    """Decide one instance as its one-row block: by a majority vote over
-    ``repetitions`` variates drawn from ``rng``, or exactly without one."""
-    if instance.variant != variant:
-        raise ConfigError(f"expected a {variant} instance, got {instance.variant!r}")
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if rng is None and repetitions > 1:
-        raise ConfigError("majority voting needs a seeded Generator")
-    block = instance.block(0 if rng is None else repetitions, rng)
-    [(_, decided)] = decide_blocks([block])
-    return decided.report(0)
+def _decide(block: InstanceBlock, variant: str) -> Decisions:
+    """The Decisions of one block of the given variant; it votes over its draws."""
+    if block.variant != variant:
+        raise ConfigError(f"expected a {variant} block, got {block.variant!r}")
+    return next(decide_blocks([block]))[1]
 
 
-def decide_restricted(instance: ProblemInstance) -> DecisionReport:
+def decide_restricted(block: InstanceBlock) -> Decisions:
     """Single-query exact decision; correct with certainty on restricted instances."""
-    return _decide_instance(instance, RESTRICTED)
+    return _decide(block, RESTRICTED)
 
 
-def decide_unrestricted(
-    instance: ProblemInstance,
-    repetitions: int = 1,
-    rng: np.random.Generator | None = None,
-) -> DecisionReport:
-    """Repeat the pipeline q times and majority-vote the designated outcome."""
-    return _decide_instance(instance, UNRESTRICTED, repetitions, rng)
+def decide_unrestricted(block: InstanceBlock) -> Decisions:
+    """Each row by a majority vote over its draws, or exactly if the block has none."""
+    return _decide(block, UNRESTRICTED)
 
 
-def decide_fourier(instance: ProblemInstance) -> DecisionReport:
+def decide_fourier(block: InstanceBlock) -> Decisions:
     """DFT pipeline, adjacent merge, exact measurement of index N-2."""
-    return _decide_instance(instance, FOURIER)
+    return _decide(block, FOURIER)
 
 
 def fourier_probability_table(dim: int) -> np.ndarray:
@@ -388,4 +316,4 @@ def worst_case_spectrum(dim: int, weight: int) -> np.ndarray:
     worst-case mask, for any weight the mask admits."""
     word = apply_mask(hadamard_codeword(dim, designated_index(dim)).bits,
                       worst_case_error_mask(dim, weight).mask)
-    return _spectra(PhaseOracle(word).phases[None], "hadamard", "symmetric")[0]
+    return _spectra(_word_phases(word)[None], "hadamard", "symmetric")[0]

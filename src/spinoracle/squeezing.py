@@ -370,8 +370,3 @@ def sweep_row(sys: SpinSystem, res: SqueezeResult) -> dict:
         "p_c": central_probability(res.distribution),
         "overlap": ideal_overlap(res.state),
     }
-
-
-def sweep_point(sys: SpinSystem, tol: float = 1e-8) -> dict:
-    """One row of the squeezing sweep: (s, mu_opt, v_min, p_c, overlap)."""
-    return sweep_row(sys, optimize_mu(sys, tol))

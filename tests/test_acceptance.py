@@ -47,7 +47,7 @@ def test_criterion_02_squeezing_sweep():
     points = []
     for n in range(2, 11):  # s = 3/2 .. 1023/2, i.e. N = 4 .. 1024
         sys = so.make_spin_system(n)
-        points.append((sys, so.sweep_point(sys, 1e-8)))
+        points.append((sys, so.sweep_row(sys, so.optimize_mu(sys, 1e-8))))
     v = [pt["v_min"] for _, pt in points]
     assert all(x < 0.5 for x in v)
     assert all(b >= a - 1e-6 for a, b in zip(v, v[1:]))
@@ -77,16 +77,15 @@ def test_criterion_04_codeword_outputs():
 def test_criterion_05_restricted_error_cancellation():
     for dim, per_codeword in ((8, 5), (16, 93)):
         assert so.restricted_set_size(dim) == per_codeword
-        for j in range(dim // 2):
-            base = so.run_pipeline(so.hadamard_codeword(dim, j).bits, "hadamard").amps
-            count = 0
-            for d in range(dim // 4):
-                for syn in so.syndromes(dim, d, True):
-                    z = so.apply_mask(so.hadamard_codeword(dim, j).bits, syn.mask)
-                    out = so.run_pipeline(z, "hadamard").amps
-                    assert np.max(np.abs(out - base)) < 1e-12
-                    count += 1
-            assert count == per_codeword
+        words = [so.hadamard_codeword(dim, j).bits for j in range(dim // 2)]
+        base = [so.run_pipeline(w, "hadamard").amps for w in words]
+        counts = [0] * (dim // 2)
+        for block in so.enumerate_blocks("restricted", dim, None):  # every d < N/4
+            for j, mask in zip(block.js.tolist(), block.masks.tolist()):
+                out = so.run_pipeline(so.apply_mask(words[j], mask), "hadamard").amps
+                assert np.max(np.abs(out - base[j])) < 1e-12
+                counts[j] += 1
+        assert counts == [per_codeword] * (dim // 2)
 
 
 @criterion(6, "worst-case in-phase degradation, N=64, l in {1..4}", budget_s=5.0)
@@ -106,12 +105,11 @@ def test_criterion_06_worst_case_amplitudes():
 @criterion(7, "restricted decisions: exhaustive 100% accuracy, 1 query", budget_s=30.0)
 def test_criterion_07_restricted_decisions():
     for dim in (8, 16):
-        instances = list(so.enumerate_instances("restricted", dim))
-        assert len(instances) == so.restricted_set_size(dim) * (dim // 2)
-        for inst in instances:
-            report = so.decide_restricted(inst)
-            assert report.decision == inst.label
-            assert report.queries == 1
+        decided = list(so.decide_blocks(so.enumerate_blocks("restricted", dim, None)))
+        assert sum(len(block) for block, _ in decided) == so.restricted_set_size(dim) * (dim // 2)
+        for block, result in decided:
+            assert result.is_a.tolist() == block.is_a.tolist()
+            assert result.rounds == 1
 
 
 @criterion(8, "majority-vote error decays in q and is < 5% at q=13", budget_s=120.0)
@@ -167,15 +165,22 @@ def test_criterion_10_fourier_variant():
         expected[dim // 2 - 1] = 1.0
         expected[dim // 2 - 2] = expected[dim // 2] = 0.25
         assert np.max(np.abs(table - expected)) < 1e-12
+    # shift theorem on an explicit DFT matrix R with entries e^(2 pi i jk/N)/sqrt(N)
+    # and oracle phases from the exact Fractions; the circuit shifts |in> alike
     dim = 8
-    for a in range(dim):
-        for j in range(dim):
-            oracle = so.PhaseOracle(so.fourier_codeword(dim, j).vals)
-            state = so.dft(so.StateVector.basis(dim, a))
-            moved = so.dft(so.StateVector(oracle.apply(state.amps)), inverse=True)
+    k = np.arange(dim)
+    dft = np.exp(2j * math.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
+    for j in range(dim):
+        word = so.fourier_codeword(dim, j).vals
+        phases = np.exp(1j * math.pi * np.array([float(v) for v in word]))
+        for a in range(dim):
+            moved = dft.conj().T @ (phases * dft[:, a])
             expected = np.zeros(dim, dtype=complex)
             expected[(a + j) % dim] = 1.0
-            assert np.max(np.abs(moved.amps - expected)) < 1e-12
+            assert np.max(np.abs(moved - expected)) < 1e-12
+        shifted = np.zeros(dim, dtype=complex)
+        shifted[[(dim // 2 - 1 + j) % dim, (dim // 2 + j) % dim]] = 1 / math.sqrt(2)
+        assert np.max(np.abs(so.run_pipeline(word, "fourier").amps - shifted)) < 1e-12
 
 
 @criterion(11, "codeword tables reproduce exactly; group laws to N=64", budget_s=5.0)

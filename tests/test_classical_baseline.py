@@ -7,12 +7,10 @@ from spinoracle import (
     BitOracle,
     ConfigError,
     ResourceLimitError,
-    classical_decide_noisy,
     classical_identify,
     hadamard_bits,
     hadamard_codeword,
     min_decision_tree_depth,
-    sample_instance,
 )
 
 
@@ -71,52 +69,6 @@ def test_parity_table_bits_equal_codeword_bits(dim):
         assert hadamard_codeword(dim, j).bits == tuple((j & x).bit_count() & 1 for x in range(dim))
     with pytest.raises(ConfigError):
         hadamard_bits(dim, dim)
-
-
-def test_noisy_decision_degenerate_case_matches_identify():
-    rng = np.random.default_rng(0)
-    decision = classical_decide_noisy(oracle_for(32, 15), 1, 0, True, rng)
-    assert decision.decision == "A" and decision.j_estimate == 15 and decision.queries == 5
-
-
-def test_noisy_decision_error_free_majority():
-    rng = np.random.default_rng(1)
-    for j in (0, 7, 11, 15):
-        decision = classical_decide_noisy(oracle_for(32, j), 5, 0, True, rng)
-        assert decision.j_estimate == j
-        assert decision.queries == 2 * 5 * 5  # 2 queries per probe pair, 5 bits
-
-
-def test_noisy_decision_accuracy_reported():
-    # best-effort strategy; measure and report the accuracy, assert only that
-    # the bookkeeping is sound and the strategy beats coin flipping
-    rng = np.random.default_rng(7)
-    dim = 32
-    hits = 0
-    trials = 200
-    for _ in range(trials):
-        inst = sample_instance("restricted", dim, None, rng)
-        oracle = BitOracle(inst.z)
-        decision = classical_decide_noisy(oracle, 7, dim // 4 - 1, True, rng)
-        hits += decision.decision == inst.label
-        assert oracle.queries == 2 * 7 * 5
-    accuracy = hits / trials
-    print(f"noisy probe-majority accuracy at N=32, restricted errors: {accuracy:.3f}")
-    assert accuracy > 0.5
-
-
-def test_noisy_decision_small_case_enumeration():
-    rng = np.random.default_rng(3)
-    from spinoracle import enumerate_instances
-
-    hits = 0
-    instances = list(enumerate_instances("restricted", 8))
-    for inst in instances:
-        decision = classical_decide_noisy(BitOracle(inst.z), 3, 1, True, rng)
-        hits += decision.decision == inst.label
-    print(f"noisy accuracy over all {len(instances)} restricted N=8 instances: "
-          f"{hits / len(instances):.3f}")
-    assert len(instances) == 20
 
 
 def test_min_depth_values_and_monotonicity():

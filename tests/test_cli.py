@@ -445,18 +445,10 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
 
 
 def count_codeword_builds(monkeypatch):
-    """Count calls to the codeword builders wherever a module holds them, and
-    ProblemInstance constructions."""
+    """Count calls to the codeword builders wherever a module holds them."""
     from spinoracle import codewords, oracle_circuit
 
-    calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword", "ProblemInstance"), 0)
-    build_instance = codewords.ProblemInstance.__init__
-
-    def counted_instance(self, *args, **kwargs):
-        calls["ProblemInstance"] += 1
-        build_instance(self, *args, **kwargs)
-
-    monkeypatch.setattr(codewords.ProblemInstance, "__init__", counted_instance)
+    calls = dict.fromkeys(("hadamard_codeword", "fourier_codeword"), 0)
     for name in ("hadamard_codeword", "fourier_codeword"):
         original = getattr(codewords, name)
 
@@ -484,8 +476,7 @@ def test_decision_runs_rebuild_no_codewords(tmp_path, monkeypatch, args, hadamar
     calls = count_codeword_builds(monkeypatch)
     assert main(["solve", *args, "--out", str(tmp_path)]) == 0
     # enumerated runs too build their blocks straight from the enumeration
-    assert calls == {"hadamard_codeword": hadamard_builds, "fourier_codeword": 0,
-                     "ProblemInstance": 0}
+    assert calls == {"hadamard_codeword": hadamard_builds, "fourier_codeword": 0}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Codeword tables, syndromes, group laws, and instance sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,20 +11,14 @@ from spinoracle import (
     ConfigError,
     DegenerateInstanceError,
     ErrorSyndrome,
-    PhaseOracle,
-    ProblemInstance,
     ResourceLimitError,
     apply_mask,
-    enumerate_instances,
     fourier_codeword,
     group_properties_check,
     hadamard_codeword,
     instance_from_parts,
     restricted_set_size,
     sample_instance,
-    sample_syndrome,
-    syndrome_count,
-    syndromes,
 )
 from spinoracle.codewords import (
     InstanceBlock,
@@ -31,6 +26,7 @@ from spinoracle.codewords import (
     enumerate_blocks,
     sample_blocks,
 )
+from spinoracle.oracle_circuit import _word_phases
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -84,32 +80,48 @@ def test_balance_and_pairwise_distance(dim):
     assert differing_positions(words[3].bits, words[3].bits) == 0
 
 
+def enumerated_masks(dim, d, j):
+    """The restricted weight-d masks enumerate_blocks lists for codeword index j."""
+    return [tuple(mask) for block in enumerate_blocks("restricted", dim, d)
+            for mask in block.masks[block.js == j].tolist()]
+
+
 def test_restricted_syndromes_d1_applied_to_w4():
     base = hadamard_codeword(8, 4).bits
-    got = {"".join(map(str, apply_mask(base, s.mask))) for s in syndromes(8, 1, True)}
+    got = {"".join(map(str, apply_mask(base, mask))) for mask in enumerated_masks(8, 1, 0)}
     assert got == {"01001111", "00101111", "00000111", "00001110"}
 
 
 def test_restricted_syndromes_d2_applied_to_w4():
-    base = hadamard_codeword(8, 4).bits
-    got = {"".join(map(str, apply_mask(base, s.mask))) for s in syndromes(8, 2, True)}
-    assert got == {"00000110", "00100111", "00101110", "01000111", "01001110", "01101111"}
+    # weight 2 lies in the restricted class from N = 16 on: W_4 with two of
+    # its eight odd-parity positions flipped, each pair once
+    base = hadamard_codeword(16, 4).bits
+    odd = [x for x in range(16) if x.bit_count() % 2]
+    expected = set()
+    for a, b in itertools.combinations(odd, 2):
+        flipped = list(base)
+        flipped[a] ^= 1
+        flipped[b] ^= 1
+        expected.add("".join(map(str, flipped)))
+    listed = [apply_mask(base, mask) for mask in enumerated_masks(16, 2, 0)]
+    assert {"".join(map(str, z)) for z in listed} == expected
+    assert len(listed) == len(expected) == 28
 
 
 def test_syndrome_counts_and_zero_weight():
-    only = list(syndromes(8, 0, True))
-    assert len(only) == 1 and sum(only[0].mask) == 0
+    only = enumerated_masks(8, 0, 0)
+    assert len(only) == 1 and sum(only[0]) == 0
     for dim in (8, 16):
         for m in range(dim // 4):
-            listed = list(syndromes(dim, m, True))
-            assert len(listed) == syndrome_count(dim, m, True) == math.comb(dim // 2, m)
-            assert len({s.mask for s in listed}) == len(listed)
+            listed = enumerated_masks(dim, m, 1)
+            assert len(listed) == math.comb(dim // 2, m)
+            assert len(set(listed)) == len(listed)
 
 
 def test_restricted_masks_are_dominated():
     guard = hadamard_codeword(16, 15).bits
-    for s in syndromes(16, 3, True):
-        assert all(g == 1 for m, g in zip(s.mask, guard) if m)
+    for mask in enumerated_masks(16, 3, 0):
+        assert all(g == 1 for m, g in zip(mask, guard) if m)
 
 
 def test_syndrome_checks_are_the_block_mask_checks():
@@ -157,19 +169,23 @@ def test_sample_restricted_instance():
     rng = np.random.default_rng(5)
     seen_labels = set()
     for _ in range(50):
-        inst = sample_instance("restricted", 8, None, rng)
-        seen_labels.add(inst.label)
-        assert inst.syndrome.weight < 2
-        base = hadamard_codeword(8, inst.hidden_j).bits
-        assert inst.z == apply_mask(base, inst.syndrome.mask)
-        assert (inst.label == "A") == (inst.hidden_j == 3)
-    assert seen_labels == {"A", "B"}
+        block = sample_instance("restricted", 8, None, rng)
+        assert len(block) == 1
+        seen_labels.add(bool(block.is_a[0]))
+        assert block.weights[0] < 2
+        z = apply_mask(hadamard_codeword(8, int(block.js[0])).bits, block.masks[0].tolist())
+        assert block.phases().tobytes() == _word_phases(z)[None].tobytes()
+        assert block.is_a[0] == (block.js[0] == 3)
+    assert seen_labels == {True, False}
 
 
 def test_sample_is_deterministic_per_seed():
-    a = [sample_instance("restricted", 16, None, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_instance("restricted", 16, None, np.random.default_rng(9)) for _ in range(5)]
-    assert a == b
+    def draw():
+        rng = np.random.default_rng(9)
+        return [sample_instance("restricted", 16, None, rng) for _ in range(5)]
+
+    for a, b in zip(draw(), draw()):
+        assert a.js.tolist() == b.js.tolist() and a.masks.tolist() == b.masks.tolist()
 
 
 def test_sample_requires_rng():
@@ -179,38 +195,43 @@ def test_sample_requires_rng():
 
 def test_unrestricted_weight_guards():
     rng = np.random.default_rng(0)
-    inst = sample_instance("unrestricted", 16, None, rng)
-    assert inst.syndrome.weight == 0  # only d=0 exists below N/16 = 1
+    block = sample_instance("unrestricted", 16, None, rng)
+    assert block.weights.tolist() == [0]  # only d=0 exists below N/16 = 1
     with pytest.raises(DegenerateInstanceError):
         sample_instance("unrestricted", 16, 1, rng)
     with pytest.raises(DegenerateInstanceError):
         sample_instance("unrestricted", 8, 1, rng)
     ok = sample_instance("unrestricted", 64, 3, rng)
-    assert ok.syndrome.weight == 3 and not ok.syndrome.restricted
+    assert ok.weights.tolist() == [3] and ok.variant == "unrestricted"
 
 
 def test_fourier_instances():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(80):
-        inst = sample_instance("fourier", 8, None, rng)
-        seen.add(inst.hidden_j)
-        assert inst.z == fourier_codeword(8, inst.hidden_j).vals
-        assert inst.syndrome is None
+        block = sample_instance("fourier", 8, None, rng)
+        j = int(block.js[0])
+        seen.add(j)
+        assert block.phases().tobytes() == _word_phases(fourier_codeword(8, j).vals)[None].tobytes()
+        assert block.masks is None and block.weights is None
     assert seen == set(range(8))  # j ranges over all of Z_N
     with pytest.raises(ConfigError):
         sample_instance("fourier", 8, 2, rng)
 
 
+def enumerated_rows(variant, dim, d=None):
+    return sum(len(block) for block in enumerate_blocks(variant, dim, d))
+
+
 def test_enumerate_instances_counts():
     per_codeword = restricted_set_size(8)
-    all_restricted = list(enumerate_instances("restricted", 8))
-    assert len(all_restricted) == per_codeword * 4
-    assert sum(inst.label == "A" for inst in all_restricted) == per_codeword
-    assert len(list(enumerate_instances("fourier", 8))) == 8
-    assert len(list(enumerate_instances("fourier", 8, 0))) == 8
+    assert enumerated_rows("restricted", 8) == per_codeword * 4
+    labels_a = sum(int(block.is_a.sum()) for block in enumerate_blocks("restricted", 8, None))
+    assert labels_a == per_codeword
+    assert enumerated_rows("fourier", 8) == 8
+    assert enumerated_rows("fourier", 8, 0) == 8
     with pytest.raises(ConfigError):  # Fourier instances are error-free, as in sample_instance
-        list(enumerate_instances("fourier", 8, 1))
+        enumerated_rows("fourier", 8, 1)
 
 
 def test_empty_class_message_gives_the_weight_range():
@@ -221,7 +242,8 @@ def test_empty_class_message_gives_the_weight_range():
 
 def test_sample_syndrome_uniformity_sanity():
     rng = np.random.default_rng(11)
-    masks = {sample_syndrome(8, 1, True, rng).mask for _ in range(200)}
+    [block] = sample_blocks("restricted", 8, 1, 200, rng)
+    masks = {tuple(mask) for mask in block.masks.tolist()}
     assert len(masks) == 4  # all four restricted single-error masks show up
 
 
@@ -229,9 +251,9 @@ def test_sample_syndrome_uniformity_sanity():
 def test_restricted_sampling_past_int64_counts(dim):
     # the weight-class counts C(N/2, d) pass int64 at N = 256 and 2^1024 at N = 4096
     rng = np.random.default_rng(3)
-    inst = sample_instance("restricted", dim, None, rng)
-    assert inst.syndrome.weight < dim // 4
-    assert sample_instance("restricted", dim, 20, rng).syndrome.weight == 20
+    block = sample_instance("restricted", dim, None, rng)
+    assert block.weights[0] < dim // 4
+    assert sample_instance("restricted", dim, 20, rng).weights.tolist() == [20]
     # the one-pass counts give the same floats as one math.comb per class; at
     # N = 16384 every 64th class is checked, since 4096 math.comb calls take 4 s
     pool = dim // 2
@@ -244,29 +266,35 @@ def test_restricted_sampling_past_int64_counts(dim):
         assert probs[d] == expected, d
 
 
-def max_phase_gap(inst):
-    return float(np.max(np.abs(inst.phases - PhaseOracle(inst.z).phases)))
+def max_phase_gap(block, words):
+    """The largest gap between a block's phase rows and the phases of its words."""
+    return float(np.max(np.abs(block.phases() - np.stack([_word_phases(z) for z in words]))))
+
+
+def hadamard_words(block):
+    return [apply_mask(hadamard_codeword(block.dim, j).bits, mask)
+            for j, mask in zip(block.js.tolist(), block.masks.tolist())]
 
 
 @pytest.mark.parametrize("dim", [8, 64, 1024])
 def test_fourier_phases_equal_phase_oracle_bitwise(dim):
-    for inst in enumerate_instances("fourier", dim):
-        assert max_phase_gap(inst) == 0.0, inst.hidden_j
+    for block in enumerate_blocks("fourier", dim, None):
+        words = [fourier_codeword(dim, j).vals for j in block.js.tolist()]
+        assert max_phase_gap(block, words) == 0.0
 
 
 def test_restricted_phases_equal_phase_oracle_bitwise():
-    instances = list(enumerate_instances("restricted", 16))
-    assert len(instances) == 8 * restricted_set_size(16)
-    for inst in instances:
-        assert max_phase_gap(inst) == 0.0, (inst.hidden_j, inst.syndrome.mask)
+    blocks = list(enumerate_blocks("restricted", 16, None))
+    assert sum(len(block) for block in blocks) == 8 * restricted_set_size(16)
+    for block in blocks:
+        assert max_phase_gap(block, hadamard_words(block)) == 0.0
 
 
 def test_unrestricted_phases_equal_phase_oracle_bitwise():
     rng = np.random.default_rng(21)
     for d in (None, 0, 1, 2, 3):  # None draws the weight too, mostly d = 3 at N = 64
-        for _ in range(40):
-            inst = sample_instance("unrestricted", 64, d, rng)
-            assert max_phase_gap(inst) == 0.0, (inst.hidden_j, inst.syndrome.mask)
+        for block in sample_blocks("unrestricted", 64, d, 40, rng):
+            assert max_phase_gap(block, hadamard_words(block)) == 0.0
 
 
 def mask_at(dim, *positions, restricted=True):
@@ -277,33 +305,28 @@ def mask_at(dim, *positions, restricted=True):
 @pytest.mark.parametrize("j", [-1, 8, 9, 2.0])
 def test_instance_index_outside_z_n_is_rejected(j):
     with pytest.raises(ConfigError):
-        ProblemInstance("fourier", 8, j, None, "B")
+        instance_from_parts("fourier", 8, j, None)
     with pytest.raises(ConfigError):
-        ProblemInstance("restricted", 8, j, mask_at(8, 1), "B")
+        instance_from_parts("restricted", 8, j, mask_at(8, 1))
 
 
 def test_instance_checks_survive_without_a_stored_string():
     with pytest.raises(ConfigError):
-        ProblemInstance("fourier", 8, 3, None, "B")  # j* = 3 is label A
-    with pytest.raises(ConfigError):
-        ProblemInstance("fourier", 8, 0, None, "C")  # labels are A or B only
-    with pytest.raises(ConfigError):
-        ProblemInstance("restricted", 8, 0, mask_at(8, 1), "A")
-    with pytest.raises(ConfigError):
         instance_from_parts("restricted", 16, 0, mask_at(8, 1))  # mask of length 8
     with pytest.raises(ConfigError):
-        ProblemInstance("fourier", 8, 0, mask_at(8), "B")
+        instance_from_parts("fourier", 8, 0, mask_at(8))
     with pytest.raises(ConfigError):
-        ProblemInstance("restricted", 8, 0, None, "B")
+        instance_from_parts("restricted", 8, 0, None)
     with pytest.raises(ConfigError):
-        ProblemInstance("restricted", 12, 0, None, "B")  # N not a power of two
+        instance_from_parts("restricted", 12, 0, None)  # N not a power of two
     with pytest.raises(ConfigError):
         instance_from_parts("restricted", 16, 0, mask_at(16, 1, 2, 4, 7))  # d = N/4
     with pytest.raises(ConfigError):
         instance_from_parts("restricted", 8, 0, mask_at(8, 1, restricted=False))
-    inst = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
-    assert inst.label == "A"
-    assert inst.z == apply_mask(hadamard_codeword(8, 3).bits, inst.syndrome.mask)
+    block = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
+    assert block.is_a.tolist() == [True]  # j* = 3 is label A
+    z = apply_mask(hadamard_codeword(8, 3).bits, mask_at(8, 2).mask)
+    assert block.phases().tobytes() == _word_phases(z)[None].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -312,23 +335,34 @@ def test_instance_checks_survive_without_a_stored_string():
      ("restricted", 16, 2, 1), ("fourier", 128, None, 2)],
 )
 def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d, block_count):
+    # the enumeration order, spelled out: j outer, then the weight class, then
+    # itertools.combinations over the error positions
     blocks = list(enumerate_blocks(variant, dim, d))  # solve's blocks
-    instances = list(enumerate_instances(variant, dim, d))
+    if variant == "fourier":
+        expected = [(j, ()) for j in range(dim)]
+    else:
+        odd = [x for x in range(dim) if x.bit_count() % 2]
+        weights = range(dim // 4) if d is None else [d]
+        expected = [(j, cols) for j in range(dim // 2) for m in weights
+                    for cols in itertools.combinations(odd, m)]
     assert len(blocks) == block_count
-    assert sum(len(block) for block in blocks) == len(instances)
+    assert sum(len(block) for block in blocks) == len(expected)
     js = np.concatenate([block.js for block in blocks])
-    assert js.tolist() == [inst.hidden_j for inst in instances]
+    assert js.tolist() == [j for j, _ in expected]
     is_a = np.concatenate([block.is_a for block in blocks])
-    assert ["A" if a else "B" for a in is_a] == [inst.label for inst in instances]
-    phases = np.concatenate([block.phases() for block in blocks])
-    assert phases.tobytes() == np.stack([inst.phases for inst in instances]).tobytes()
+    assert is_a.tolist() == [j == dim // 2 - 1 for j, _ in expected]
     if variant == "fourier":
         assert all(block.masks is None and block.weights is None for block in blocks)
-        return
-    masks = np.concatenate([block.masks for block in blocks])
-    assert [tuple(row) for row in masks.tolist()] == [inst.syndrome.mask for inst in instances]
-    weights = np.concatenate([block.weights for block in blocks])
-    assert weights.tolist() == [inst.syndrome.weight for inst in instances]
+        words = [fourier_codeword(dim, j).vals for j, _ in expected]
+    else:
+        masks = np.concatenate([block.masks for block in blocks])
+        assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == [c for _, c in expected]
+        weights = np.concatenate([block.weights for block in blocks])
+        assert weights.tolist() == [len(c) for _, c in expected]
+        words = [apply_mask(hadamard_codeword(dim, j).bits, [int(x in c) for x in range(dim)])
+                 for j, c in expected]
+    phases = np.concatenate([block.phases() for block in blocks])
+    assert phases.tobytes() == np.stack([_word_phases(z) for z in words]).tobytes()
 
 
 def test_enumeration_checks_survive_in_blocks():
@@ -336,9 +370,8 @@ def test_enumeration_checks_survive_in_blocks():
         list(enumerate_blocks("fourier", 8, 1))
     with pytest.raises(ConfigError):
         list(enumerate_blocks("bogus", 8, None))
-    for enumerate_rows in (enumerate_instances, enumerate_blocks):
-        with pytest.raises(DegenerateInstanceError):  # d = 2 is not below N/4 at N = 8
-            list(enumerate_rows("restricted", 8, 2))
+    with pytest.raises(DegenerateInstanceError):  # d = 2 is not below N/4 at N = 8
+        list(enumerate_blocks("restricted", 8, 2))
     with pytest.raises(ResourceLimitError):  # C(32, 7) masks in one weight class
         next(enumerate_blocks("restricted", 64, None))
 
@@ -405,13 +438,13 @@ def test_sampling_draws_in_the_documented_order(variant, dim, d):
     bound = dim // 4 if variant == "restricted" else dim / 16
     weights = [m for m in range(dim) if m < bound] if d is None else [d] if isinstance(d, int) else d
     for _ in range(50):
-        inst = sample_instance(variant, dim, d, rng)
+        block = sample_instance(variant, dim, d, rng)
         p = _weight_probabilities(variant, dim, tuple(weights))
         weight = weights[int(ref.choice(len(weights), p=p))]
         chosen = ref.choice(len(pool), size=weight, replace=False) if weight else []
         j = int(ref.integers(0, dim // 2))
-        assert inst.hidden_j == j
-        assert inst.syndrome.mask == tuple(int(x in {pool[i] for i in chosen}) for x in range(dim))
+        assert block.js.tolist() == [j]
+        assert block.masks[0].tolist() == [int(x in {pool[i] for i in chosen}) for x in range(dim)]
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -436,5 +469,5 @@ def test_weight_class_draw_on_a_cdf_value_goes_right():
     cdf = p.cumsum()
     cdf /= cdf[-1]
     for u in [0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0)]:
-        inst = sample_instance("unrestricted", dim, weights, _FixedUniform([u]))
-        assert inst.syndrome.weight == weights[int(cdf.searchsorted(u, side="right"))]
+        block = sample_instance("unrestricted", dim, weights, _FixedUniform([u]))
+        assert block.weights.tolist() == [weights[int(cdf.searchsorted(u, side="right"))]]

@@ -1,13 +1,12 @@
 """The block-wise decision pipeline against one-instance-at-a-time references.
 
-The references run each instance through run_pipeline and merge_two_to_one
-alone and measure with Generator.choice, one call per round, the way the
-decision procedures worked before the circuit ran block-wise.  Instance
-counts are chosen so that the blocks cross block boundaries.  The enumerated
-and sampled blocks that solve decides are checked the same way, against
-instances listed by enumerate_instances or drawn one at a time by
-sample_instance; the decide_* functions, which decide one instance as a
-one-row block, against the same references.
+The references run each instance's word through run_pipeline and
+merge_two_to_one alone and measure with Generator.choice, one call per
+round.  Instance counts are chosen so that the blocks cross block
+boundaries.  The enumerated and sampled blocks that solve decides are
+checked the same way, against instances listed one by one or drawn one at a
+time by sample_instance; the decide_* functions, which decide one block of
+their variant, against the same references.
 """
 
 import numpy as np
@@ -15,11 +14,13 @@ import pytest
 
 from spinoracle import (
     ConfigError,
+    InstanceBlock,
     ResourceLimitError,
     apply_mask,
+    decide_fourier,
     decide_restricted,
     decide_unrestricted,
-    enumerate_instances,
+    fourier_codeword,
     hadamard_codeword,
     instance_from_parts,
     merge_two_to_one,
@@ -32,23 +33,32 @@ from spinoracle.codewords import BLOCK_ENTRIES, MAX_REPETITIONS, enumerate_block
 from spinoracle.oracle_circuit import decide_blocks, worst_case_spectrum
 
 
-def reference_vote(inst, reps, rng, transform="hadamard", pairing="symmetric", back=1):
-    raw = merge_two_to_one(run_pipeline(inst.z, transform), pairing).probabilities()
+def word(block, i=0):
+    """Row i's oracle string: T_j for Fourier blocks, W_j XOR mask otherwise."""
+    j = int(block.js[i])
+    if block.variant == "fourier":
+        return fourier_codeword(block.dim, j).vals
+    return apply_mask(hadamard_codeword(block.dim, j).bits, block.masks[i].tolist())
+
+
+def reference_vote(z, reps, rng, transform="hadamard", pairing="symmetric", back=1):
+    raw = merge_two_to_one(run_pipeline(z, transform), pairing).probabilities()
     probs = raw / raw.sum()
-    index = inst.dim - back
+    dim = len(raw)
+    index = dim - back
     if rng is None:
-        return raw, probs, "A" if probs[index] > 0.5 else "B"
-    hits = sum(int(rng.choice(inst.dim, p=probs)) == index for _ in range(reps))
-    return raw, probs, "A" if hits > reps / 2 else "B"
+        return raw, probs, probs[index] > 0.5
+    hits = sum(int(rng.choice(dim, p=probs)) == index for _ in range(reps))
+    return raw, probs, hits > reps / 2
 
 
 @pytest.mark.parametrize("mode", ["random", "worst"])
 def test_majority_votes_match_per_round_choice(mode):
-    # decide_unrestricted draws an instance's vote variates right after the instance
+    # a one-row vote block draws its vote variates right after the instance
     dim, weight, reps, trials = 64, 3, 5, 300
-    mask = worst_case_error_mask(dim, weight)
+    mask = None if mode == "random" else worst_case_error_mask(dim, weight)
 
-    def draw(rng):
+    def ref_draw(rng):
         if mode == "random":
             return sample_instance("unrestricted", dim, weight, rng)
         return instance_from_parts("unrestricted", dim, int(rng.integers(0, dim // 2)), mask)
@@ -56,12 +66,13 @@ def test_majority_votes_match_per_round_choice(mode):
     rng = np.random.default_rng(11)
     ref_rng = np.random.default_rng(11)
     for _ in range(trials):
-        report = decide_unrestricted(draw(rng), reps, rng)
-        _, ref_probs, ref_decision = reference_vote(draw(ref_rng), reps, ref_rng)
-        assert report.per_outcome.tobytes() == ref_probs.tobytes()
-        assert report.pr_top == ref_probs[dim - 1]
-        assert report.decision == ref_decision
-        assert report.queries == report.repetitions == reps
+        [block] = sample_blocks("unrestricted", dim, weight, 1, rng, reps, syndrome=mask)
+        decided = decide_unrestricted(block)
+        _, ref_probs, ref_decision = reference_vote(word(ref_draw(ref_rng)), reps, ref_rng)
+        assert decided.probs[0].tobytes() == ref_probs.tobytes()
+        assert decided.pr_top[0] == ref_probs[dim - 1]
+        assert decided.is_a[0] == ref_decision
+        assert decided.rounds == reps
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -71,15 +82,14 @@ def test_fourier_stream_matches_single_runs_across_blocks():
     pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None)))
     assert [len(block) for block, _ in pairs] == [64, 64]
     rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
-    instances = list(enumerate_instances("fourier", dim))
-    assert len(rows) == len(instances) == dim
-    for (decided, i), inst in zip(rows, instances):
+    assert len(rows) == dim
+    for j, (decided, i) in enumerate(rows):
         ref_raw, ref_probs, ref_decision = reference_vote(
-            inst, 1, None, "fourier", "adjacent", back=2
+            fourier_codeword(dim, j).vals, 1, None, "fourier", "adjacent", back=2
         )
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.pr_top[i] == ref_probs[dim - 2]
-        assert ("A" if decided.is_a[i] else "B") == ref_decision == inst.label
+        assert decided.is_a[i] == ref_decision == (j == dim // 2 - 1)
         assert decided.rounds == 1
 
 
@@ -92,8 +102,8 @@ def test_words_longer_than_a_block_run_one_per_block():
     assert [d.is_a.tolist() for d in decided] == [block.is_a.tolist() for block in blocks]
     ref_rng = np.random.default_rng(5)
     instances = [sample_instance("restricted", dim, 3, ref_rng) for _ in range(2)]
-    assert [decide_restricted(inst).decision for inst in instances] == [
-        inst.label for inst in instances
+    assert [decide_restricted(inst).is_a.tolist() for inst in instances] == [
+        inst.is_a.tolist() for inst in instances
     ]
 
 
@@ -108,16 +118,18 @@ def test_worst_case_spectrum_matches_single_run():
 
 def test_stream_rejects_mixed_variants_and_bad_votes():
     rng = np.random.default_rng(0)
-    inst = sample_instance("unrestricted", 64, 2, rng)
+    block = sample_instance("unrestricted", 64, 2, rng)
     with pytest.raises(ConfigError):
-        decide_restricted(inst)
+        decide_restricted(block)
     with pytest.raises(ConfigError):
-        decide_unrestricted(inst, 0, rng)
-    with pytest.raises(ConfigError):
-        decide_unrestricted(inst, 3)
+        decide_fourier(block)
+    with pytest.raises(ConfigError):  # one row of vote draws per instance
+        InstanceBlock(block.variant, 64, block.js, block.masks, block.weights, np.zeros((2, 3)))
+    with pytest.raises(ConfigError):  # votes need a seeded Generator
+        next(sample_blocks("unrestricted", 64, 2, 1, None, 3))
     state = rng.bit_generator.state
     with pytest.raises(ResourceLimitError):  # refused before a variate is drawn
-        decide_unrestricted(inst, MAX_REPETITIONS + 1, rng)
+        next(sample_blocks("unrestricted", 64, 2, 1, rng, MAX_REPETITIONS + 1))
     assert rng.bit_generator.state == state
 
 
@@ -142,14 +154,14 @@ def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
     assert len(rows) == trials
     for block, decided, i in rows:
         inst = sample_instance("restricted", dim, None, ref_rng)
-        assert block.js[i] == inst.hidden_j
-        assert tuple(block.masks[i].tolist()) == inst.syndrome.mask
-        assert block.weights[i] == inst.syndrome.weight
-        ref_raw, ref_probs, ref_decision = reference_vote(inst, 1, None)
+        assert block.js[i] == inst.js[0]
+        assert block.masks[i].tolist() == inst.masks[0].tolist()
+        assert block.weights[i] == inst.weights[0]
+        ref_raw, ref_probs, ref_decision = reference_vote(word(inst), 1, None)
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.probs[i].tobytes() == ref_probs.tobytes()
         assert decided.pr_top[i] == ref_probs[dim - 1]
-        assert ("A" if decided.is_a[i] else "B") == ref_decision == inst.label
+        assert decided.is_a[i] == ref_decision == inst.is_a[0]
         assert decided.rounds == 1
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -167,14 +179,14 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
             inst = sample_instance("unrestricted", dim, weight, ref_rng)
         else:
             inst = instance_from_parts("unrestricted", dim, int(ref_rng.integers(0, dim // 2)), mask)
-        assert block.js[i] == inst.hidden_j
-        assert tuple(block.masks[i].tolist()) == inst.syndrome.mask
-        assert block.is_a[i] == (inst.label == "A")
-        ref_raw, ref_probs, ref_decision = reference_vote(inst, reps, ref_rng)
+        assert block.js[i] == inst.js[0]
+        assert block.masks[i].tolist() == inst.masks[0].tolist()
+        assert block.is_a[i] == inst.is_a[0]
+        ref_raw, ref_probs, ref_decision = reference_vote(word(inst), reps, ref_rng)
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.probs[i].tobytes() == ref_probs.tobytes()
         assert decided.pr_top[i] == ref_probs[dim - 1]
-        assert ("A" if decided.is_a[i] else "B") == ref_decision
+        assert decided.is_a[i] == ref_decision
         assert decided.rounds == reps
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -193,17 +205,12 @@ def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, di
     instances = [sample_instance(variant, dim, d, ref_rng) for _ in range(trials)]
     assert [len(block) for block in blocks] == [8] * 5 + [1]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    js = np.concatenate([block.js for block in blocks])
-    assert js.tolist() == [inst.hidden_j for inst in instances]
-    is_a = np.concatenate([block.is_a for block in blocks])
-    assert ["A" if a else "B" for a in is_a] == [inst.label for inst in instances]
-    if variant == "fourier":
-        assert all(block.masks is None for block in blocks)
-        return
-    masks = np.concatenate([block.masks for block in blocks])
-    assert [tuple(row) for row in masks.tolist()] == [inst.syndrome.mask for inst in instances]
-    weights = np.concatenate([block.weights for block in blocks])
-    assert weights.tolist() == [inst.syndrome.weight for inst in instances]
+    for name in ("js", "is_a", "masks", "weights"):
+        if variant == "fourier" and name in ("masks", "weights"):
+            assert all(getattr(block, name) is None for block in blocks)
+            continue
+        got = np.concatenate([getattr(block, name) for block in blocks])
+        assert got.tolist() == np.concatenate([getattr(inst, name) for inst in instances]).tolist()
 
 
 def test_many_repetitions_shrink_the_vote_block_not_the_draws():
@@ -214,6 +221,6 @@ def test_many_repetitions_shrink_the_vote_block_not_the_draws():
     assert [len(block) for block in blocks] == [1] * trials
     for block in blocks:
         inst = sample_instance("unrestricted", dim, weight, ref_rng)
-        assert block.js[0] == inst.hidden_j
+        assert block.js[0] == inst.js[0]
         assert block.draws.tobytes() == ref_rng.random(reps).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

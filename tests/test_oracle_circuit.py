@@ -1,4 +1,10 @@
-"""Pipeline correctness: transforms, error cancellation, merges, decisions."""
+"""Pipeline correctness: transforms, error cancellation, merges, decisions.
+
+The circuits are checked against dense references built here: the Sylvester
+Walsh-Hadamard matrix with entries (-1)^popcount(j & x) / sqrt(N), and the
+DFT matrix with entries e^(2 pi i jk/N) / sqrt(N), with the Fourier oracle
+phases computed from the codewords' Fractions.
+"""
 
 import math
 
@@ -7,32 +13,34 @@ import pytest
 
 from spinoracle import (
     ConfigError,
+    InstanceBlock,
     InvariantError,
-    PhaseOracle,
     StateVector,
     apply_mask,
     decide_fourier,
     decide_restricted,
     decide_unrestricted,
-    dft,
-    enumerate_instances,
     fourier_codeword,
     fourier_probability_table,
+    hadamard_bits,
     hadamard_codeword,
-    input_state,
     instance_from_parts,
-    make_spin_system,
     measure_designated,
     merge_two_to_one,
     restricted_set_size,
     run_pipeline,
     sample_instance,
-    syndromes,
-    walsh_hadamard,
     worst_case_error_mask,
 )
 from spinoracle.codewords import enumerate_blocks, sample_blocks
-from spinoracle.oracle_circuit import Decisions, decide_blocks, report_docs
+from spinoracle.oracle_circuit import (
+    Decisions,
+    _fwht,
+    _transformed_input,
+    _word_phases,
+    decide_blocks,
+    report_docs,
+)
 
 
 def two_component(dim, a, b):
@@ -42,69 +50,111 @@ def two_component(dim, a, b):
     return amps
 
 
-def dense_walsh(n):
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    m = np.array([[1.0]])
-    for _ in range(n):
-        m = np.kron(m, h)
-    return m
+def sylvester(dim):
+    """The Walsh-Hadamard matrix, entries (-1)^popcount(j & x) / sqrt(N)."""
+    both = np.arange(dim)[:, None] & np.arange(dim)
+    parity = np.zeros_like(both)
+    while both.any():
+        parity ^= both & 1
+        both >>= 1
+    return (1.0 - 2.0 * parity) / math.sqrt(dim)
+
+
+def dft_matrix(dim):
+    """The DFT matrix R of the Fourier circuit, entries e^(2 pi i jk/N) / sqrt(N)."""
+    k = np.arange(dim)
+    return np.exp(2j * math.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
+
+
+def fraction_phases(dim, j):
+    """e^(i pi T_j[x]) from the exact Fractions of the Fourier codeword."""
+    return np.exp(1j * math.pi * np.array([float(v) for v in fourier_codeword(dim, j).vals]))
+
+
+def block_words(block):
+    """The oracle string of each row of a Hadamard block: W_j XOR mask."""
+    return [tuple((hadamard_bits(block.dim, int(j)) ^ mask).tolist())
+            for j, mask in zip(block.js, block.masks)]
+
+
+def input_amps(dim):
+    return two_component(dim, dim // 2 - 1, dim // 2)
 
 
 def test_input_state():
-    sys = make_spin_system(2)
-    state = input_state(sys)
-    assert np.allclose(state.amps, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
-    assert abs(np.sum(state.probabilities()) - 1.0) < 1e-15
+    # the identity oracle (W_0, T_0) gives back the input state through R^dag R
+    for transform, word in (("hadamard", (0, 0, 0, 0)), ("fourier", fourier_codeword(4, 0).vals)):
+        state = run_pipeline(word, transform)
+        assert np.allclose(state.amps, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
+        assert abs(np.sum(state.probabilities()) - 1.0) < 1e-15
 
 
 def test_walsh_hadamard_involution_and_uniform():
-    sys = make_spin_system(4)
+    dim = 16
+    dense = sylvester(dim)
+    assert np.max(np.abs(dense @ dense - np.eye(dim))) < 1e-12
+    assert np.max(np.abs(dense[:, 0] - 1 / math.sqrt(dim))) < 1e-12
     rng = np.random.default_rng(1)
-    raw = rng.normal(size=sys.dim) + 1j * rng.normal(size=sys.dim)
-    state = StateVector(raw / np.linalg.norm(raw))
-    again = walsh_hadamard(walsh_hadamard(state))
-    assert np.max(np.abs(again.amps - state.amps)) < 1e-12
-    uniform = walsh_hadamard(StateVector.basis(sys.dim, 0))
-    assert np.max(np.abs(uniform.amps - 1 / math.sqrt(sys.dim))) < 1e-12
+    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    assert np.max(np.abs(_fwht(_fwht(raw)) - raw)) < 1e-12
+    assert np.max(np.abs(_fwht(raw) - dense @ raw)) < 1e-12
+    assert np.max(np.abs(_transformed_input(dim, "hadamard") - dense @ input_amps(dim))) < 1e-12
 
 
 def test_walsh_hadamard_matches_dense_oracle():
+    # run_pipeline and the decided spectra against S U_z S |in>, N = 4 .. 1024
     rng = np.random.default_rng(2)
-    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector(raw / np.linalg.norm(raw))
-    dense = dense_walsh(3) @ state.amps
-    assert np.max(np.abs(walsh_hadamard(state).amps - dense)) < 1e-12
+    for n in range(2, 11):
+        dim = 2**n
+        dense = sylvester(dim)
+        blocks = list(sample_blocks("restricted", dim, None, 6, rng))
+        if dim >= 32:  # unrestricted errors exist from N/16 > 1 on
+            blocks += sample_blocks("unrestricted", dim, None, 6, rng)
+        for block, decided in decide_blocks(blocks):
+            for i, word in enumerate(block_words(block)):
+                ref = dense @ ((1.0 - 2.0 * np.array(word)) * (dense @ input_amps(dim)))
+                assert np.max(np.abs(run_pipeline(word, "hadamard").amps - ref)) < 1e-12
+                merged = merge_two_to_one(StateVector(ref), "symmetric").probabilities()
+                assert np.max(np.abs(decided.raw[i] - merged)) < 1e-12
 
 
 def test_dft_unitarity_and_uniform():
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = StateVector(raw / np.linalg.norm(raw))
-    back = dft(dft(state), inverse=True)
-    assert np.max(np.abs(back.amps - state.amps)) < 1e-12
-    uniform = dft(StateVector.basis(16, 0))
-    assert np.max(np.abs(uniform.amps - 0.25)) < 1e-12
+    dim = 16
+    dense = dft_matrix(dim)
+    assert np.max(np.abs(dense.conj().T @ dense - np.eye(dim))) < 1e-12
+    assert np.max(np.abs(dense[:, 0] - 0.25)) < 1e-12
+    assert np.max(np.abs(_transformed_input(dim, "fourier") - dense @ input_amps(dim))) < 1e-12
+    back = run_pipeline(fourier_codeword(dim, 0).vals, "fourier")  # R^dag R |in>
+    assert np.max(np.abs(back.amps - input_amps(dim))) < 1e-12
 
 
 def test_dft_matches_dense_kernel():
-    dim = 8
-    kernel = np.exp(2j * math.pi * np.outer(np.arange(dim), np.arange(dim)) / dim)
-    dense = kernel / math.sqrt(dim)
-    rng = np.random.default_rng(4)
-    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    state = StateVector(raw / np.linalg.norm(raw))
-    assert np.max(np.abs(dft(state).amps - dense @ state.amps)) < 1e-12
+    # run_pipeline and the decided spectra against R^dag U_z R |in>, N = 8 .. 512
+    for n in range(3, 10):
+        dim = 2**n
+        dense = dft_matrix(dim)
+        phases = np.stack([fraction_phases(dim, j) for j in range(dim)])
+        refs = (dense.conj().T @ (phases * (dense @ input_amps(dim))).T).T
+        spectra = np.concatenate([d.raw for _, d in decide_blocks(enumerate_blocks("fourier", dim, None))])
+        for j in range(dim):
+            merged = merge_two_to_one(StateVector(refs[j]), "adjacent").probabilities()
+            assert np.max(np.abs(spectra[j] - merged)) < 1e-12, (dim, j)
+        for j in range(0, dim, max(dim // 16, 1)):
+            out = run_pipeline(fourier_codeword(dim, j).vals, "fourier")
+            assert np.max(np.abs(out.amps - refs[j])) < 1e-12, (dim, j)
 
 
 def test_shift_theorem():
+    # R^dag U_(T_j) R moves |a> to |a+j>: on the dense reference for every
+    # basis state, and on the circuit's input pair
     dim = 8
-    for a in range(dim):
-        for j in range(dim):
-            oracle = PhaseOracle(fourier_codeword(dim, j).vals)
-            moved = dft(StateVector(oracle.apply(dft(StateVector.basis(dim, a)).amps)), inverse=True)
-            expected = np.zeros(dim, dtype=complex)
-            expected[(a + j) % dim] = 1.0
-            assert np.max(np.abs(moved.amps - expected)) < 1e-12
+    dense = dft_matrix(dim)
+    for j in range(dim):
+        moved = dense.conj().T @ (fraction_phases(dim, j)[:, None] * dense)
+        assert np.max(np.abs(moved - np.roll(np.eye(dim), j, axis=0))) < 1e-12
+        out = run_pipeline(fourier_codeword(dim, j).vals, "fourier")
+        expected = two_component(dim, dim // 2 - 1 + j, dim // 2 + j)
+        assert np.max(np.abs(out.amps - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16, 32])
@@ -117,16 +167,14 @@ def test_codeword_pipeline_two_component_output(dim):
 
 @pytest.mark.parametrize("dim", [8, 16])
 def test_restricted_errors_cancel_exactly(dim):
-    for j in range(dim // 2):
-        base = run_pipeline(hadamard_codeword(dim, j).bits, "hadamard").amps
-        count = 0
-        for d in range(dim // 4):
-            for syn in syndromes(dim, d, True):
-                z = apply_mask(hadamard_codeword(dim, j).bits, syn.mask)
-                out = run_pipeline(z, "hadamard").amps
-                assert np.max(np.abs(out - base)) < 1e-12
-                count += 1
-        assert count == restricted_set_size(dim)
+    base = [run_pipeline(hadamard_codeword(dim, j).bits, "hadamard").amps for j in range(dim // 2)]
+    counts = [0] * (dim // 2)
+    for block in enumerate_blocks("restricted", dim, None):
+        for j, z in zip(block.js.tolist(), block_words(block)):
+            out = run_pipeline(z, "hadamard").amps
+            assert np.max(np.abs(out - base[j])) < 1e-12
+            counts[j] += 1
+    assert counts == [restricted_set_size(dim)] * (dim // 2)
 
 
 def test_worst_case_error_amplitudes():
@@ -206,19 +254,17 @@ def test_adjacent_merge_action():
 
 def test_pipeline_argument_guards():
     with pytest.raises(ConfigError):
-        walsh_hadamard(StateVector.basis(3, 0))
-    with pytest.raises(ConfigError):
         run_pipeline(hadamard_codeword(8, 1).bits, "fft")
     with pytest.raises(ConfigError):
-        merge_two_to_one(input_state(make_spin_system(2)), "mirror")
+        merge_two_to_one(StateVector(input_amps(4)), "mirror")
 
 
 def test_measure_designated_uniform():
     dim = 16
     uniform = StateVector(np.full(dim, 1 / math.sqrt(dim)))
-    report = measure_designated(uniform, dim - 1)
-    assert report.pr_top == pytest.approx(1 / dim, abs=1e-12)
-    assert report.decision == "B"
+    decided = measure_designated(uniform, dim - 1)
+    assert decided.pr_top[0] == pytest.approx(1 / dim, abs=1e-12)
+    assert decided.is_a.tolist() == [False]
     with pytest.raises(ConfigError):
         measure_designated(uniform, dim)
 
@@ -234,14 +280,14 @@ def test_majority_measurement_maps_draws_as_searchsorted_does():
         draws = np.concatenate([rng.random(15), cdf[:-1], np.nextafter(cdf[:-1], 0)])
         for index in range(dim):
             hits = np.count_nonzero(cdf.searchsorted(draws, side="right") == index)
-            report = measure_designated(raw, index, draws)
-            assert report.decision == ("A" if hits > len(draws) / 2 else "B")
-            assert report.queries == report.repetitions == len(draws)
+            decided = measure_designated(raw, index, draws)
+            assert decided.is_a[0] == (hits > len(draws) / 2)
+            assert decided.rounds == len(draws)
         for index in range(dim):  # the interval [cdf[index-1], cdf[index]) is index's own
             lo = cdf[index - 1] if index else 0.0
             if lo < cdf[index]:
-                assert measure_designated(raw, index, np.array([lo])).decision == "A"
-            assert measure_designated(raw, index, np.array([cdf[index]])).decision == "B"
+                assert measure_designated(raw, index, np.array([lo])).is_a[0]
+            assert not measure_designated(raw, index, np.array([cdf[index]])).is_a[0]
 
 
 def test_majority_measurement_needs_a_row_of_draws():
@@ -262,11 +308,10 @@ def test_measurement_checks_the_outcome_probabilities():
 def test_norm_preserved_through_stages():
     dim = 32
     rng = np.random.default_rng(8)
-    inst = sample_instance("restricted", dim, None, rng)
-    oracle = PhaseOracle(inst.z)
-    stage1 = walsh_hadamard(input_state(make_spin_system(5)))
-    stage2 = StateVector(oracle.apply(stage1.amps))
-    stage3 = walsh_hadamard(stage2)
+    block = sample_instance("restricted", dim, None, rng)
+    stage1 = StateVector(_transformed_input(dim, "hadamard"))
+    stage2 = StateVector(block.phases()[0] * stage1.amps)
+    stage3 = StateVector(_fwht(stage2.amps))
     merged = merge_two_to_one(stage3, "symmetric")
     for state in (stage1, stage2, stage3, merged):
         assert abs(np.sum(state.probabilities()) - 1.0) < 1e-12
@@ -274,29 +319,32 @@ def test_norm_preserved_through_stages():
 
 @pytest.mark.parametrize("dim", [8, 16])
 def test_decide_restricted_exhaustive(dim):
-    for inst in enumerate_instances("restricted", dim):
-        report = decide_restricted(inst)
-        assert report.decision == inst.label
-        assert report.queries == 1
-        assert report.pr_top in (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
+    for block in enumerate_blocks("restricted", dim, None):
+        decided = decide_restricted(block)
+        assert decided.is_a.tolist() == block.is_a.tolist()
+        assert decided.rounds == 1
+        for p in decided.pr_top:
+            assert p in (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
 
 def test_decide_restricted_wrong_variant():
     rng = np.random.default_rng(0)
-    inst = sample_instance("unrestricted", 64, 2, rng)
+    block = sample_instance("unrestricted", 64, 2, rng)
     with pytest.raises(ConfigError):
-        decide_restricted(inst)
+        decide_restricted(block)
+    with pytest.raises(ConfigError):
+        decide_fourier(block)
 
 
 def test_unrestricted_worst_case_round_probability():
     dim = 64
     mask = worst_case_error_mask(dim, 3)
-    inst = instance_from_parts("unrestricted", dim, dim // 2 - 1, mask)
-    report = decide_unrestricted(inst, repetitions=1)
-    assert report.pr_top == pytest.approx((1 - 12 / 64) ** 2, abs=1e-10)
-    assert report.queries == 1
+    block = instance_from_parts("unrestricted", dim, dim // 2 - 1, mask)
+    decided = decide_unrestricted(block)
+    assert decided.pr_top[0] == pytest.approx((1 - 12 / 64) ** 2, abs=1e-10)
+    assert decided.rounds == 1
     clean = instance_from_parts("unrestricted", dim, dim // 2 - 1, worst_case_error_mask(dim, 0))
-    assert decide_unrestricted(clean, repetitions=1).pr_top == pytest.approx(1.0, abs=1e-12)
+    assert decide_unrestricted(clean).pr_top[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConfigError):  # l = N/16 is outside the instance class
         instance_from_parts("unrestricted", dim, 3, worst_case_error_mask(dim, 4))
 
@@ -305,11 +353,11 @@ def test_unrestricted_majority_vote_queries():
     dim = 64
     rng = np.random.default_rng(21)
     mask = worst_case_error_mask(dim, 2)
-    inst = instance_from_parts("unrestricted", dim, 5, mask)
-    report = decide_unrestricted(inst, repetitions=9, rng=rng)
-    assert report.queries == 9
-    assert report.repetitions == 9
-    assert report.decision == "B"
+    part = instance_from_parts("unrestricted", dim, 5, mask)
+    block = InstanceBlock(part.variant, dim, part.js, part.masks, part.weights, rng.random((1, 9)))
+    decided = decide_unrestricted(block)
+    assert decided.rounds == 9
+    assert decided.is_a.tolist() == [False]
 
 
 def test_unrestricted_random_errors_beat_worst_case_bound():
@@ -321,16 +369,13 @@ def test_unrestricted_random_errors_beat_worst_case_bound():
     rng = np.random.default_rng(99)
     bound = 0.5 * (1 - 8 * weight / dim + 16 * weight**2 / dim**2)
     lows = []
-    for _ in range(10_000):
-        inst = sample_instance("unrestricted", dim, weight, rng)
-        if inst.hidden_j != dim // 2 - 1:
-            continue
-        lows.append(decide_unrestricted(inst, repetitions=1).pr_top)
+    for block, decided in decide_blocks(sample_blocks("unrestricted", dim, weight, 10_000, rng)):
+        lows += decided.pr_top[block.is_a].tolist()
     assert len(lows) > 100
-    mask_inst = instance_from_parts(
+    mask_block = instance_from_parts(
         "unrestricted", dim, dim // 2 - 1, worst_case_error_mask(dim, weight)
     )
-    worst = decide_unrestricted(mask_inst, repetitions=1).pr_top
+    worst = decide_unrestricted(mask_block).pr_top[0]
     assert min(lows) >= bound - 1e-12
     assert min(lows) >= worst - 1e-12  # in-phase construction is the true floor
 
@@ -345,11 +390,9 @@ def test_majority_vote_error_decays():
     for reps in (1, 5, 13):
         wrong = 0
         trials = 800
-        for _ in range(trials):
-            j = int(rng.integers(0, dim // 2))
-            inst = instance_from_parts("unrestricted", dim, j, mask)
-            report = decide_unrestricted(inst, repetitions=reps, rng=rng)
-            wrong += report.decision != inst.label
+        blocks = sample_blocks("unrestricted", dim, None, trials, rng, reps, syndrome=mask)
+        for block, decided in decide_blocks(blocks):
+            wrong += np.count_nonzero(decided.is_a != block.is_a)
         errors.append(wrong / trials)
     assert errors[0] > errors[-1]
 
@@ -364,21 +407,12 @@ def test_fourier_probability_table(dim):
 
 
 def test_decide_fourier_reports():
-    for inst in enumerate_instances("fourier", 8):
-        report = decide_fourier(inst)
-        assert report.queries == 1
-        if inst.hidden_j == 3:
-            assert report.pr_top == pytest.approx(1.0, abs=1e-12)
-            assert report.decision == "A"
-        else:
-            assert report.decision == "B"
-
-
-def test_query_counter_increments_once_per_pipeline():
-    oracle = PhaseOracle(hadamard_codeword(8, 1).bits)
-    run_pipeline(oracle, "hadamard")
-    run_pipeline(oracle, "hadamard")
-    assert oracle.queries == 2
+    [block] = enumerate_blocks("fourier", 8, None)
+    decided = decide_fourier(block)
+    assert decided.rounds == 1
+    assert block.js.tolist() == list(range(8))
+    assert decided.pr_top[3] == pytest.approx(1.0, abs=1e-12)
+    assert decided.is_a.tolist() == [j == 3 for j in range(8)]
 
 
 @pytest.mark.parametrize(
@@ -406,9 +440,12 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
 
 
 def test_oracle_phases_exact_for_bits():
-    oracle = PhaseOracle(hadamard_codeword(8, 7).bits)
-    assert set(oracle.phases.real.tolist()) == {1.0, -1.0}
-    assert np.all(oracle.phases.imag == 0.0)
+    phases = _word_phases(hadamard_codeword(8, 7).bits)
+    assert set(phases.real.tolist()) == {1.0, -1.0}
+    assert np.all(phases.imag == 0.0)
+    block = sample_instance("restricted", 8, 0, np.random.default_rng(0))
+    word = hadamard_codeword(8, int(block.js[0])).bits
+    assert block.phases().tobytes() == _word_phases(word)[None].tobytes()
 
 
 def first_report_doc(blocks):

@@ -20,7 +20,7 @@ from spinoracle import (
     optimize_mu,
     reduced_variance,
     spin_operators,
-    sweep_point,
+    sweep_row,
 )
 from spinoracle.spin_core import _ladder_coefficients
 from spinoracle.squeezing import _propagator, twist_generator
@@ -303,7 +303,8 @@ def test_sweep_trends():
 
 
 def test_sweep_point_fields():
-    row = sweep_point(make_spin_system(3), 1e-8)
+    sys = make_spin_system(3)
+    row = sweep_row(sys, optimize_mu(sys, 1e-8))
     assert set(row) == {"s", "mu_opt", "v_min", "p_c", "overlap"}
     assert row["s"] == 3.5
     assert 2 * row["p_c"] == pytest.approx(row["overlap"], abs=1e-9)
