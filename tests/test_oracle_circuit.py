@@ -135,7 +135,8 @@ def test_dft_matches_dense_kernel():
         dense = dft_matrix(dim)
         phases = np.stack([fraction_phases(dim, j) for j in range(dim)])
         refs = (dense.conj().T @ (phases * (dense @ input_amps(dim))).T).T
-        spectra = np.concatenate([d.raw for _, d in decide_blocks(enumerate_blocks("fourier", dim, None))])
+        decided = decide_blocks(enumerate_blocks("fourier", dim, None))
+        spectra = np.concatenate([d.raw for _, d in decided])
         for j in range(dim):
             merged = merge_two_to_one(StateVector(refs[j]), "adjacent").probabilities()
             assert np.max(np.abs(spectra[j] - merged)) < 1e-12, (dim, j)
