@@ -49,6 +49,8 @@ COMMANDS = [
     ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "4", "--trials", "0",
      "--format", "csv", "--seed", "7"),
     ("solve", "--variant", "fourier", "--n", "3", "--format", "csv", "--seed", "1"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
+     "--trials", "257", "--error-mode", "random", "--format", "csv", "--seed", "21"),
 ]
 
 
