@@ -24,6 +24,7 @@ import math
 import sys as _sys
 from array import array
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ from .qfunction import q_function
 from .spin_core import MAX_EXPONENT, MIN_EXPONENT, coherent_state, make_spin_system
 
 SCHEMA_VERSION = 1
-MAX_TRIALS = 2**16  # solve holds every decision report in memory until it is written
+MAX_TRIALS = 2**16  # solve holds the text of every report row until main writes it
 
 
 class RunConfig(Frozen):
@@ -351,7 +352,8 @@ def _table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> di
     return {f"{stem}.csv": _csv(header, rows)}
 
 
-# Each command returns its outputs as {file name: text}; main alone writes them.
+# Each command returns its outputs as {file name: text, or a list of text pieces};
+# main alone writes them, once the command has returned.
 def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, str]:
     exponents = _s_range_exponents(cfg.s_range)
     hists = {}
@@ -403,10 +405,12 @@ def _q_grid_lines(grid) -> list[str]:
     return lines
 
 
-def _blocks(cfg: RunConfig, dim: int, rng):
-    """The instance blocks a solve run decides; sampled ones are drawn lazily."""
+def _blocks(cfg: RunConfig, dim: int):
+    """The instance blocks a solve run decides; sampled ones are drawn lazily
+    from the run's one seeded generator, which enumerated runs never make."""
     if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
         return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors)
+    rng = np.random.default_rng(cfg.seed)
     if cfg.variant == "restricted":
         return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
     weight = cfg.errors or 0
@@ -416,7 +420,122 @@ def _blocks(cfg: RunConfig, dim: int, rng):
     )
 
 
-def cmd_solve(cfg: RunConfig) -> dict[str, str]:
+_ROW_NEWLINE = "\n    "  # a report row's indent: an item of the document's "reports" list
+
+
+def _json_scalar(value) -> str:
+    return _SCALAR_TEXT[type(value)](value)
+
+
+def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
+                array_texts: Callable | None = None) -> list[str]:
+    """The text pieces of one block of rows, each row written as its heads in
+    order, each followed by its key's value, then ``end``.
+
+    heads is [(key, text before its value)].  A shared value is written into
+    the block's %-template once; a per-row list goes through ``text`` cell
+    by cell.  A per-row ndarray (the JSON spectra) splits the template:
+    ``array_texts`` gives one text per row, kept as a piece of its own.
+    """
+    rows = len(next(iter(per_row.values())))
+    parts, fmt, cols = [], "", []
+
+    def close():
+        if cols:
+            texts = [list(map(text, col)) for col in cols]
+            parts.append([fmt % row for row in zip(*texts)])
+        else:
+            parts.append([fmt % ()] * rows)
+
+    for key, head in heads:
+        fmt += head.replace("%", "%%")
+        if key in shared:
+            fmt += text(shared[key]).replace("%", "%%")
+        elif isinstance(per_row[key], np.ndarray):
+            close()
+            parts.append(array_texts(per_row[key]))
+            fmt, cols = "", []
+        else:
+            fmt += "%s"
+            cols.append(per_row[key])
+    fmt += end.replace("%", "%%")
+    close()
+    return list(chain.from_iterable(zip(*parts)))
+
+
+class _JsonReports:
+    """A solve document's "reports" list as text pieces, added block by block
+    from oracle_circuit.report_columns, with no dict per row.
+
+    The pieces are those of json.dumps(doc, indent=2, sort_keys=True).  Each
+    row comes from a template of _dict_layout's key heads at the rows'
+    indent; each spectrum's text is memoized under its exact bits and kept as
+    a piece of its own, shared by every row that has that spectrum.
+    """
+
+    def __init__(self):
+        self.pieces = []
+        self._heads = {}  # keys -> a row's key heads, from _dict_layout at the rows' indent
+        self._spectra = {}  # row bits -> text
+
+    def add(self, shared: dict, per_row: dict) -> None:
+        keys = (*shared, *per_row)
+        heads = self._heads.get(keys)
+        if heads is None:  # each row opens with the list's separator, "," after the first
+            (key, head), *rest = _dict_layout(keys, _ROW_NEWLINE)
+            heads = self._heads[keys] = [(key, "," + _ROW_NEWLINE + head), *rest]
+        first = not self.pieces
+        self.pieces += _row_pieces(heads, _ROW_NEWLINE + "}", shared, per_row, _json_scalar,
+                                   self._spectrum_texts)
+        if first and self.pieces:
+            self.pieces[0] = "[" + self.pieces[0][1:]
+
+    def _spectrum_texts(self, probs: np.ndarray) -> list[str]:
+        memo, texts = self._spectra, []
+        newline = _ROW_NEWLINE + "  "
+        inner = newline + "  "
+        for row in probs:
+            bits = row.tobytes()  # bits: -0.0 is not 0.0
+            text = memo.get(bits)
+            if text is None:
+                values = row.tolist()
+                items = ("," + inner).join(map(float.__repr__, values))
+                if "n" in items:  # nan or inf, written as json.dumps writes them
+                    items = ("," + inner).join(map(_float_text, values))
+                text = memo[bits] = "[" + inner + items + newline + "]"
+            texts.append(text)
+        return texts
+
+    def document(self, doc: dict) -> list[str]:
+        """The pieces of _json(doc) with these rows as doc["reports"]."""
+        doc = {"schema_version": SCHEMA_VERSION, **doc, "reports": []}
+        writer = _JsonWriter()
+        for key, head in _dict_layout(tuple(doc), "\n"):
+            writer.out.append(head)
+            if key == "reports":
+                split = len(writer.out)
+            else:
+                writer.encode(doc[key], "\n  ")
+        head, tail = "".join(writer.out[:split]), "".join(writer.out[split:]) + "\n}\n"
+        if not self.pieces:
+            return [head + "[]" + tail]
+        return [head, *self.pieces, "\n  ]" + tail]
+
+
+class _CsvReports:
+    """A solve CSV file as text pieces: _csv's header, then the report rows,
+    added block by block from oracle_circuit.report_columns."""
+
+    _HEADS = [(key, "," if i else "") for i, key in enumerate(oracle_circuit.REPORT_KEYS)]
+
+    def __init__(self):
+        self.pieces = [_csv_text(list(oracle_circuit.REPORT_KEYS), [])]
+
+    def add(self, shared: dict, per_row: dict) -> None:
+        self.pieces += _row_pieces(self._HEADS, "\n", shared, per_row, _fmt)
+
+
+def cmd_solve(cfg: RunConfig) -> dict[str, str | list[str]]:
     if cfg.variant != "unrestricted" and cfg.reps != 1:
         raise ConfigError(
             f"--reps must be 1 for the {cfg.variant} variant, whose decision is exact "
@@ -424,25 +543,35 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str]:
         )
     sys = make_spin_system(cfg.n)
     dim = sys.dim
-    rng = np.random.default_rng(cfg.seed)
     extra = {}
     if cfg.variant == "unrestricted" and cfg.error_mode != "random":
         spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
         extra["worst_case_spectrum"] = spectrum.tolist()
     fourier = cfg.variant == "fourier"
-    reports, table = [], []
-    correct = 0
-    for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim, rng)):
-        reports += oracle_circuit.report_docs(block, decided)
+    reports = _JsonReports() if cfg.format == "json" else _CsvReports()
+    table = []
+    instances = correct = queries = 0  # ints: the summary's ratios are exact sums
+    for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim)):
+        reports.add(*oracle_circuit.report_columns(block, decided))
+        rows = len(block.js)
+        instances += rows
         correct += int(np.count_nonzero(decided.is_a == block.is_a))
+        queries += rows * decided.rounds
         if fourier:  # the raw Pr[designated outcome]; prTop is normalized
             table += decided.raw[:, decided.index].tolist()
     if fourier:
         extra["probability_table"] = table
-    summary = {"instances": len(reports)}
-    if reports:
-        summary["accuracy"] = correct / len(reports)
-        summary["mean_queries"] = sum(rep["queries"] for rep in reports) / len(reports)
+    stem = f"solve_{cfg.variant}_N{dim}"
+    if cfg.format == "csv":
+        files = {f"{stem}.csv": reports.pieces}
+        for key, values in extra.items():  # probability_table, worst_case_spectrum
+            side_header = ["j" if key == "probability_table" else "index", "probability"]
+            files |= _table(cfg, f"{stem}_{key}", side_header, list(enumerate(values)))
+        return files
+    summary = {"instances": instances}
+    if instances:
+        summary["accuracy"] = correct / instances
+        summary["mean_queries"] = queries / instances
     doc = {
         "command": "solve",
         "config": {
@@ -455,18 +584,9 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str]:
             "error_mode": cfg.error_mode,
         },
         "summary": summary,
-        "reports": reports,
         **extra,
     }
-    stem = f"solve_{cfg.variant}_N{dim}"
-    if cfg.format == "json":
-        return {f"{stem}.json": _json(doc)}
-    header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]
-    files = _table(cfg, stem, header, [[rep[k] for k in header] for rep in reports])
-    for key, values in extra.items():  # probability_table, worst_case_spectrum
-        side_header = ["j" if key == "probability_table" else "index", "probability"]
-        files |= _table(cfg, f"{stem}_{key}", side_header, list(enumerate(values)))
-    return files
+    return {f"{stem}.json": reports.document(doc)}
 
 
 def cmd_classical(cfg: RunConfig) -> dict[str, str]:
@@ -504,7 +624,11 @@ def main(argv=None) -> int:
         files = _COMMANDS[cfg.command](cfg)
         cfg.out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (cfg.out / name).write_text(text, newline="\n")
+            with (cfg.out / name).open("w", newline="\n") as f:
+                if isinstance(text, str):
+                    f.write(text)
+                else:  # text pieces, written in order and never joined
+                    f.writelines(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -43,7 +43,7 @@ from .errors import ConfigError, Frozen, InvariantError
 from .spin_core import NORM_TOL, StateVector
 
 PHASE_UNIT_TOL = 1e-15
-PER_OUTCOME_DIM_LIMIT = 64  # serialized reports embed the spectrum only up to here
+PER_OUTCOME_DIM_LIMIT = 64  # JSON reports embed the spectrum only up to here
 PROB_SUM_TOL = 1e-12  # per-outcome probabilities sum to 1 within this; pr_top <= 1 + it
 
 TRANSFORMS = ("hadamard", "fourier")
@@ -68,7 +68,7 @@ def _word_phases(word) -> np.ndarray:
 def _unit_modulus(phases: np.ndarray) -> np.ndarray:
     """Return the phases (a row or a block of rows) once every entry has |p| = 1."""
     dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
-    if dev > PHASE_UNIT_TOL:
+    if not dev <= PHASE_UNIT_TOL:  # NaN fails too
         raise InvariantError(f"oracle phases not unit modulus: dev={dev:.3e}")
     return phases
 
@@ -161,7 +161,7 @@ def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     phases = _unit_modulus(phases)
     raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
     dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
-    if dev > NORM_TOL:
+    if not dev <= NORM_TOL:
         raise InvariantError(f"circuit output not normalized: dev={dev:.3e}")
     return raw
 
@@ -189,7 +189,7 @@ class Decisions(Frozen):
             arr.flags.writeable = False
         if not np.all((self.pr_top >= 0.0) & (self.pr_top <= 1.0 + PROB_SUM_TOL)):
             raise InvariantError(f"pr_top outside [0,1]: {self.pr_top.tolist()!r}")
-        if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+        if not np.all(np.abs(self.probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL):
             raise InvariantError("per-outcome probabilities do not sum to 1")
 
 
@@ -244,22 +244,30 @@ def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
         yield block, _measure(raw, block.dim - back, block.draws)
 
 
-def report_docs(block: InstanceBlock, decided: Decisions) -> list[dict]:
-    """The wire format of a decided block, one dict per row; the normalized
-    outcome spectra are embedded only for N <= 64."""
-    labels = np.where(block.is_a, "A", "B").tolist()
-    decisions = np.where(decided.is_a, "A", "B").tolist()
-    docs = [
-        {"variant": block.variant, "N": block.dim, "hiddenJ": j, "label": label,
-         "decision": decision, "prTop": p, "queries": decided.rounds,
-         "repetitions": decided.rounds}
-        for j, label, decision, p in zip(block.js.tolist(), labels, decisions,
-                                         decided.pr_top.tolist())
-    ]
+# The wire format of a decided row: these keys, in CSV column order, and in
+# JSON reports also perOutcome, the normalized spectrum, for N <= 64.
+REPORT_KEYS = ("variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions")
+
+
+def report_columns(block: InstanceBlock, decided: Decisions) -> tuple[dict, dict]:
+    """The reports of a decided block, key by key, with no dict per row.
+
+    Returns (shared, per_row): shared maps each key whose value every row of
+    the block shares to that value; per_row maps the other keys to a list
+    with one value per row, and perOutcome (N <= 64 only) to the read-only
+    rows x N array of normalized spectra.
+    """
+    shared = {"variant": block.variant, "N": block.dim, "queries": decided.rounds,
+              "repetitions": decided.rounds}
+    per_row = {
+        "hiddenJ": block.js.tolist(),
+        "label": np.where(block.is_a, "A", "B").tolist(),
+        "decision": np.where(decided.is_a, "A", "B").tolist(),
+        "prTop": decided.pr_top.tolist(),
+    }
     if block.dim <= PER_OUTCOME_DIM_LIMIT:
-        for doc, spectrum in zip(docs, decided.probs.tolist()):
-            doc["perOutcome"] = spectrum
-    return docs
+        per_row["perOutcome"] = decided.probs
+    return shared, per_row
 
 
 def _decide(block: InstanceBlock, variant: str) -> Decisions:

@@ -86,7 +86,7 @@ class StateVector(Frozen):
     def __init__(self, amps: np.ndarray):
         object.__setattr__(self, "amps", _frozen_array(np.asarray(amps, dtype=complex)))
         norm_sq = float(np.sum(np.abs(self.amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise InvariantError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
 
     @property

@@ -64,7 +64,7 @@ class SqueezeResult(Frozen):
         dist.flags.writeable = False
         object.__setattr__(self, "distribution", dist)
         mirror_dev = float(np.max(np.abs(dist - dist[::-1])))
-        if mirror_dev >= MIRROR_TOL:
+        if not mirror_dev < MIRROR_TOL:  # NaN fails too
             raise InvariantError(f"distribution not mirror-symmetric: dev={mirror_dev:.3e}")
 
 
@@ -149,7 +149,7 @@ def distribution_variance(dist) -> float | Fraction:
         second = sum(Fraction(i) ** 2 * p for i, p in enumerate(seq))
         return second - mean * mean
     p = np.asarray(seq, dtype=float)
-    if abs(float(p.sum()) - 1.0) > 1e-6:
+    if not abs(float(p.sum()) - 1.0) <= 1e-6:  # NaN fails too
         raise ConfigError(f"distribution must sum to 1, got {p.sum()!r}")
     centred = np.arange(len(p)) - (len(p) - 1) / 2
     mean = float(np.dot(centred, p))
@@ -163,7 +163,7 @@ def central_probability(dist) -> float:
     if n % 2:
         raise ConfigError(f"central pair needs even length, got {n}")
     left, right = float(p[n // 2 - 1]), float(p[n // 2])
-    if abs(left - right) >= MIRROR_TOL:
+    if not abs(left - right) < MIRROR_TOL:  # NaN fails too
         raise InvariantError(f"central pair asymmetric: {left!r} vs {right!r}")
     return left
 

@@ -413,6 +413,39 @@ def test_cli_import_loads_no_dataclasses(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (("--variant", "fourier", "--n", "3"), False),
+        (("--variant", "restricted", "--n", "4"), False),
+        (("--variant", "restricted", "--n", "5", "--trials", "3"), True),
+    ],
+)
+def test_only_sampled_solves_import_numpy_random(tmp_path, args, loaded):
+    # the seeded generator is made where a trial is drawn; numpy.random brings
+    # in secrets and hmac, which an enumerated run does not need
+    cli = (f"import sys; from spinoracle.cli import main; code = main(['solve', *{args!r}]); "
+           "print(code, 'numpy.random' in sys.modules)")
+    done = run_python(tmp_path, "-c", cli)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", str(loaded)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_solve_at_the_trials_cap_holds_no_whole_document(tmp_path):
+    # report rows are rendered per block and written unjoined; the report dicts,
+    # the joined text and its encoded bytes used to peak near 416 MB here
+    args = ["solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
+            "--trials", str(2**16)]
+    cli = ("import os, resource; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+           f"from spinoracle.cli import main; code = main({args!r}); "
+           "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    done = run_python(tmp_path, "-c", cli)
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = done.stdout.split()[-2:]
+    assert code == "0" and int(peak_kib) <= 150 * 1024, peak_kib
+
+
+@pytest.mark.parametrize(
     "args, flag",
     [
         (("--variant", "restricted", "--n", "5", "--trials", "-5"), "--trials"),

@@ -1,4 +1,6 @@
-"""The CLI's JSON writer against json.dumps(indent=2, sort_keys=True)."""
+"""The CLI's text renderers: the JSON writer and the solve report rows
+against json.dumps(indent=2, sort_keys=True), and the CSV report rows
+against _csv of the same rows."""
 
 import json
 import math
@@ -7,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinoracle.cli import _json_text
+from spinoracle import oracle_circuit
+from spinoracle.cli import _blocks, _csv, _json_text, _JsonReports, cmd_solve, load_config
 
 CORPUS = [
     {},
@@ -134,3 +137,103 @@ def test_a_fraction_list_is_rejected_after_an_equal_float_list():
         dumps(doc)
     with pytest.raises(TypeError):
         _json_text(doc)
+
+
+def reference_report_docs(block, decided):
+    """The reports of a decided block as one dict per row, the form solve
+    rendered whole before its rows were rendered block by block."""
+    labels = np.where(block.is_a, "A", "B").tolist()
+    decisions = np.where(decided.is_a, "A", "B").tolist()
+    docs = [
+        {"variant": block.variant, "N": block.dim, "hiddenJ": j, "label": label,
+         "decision": decision, "prTop": p, "queries": decided.rounds,
+         "repetitions": decided.rounds}
+        for j, label, decision, p in zip(block.js.tolist(), labels, decisions,
+                                         decided.pr_top.tolist())
+    ]
+    if block.dim <= 64:
+        for doc, spectrum in zip(docs, decided.probs.tolist()):
+            doc["perOutcome"] = spectrum
+    return docs
+
+
+def reference_solve_doc(cfg):
+    """solve's JSON document built as a dict, and its report dicts."""
+    dim = 2**cfg.n
+    reports, table, correct = [], [], 0
+    for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim)):
+        reports += reference_report_docs(block, decided)
+        correct += int(np.count_nonzero(decided.is_a == block.is_a))
+        table += decided.raw[:, decided.index].tolist()
+    extra = {}
+    if cfg.variant == "unrestricted" and cfg.error_mode != "random":
+        spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
+        extra["worst_case_spectrum"] = spectrum.tolist()
+    if cfg.variant == "fourier":
+        extra["probability_table"] = table
+    summary = {"instances": len(reports)}
+    if reports:
+        summary["accuracy"] = correct / len(reports)
+        summary["mean_queries"] = sum(rep["queries"] for rep in reports) / len(reports)
+    config = {"variant": cfg.variant, "N": dim, "errors": cfg.errors, "reps": cfg.reps,
+              "trials": cfg.trials, "seed": cfg.seed, "error_mode": cfg.error_mode}
+    doc = {"schema_version": 1, "command": "solve", "config": config, "summary": summary,
+           "reports": reports, **extra}
+    return doc, reports
+
+
+SOLVE_RUNS = {
+    # 128 rows per block at N = 64: three blocks
+    "worst-n64": "--variant unrestricted --n 6 --errors 3 --reps 9 --trials 257 --seed 21",
+    "random-n64": "--variant unrestricted --n 6 --errors 3 --reps 9 --trials 257 "
+                  "--error-mode random --seed 21",
+    "restricted-n128": "--variant restricted --n 7 --trials 70 --seed 4",  # no perOutcome
+    "fourier-n8": "--variant fourier --n 3",
+    "fourier-n512": "--variant fourier --n 9",
+    "no-trials": "--variant unrestricted --n 6 --errors 2 --trials 0 --seed 5",
+}
+
+
+@pytest.mark.parametrize("argv", SOLVE_RUNS.values(), ids=SOLVE_RUNS)
+def test_solve_pieces_join_to_json_dumps_of_the_report_dicts(argv):
+    cfg = load_config(["solve", *argv.split()])
+    (pieces,) = cmd_solve(cfg).values()
+    doc, reports = reference_solve_doc(cfg)
+    assert isinstance(pieces, list)
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not reports:
+        assert '"reports": []' in pieces[0]
+
+
+@pytest.mark.parametrize("argv", SOLVE_RUNS.values(), ids=SOLVE_RUNS)
+def test_solve_csv_rows_match_csv_of_the_report_rows(argv):
+    cfg = load_config(["solve", *argv.split(), "--format", "csv"])
+    files = cmd_solve(cfg)
+    _, reports = reference_solve_doc(cfg)
+    header = ["variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions"]
+    name = f"solve_{cfg.variant}_N{2**cfg.n}.csv"
+    assert "".join(files[name]) == _csv(header, [[rep[k] for k in header] for rep in reports])
+
+
+def test_equal_spectra_share_one_text_piece():
+    cfg = load_config(["solve", *SOLVE_RUNS["worst-n64"].split()])
+    (pieces,) = cmd_solve(cfg).values()
+    spectra = [piece for piece in pieces if piece.startswith("[\n        ")]
+    assert len(spectra) == 257  # one per row
+    # worst-case spectra depend only on the hidden index: at most N/2 texts
+    assert len({id(piece) for piece in spectra}) <= 32
+
+
+def test_report_rows_of_any_key_set_match_json_dumps():
+    # non-finite floats, -0.0, a "%" in a key or a value, and a shared key
+    # sorting after the spectra
+    spectra = np.array([[math.nan, math.inf, -math.inf, -0.0], [0.25, 0.25, 0.5, 0.0],
+                        [math.nan, math.inf, -math.inf, -0.0]])
+    reports = _JsonReports()
+    reports.add({"N": 4, "variant": "50%"}, {"hiddenJ": [0, 1, 2], "p%s": [0.5, 1e-7, 2.0],
+                                             "perOutcome": spectra})
+    rows = [{"N": 4, "variant": "50%", "hiddenJ": j, "p%s": p, "perOutcome": spectrum}
+            for j, p, spectrum in zip([0, 1, 2], [0.5, 1e-7, 2.0], spectra.tolist())]
+    doc = {"command": "x", "summary": {"instances": 3}}
+    expected = {"schema_version": 1, **doc, "reports": rows}
+    assert "".join(reports.document(doc)) == dumps(expected) + "\n"

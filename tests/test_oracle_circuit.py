@@ -32,14 +32,16 @@ from spinoracle import (
     sample_instance,
     worst_case_error_mask,
 )
+from spinoracle import oracle_circuit
 from spinoracle.codewords import enumerate_blocks, sample_blocks
 from spinoracle.oracle_circuit import (
     Decisions,
     _fwht,
+    _spectra,
     _transformed_input,
     _word_phases,
     decide_blocks,
-    report_docs,
+    report_columns,
 )
 
 
@@ -306,6 +308,32 @@ def test_measurement_checks_the_outcome_probabilities():
                   np.array([False]), 1)
 
 
+# Each invariant check is written so that a NaN residual fails it: NaN > tol is False.
+def test_a_nan_oracle_phase_is_not_unit_modulus():
+    phases = _word_phases(hadamard_codeword(8, 3).bits)[None].copy()
+    phases[0, 5] = complex(math.nan, 0.0)
+    with pytest.raises(InvariantError, match="unit modulus"):
+        _spectra(phases, "hadamard", "symmetric")
+
+
+def test_a_nan_circuit_output_is_not_normalized(monkeypatch):
+    def nan_merge(amps, pairing):
+        out = amps.copy()
+        out[:, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(oracle_circuit, "_merge", nan_merge)
+    phases = _word_phases(hadamard_codeword(8, 3).bits)[None]
+    with pytest.raises(InvariantError, match="not normalized"):
+        _spectra(phases, "hadamard", "symmetric")
+
+
+def test_a_nan_outcome_probability_fails_the_sum_check():
+    probs = np.array([[0.5, 0.5, math.nan, 0.0]])  # pr_top, column 1, is fine
+    with pytest.raises(InvariantError, match="do not sum to 1"):
+        Decisions(probs.copy(), probs, 1, probs[:, 1], np.array([False]), 1)
+
+
 def test_norm_preserved_through_stages():
     dim = 32
     rng = np.random.default_rng(8)
@@ -449,20 +477,21 @@ def test_oracle_phases_exact_for_bits():
     assert block.phases().tobytes() == _word_phases(word)[None].tobytes()
 
 
-def first_report_doc(blocks):
-    """The wire format solve writes for the first row of the first decided block."""
-    return report_docs(*next(decide_blocks(blocks)))[0]
+def first_report_keys(blocks):
+    """The report keys and shared values solve writes for the first decided block."""
+    shared, per_row = report_columns(*next(decide_blocks(blocks)))
+    return set(shared) | set(per_row), shared, per_row
 
 
 def test_report_serialization():
-    doc = first_report_doc(enumerate_blocks("restricted", 8, None))
-    assert set(doc) == {
+    keys, _, per_row = first_report_keys(enumerate_blocks("restricted", 8, None))
+    assert keys == {
         "variant", "N", "hiddenJ", "label", "decision", "prTop", "queries", "repetitions",
         "perOutcome",
     }
-    assert len(doc["perOutcome"]) == 8
+    assert per_row["perOutcome"].shape[1] == 8
     # spectra embed only up to N = 64
     rng = np.random.default_rng(0)
-    doc128 = first_report_doc(sample_blocks("restricted", 128, 1, 1, rng))
-    assert doc128["N"] == 128
-    assert "perOutcome" not in doc128
+    keys128, shared128, _ = first_report_keys(sample_blocks("restricted", 128, 1, 1, rng))
+    assert shared128["N"] == 128
+    assert "perOutcome" not in keys128

@@ -79,6 +79,8 @@ def test_su2_algebra(n):
 def test_state_norm_is_verified():
     with pytest.raises(InvariantError):
         StateVector(np.array([1.0, 1.0]))
+    with pytest.raises(InvariantError):  # a NaN norm fails too
+        StateVector(np.array([1.0, math.nan]))
 
 
 def test_coherent_state_poles():

@@ -9,6 +9,7 @@ import pytest
 from spinoracle import (
     ConfigError,
     InvariantError,
+    SqueezeResult,
     StateVector,
     bounding_epsilon,
     central_probability,
@@ -211,6 +212,8 @@ def test_distribution_variance_matches_reduced_variance():
 def test_distribution_variance_rejects_unnormalized():
     with pytest.raises(ConfigError):
         distribution_variance([0.2, 0.2])
+    with pytest.raises(ConfigError):  # a NaN total fails too
+        distribution_variance([math.nan, 0.5, 0.5])
 
 
 def test_optimize_mu_n4_exact_optimum():
@@ -258,6 +261,20 @@ def test_central_probability():
         central_probability([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ConfigError):
         central_probability([0.5, 0.25, 0.25])
+    with pytest.raises(InvariantError):  # a NaN side of the pair fails too
+        central_probability([0.25, math.nan, 0.5, 0.25])
+
+
+class _NanState:
+    """Stands in for a state whose probabilities hold a NaN; a StateVector rejects one."""
+
+    def probabilities(self):
+        return np.array([0.0, 0.5, math.nan, 0.0])
+
+
+def test_a_nan_distribution_is_not_mirror_symmetric():
+    with pytest.raises(InvariantError, match="mirror-symmetric"):
+        SqueezeResult(0.1, _NanState(), 0.3)
 
 
 def test_bounding_epsilon_exact():
