@@ -51,6 +51,7 @@ COMMANDS = [
     ("solve", "--variant", "fourier", "--n", "3", "--format", "csv", "--seed", "1"),
     ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
      "--trials", "257", "--error-mode", "random", "--format", "csv", "--seed", "21"),
+    ("classical", "--s-range", "3/2:31/2", "--trials", "3", "--format", "json", "--seed", "1"),
 ]
 
 
