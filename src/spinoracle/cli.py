@@ -20,9 +20,9 @@ byte for byte.  Options may also come from a key=value config file
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys as _sys
-from array import array
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -210,25 +210,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    return _csv_text(header, (",".join(_fmt(cell) for cell in row) for row in rows))
-
-
 def _csv_text(header: list[str], lines) -> str:
     """The CSV file around already formatted data lines."""
     return "\n".join([f"# schema_version={SCHEMA_VERSION}", ",".join(header), *lines]) + "\n"
-
-
-def _json(doc: dict) -> str:
-    return _json_text({"schema_version": SCHEMA_VERSION, **doc}) + "\n"
-
-
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, TypeError included;
-    dict keys must be strings (json.dumps would also take numbers, bools and None)."""
-    writer = _JsonWriter()
-    writer.encode(value, "\n")
-    return "".join(writer.out)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as allow_nan writes them
@@ -247,180 +231,6 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-
-
-def _dict_layout(keys: tuple, newline: str) -> list[tuple[str, str]]:
-    """The sorted keys of a dict, each with the text that opens its entry."""
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-    inner = newline + "  "
-    return [(key, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-            for i, key in enumerate(sorted(keys))]
-
-
-class _JsonWriter:
-    """The text json.dumps(value, indent=2, sort_keys=True) gives, built in ``out``.
-
-    The stdlib's C encoder does not take ``indent``, and its pure-Python
-    fallback cost more than the rest of a sampled solve run.  Scalars of an
-    exact builtin type are written inline.  A solve document repeats the
-    same outcome spectra and the same report keys thousands of times, so
-    the writer keeps two memos for the life of one document: the text of
-    each list made only of finite floats, under its indent and exact bits,
-    and the sorted, escaped key heads of each dict, under its indent and
-    keys.
-    """
-
-    def __init__(self):
-        self.out = []
-        self._float_lists = {}  # (newline, bits) -> text
-        self._layouts = {}  # (newline, keys) -> _dict_layout
-
-    def encode(self, value, newline: str) -> None:
-        """Append the text of ``value``; ``newline`` is a line break plus the
-        enclosing indent."""
-        out = self.out
-        if isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        elif value is None or value is True or value is False:
-            out.append(_SCALAR_TEXT[type(value)](value))
-        elif isinstance(value, int):
-            out.append(int.__repr__(value))
-        elif isinstance(value, float):
-            out.append(_float_text(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                out.append("[]")
-                return
-            text = self._float_list_text(value, newline)
-            if text is not None:
-                out.append(text)
-                return
-            inner = newline + "  "
-            sep = "[" + inner
-            for item in value:
-                scalar = _SCALAR_TEXT.get(type(item))
-                if scalar:
-                    out.append(sep + scalar(item))
-                else:
-                    out.append(sep)
-                    self.encode(item, inner)
-                sep = "," + inner
-            out.append(newline + "]")
-        elif isinstance(value, dict):
-            if not value:
-                out.append("{}")
-                return
-            key = (newline, tuple(value))
-            layout = self._layouts.get(key)
-            if layout is None:
-                layout = self._layouts[key] = _dict_layout(key[1], newline)
-            inner = newline + "  "
-            for name, head in layout:
-                item = value[name]
-                scalar = _SCALAR_TEXT.get(type(item))
-                if scalar:
-                    out.append(head + scalar(item))
-                else:
-                    out.append(head)
-                    self.encode(item, inner)
-            out.append(newline + "}")
-        else:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-    def _float_list_text(self, value, newline: str) -> str | None:
-        """The text of a non-empty list made only of finite floats, else None."""
-        # The type test runs on every list, hit or miss: an int, a bool or a
-        # Fraction converts to the same bits as an equal float.
-        if set(map(type, value)) != {float}:
-            return None
-        key = (newline, array("d", value).tobytes())  # bits: -0.0 is not 0.0
-        text = self._float_lists.get(key)
-        if text is None:
-            inner = newline + "  "
-            text = "[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]"
-            if "n" in text:  # nan or inf: the caller writes it item by item
-                return None
-            self._float_lists[key] = text
-        return text
-
-
-def _table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> dict[str, str]:
-    if cfg.format == "json":
-        return {f"{stem}.json": _json({stem: [dict(zip(header, row)) for row in rows]})}
-    return {f"{stem}.csv": _csv(header, rows)}
-
-
-# Each command returns its outputs as {file name: text, or a list of text pieces};
-# main alone writes them, once the command has returned.
-def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, str]:
-    exponents = _s_range_exponents(cfg.s_range)
-    hists = {}
-    header = ["s", "mu_opt", "v_min", "p_c", "overlap"]
-    rows = []
-    bound = squeezing.bounding_epsilon()
-    for n in exponents:
-        sys = make_spin_system(n)
-        res = squeezing.optimize_mu(sys, cfg.tol)
-        point = squeezing.sweep_row(sys, res)
-        rows.append([point[key] for key in header])
-        if sys.dim >= 8:
-            template = [float(v) for v in bound.template(sys.dim)]
-        else:
-            template = [""] * sys.dim  # template needs at least 8 slots
-        hist_rows = [
-            [i, float(p), template[i]] for i, p in enumerate(res.distribution)
-        ]
-        hists |= _table(cfg, f"hist_N{sys.dim}", ["index", "probability", "bound"], hist_rows)
-    return _table(cfg, "squeeze_scan", header, rows) | hists
-
-
-def cmd_qfunc(cfg: RunConfig) -> dict[str, str]:
-    sys = make_spin_system(cfg.n)
-    if cfg.state == "squeezed":
-        state = squeezing.optimize_mu(sys, cfg.tol).state
-    else:
-        state = coherent_state(sys, math.pi / 2, 0.0)
-    t_steps, p_steps = _grid_shape(cfg.grid)
-    grid = q_function(state, sys, t_steps, p_steps)
-    stem, header = f"qfunc_{cfg.state}_N{sys.dim}", ["theta", "phi", "q"]
-    if cfg.format == "json":
-        q_files = _table(cfg, stem, header, list(grid.rows()))
-    else:
-        q_files = {f"{stem}.csv": _csv_text(header, _q_grid_lines(grid))}
-    dist_rows = [[i, float(p)] for i, p in enumerate(state.probabilities())]
-    dist_files = _table(cfg, f"dist_{cfg.state}_N{sys.dim}", ["index", "probability"], dist_rows)
-    return q_files | dist_files
-
-
-def _q_grid_lines(grid) -> list[str]:
-    """The CSV lines _csv would write for grid.rows(), with each theta and phi
-    formatted once instead of once per cell."""
-    phis = [_fmt(phi) + "," for phi in grid.phis.tolist()]
-    lines = []
-    for theta, qs in zip(grid.thetas.tolist(), grid.values.tolist()):
-        head = _fmt(theta) + ","
-        lines += [head + phi + _fmt(q) for phi, q in zip(phis, qs)]
-    return lines
-
-
-def _blocks(cfg: RunConfig, dim: int):
-    """The instance blocks a solve run decides; sampled ones are drawn lazily
-    from the run's one seeded generator, which enumerated runs never make."""
-    if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
-        return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.variant == "restricted":
-        return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
-    weight = cfg.errors or 0
-    mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
-    return codewords.sample_blocks(
-        "unrestricted", dim, weight, cfg.trials, rng, cfg.reps, syndrome=mask
-    )
-
-
-_ROW_NEWLINE = "\n    "  # a report row's indent: an item of the document's "reports" list
 
 
 def _json_scalar(value) -> str:
@@ -463,27 +273,35 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
     return list(chain.from_iterable(zip(*parts)))
 
 
-class _JsonReports:
-    """A solve document's "reports" list as text pieces, added block by block
-    from oracle_circuit.report_columns, with no dict per row.
+# The row renderers: each file's rows are added block by block as columns,
+# (shared, per_row) as _row_pieces takes them, and kept as text pieces.
+_ROW_NEWLINE = "\n    "  # a row's indent: an item of a list at the document's top level
+
+
+class _JsonRows:
+    """The rows of a JSON document, a list under its top-level ``key``.
 
     The pieces are those of json.dumps(doc, indent=2, sort_keys=True).  Each
-    row comes from a template of _dict_layout's key heads at the rows'
-    indent; each spectrum's text is memoized under its exact bits and kept as
-    a piece of its own, shared by every row that has that spectrum.
+    row comes from a template of its sorted key heads at the rows' indent;
+    each spectrum's text is memoized under its exact bits and kept as a
+    piece of its own, shared by every row that has that spectrum.
     """
 
-    def __init__(self):
+    def __init__(self, key: str):
+        self.key = key
         self.pieces = []
-        self._heads = {}  # keys -> a row's key heads, from _dict_layout at the rows' indent
+        self._heads = {}  # keys -> a row's key heads
         self._spectra = {}  # row bits -> text
 
     def add(self, shared: dict, per_row: dict) -> None:
         keys = (*shared, *per_row)
         heads = self._heads.get(keys)
         if heads is None:  # each row opens with the list's separator, "," after the first
-            (key, head), *rest = _dict_layout(keys, _ROW_NEWLINE)
-            heads = self._heads[keys] = [(key, "," + _ROW_NEWLINE + head), *rest]
+            opens = ["," + _ROW_NEWLINE + "{", *[","] * (len(keys) - 1)]
+            heads = self._heads[keys] = [
+                (key, sep + _ROW_NEWLINE + "  " + encode_basestring_ascii(key) + ": ")
+                for sep, key in zip(opens, sorted(keys))
+            ]
         first = not self.pieces
         self.pieces += _row_pieces(heads, _ROW_NEWLINE + "}", shared, per_row, _json_scalar,
                                    self._spectrum_texts)
@@ -506,36 +324,110 @@ class _JsonReports:
             texts.append(text)
         return texts
 
-    def document(self, doc: dict) -> list[str]:
-        """The pieces of _json(doc) with these rows as doc["reports"]."""
-        doc = {"schema_version": SCHEMA_VERSION, **doc, "reports": []}
-        writer = _JsonWriter()
-        for key, head in _dict_layout(tuple(doc), "\n"):
-            writer.out.append(head)
-            if key == "reports":
-                split = len(writer.out)
-            else:
-                writer.encode(doc[key], "\n  ")
-        head, tail = "".join(writer.out[:split]), "".join(writer.out[split:]) + "\n}\n"
+    def file(self, **head) -> list[str]:
+        """The pieces of the document: the schema version, ``head`` and the rows."""
+        doc = {"schema_version": SCHEMA_VERSION, **head, self.key: []}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if not self.pieces:
-            return [head + "[]" + tail]
-        return [head, *self.pieces, "\n  ]" + tail]
+            return [text]
+        # only a top-level key opens a line at a two-space indent
+        before, entry, after = text.partition(f"\n  {encode_basestring_ascii(self.key)}: []")
+        return [before + entry[:-2], *self.pieces, "\n  ]" + after]
 
 
-class _CsvReports:
-    """A solve CSV file as text pieces: _csv's header, then the report rows,
-    added block by block from oracle_circuit.report_columns."""
+class _CsvRows:
+    """The rows of a CSV file, after its schema line and ``header``, with the
+    columns in the header's order."""
 
-    _HEADS = [(key, "," if i else "") for i, key in enumerate(oracle_circuit.REPORT_KEYS)]
-
-    def __init__(self):
-        self.pieces = [_csv_text(list(oracle_circuit.REPORT_KEYS), [])]
+    def __init__(self, header):
+        self.pieces = [_csv_text(header, [])]
+        self._heads = [(key, "," if i else "") for i, key in enumerate(header)]
 
     def add(self, shared: dict, per_row: dict) -> None:
-        self.pieces += _row_pieces(self._HEADS, "\n", shared, per_row, _fmt)
+        self.pieces += _row_pieces(self._heads, "\n", shared, per_row, _fmt)
+
+    def file(self) -> list[str]:
+        return self.pieces
 
 
-def cmd_solve(cfg: RunConfig) -> dict[str, str | list[str]]:
+def _table(cfg: RunConfig, stem: str, columns: dict) -> dict[str, list[str]]:
+    """One file of one block of rows: {column name: its value in each row}."""
+    rows = _JsonRows(stem) if cfg.format == "json" else _CsvRows(list(columns))
+    rows.add({}, columns)
+    return {f"{stem}.{cfg.format}": rows.file()}
+
+
+# Each command returns its outputs as {file name: text, or a list of text pieces};
+# main alone writes them, once the command has returned.
+def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, list[str]]:
+    exponents = _s_range_exponents(cfg.s_range)
+    hists = {}
+    points = []
+    bound = squeezing.bounding_epsilon()
+    for n in exponents:
+        sys = make_spin_system(n)
+        res = squeezing.optimize_mu(sys, cfg.tol)
+        points.append(squeezing.sweep_row(sys, res))
+        if sys.dim >= 8:
+            template = [float(v) for v in bound.template(sys.dim)]
+        else:
+            template = [""] * sys.dim  # template needs at least 8 slots
+        hist = {"index": range(sys.dim), "probability": res.distribution.tolist(),
+                "bound": template}
+        hists |= _table(cfg, f"hist_N{sys.dim}", hist)
+    header = ["s", "mu_opt", "v_min", "p_c", "overlap"]
+    return _table(cfg, "squeeze_scan", {key: [p[key] for p in points] for key in header}) | hists
+
+
+def cmd_qfunc(cfg: RunConfig) -> dict[str, str | list[str]]:
+    sys = make_spin_system(cfg.n)
+    if cfg.state == "squeezed":
+        state = squeezing.optimize_mu(sys, cfg.tol).state
+    else:
+        state = coherent_state(sys, math.pi / 2, 0.0)
+    t_steps, p_steps = _grid_shape(cfg.grid)
+    grid = q_function(state, sys, t_steps, p_steps)
+    stem = f"qfunc_{cfg.state}_N{sys.dim}"
+    if cfg.format == "json":  # a block per theta, which its rows share
+        rows = _JsonRows(stem)
+        phis = grid.phis.tolist()
+        for theta, qs in zip(grid.thetas.tolist(), grid.values):
+            rows.add({"theta": theta}, {"phi": phis, "q": qs.tolist()})
+        q_files = {f"{stem}.json": rows.file()}
+    else:
+        q_files = {f"{stem}.csv": _csv_text(["theta", "phi", "q"], _q_grid_lines(grid))}
+    dist = {"index": range(sys.dim), "probability": state.probabilities().tolist()}
+    return q_files | _table(cfg, f"dist_{cfg.state}_N{sys.dim}", dist)
+
+
+def _q_grid_lines(grid) -> list[str]:
+    """The CSV lines of the grid's (theta, phi, q) rows, theta-major, as
+    _CsvRows writes them, with each theta and phi formatted once instead of
+    once per cell."""
+    phis = [_fmt(phi) + "," for phi in grid.phis.tolist()]
+    lines = []
+    for theta, qs in zip(grid.thetas.tolist(), grid.values.tolist()):
+        head = _fmt(theta) + ","
+        lines += [head + phi + _fmt(q) for phi, q in zip(phis, qs)]
+    return lines
+
+
+def _blocks(cfg: RunConfig, dim: int):
+    """The instance blocks a solve run decides; sampled ones are drawn lazily
+    from the run's one seeded generator, which enumerated runs never make."""
+    if cfg.variant == "fourier" or (cfg.variant == "restricted" and dim <= 16):
+        return codewords.enumerate_blocks(cfg.variant, dim, cfg.errors)
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.variant == "restricted":
+        return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
+    weight = cfg.errors or 0
+    mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
+    return codewords.sample_blocks(
+        "unrestricted", dim, weight, cfg.trials, rng, cfg.reps, syndrome=mask
+    )
+
+
+def cmd_solve(cfg: RunConfig) -> dict[str, list[str]]:
     if cfg.variant != "unrestricted" and cfg.reps != 1:
         raise ConfigError(
             f"--reps must be 1 for the {cfg.variant} variant, whose decision is exact "
@@ -548,7 +440,10 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str | list[str]]:
         spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
         extra["worst_case_spectrum"] = spectrum.tolist()
     fourier = cfg.variant == "fourier"
-    reports = _JsonReports() if cfg.format == "json" else _CsvReports()
+    if cfg.format == "json":
+        reports = _JsonRows("reports")
+    else:
+        reports = _CsvRows(oracle_circuit.REPORT_KEYS)
     table = []
     instances = correct = queries = 0  # ints: the summary's ratios are exact sums
     for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim)):
@@ -563,33 +458,29 @@ def cmd_solve(cfg: RunConfig) -> dict[str, str | list[str]]:
         extra["probability_table"] = table
     stem = f"solve_{cfg.variant}_N{dim}"
     if cfg.format == "csv":
-        files = {f"{stem}.csv": reports.pieces}
+        files = {f"{stem}.csv": reports.file()}
         for key, values in extra.items():  # probability_table, worst_case_spectrum
-            side_header = ["j" if key == "probability_table" else "index", "probability"]
-            files |= _table(cfg, f"{stem}_{key}", side_header, list(enumerate(values)))
+            index = "j" if key == "probability_table" else "index"
+            side = {index: range(len(values)), "probability": values}
+            files |= _table(cfg, f"{stem}_{key}", side)
         return files
     summary = {"instances": instances}
     if instances:
         summary["accuracy"] = correct / instances
         summary["mean_queries"] = queries / instances
-    doc = {
-        "command": "solve",
-        "config": {
-            "variant": cfg.variant,
-            "N": dim,
-            "errors": cfg.errors,
-            "reps": cfg.reps,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "error_mode": cfg.error_mode,
-        },
-        "summary": summary,
-        **extra,
+    config = {
+        "variant": cfg.variant,
+        "N": dim,
+        "errors": cfg.errors,
+        "reps": cfg.reps,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "error_mode": cfg.error_mode,
     }
-    return {f"{stem}.json": reports.document(doc)}
+    return {f"{stem}.json": reports.file(command="solve", config=config, summary=summary, **extra)}
 
 
-def cmd_classical(cfg: RunConfig) -> dict[str, str]:
+def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
     if cfg.trials < 1:  # solve may decide 0 trials; a classical row needs one
         raise ConfigError(f"--trials must be >= 1 for classical, got {cfg.trials}")
     exponents = _s_range_exponents(cfg.s_range)
@@ -607,7 +498,7 @@ def cmd_classical(cfg: RunConfig) -> dict[str, str]:
         )
         rows.append([dim, 1, result.queries, depth])
     header = ["N", "quantum_queries", "classical_queries", "classical_min_depth"]
-    return _table(cfg, "classical_comparison", header, rows)
+    return _table(cfg, "classical_comparison", dict(zip(header, map(list, zip(*rows)))))
 
 
 _COMMANDS = {

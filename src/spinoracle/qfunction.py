@@ -50,12 +50,6 @@ class SphericalGrid(Frozen):
         if float(self.values.min()) < 0:
             raise InvariantError("Q-function values must be non-negative")
 
-    def rows(self):
-        """Yield (theta, phi, q) triples in row-major order."""
-        for t, theta in enumerate(self.thetas):
-            for p, phi in enumerate(self.phis):
-                yield float(theta), float(phi), float(self.values[t, p])
-
     def quadrature_total(self) -> float:
         """(2s+1)/(4 pi) x integral of Q over the sphere; ~1 for any state.
 

@@ -1,6 +1,6 @@
-"""The CLI's text renderers: the JSON writer and the solve report rows
-against json.dumps(indent=2, sort_keys=True), and the CSV report rows
-against _csv of the same rows."""
+"""The CLI's row renderers: _JsonRows against json.dumps(indent=2,
+sort_keys=True) of the whole document, _CsvRows against _csv of whole rows,
+and every JSON file the CLI writes against json.dumps of itself."""
 
 import json
 import math
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from spinoracle import oracle_circuit
-from spinoracle.cli import _blocks, _csv, _json_text, _JsonReports, cmd_solve, load_config
+from spinoracle.cli import (_blocks, _csv_text, _CsvRows, _fmt, _JsonRows, cmd_solve,
+                            load_config, main)
 
 CORPUS = [
     {},
@@ -20,7 +21,7 @@ CORPUS = [
     [[1.5, [2.5, []]], {"z": 1, "a": [0.1, 0.2]}],
     ("tuple", (1.0, 2.0), [("nested", None)]),
     "plain",
-    "café 中文 \U0001f600  ",
+    "café 中文 \U0001f600  ",
     "\x00\x01\x1f\x7f \" \\ / \b\f\n\r\t",
     {"é": 1, "\x00": 2, "quote\"key": 3, "": 4},
     math.nan,
@@ -49,45 +50,92 @@ CORPUS = [
     {"variant": "unrestricted", "N": 64, "hiddenJ": 31, "decision": "A", "prTop": 0.5625,
      "queries": 9, "repetitions": 9, "perOutcome": [0.0, 0.015625, 0.5625], "label": "A"},
 ]
-
-
-@pytest.mark.parametrize("value", CORPUS, ids=range(len(CORPUS)))
-def test_matches_json_dumps_byte_for_byte(value):
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-def test_matches_json_dumps_on_a_whole_corpus_document():
-    doc = {f"k{i:02d}": value for i, value in enumerate(CORPUS)}
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    assert _json_text(CORPUS) == json.dumps(CORPUS, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [np.int64(1), {1, 2}, object(), [1.0, np.int64(2)], {"a": {2}}, {(1, 2): "tuple key"},
-     {"a": 1, 2: "mixed keys"}],
-    ids=["int64", "set", "object", "int64-in-list", "set-in-dict", "tuple-key", "mixed-keys"],
-)
-def test_rejects_what_json_dumps_rejects(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        _json_text(value)
-
-
-@pytest.mark.parametrize("key", [1, 2.5, True, None], ids=["int", "float", "bool", "none"])
-def test_takes_only_string_keys(key):
-    json.dumps({key: 1}, indent=2, sort_keys=True)  # json.dumps would write it as a string
-    with pytest.raises(TypeError):
-        _json_text({key: 1})
+SCALARS = [value for value in CORPUS if not isinstance(value, (dict, list, tuple))]
 
 
 def dumps(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-# The writer keeps the text of each all-float list under its indent and bits,
-# and each dict's key layout under its indent and keys, for one document.
+def rows_text(blocks, key="rows", **head):
+    """The joined pieces of a JSON document whose rows are added as blocks."""
+    rows = _JsonRows(key)
+    for shared, per_row in blocks:
+        rows.add(shared, per_row)
+    return "".join(rows.file(**head))
+
+
+def expected_text(rows, key="rows", **head):
+    return dumps({"schema_version": 1, **head, key: rows}) + "\n"
+
+
+def as_row(value):
+    """A dict as the columns of one row, a float list as a one-row spectrum;
+    None if a value of it is neither a builtin scalar nor a float list."""
+    columns = {}
+    for key, item in value.items():
+        if isinstance(item, list) and {type(x) for x in item} == {float}:
+            columns[key] = np.array([item])
+        elif type(item) not in (str, int, float, bool, type(None)):
+            return None
+        else:
+            columns[key] = [item]
+    return columns
+
+
+# A scalar goes through the rows as a per-row value and as a shared one; any
+# value goes into the document's head, around which the rows are spliced at
+# their key, "rows", and not at a longer top-level key or a nested "rows".
+@pytest.mark.parametrize("value", CORPUS, ids=range(len(CORPUS)))
+def test_matches_json_dumps_byte_for_byte(value):
+    head = {"head": value, "rows_": value, "nested": {"rows": value}}
+    assert rows_text([({}, {"i": [0, 1]})], **head) == expected_text(
+        [{"i": 0}, {"i": 1}], **head)
+    if not isinstance(value, (dict, list, tuple)):
+        rows = [{"i": 0, "v": value}, {"i": 1, "v": value}]
+        assert rows_text([({}, {"i": [0, 1], "v": [value, value]})]) == expected_text(rows)
+        assert rows_text([({"v": value}, {"i": [0, 1]})]) == expected_text(rows)
+    elif isinstance(value, dict) and value and (columns := as_row(value)):
+        assert rows_text([({}, columns)]) == expected_text([value])
+
+
+def test_matches_json_dumps_on_a_whole_corpus_document():
+    head = {f"k{i:02d}": value for i, value in enumerate(CORPUS)}
+    columns = {f"k{i:02d}": [value] for i, value in enumerate(SCALARS)}
+    assert rows_text([({}, columns)], **head) == expected_text(
+        [{key: col[0] for key, col in columns.items()}], **head)
+    assert rows_text([({}, {"v": SCALARS})]) == expected_text([{"v": v} for v in SCALARS])
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(np.int64(1), KeyError), ({1, 2}, KeyError), (object(), KeyError),
+     ([1.0, np.int64(2)], KeyError), ({"a": {2}}, KeyError),
+     ({(1, 2): "tuple key"}, TypeError), ({"a": 1, 2: "mixed keys"}, TypeError)],
+    ids=["int64", "set", "object", "int64-in-list", "set-in-dict", "tuple-key", "mixed-keys"],
+)
+def test_rejects_what_json_dumps_rejects(value, error):
+    with pytest.raises(TypeError):
+        dumps(value)
+    # a dict is one row's keys and values, anything else the value of "v"
+    row = value if isinstance(value, dict) else {"v": value}
+    with pytest.raises(error):
+        rows_text([({}, {key: [item] for key, item in row.items()})])
+    with pytest.raises(error):
+        rows_text([(row, {"i": [0]})])
+
+
+@pytest.mark.parametrize("key", [1, 2.5, True, None], ids=["int", "float", "bool", "none"])
+def test_takes_only_string_keys(key):
+    json.dumps({key: 1}, indent=2, sort_keys=True)  # json.dumps would write it as a string
+    with pytest.raises(TypeError):
+        rows_text([({}, {key: [1]})])
+    with pytest.raises(TypeError):
+        rows_text([({key: 1}, {"i": [0]})])
+
+
+# Nothing is served by value: a row's template is kept per key tuple and a
+# spectrum's text per exact bits, and every other value is written per block.
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -101,42 +149,113 @@ def dumps(value):
     ids=["int", "bool", "negative-zero", "zero-after-negative-zero", "float64", "float64-first"],
 )
 def test_lists_equal_by_value_keep_their_own_text(first, second):
-    doc = {"a": first, "b": second, "c": [first, second, second, first]}
-    assert _json_text(doc) == dumps(doc)
+    cells = [*first, *second, *second, *first]
+    if any(type(x) is np.float64 for x in cells):  # refused, never served an equal float's text
+        with pytest.raises(KeyError):
+            rows_text([({}, {"v": cells})])
+        return
+    assert rows_text([({}, {"v": cells})]) == expected_text([{"v": x} for x in cells])
+    blocks = [({"v": x}, {"i": [k]}) for k, x in enumerate(cells)]
+    assert rows_text(blocks) == expected_text([{"i": k, "v": x} for k, x in enumerate(cells)])
+    if {type(x) for x in cells} == {float}:  # as spectra, under their bits
+        spectra = [np.array([first]), np.array([second]), np.array([second, first])]
+        blocks = [({}, {"perOutcome": probs}) for probs in spectra]
+        rows = [{"perOutcome": first}, {"perOutcome": second}, {"perOutcome": second},
+                {"perOutcome": first}]
+        assert rows_text(blocks) == expected_text(rows)
 
 
 def test_a_float_list_at_two_depths():
+    # the head's spectrum sits at a two-space indent, a row's at six
     spectrum = [0.1, 0.2, 0.7]
-    doc = {"a": spectrum, "b": {"c": [spectrum, {"d": spectrum}]}, "e": spectrum}
-    assert _json_text(doc) == dumps(doc)
+    blocks = [({"N": 3}, {"perOutcome": np.array([spectrum, spectrum])})]
+    assert rows_text(blocks, worst_case_spectrum=spectrum) == expected_text(
+        [{"N": 3, "perOutcome": spectrum}] * 2, worst_case_spectrum=spectrum)
 
 
 def test_dicts_with_the_same_keys_in_other_orders_and_depths():
-    doc = [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"a": {"b": 5, "a": 6}}, {"b": [{"a": 7, "b": 8}]}]
-    assert _json_text(doc) == dumps(doc)
+    blocks = [({}, {"b": [1], "a": [2]}), ({}, {"a": [3], "b": [4]}), ({"b": 5}, {"a": [6]}),
+              ({"a": 7}, {"b": [8, 9]})]
+    rows = [{"a": 2, "b": 1}, {"a": 3, "b": 4}, {"a": 6, "b": 5}, {"a": 7, "b": 8},
+            {"a": 7, "b": 9}]
+    head = {"summary": {"b": 1, "a": {"b": 2, "a": 3}}}
+    assert rows_text(blocks, **head) == expected_text(rows, **head)
 
 
 def test_a_report_shaped_document_with_repeated_spectra():
     rng = np.random.default_rng(14)
-    spectra = [rng.dirichlet(np.ones(64)).tolist() for _ in range(32)]
-    spectra[0][5] = -0.0
-    reports = [
-        {"variant": "unrestricted", "N": 64, "hiddenJ": i % 32, "label": "AB"[i % 2],
-         "decision": "AB"[i % 3 % 2], "prTop": spectra[i % 32][63], "queries": 9,
-         "repetitions": 9, "perOutcome": spectra[i % 32]}
-        for i in range(2000)
-    ]
-    doc = {"schema_version": 1, "summary": {"instances": 2000, "accuracy": 0.5},
-           "reports": reports, "worst_case_spectrum": spectra[3]}
-    assert _json_text(doc) == dumps(doc)
+    spectra = rng.dirichlet(np.ones(64), size=32)
+    spectra[0, 5] = -0.0
+    reports, blocks = [], []
+    for start in range(0, 2000, 128):  # blocks of 128 rows, as decide_blocks gives them
+        idx = np.arange(start, min(start + 128, 2000))
+        per_row = {"hiddenJ": (idx % 32).tolist(), "label": ["AB"[i % 2] for i in idx],
+                   "decision": ["AB"[i % 3 % 2] for i in idx],
+                   "prTop": spectra[idx % 32, 63].tolist(), "perOutcome": spectra[idx % 32]}
+        blocks.append(({"variant": "unrestricted", "N": 64, "queries": 9, "repetitions": 9},
+                       per_row))
+        reports += [{"variant": "unrestricted", "N": 64, "queries": 9, "repetitions": 9,
+                     **{key: col[k] for key, col in per_row.items() if key != "perOutcome"},
+                     "perOutcome": spectra[i % 32].tolist()} for k, i in enumerate(idx)]
+    head = {"summary": {"instances": 2000, "accuracy": 0.5},
+            "worst_case_spectrum": spectra[3].tolist()}
+    assert rows_text(blocks, "reports", **head) == expected_text(reports, "reports", **head)
 
 
 def test_a_fraction_list_is_rejected_after_an_equal_float_list():
     doc = {"a": [0.5], "b": [Fraction(1, 2)]}
     with pytest.raises(TypeError):
         dumps(doc)
-    with pytest.raises(TypeError):
-        _json_text(doc)
+    with pytest.raises(KeyError):
+        rows_text([({}, {"v": [0.5, Fraction(1, 2)]})])
+    with pytest.raises(TypeError):  # in the head, json.dumps refuses it
+        rows_text([({}, {"v": [0.5]})], **doc)
+
+
+def _csv(header, rows):
+    """The CSV text of whole rows: the schema line, the header, then each
+    row's cells through _fmt."""
+    return _csv_text(header, (",".join(_fmt(cell) for cell in row) for row in rows))
+
+
+def test_csv_rows_match_csv_of_whole_rows():
+    csv_scalars = [*SCALARS, np.float64(0.1), 2.5]  # _fmt takes any float
+    rows = _CsvRows(["i", "v", "w"])
+    rows.add({}, {"i": list(range(len(csv_scalars))), "v": csv_scalars, "w": csv_scalars})
+    for k, value in enumerate(csv_scalars):
+        rows.add({"v": value}, {"i": [k], "w": [value]})
+    whole = [[k, v, v] for k, v in enumerate(csv_scalars)] * 2
+    assert "".join(rows.file()) == _csv(["i", "v", "w"], whole)
+    assert "".join(_CsvRows(["a", "b"]).file()) == _csv(["a", "b"], [])
+
+
+# Each file's text is json.dumps of its own parse.  This holds for the sweep
+# too, whose bytes depend on the LAPACK build, so the golden manifest leaves
+# it out.
+JSON_RUNS = {
+    "squeeze-scan": "squeeze-scan --s-range 3/2:15/2",  # hist_N4 has "" bounds
+    "qfunc-coherent": "qfunc --n 4 --state coherent --grid 16x16",
+    "qfunc-squeezed": "qfunc --n 4 --state squeezed --grid 16x16",
+    "classical": "classical --s-range 3/2:31/2 --trials 3",
+    "restricted-enumerated": "solve --variant restricted --n 4",
+    "restricted-sampled": "solve --variant restricted --n 7 --trials 70 --seed 4",
+    "worst": "solve --variant unrestricted --n 6 --errors 3 --reps 9 --trials 257 --seed 21",
+    "random": "solve --variant unrestricted --n 6 --errors 3 --reps 9 --trials 257 "
+              "--error-mode random --seed 21",
+    "fourier": "solve --variant fourier --n 3",
+    "no-trials": "solve --variant unrestricted --n 6 --errors 2 --trials 0 --seed 5",
+}
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=JSON_RUNS)
+def test_every_json_file_is_json_dumps_of_itself(tmp_path, capsys, argv):
+    assert main([*argv.split(), "--format", "json", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths = sorted(tmp_path.iterdir())
+    assert paths and all(path.suffix == ".json" for path in paths)
+    for path in paths:
+        text = path.read_text()
+        assert text == dumps(json.loads(text)) + "\n", path.name
 
 
 def reference_report_docs(block, decided):
@@ -229,11 +348,11 @@ def test_report_rows_of_any_key_set_match_json_dumps():
     # sorting after the spectra
     spectra = np.array([[math.nan, math.inf, -math.inf, -0.0], [0.25, 0.25, 0.5, 0.0],
                         [math.nan, math.inf, -math.inf, -0.0]])
-    reports = _JsonReports()
+    reports = _JsonRows("reports")
     reports.add({"N": 4, "variant": "50%"}, {"hiddenJ": [0, 1, 2], "p%s": [0.5, 1e-7, 2.0],
                                              "perOutcome": spectra})
     rows = [{"N": 4, "variant": "50%", "hiddenJ": j, "p%s": p, "perOutcome": spectrum}
             for j, p, spectrum in zip([0, 1, 2], [0.5, 1e-7, 2.0], spectra.tolist())]
     doc = {"command": "x", "summary": {"instances": 3}}
     expected = {"schema_version": 1, **doc, "reports": rows}
-    assert "".join(reports.document(doc)) == dumps(expected) + "\n"
+    assert "".join(reports.file(**doc)) == dumps(expected) + "\n"

@@ -107,6 +107,6 @@ def test_grid_layout():
     grid = q_function(coherent_state(sys, math.pi / 2, 0.0), sys, 9, 8)
     assert grid.thetas[0] == 0.0 and grid.thetas[-1] == pytest.approx(math.pi)
     assert grid.phis[0] == 0.0 and grid.phis[-1] < 2 * math.pi
-    rows = list(grid.rows())
-    assert len(rows) == 9 * 8
-    assert rows[1][0] == 0.0 and rows[1][1] == pytest.approx(2 * math.pi / 8)
+    assert len(grid.thetas) == 9 and len(grid.phis) == 8
+    assert grid.values.shape == (9, 8)  # row-major: theta, then phi
+    assert grid.phis[1] == pytest.approx(2 * math.pi / 8)

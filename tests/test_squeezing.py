@@ -223,6 +223,13 @@ def test_optimize_mu_n4_exact_optimum():
     assert np.max(np.abs(res.distribution - [0.0, 0.5, 0.5, 0.0])) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_optimize_mu_returns_a_builtin_float(n):
+    # the CLI's JSON rows pick each value's text by its exact type: a
+    # numpy.float64 mu would stop squeeze-scan --format json
+    assert type(optimize_mu(make_spin_system(n), 1e-8).mu) is float
+
+
 def test_optimize_mu_n64_bracket_and_scan_oracle():
     sys = make_spin_system(6)
     res = optimize_mu(sys, 1e-8)
