@@ -210,11 +210,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header: list[str], lines) -> str:
-    """The CSV file around already formatted data lines."""
-    return "\n".join([f"# schema_version={SCHEMA_VERSION}", ",".join(header), *lines]) + "\n"
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as allow_nan writes them
 
 
@@ -237,6 +232,10 @@ def _json_scalar(value) -> str:
     return _SCALAR_TEXT[type(value)](value)
 
 
+class _Texts(list):
+    """A per-row column already rendered, which _row_pieces takes as it is."""
+
+
 def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
                 array_texts: Callable | None = None) -> list[str]:
     """The text pieces of one block of rows, each row written as its heads in
@@ -244,15 +243,16 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
 
     heads is [(key, text before its value)].  A shared value is written into
     the block's %-template once; a per-row list goes through ``text`` cell
-    by cell.  A per-row ndarray (the JSON spectra) splits the template:
-    ``array_texts`` gives one text per row, kept as a piece of its own.
+    by cell, unless it is a _Texts.  A per-row ndarray (the JSON spectra)
+    splits the template: ``array_texts`` gives one text per row, kept as a
+    piece of its own.
     """
     rows = len(next(iter(per_row.values())))
     parts, fmt, cols = [], "", []
 
     def close():
         if cols:
-            texts = [list(map(text, col)) for col in cols]
+            texts = [col if type(col) is _Texts else list(map(text, col)) for col in cols]
             parts.append([fmt % row for row in zip(*texts)])
         else:
             parts.append([fmt % ()] * rows)
@@ -270,7 +270,7 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
             cols.append(per_row[key])
     fmt += end.replace("%", "%%")
     close()
-    return list(chain.from_iterable(zip(*parts)))
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(zip(*parts)))
 
 
 # The row renderers: each file's rows are added block by block as columns,
@@ -340,7 +340,7 @@ class _CsvRows:
     columns in the header's order."""
 
     def __init__(self, header):
-        self.pieces = [_csv_text(header, [])]
+        self.pieces = [f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"]
         self._heads = [(key, "," if i else "") for i, key in enumerate(header)]
 
     def add(self, shared: dict, per_row: dict) -> None:
@@ -357,8 +357,8 @@ def _table(cfg: RunConfig, stem: str, columns: dict) -> dict[str, list[str]]:
     return {f"{stem}.{cfg.format}": rows.file()}
 
 
-# Each command returns its outputs as {file name: text, or a list of text pieces};
-# main alone writes them, once the command has returned.
+# Each command returns its outputs as {file name: its text pieces}; main alone
+# writes them, once the command has returned.
 def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, list[str]]:
     exponents = _s_range_exponents(cfg.s_range)
     hists = {}
@@ -379,7 +379,7 @@ def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, list[str]]:
     return _table(cfg, "squeeze_scan", {key: [p[key] for p in points] for key in header}) | hists
 
 
-def cmd_qfunc(cfg: RunConfig) -> dict[str, str | list[str]]:
+def cmd_qfunc(cfg: RunConfig) -> dict[str, list[str]]:
     sys = make_spin_system(cfg.n)
     if cfg.state == "squeezed":
         state = squeezing.optimize_mu(sys, cfg.tol).state
@@ -388,28 +388,15 @@ def cmd_qfunc(cfg: RunConfig) -> dict[str, str | list[str]]:
     t_steps, p_steps = _grid_shape(cfg.grid)
     grid = q_function(state, sys, t_steps, p_steps)
     stem = f"qfunc_{cfg.state}_N{sys.dim}"
-    if cfg.format == "json":  # a block per theta, which its rows share
-        rows = _JsonRows(stem)
-        phis = grid.phis.tolist()
-        for theta, qs in zip(grid.thetas.tolist(), grid.values):
-            rows.add({"theta": theta}, {"phi": phis, "q": qs.tolist()})
-        q_files = {f"{stem}.json": rows.file()}
+    if cfg.format == "json":
+        rows, text = _JsonRows(stem), _json_scalar
     else:
-        q_files = {f"{stem}.csv": _csv_text(["theta", "phi", "q"], _q_grid_lines(grid))}
+        rows, text = _CsvRows(["theta", "phi", "q"]), _fmt
+    phis = _Texts(map(text, grid.phis.tolist()))  # rendered once per grid
+    for theta, qs in zip(grid.thetas.tolist(), grid.values):
+        rows.add({"theta": theta}, {"phi": phis, "q": qs.tolist()})  # its rows share theta
     dist = {"index": range(sys.dim), "probability": state.probabilities().tolist()}
-    return q_files | _table(cfg, f"dist_{cfg.state}_N{sys.dim}", dist)
-
-
-def _q_grid_lines(grid) -> list[str]:
-    """The CSV lines of the grid's (theta, phi, q) rows, theta-major, as
-    _CsvRows writes them, with each theta and phi formatted once instead of
-    once per cell."""
-    phis = [_fmt(phi) + "," for phi in grid.phis.tolist()]
-    lines = []
-    for theta, qs in zip(grid.thetas.tolist(), grid.values.tolist()):
-        head = _fmt(theta) + ","
-        lines += [head + phi + _fmt(q) for phi, q in zip(phis, qs)]
-    return lines
+    return {f"{stem}.{cfg.format}": rows.file()} | _table(cfg, f"dist_{cfg.state}_N{sys.dim}", dist)
 
 
 def _blocks(cfg: RunConfig, dim: int):
@@ -485,7 +472,8 @@ def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
         raise ConfigError(f"--trials must be >= 1 for classical, got {cfg.trials}")
     exponents = _s_range_exponents(cfg.s_range)
     rng = np.random.default_rng(cfg.seed)
-    rows = []
+    header = ["N", "quantum_queries", "classical_queries", "classical_min_depth"]
+    columns = {key: [] for key in header}
     for n in exponents:
         dim = 2**n
         for j in rng.integers(0, dim // 2, size=cfg.trials):
@@ -496,9 +484,9 @@ def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
         depth = (
             classical_baseline.min_decision_tree_depth(dim) if dim <= 16 else ""
         )
-        rows.append([dim, 1, result.queries, depth])
-    header = ["N", "quantum_queries", "classical_queries", "classical_min_depth"]
-    return _table(cfg, "classical_comparison", dict(zip(header, map(list, zip(*rows)))))
+        for key, value in zip(header, (dim, 1, result.queries, depth)):
+            columns[key].append(value)
+    return _table(cfg, "classical_comparison", columns)
 
 
 _COMMANDS = {
@@ -514,12 +502,9 @@ def main(argv=None) -> int:
         cfg = load_config(argv)
         files = _COMMANDS[cfg.command](cfg)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, pieces in files.items():  # written in order, never joined
             with (cfg.out / name).open("w", newline="\n") as f:
-                if isinstance(text, str):
-                    f.write(text)
-                else:  # text pieces, written in order and never joined
-                    f.writelines(text)
+                f.writelines(pieces)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

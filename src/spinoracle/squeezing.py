@@ -356,8 +356,8 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     _guard_dense(sys)
     prop = _propagator(sys)
-    # a builtin float, not the np.float64 of the scan grid: the CLI's JSON
-    # rows write a value by its exact type
+    # mu is a builtin float, as SqueezeResult declares, not the np.float64
+    # of the scan grid
     mu_opt = float(_minimize_scanned(prop.tail_weight, 4.0 / sys.s, tol))
     state = prop.state_at(mu_opt)
     return SqueezeResult(mu=mu_opt, state=state, v_minus=reduced_variance(state, sys))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinoracle import oracle_circuit
-from spinoracle.cli import (_blocks, _csv_text, _CsvRows, _fmt, _JsonRows, cmd_solve,
+from spinoracle.cli import (_blocks, _CsvRows, _fmt, _json_scalar, _JsonRows, _Texts, cmd_solve,
                             load_config, main)
 
 CORPUS = [
@@ -21,7 +21,7 @@ CORPUS = [
     [[1.5, [2.5, []]], {"z": 1, "a": [0.1, 0.2]}],
     ("tuple", (1.0, 2.0), [("nested", None)]),
     "plain",
-    "café 中文 \U0001f600  ",
+    "café 中文 \U0001f600 \u2028",
     "\x00\x01\x1f\x7f \" \\ / \b\f\n\r\t",
     {"é": 1, "\x00": 2, "quote\"key": 3, "": 4},
     math.nan,
@@ -215,7 +215,20 @@ def test_a_fraction_list_is_rejected_after_an_equal_float_list():
 def _csv(header, rows):
     """The CSV text of whole rows: the schema line, the header, then each
     row's cells through _fmt."""
-    return _csv_text(header, (",".join(_fmt(cell) for cell in row) for row in rows))
+    lines = [",".join(_fmt(cell) for cell in row) for row in rows]
+    return "\n".join(["# schema_version=1", ",".join(header), *lines]) + "\n"
+
+
+# A column rendered once (the Q maps' phi) is written as given, and gives
+# the text its values would.
+@pytest.mark.parametrize("make, text", [(lambda: _JsonRows("rows"), _json_scalar),
+                                        (lambda: _CsvRows(["i", "v"]), _fmt)], ids=["json", "csv"])
+def test_a_rendered_column_is_written_as_given(make, text):
+    plain, rendered = make(), make()
+    index = list(range(len(SCALARS)))
+    plain.add({}, {"i": index, "v": SCALARS})
+    rendered.add({}, {"i": index, "v": _Texts(map(text, SCALARS))})
+    assert "".join(rendered.file()) == "".join(plain.file())
 
 
 def test_csv_rows_match_csv_of_whole_rows():
