@@ -7,17 +7,12 @@ from .classical_baseline import (
     min_decision_tree_depth,
 )
 from .codewords import (
-    Codeword,
-    ErrorSyndrome,
-    FractionalWord,
     GroupLawReport,
     InstanceBlock,
-    apply_mask,
     designated_index,
     enumerate_blocks,
     fourier_codeword,
     group_properties_check,
-    hadamard_bits,
     hadamard_codeword,
     instance_from_parts,
     restricted_set_size,

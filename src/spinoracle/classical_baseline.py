@@ -78,7 +78,7 @@ def min_decision_tree_depth(dim: int) -> int:
         raise ResourceLimitError(
             f"brute-force depth search supported only for N in {_BRUTE_FORCE_DIMS}"
         )
-    words = [hadamard_codeword(dim, j).bits for j in range(dim // 2)]
+    words = [hadamard_codeword(dim, j).tolist() for j in range(dim // 2)]
     target = designated_index(dim)
 
     @lru_cache(maxsize=None)

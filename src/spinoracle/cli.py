@@ -409,9 +409,7 @@ def _blocks(cfg: RunConfig, dim: int):
         return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
     weight = cfg.errors or 0
     mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
-    return codewords.sample_blocks(
-        "unrestricted", dim, weight, cfg.trials, rng, cfg.reps, syndrome=mask
-    )
+    return codewords.sample_blocks("unrestricted", dim, weight, cfg.trials, rng, cfg.reps, mask)
 
 
 def cmd_solve(cfg: RunConfig) -> dict[str, list[str]]:
@@ -477,7 +475,7 @@ def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
     for n in exponents:
         dim = 2**n
         for j in rng.integers(0, dim // 2, size=cfg.trials):
-            oracle = classical_baseline.BitOracle(codewords.hadamard_bits(dim, int(j)))
+            oracle = classical_baseline.BitOracle(codewords.hadamard_codeword(dim, int(j)))
             result = classical_baseline.classical_identify(oracle, dim)
             if result.j != int(j):
                 raise InvariantError(f"classical identification failed at N={dim}, j={j}")

@@ -1,26 +1,31 @@
-"""Hadamard and Fourier codewords, error syndromes, and blocks of problem instances.
+"""Hadamard and Fourier codewords, error masks, and blocks of problem instances.
 
-Hadamard codewords are the rows of the base-(-1) logarithm of the scaled
-N = 2^n Walsh-Hadamard matrix in Sylvester order: bit x of W_j is the parity
-of j AND x.  All rows except W_0 are balanced and any two rows differ in
-exactly N/2 positions.  The rows form a group under XOR with
-W_j ^ W_k = W_(j XOR k), in particular W_j ^ W_(N-1-j) = W_(N-1).
+Every word is an exact integer array.  Hadamard codewords are the rows of
+the base-(-1) logarithm of the scaled N = 2^n Walsh-Hadamard matrix in
+Sylvester order, as uint8 bits: bit x of W_j is the parity of j AND x.  All
+rows except W_0 are balanced and any two rows differ in exactly N/2
+positions.  The rows form a group under XOR with W_j ^ W_k = W_(j XOR k), in
+particular W_j ^ W_(N-1-j) = W_(N-1).
 
 Fourier codewords are the analogous rows for the discrete Fourier matrix
-with kernel omega = e^(2 pi i / N): entry k of T_j is the exact rational
-2jk/N reduced modulo 2 into (-1, 1].  They form the additive cyclic group
-of order N with T_j + T_(N-j) = T_0 and T_j + T_(N/2-j) = T_(N/2).
+with kernel omega = e^(2 pi i / N): entry k of T_j is the rational 2jk/N
+reduced modulo 2 into (-1, 1], held as its int64 numerator r = 2jk mod 2N
+in (-N, N], so T_j = r/N.  They form the additive cyclic group of order N
+with T_j + T_(N-j) = T_0 and T_j + T_(N/2-j) = T_(N/2).
 
-Error syndromes are weight-d masks; "restricted" masks may only touch the
-N/2 positions where W_(N-1) has a one (the odd-parity positions), which is
-exactly the error pattern the quantum pipeline cancels.
+Error masks are uint8 rows of weight d; "restricted" masks may only touch
+the N/2 positions where W_(N-1) has a one (the odd-parity positions), which
+is exactly the error pattern the quantum pipeline cancels.
+
+oracle_phases is the one phase rule: the transform says how to read a word,
+bits b as 1 - 2b and Fourier numerators r as e^(i pi r/N).
 
 Problem instances live in InstanceBlocks: a block of instances held as
 arrays (the codeword indices, a rows x N mask block, the majority-vote
 variates) and checked once as a whole.  They hold the codeword index and the
 mask, never a string to be checked against a rebuilt copy, and their oracle
-phases come from exact integers (the parity table of popcount(x) mod 2 for
-Hadamard words, the residues 2jk mod 2N for Fourier words).  sample_blocks
+phases come from the integer words (the parity table of popcount(x) mod 2
+for Hadamard words, the residues 2jk mod 2N for Fourier words).  sample_blocks
 draws them trial by trial, so a seeded run does not depend on the block size,
 and enumerate_blocks lists them in _enumerate_trials' order.  Sampling uses
 an explicitly passed numpy Generator, never global state.
@@ -32,8 +37,7 @@ import bisect
 import functools
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -65,13 +69,28 @@ def _parity_table(dim: int) -> np.ndarray:
     return p
 
 
+def _signed_residues(r: np.ndarray, dim: int) -> np.ndarray:
+    """Integers r reduced mod 2N into (-N, N]: the numerators of r/N reduced mod 2 into (-1, 1]."""
+    r = r % (2 * dim)
+    return np.where(r > dim, r - 2 * dim, r)
+
+
 def _fourier_residues(dim: int, j) -> np.ndarray:
     """Numerators r of T_j = r/N: 2jk mod 2N moved into (-N, N].
 
     ``j`` is an index, or a column of indices for one row each.
     """
-    r = np.arange(dim, dtype=np.int64) * (2 * j) % (2 * dim)
-    return np.where(r > dim, r - 2 * dim, r)
+    return _signed_residues(np.arange(dim, dtype=np.int64) * (2 * j), dim)
+
+
+def oracle_phases(words: np.ndarray, transform: str) -> np.ndarray:
+    """The oracle phases e^(i pi z_x) of a word or a block of word rows, as the
+    transform reads them: "hadamard" bits b give exactly 1 - 2b, and the
+    numerators r of a Fourier word r/N give e^(i pi r/N).  The words are
+    taken as already checked."""
+    if transform == "hadamard":
+        return (1.0 - 2.0 * words).astype(complex)
+    return np.exp(1j * math.pi * (words / words.shape[-1]))
 
 
 def designated_index(dim: int) -> int:
@@ -83,48 +102,10 @@ def designated_index(dim: int) -> int:
     return dim // 2 - 1
 
 
-class Codeword(Frozen):
-    """One Hadamard codeword: length-N bits plus its row index."""
-
-    __slots__ = ("bits", "index")
-
-    def __init__(self, bits: tuple[int, ...], index: int):
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "index", index)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-class FractionalWord(Frozen):
-    """One Fourier codeword: length-N exact rationals in (-1, 1]."""
-
-    __slots__ = ("vals", "index")
-
-    def __init__(self, vals: tuple[Fraction, ...], index: int):
-        object.__setattr__(self, "vals", vals)
-        object.__setattr__(self, "index", index)
-
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.vals)
-
-
-class ErrorSyndrome(Frozen):
-    """Weight-d error mask; restricted masks are dominated by W_(N-1)."""
-
-    __slots__ = ("mask", "weight", "restricted")
-
-    def __init__(self, mask: tuple[int, ...], weight: int, restricted: bool):
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "restricted", restricted)
-        _check_masks(np.array([mask]), np.array([weight]), restricted)
-
-
 def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> None:
-    """The mask check of ErrorSyndrome and InstanceBlock over a block of mask rows:
-    bits only, each row of its declared weight, restricted rows dominated by W_(N-1)."""
-    if np.any((masks != 0) & (masks != 1)):
+    """InstanceBlock's mask check over a block of mask rows: integer bits only,
+    each row of its declared weight, restricted rows dominated by W_(N-1)."""
+    if masks.dtype.kind not in "biu" or np.any((masks != 0) & (masks != 1)):
         raise ConfigError("mask entries must be 0 or 1")
     counted = masks.sum(axis=1)
     if not np.array_equal(counted, weights):
@@ -134,39 +115,29 @@ def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> No
         raise ConfigError("restricted mask not dominated by W_(N-1)")
 
 
-def hadamard_bits(dim: int, j: int) -> np.ndarray:
-    """Row j of the Hadamard codeword matrix as uint8 bits, read from the parity table."""
+def _check_index(dim: int, j) -> int:
     dim = _check_dim(dim)
-    if not 0 <= j < dim:
-        raise ConfigError(f"codeword index {j} outside Z_{dim}")
-    return _parity_table(dim)[j & np.arange(dim)]
+    if not isinstance(j, (int, np.integer)) or not 0 <= j < dim:
+        raise ConfigError(f"codeword index {j!r} outside Z_{dim}")
+    return dim
 
 
-def hadamard_codeword(dim: int, j: int) -> Codeword:
-    """Row j of the Hadamard codeword matrix: bit x = popcount(j AND x) mod 2."""
-    return Codeword(bits=tuple(hadamard_bits(dim, j).tolist()), index=j)
+def hadamard_codeword(dim: int, j: int) -> np.ndarray:
+    """Row j of the Hadamard codeword matrix as read-only uint8 bits:
+    bit x = popcount(j AND x) mod 2, read from the parity table."""
+    dim = _check_index(dim, j)
+    bits = _parity_table(dim)[j & np.arange(dim)]
+    bits.flags.writeable = False
+    return bits
 
 
-def _reduce_signed(v: Fraction) -> Fraction:
-    """Reduce modulo 2 into the half-open interval (-1, 1]."""
-    r = v % 2
-    return r - 2 if r > 1 else r
-
-
-def fourier_codeword(dim: int, j: int) -> FractionalWord:
-    """Row j of the Fourier codeword matrix: entry k = 2jk/N mod 2 in (-1, 1]."""
-    dim = _check_dim(dim)
-    if not 0 <= j < dim:
-        raise ConfigError(f"codeword index {j} outside Z_{dim}")
-    vals = tuple(Fraction(r, dim) for r in _fourier_residues(dim, j).tolist())
-    return FractionalWord(vals=vals, index=j)
-
-
-def apply_mask(bits: Sequence[int], mask: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise XOR of a bit string with an error mask."""
-    if len(bits) != len(mask):
-        raise ConfigError(f"length mismatch: {len(bits)} vs {len(mask)}")
-    return tuple(b ^ m for b, m in zip(bits, mask))
+def fourier_codeword(dim: int, j: int) -> np.ndarray:
+    """Row j of the Fourier codeword matrix as read-only int64 numerators r:
+    entry k is T_j[k] = r/N = 2jk/N mod 2, with r in (-N, N]."""
+    dim = _check_index(dim, j)
+    numerators = _fourier_residues(dim, j)
+    numerators.flags.writeable = False
+    return numerators
 
 
 def _error_positions(dim: int, restricted: bool) -> np.ndarray:
@@ -219,29 +190,28 @@ def group_properties_check(dim: int) -> GroupLawReport:
       W closure        W_j ^ W_k = W_(j XOR k)
       T inverse        T_j + T_(N-j) = T_0
       T mirror sum     T_j + T_(N/2-j) = T_(N/2)
+
+    on the integer tables: W rows combine by XOR of their bits, and T rows
+    by adding their numerators and reducing the sum mod 2N into (-N, N].
     """
     dim = _check_dim(dim)
-    w = [hadamard_codeword(dim, j).bits for j in range(dim)]
-    t = [fourier_codeword(dim, j).vals for j in range(dim)]
+    ks = np.arange(dim)
+    w = _parity_table(dim)[ks[:, None] & ks]
+    t = _fourier_residues(dim, ks[:, None])
     failures = []
     for j in range(dim):
-        if apply_mask(w[j], w[j]) != w[0]:
+        if not np.array_equal(w[j] ^ w[j], w[0]):
             failures.append(("W self-inverse", j, j))
-        if apply_mask(w[j], w[dim - 1 - j]) != w[dim - 1]:
+        if not np.array_equal(w[j] ^ w[dim - 1 - j], w[dim - 1]):
             failures.append(("W mirror sum", j, dim - 1 - j))
-        for k in range(dim):
-            if apply_mask(w[j], w[k]) != w[j ^ k]:
-                failures.append(("W closure", j, k))
-        if _add_reduced(t[j], t[(dim - j) % dim]) != t[0]:
+        closure = np.any((w[j] ^ w) != w[j ^ ks], axis=1)
+        failures += [("W closure", j, k) for k in np.flatnonzero(closure).tolist()]
+        if not np.array_equal(_signed_residues(t[j] + t[(dim - j) % dim], dim), t[0]):
             failures.append(("T inverse", j, (dim - j) % dim))
-        if _add_reduced(t[j], t[(dim // 2 - j) % dim]) != t[dim // 2]:
+        if not np.array_equal(_signed_residues(t[j] + t[(dim // 2 - j) % dim], dim), t[dim // 2]):
             failures.append(("T mirror sum", j, (dim // 2 - j) % dim))
     laws = ("W self-inverse", "W mirror sum", "W closure", "T inverse", "T mirror sum")
     return GroupLawReport(dim=dim, laws_checked=laws, failures=tuple(failures))
-
-
-def _add_reduced(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(_reduce_signed(x + y) for x, y in zip(a, b))
 
 
 def _weight_bound(variant: str, dim: int):
@@ -334,13 +304,13 @@ def _enumerate_trials(variant: str, dim: int, d):
 
 
 def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
-                 syndrome: ErrorSyndrome | None = None):
+                 mask: np.ndarray | None = None):
     """Endless (j, error positions, weight) draws; the one draw order of every sample.
 
     Per trial: the weight class (one rng.random() against the class CDF, as
     Generator.choice(p=...) draws it), the error positions
     (rng.choice(positions, size=d, replace=False)) and the codeword index
-    (rng.integers).  Given a fixed ``syndrome`` only the index is drawn.
+    (rng.integers).  Given a fixed ``mask`` only the index is drawn.
     Fourier instances are error-free, with j uniform over Z_N.
     """
     dim = _check_dim(dim)
@@ -348,14 +318,15 @@ def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
         raise ConfigError(f"unknown variant {variant!r}")
     if rng is None:
         raise ConfigError("sampling requires an explicit seeded Generator")
+    if mask is not None:  # checked as a one-row block: every instance check applies
+        fixed = instance_from_parts(variant, dim, 0, mask)
+        cols, weight = np.flatnonzero(fixed.masks[0]), int(fixed.weights[0])
+        while True:
+            yield int(rng.integers(0, dim // 2)), cols, weight
     if variant == FOURIER:
         _require_error_free(d)
         while True:
             yield int(rng.integers(0, dim)), None, 0
-    if syndrome is not None:
-        cols, weight = np.flatnonzero(syndrome.mask), syndrome.weight
-        while True:
-            yield int(rng.integers(0, dim // 2)), cols, weight
     weights = tuple(_resolve_weights(variant, dim, d))
     cdf = _weight_cdf(variant, dim, weights)
     positions = _error_positions(dim, variant == RESTRICTED)
@@ -423,12 +394,11 @@ class InstanceBlock(Frozen):
         return self.js == designated_index(self.dim)
 
     def phases(self) -> np.ndarray:
-        """The (rows x N) oracle rows e^(i pi z_x), from integers only."""
+        """The (rows x N) oracle rows e^(i pi z_x) of the integer words."""
         js, dim = self.js[:, None], self.dim
         if self.variant == FOURIER:
-            return np.exp(1j * math.pi * (_fourier_residues(dim, js) / dim))
-        bits = _parity_table(dim)[js & np.arange(dim)] ^ self.masks
-        return (1.0 - 2.0 * bits).astype(complex)
+            return oracle_phases(_fourier_residues(dim, js), "fourier")
+        return oracle_phases(_parity_table(dim)[js & np.arange(dim)] ^ self.masks, "hadamard")
 
 
 def _check_votes(repetitions: int, rng) -> None:
@@ -474,16 +444,16 @@ def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
 
 def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generator,
                   repetitions: int = 0,
-                  syndrome: ErrorSyndrome | None = None) -> Iterator[InstanceBlock]:
+                  mask: np.ndarray | None = None) -> Iterator[InstanceBlock]:
     """``trials`` sampled instances in blocks, drawn in _draw_trials' order (or,
-    with a fixed ``syndrome``, only their codeword indices), each followed by
+    with a fixed error ``mask``, only their codeword indices), each followed by
     its ``repetitions`` vote variates.
 
     ``d`` selects the error weight: an int, an iterable of ints, or None for
     the full valid range.  Uniformity over a union of weight classes follows
     from weighting each class by its syndrome count.
     """
-    draws = itertools.islice(_draw_trials(variant, dim, d, rng, syndrome), trials)
+    draws = itertools.islice(_draw_trials(variant, dim, d, rng, mask), trials)
     return _blocks(variant, dim, draws, repetitions, rng)
 
 
@@ -498,13 +468,11 @@ def sample_instance(variant: str, dim: int, d=None,
     return next(sample_blocks(variant, dim, d, 1, rng))
 
 
-def instance_from_parts(variant: str, dim: int, j: int,
-                        syndrome: ErrorSyndrome | None) -> InstanceBlock:
-    """A checked one-row block from an explicit codeword index and mask."""
+def instance_from_parts(variant: str, dim: int, j: int, mask) -> InstanceBlock:
+    """A checked one-row block from an explicit codeword index and error mask
+    (None for Fourier instances); the mask's weight is its count of ones."""
     masks = weights = None
-    if syndrome is not None:
-        if variant == RESTRICTED and not syndrome.restricted:
-            raise ConfigError("restricted instance with unrestricted syndrome")
-        masks = np.array([syndrome.mask], dtype=np.uint8)
-        weights = np.array([syndrome.weight])
+    if mask is not None:
+        masks = np.array([mask])
+        weights = np.count_nonzero(masks, axis=1)
     return InstanceBlock(variant, dim, np.array([j]), masks, weights)

@@ -22,7 +22,6 @@ run_pipeline) go through the same circuit.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -32,12 +31,12 @@ from .codewords import (
     FOURIER,
     RESTRICTED,
     UNRESTRICTED,
-    ErrorSyndrome,
     InstanceBlock,
-    apply_mask,
+    _check_dim,
     designated_index,
     enumerate_blocks,
     hadamard_codeword,
+    oracle_phases,
 )
 from .errors import ConfigError, Frozen, InvariantError
 from .spin_core import NORM_TOL, StateVector
@@ -55,14 +54,6 @@ _CIRCUITS = {
     UNRESTRICTED: ("hadamard", "symmetric", 1),
     FOURIER: ("fourier", "adjacent", 2),
 }
-
-
-def _word_phases(word) -> np.ndarray:
-    """The oracle row e^(i pi z_x) of a word: exact +-1 for bits, else from Fractions."""
-    vals = list(word)
-    if all(isinstance(v, (int, np.integer)) and v in (0, 1) for v in vals):
-        return (1.0 - 2.0 * np.array(vals, dtype=float)).astype(complex)
-    return np.exp(1j * math.pi * np.array([float(Fraction(v)) for v in vals]))
 
 
 def _unit_modulus(phases: np.ndarray) -> np.ndarray:
@@ -95,10 +86,20 @@ def _fwht(amps: np.ndarray) -> np.ndarray:
 
 
 def run_pipeline(word, transform: str = "hadamard") -> StateVector:
-    """R^dag U_z R applied to the two-component input state, for one word z."""
+    """R^dag U_z R applied to the two-component input state, for one word z:
+    the 0/1 bits of a Hadamard word, or the integer numerators r in (-N, N]
+    of a Fourier word r/N.  The transform says how the word is read."""
     if transform not in TRANSFORMS:
         raise ConfigError(f"unknown transform {transform!r}")
-    return StateVector(_transform_phase_transform(_unit_modulus(_word_phases(word)), transform))
+    z = np.asarray(word)
+    if z.ndim != 1 or z.dtype.kind not in "biu":
+        raise ConfigError("a word is a row of integers")
+    dim = _check_dim(len(z))
+    low, high = (0, 1) if transform == "hadamard" else (1 - dim, dim)
+    if not np.all((low <= z) & (z <= high)):
+        raise ConfigError(f"a {transform} word holds integers in [{low}, {high}] only")
+    phases = _unit_modulus(oracle_phases(z, transform))
+    return StateVector(_transform_phase_transform(phases, transform))
 
 
 @lru_cache(maxsize=32)  # one per (N, transform) a run uses
@@ -303,25 +304,25 @@ def fourier_probability_table(dim: int) -> np.ndarray:
     return np.concatenate([decided.raw[:, decided.index] for _, decided in decide_blocks(blocks)])
 
 
-def worst_case_error_mask(dim: int, weight: int) -> ErrorSyndrome:
-    """In-phase non-restricted errors that meet the degradation bound exactly.
+def worst_case_error_mask(dim: int, weight: int) -> np.ndarray:
+    """In-phase non-restricted errors that meet the degradation bound exactly,
+    as a read-only uint8 mask of the given weight.
 
     Flips bits only at even-parity positions (where W_(N-1) is zero, so
     nothing cancels) that share a Hadamard character value, making every
     error contribute coherently to the same off component.
     """
     candidates = [x for x in range(0, dim, 2) if x.bit_count() % 2 == 0]
-    if weight > len(candidates):
+    if not 0 <= weight <= len(candidates):
         raise ConfigError(f"cannot place {weight} in-phase errors in dim {dim}")
-    mask = [0] * dim
-    for x in candidates[:weight]:
-        mask[x] = 1
-    return ErrorSyndrome(mask=tuple(mask), weight=weight, restricted=False)
+    mask = np.zeros(dim, dtype=np.uint8)
+    mask[candidates[:weight]] = 1
+    mask.flags.writeable = False
+    return mask
 
 
 def worst_case_spectrum(dim: int, weight: int) -> np.ndarray:
     """Unnormalized output spectrum of the designated codeword under the
     worst-case mask, for any weight the mask admits."""
-    word = apply_mask(hadamard_codeword(dim, designated_index(dim)).bits,
-                      worst_case_error_mask(dim, weight).mask)
-    return _spectra(_word_phases(word)[None], "hadamard", "symmetric")[0]
+    word = hadamard_codeword(dim, designated_index(dim)) ^ worst_case_error_mask(dim, weight)
+    return _spectra(oracle_phases(word[None], "hadamard"), "hadamard", "symmetric")[0]

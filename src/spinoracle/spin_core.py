@@ -96,12 +96,6 @@ class StateVector(Frozen):
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    @staticmethod
-    def basis(dim: int, index: int) -> "StateVector":
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return StateVector(amps)
-
 
 class SpinOperators(Frozen):
     """Sx, Sy and Sz as read-only N x N complex arrays."""

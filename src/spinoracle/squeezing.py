@@ -121,24 +121,22 @@ def twist_generator(sys: SpinSystem) -> np.ndarray:
 
 
 def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
-    """V_- = <Sz^2> - <Sz>^2.
+    """V_- = <Sz^2> - <Sz>^2 of a state of the spin system ``sys``.
 
     For squeezed equatorial states the first moment vanishes, so this equals
-    <Sz^2> directly.  Sz is diagonal, so both moments are plain sums over
-    the probability distribution against m = i - s.
+    <Sz^2> directly.  Sz is diagonal with m = i - s, so V_- is the variance of
+    the state's basis-state distribution, where the shift by s drops out.
     """
-    m = sys.m_values()
-    probs = state.probabilities()
-    mean = float(np.dot(m, probs))
-    return float(np.dot(m * m, probs)) - mean * mean
+    if state.dim != sys.dim:
+        raise ConfigError(f"state of dimension {state.dim} is not one of N = {sys.dim}")
+    return distribution_variance(state.probabilities())
 
 
 def distribution_variance(dist) -> float | Fraction:
     """Var over the qudit index: sum i^2 P_i - (sum i P_i)^2.
 
     Exact for Fraction-valued distributions; float inputs are evaluated
-    about the centre index for stability.  Equals reduced_variance of the
-    underlying state because the index shift i = m + s drops out.
+    about the centre index for stability.
     """
     seq = list(dist)
     total = sum(seq)

@@ -67,7 +67,7 @@ def test_criterion_03_bounding_distribution():
 def test_criterion_04_codeword_outputs():
     for dim in (4, 8, 16, 32):
         for j in range(dim // 2):
-            out = so.run_pipeline(so.hadamard_codeword(dim, j).bits, "hadamard")
+            out = so.run_pipeline(so.hadamard_codeword(dim, j), "hadamard")
             expected = np.zeros(dim, dtype=complex)
             expected[dim // 2 - 1 - j] = expected[dim // 2 + j] = 1 / math.sqrt(2)
             assert np.max(np.abs(out.amps - expected)) < 1e-12
@@ -77,12 +77,12 @@ def test_criterion_04_codeword_outputs():
 def test_criterion_05_restricted_error_cancellation():
     for dim, per_codeword in ((8, 5), (16, 93)):
         assert so.restricted_set_size(dim) == per_codeword
-        words = [so.hadamard_codeword(dim, j).bits for j in range(dim // 2)]
+        words = [so.hadamard_codeword(dim, j) for j in range(dim // 2)]
         base = [so.run_pipeline(w, "hadamard").amps for w in words]
         counts = [0] * (dim // 2)
         for block in so.enumerate_blocks("restricted", dim, None):  # every d < N/4
-            for j, mask in zip(block.js.tolist(), block.masks.tolist()):
-                out = so.run_pipeline(so.apply_mask(words[j], mask), "hadamard").amps
+            for j, mask in zip(block.js.tolist(), block.masks):
+                out = so.run_pipeline(words[j] ^ mask, "hadamard").amps
                 assert np.max(np.abs(out - base[j])) < 1e-12
                 counts[j] += 1
         assert counts == [per_codeword] * (dim // 2)
@@ -93,7 +93,7 @@ def test_criterion_06_worst_case_amplitudes():
     dim = 64
     for weight in (1, 2, 3, 4):
         mask = so.worst_case_error_mask(dim, weight)
-        z = so.apply_mask(so.hadamard_codeword(dim, dim // 2 - 1).bits, mask.mask)
+        z = so.hadamard_codeword(dim, dim // 2 - 1) ^ mask
         out = so.run_pipeline(z, "hadamard")
         principal = (1 - 4 * weight / dim) / math.sqrt(2)
         assert abs(abs(out.amps[dim - 1]) - principal) < 1e-10
@@ -123,11 +123,11 @@ def test_criterion_08_majority_vote_decay():
     trials = 10_000
     mask = so.worst_case_error_mask(dim, weight)
     rng = np.random.default_rng(42)
-    words = [so.hadamard_codeword(dim, j).bits for j in range(dim // 2)]
+    words = [so.hadamard_codeword(dim, j) for j in range(dim // 2)]
     wrong = {q: 0 for q in reps_grid}
     for _ in range(trials):
         j = int(rng.integers(0, dim // 2))
-        z = so.apply_mask(words[j], mask.mask)
+        z = words[j] ^ mask
         merged = so.merge_two_to_one(so.run_pipeline(z, "hadamard"), "symmetric")
         probs = merged.probabilities()
         outcomes = rng.choice(dim, size=max(reps_grid), p=probs / probs.sum())
@@ -148,7 +148,7 @@ def test_criterion_09_classical_baseline():
         dim = 2**n
         indices = range(dim // 2) if dim <= 64 else rng.integers(0, dim // 2, 32)
         for j in indices:
-            oracle = so.BitOracle(so.hadamard_codeword(dim, int(j)).bits)
+            oracle = so.BitOracle(so.hadamard_codeword(dim, int(j)))
             result = so.classical_identify(oracle, dim)
             assert result.j == int(j)
             assert result.queries == n
@@ -166,13 +166,14 @@ def test_criterion_10_fourier_variant():
         expected[dim // 2 - 2] = expected[dim // 2] = 0.25
         assert np.max(np.abs(table - expected)) < 1e-12
     # shift theorem on an explicit DFT matrix R with entries e^(2 pi i jk/N)/sqrt(N)
-    # and oracle phases from the exact Fractions; the circuit shifts |in> alike
+    # and oracle phases from the exact Fractions r/N of the codeword's
+    # numerators r; the circuit shifts |in> alike
     dim = 8
     k = np.arange(dim)
     dft = np.exp(2j * math.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
     for j in range(dim):
-        word = so.fourier_codeword(dim, j).vals
-        phases = np.exp(1j * math.pi * np.array([float(v) for v in word]))
+        word = so.fourier_codeword(dim, j)
+        phases = np.exp(1j * math.pi * np.array([float(Fraction(r, dim)) for r in word.tolist()]))
         for a in range(dim):
             moved = dft.conj().T @ (phases * dft[:, a])
             expected = np.zeros(dim, dtype=complex)
@@ -186,9 +187,13 @@ def test_criterion_10_fourier_variant():
 @criterion(11, "codeword tables reproduce exactly; group laws to N=64", budget_s=5.0)
 def test_criterion_11_codeword_tables():
     w4 = ["0000", "0101", "0011", "0110"]
-    assert [str(so.hadamard_codeword(4, j)) for j in range(4)] == w4
-    assert str(so.hadamard_codeword(8, 7)) == "01101001"
-    assert str(so.hadamard_codeword(8, 4)) == "00001111"
+
+    def bits(dim, j):
+        return "".join(map(str, so.hadamard_codeword(dim, j).tolist()))
+
+    assert [bits(4, j) for j in range(4)] == w4
+    assert bits(8, 7) == "01101001"
+    assert bits(8, 4) == "00001111"
     t8 = [
         [0, 0, 0, 0, 0, 0, 0, 0],
         [0, "1/4", "1/2", "3/4", 1, "-3/4", "-1/2", "-1/4"],
@@ -200,7 +205,8 @@ def test_criterion_11_codeword_tables():
         [0, "-1/4", "-1/2", "-3/4", 1, "3/4", "1/2", "1/4"],
     ]
     for j, row in enumerate(t8):
-        assert so.fourier_codeword(8, j).vals == tuple(Fraction(v) for v in row)
+        word = so.fourier_codeword(8, j).tolist()
+        assert [Fraction(r, 8) for r in word] == [Fraction(v) for v in row]
     for dim in (4, 8, 16, 32, 64):
         assert so.group_properties_check(dim).passed
 

@@ -8,14 +8,13 @@ from spinoracle import (
     ConfigError,
     ResourceLimitError,
     classical_identify,
-    hadamard_bits,
     hadamard_codeword,
     min_decision_tree_depth,
 )
 
 
 def oracle_for(dim, j):
-    return BitOracle(hadamard_codeword(dim, j).bits)
+    return BitOracle(hadamard_codeword(dim, j))
 
 
 def test_identify_reference_cases():
@@ -65,10 +64,11 @@ def test_oracle_checks_the_bit_promise():
 @pytest.mark.parametrize("dim", [4, 64, 1024])
 def test_parity_table_bits_equal_codeword_bits(dim):
     for j in range(0, dim, max(dim // 64, 1)):
-        assert tuple(hadamard_bits(dim, j).tolist()) == hadamard_codeword(dim, j).bits
-        assert hadamard_codeword(dim, j).bits == tuple((j & x).bit_count() & 1 for x in range(dim))
+        bits = hadamard_codeword(dim, j)
+        assert bits.dtype == np.uint8 and not bits.flags.writeable
+        assert bits.tolist() == [(j & x).bit_count() & 1 for x in range(dim)]
     with pytest.raises(ConfigError):
-        hadamard_bits(dim, dim)
+        hadamard_codeword(dim, dim)
 
 
 def test_min_depth_values_and_monotonicity():

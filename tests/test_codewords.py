@@ -1,4 +1,4 @@
-"""Codeword tables, syndromes, group laws, and instance sampling."""
+"""Codeword tables, error masks, group laws, and instance sampling."""
 
 import itertools
 import math
@@ -7,12 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from references import (
+    bit_phases,
+    fourier_fractions,
+    fraction_phases,
+    hadamard_row,
+    xor,
+)
 from spinoracle import (
     ConfigError,
     DegenerateInstanceError,
-    ErrorSyndrome,
     ResourceLimitError,
-    apply_mask,
     fourier_codeword,
     group_properties_check,
     hadamard_codeword,
@@ -26,7 +31,6 @@ from spinoracle.codewords import (
     enumerate_blocks,
     sample_blocks,
 )
-from spinoracle.oracle_circuit import _word_phases
 
 W4_ROWS = ["0000", "0101", "0011", "0110"]
 
@@ -47,37 +51,58 @@ def differing_positions(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
+def bit_string(bits):
+    return "".join(map(str, bits.tolist()))
+
+
+def fractions(numerators, dim):
+    """A Fourier word's entries r/N as exact Fractions."""
+    return tuple(Fraction(r, dim) for r in numerators.tolist())
+
+
 def test_w4_rows_match_table():
     for j, row in enumerate(W4_ROWS):
-        assert str(hadamard_codeword(4, j)) == row
+        assert bit_string(hadamard_codeword(4, j)) == row
 
 
 def test_w8_reference_rows():
-    assert str(hadamard_codeword(8, 7)) == "01101001"
-    assert str(hadamard_codeword(8, 4)) == "00001111"
+    assert bit_string(hadamard_codeword(8, 7)) == "01101001"
+    assert bit_string(hadamard_codeword(8, 4)) == "00001111"
 
 
 def test_t8_matrix_matches_table_exactly():
     for j, row in enumerate(T8_ROWS):
         expected = tuple(Fraction(v) for v in row)
-        assert fourier_codeword(8, j).vals == expected
+        assert fractions(fourier_codeword(8, j), 8) == expected
 
 
 def test_fourier_edge_rows():
-    assert fourier_codeword(8, 0).vals == (Fraction(0),) * 8
-    assert str(fourier_codeword(8, 1)) == "0,1/4,1/2,3/4,1,-3/4,-1/2,-1/4"
+    assert fractions(fourier_codeword(8, 0), 8) == (Fraction(0),) * 8
+    text = ",".join(map(str, fractions(fourier_codeword(8, 1), 8)))
+    assert text == "0,1/4,1/2,3/4,1,-3/4,-1/2,-1/4"
+
+
+def test_codewords_are_read_only_integer_rows():
+    for word, dtype in ((hadamard_codeword(8, 5), np.uint8), (fourier_codeword(8, 5), np.int64)):
+        assert word.dtype == dtype and word.shape == (8,)
+        with pytest.raises(ValueError):
+            word[0] = 1
+    for j in (-1, 8, 2.0):
+        for build in (hadamard_codeword, fourier_codeword):
+            with pytest.raises(ConfigError):
+                build(8, j)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16, 64])
 def test_balance_and_pairwise_distance(dim):
     words = [hadamard_codeword(dim, j) for j in range(dim)]
-    assert sum(words[0].bits) == 0
+    assert sum(words[0].tolist()) == 0
     for w in words[1:]:
-        assert sum(w.bits) == dim // 2
+        assert sum(w.tolist()) == dim // 2
     for j in range(dim):
         for k in range(j + 1, dim):
-            assert differing_positions(words[j].bits, words[k].bits) == dim // 2
-    assert differing_positions(words[3].bits, words[3].bits) == 0
+            assert differing_positions(words[j], words[k]) == dim // 2
+    assert differing_positions(words[3], words[3]) == 0
 
 
 def enumerated_masks(dim, d, j):
@@ -87,23 +112,23 @@ def enumerated_masks(dim, d, j):
 
 
 def test_restricted_syndromes_d1_applied_to_w4():
-    base = hadamard_codeword(8, 4).bits
-    got = {"".join(map(str, apply_mask(base, mask))) for mask in enumerated_masks(8, 1, 0)}
+    base = hadamard_codeword(8, 4)
+    got = {"".join(map(str, xor(base, mask))) for mask in enumerated_masks(8, 1, 0)}
     assert got == {"01001111", "00101111", "00000111", "00001110"}
 
 
 def test_restricted_syndromes_d2_applied_to_w4():
     # weight 2 lies in the restricted class from N = 16 on: W_4 with two of
     # its eight odd-parity positions flipped, each pair once
-    base = hadamard_codeword(16, 4).bits
+    base = hadamard_codeword(16, 4)
     odd = [x for x in range(16) if x.bit_count() % 2]
     expected = set()
     for a, b in itertools.combinations(odd, 2):
-        flipped = list(base)
+        flipped = base.tolist()
         flipped[a] ^= 1
         flipped[b] ^= 1
         expected.add("".join(map(str, flipped)))
-    listed = [apply_mask(base, mask) for mask in enumerated_masks(16, 2, 0)]
+    listed = [xor(base, mask) for mask in enumerated_masks(16, 2, 0)]
     assert {"".join(map(str, z)) for z in listed} == expected
     assert len(listed) == len(expected) == 28
 
@@ -119,23 +144,32 @@ def test_syndrome_counts_and_zero_weight():
 
 
 def test_restricted_masks_are_dominated():
-    guard = hadamard_codeword(16, 15).bits
+    guard = hadamard_codeword(16, 15)
     for mask in enumerated_masks(16, 3, 0):
         assert all(g == 1 for m, g in zip(mask, guard) if m)
 
 
 def test_syndrome_checks_are_the_block_mask_checks():
+    dim = 16
+
+    def mask(*entries):
+        return entries + (0,) * (dim - len(entries))
+
     bad = [
-        ((0, 1, 0, 0), 2, False),  # weight not the declared one
-        ((1, 0, 0, 0), 1, True),  # restricted mask not dominated by W_(N-1)
-        ((0, 1, 0, 0, 0, 0), 1, True),  # restricted length not a power of two
-        ((2, 0, 0, 0), 2, False),  # entries are bits
-        ((-1, 1, 0, 0), 0, False),
+        (mask(0, 1), 2),  # weight not the declared one
+        (mask(1, 0), 1),  # restricted mask not dominated by W_(N-1)
+        (mask(0, 1)[:6], 1),  # mask length not N
+        (mask(2, 0), 2),  # entries are bits
+        (mask(-1, 1), 0),
+        (np.array(mask(0, 1), dtype=float), 1),  # entries are integers
     ]
-    for mask, weight, restricted in bad:
+    for row, weight in bad:
         with pytest.raises(ConfigError):
-            ErrorSyndrome(mask=mask, weight=weight, restricted=restricted)
-    assert ErrorSyndrome(mask=(0, 1, 0, 0), weight=1, restricted=True).weight == 1
+            InstanceBlock("restricted", dim, np.array([0]), np.array([row]), np.array([weight]))
+    for row, _ in bad[1:]:  # instance_from_parts declares each mask's count of ones
+        with pytest.raises(ConfigError):
+            instance_from_parts("restricted", dim, 0, row)
+    assert instance_from_parts("restricted", dim, 0, mask(0, 1)).weights.tolist() == [1]
 
 
 def test_restricted_set_size():
@@ -154,15 +188,15 @@ def test_group_laws(dim):
 
 
 def test_xor_of_rows_is_a_row():
-    w = [hadamard_codeword(4, j).bits for j in range(4)]
-    assert apply_mask(w[1], w[2]) == w[3]
+    w = [hadamard_codeword(4, j) for j in range(4)]
+    assert xor(w[1], w[2]) == w[3].tolist()
 
 
 def test_t0_is_additive_identity():
-    t0 = fourier_codeword(8, 0)
-    t5 = fourier_codeword(8, 5)
-    summed = tuple(a + b for a, b in zip(t0.vals, t5.vals))
-    assert summed == t5.vals
+    t0 = fractions(fourier_codeword(8, 0), 8)
+    t5 = fractions(fourier_codeword(8, 5), 8)
+    summed = tuple(a + b for a, b in zip(t0, t5))
+    assert summed == t5
 
 
 def test_sample_restricted_instance():
@@ -173,8 +207,8 @@ def test_sample_restricted_instance():
         assert len(block) == 1
         seen_labels.add(bool(block.is_a[0]))
         assert block.weights[0] < 2
-        z = apply_mask(hadamard_codeword(8, int(block.js[0])).bits, block.masks[0].tolist())
-        assert block.phases().tobytes() == _word_phases(z)[None].tobytes()
+        z = xor(hadamard_row(8, int(block.js[0])), block.masks[0])
+        assert block.phases().tobytes() == bit_phases(z)[None].tobytes()
         assert block.is_a[0] == (block.js[0] == 3)
     assert seen_labels == {True, False}
 
@@ -212,7 +246,7 @@ def test_fourier_instances():
         block = sample_instance("fourier", 8, None, rng)
         j = int(block.js[0])
         seen.add(j)
-        assert block.phases().tobytes() == _word_phases(fourier_codeword(8, j).vals)[None].tobytes()
+        assert block.phases().tobytes() == fraction_phases(fourier_fractions(8, j))[None].tobytes()
         assert block.masks is None and block.weights is None
     assert seen == set(range(8))  # j ranges over all of Z_N
     with pytest.raises(ConfigError):
@@ -266,40 +300,39 @@ def test_restricted_sampling_past_int64_counts(dim):
         assert probs[d] == expected, d
 
 
-def max_phase_gap(block, words):
-    """The largest gap between a block's phase rows and the phases of its words."""
-    return float(np.max(np.abs(block.phases() - np.stack([_word_phases(z) for z in words]))))
+def max_phase_gap(block, phases):
+    """The largest gap between a block's phase rows and reference phase rows."""
+    return float(np.max(np.abs(block.phases() - np.stack(phases))))
 
 
-def hadamard_words(block):
-    return [apply_mask(hadamard_codeword(block.dim, j).bits, mask)
-            for j, mask in zip(block.js.tolist(), block.masks.tolist())]
+def hadamard_phases(block):
+    return [bit_phases(xor(hadamard_row(block.dim, j), mask))
+            for j, mask in zip(block.js.tolist(), block.masks)]
 
 
 @pytest.mark.parametrize("dim", [8, 64, 1024])
 def test_fourier_phases_equal_phase_oracle_bitwise(dim):
     for block in enumerate_blocks("fourier", dim, None):
-        words = [fourier_codeword(dim, j).vals for j in block.js.tolist()]
-        assert max_phase_gap(block, words) == 0.0
+        phases = [fraction_phases(fourier_fractions(dim, j)) for j in block.js.tolist()]
+        assert max_phase_gap(block, phases) == 0.0
 
 
 def test_restricted_phases_equal_phase_oracle_bitwise():
     blocks = list(enumerate_blocks("restricted", 16, None))
     assert sum(len(block) for block in blocks) == 8 * restricted_set_size(16)
     for block in blocks:
-        assert max_phase_gap(block, hadamard_words(block)) == 0.0
+        assert max_phase_gap(block, hadamard_phases(block)) == 0.0
 
 
 def test_unrestricted_phases_equal_phase_oracle_bitwise():
     rng = np.random.default_rng(21)
     for d in (None, 0, 1, 2, 3):  # None draws the weight too, mostly d = 3 at N = 64
         for block in sample_blocks("unrestricted", 64, d, 40, rng):
-            assert max_phase_gap(block, hadamard_words(block)) == 0.0
+            assert max_phase_gap(block, hadamard_phases(block)) == 0.0
 
 
-def mask_at(dim, *positions, restricted=True):
-    mask = tuple(int(x in positions) for x in range(dim))
-    return ErrorSyndrome(mask=mask, weight=len(positions), restricted=restricted)
+def mask_at(dim, *positions):
+    return tuple(int(x in positions) for x in range(dim))
 
 
 @pytest.mark.parametrize("j", [-1, 8, 9, 2.0])
@@ -321,12 +354,12 @@ def test_instance_checks_survive_without_a_stored_string():
         instance_from_parts("restricted", 12, 0, None)  # N not a power of two
     with pytest.raises(ConfigError):
         instance_from_parts("restricted", 16, 0, mask_at(16, 1, 2, 4, 7))  # d = N/4
-    with pytest.raises(ConfigError):
-        instance_from_parts("restricted", 8, 0, mask_at(8, 1, restricted=False))
+    with pytest.raises(ConfigError):  # position 3 has even parity: not a restricted mask
+        instance_from_parts("restricted", 8, 0, mask_at(8, 3))
     block = instance_from_parts("restricted", 8, 3, mask_at(8, 2))
     assert block.is_a.tolist() == [True]  # j* = 3 is label A
-    z = apply_mask(hadamard_codeword(8, 3).bits, mask_at(8, 2).mask)
-    assert block.phases().tobytes() == _word_phases(z)[None].tobytes()
+    z = xor(hadamard_row(8, 3), mask_at(8, 2))
+    assert block.phases().tobytes() == bit_phases(z)[None].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -353,16 +386,15 @@ def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d,
     assert is_a.tolist() == [j == dim // 2 - 1 for j, _ in expected]
     if variant == "fourier":
         assert all(block.masks is None and block.weights is None for block in blocks)
-        words = [fourier_codeword(dim, j).vals for j, _ in expected]
+        phases = [fraction_phases(fourier_fractions(dim, j)) for j, _ in expected]
     else:
         masks = np.concatenate([block.masks for block in blocks])
         assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == [c for _, c in expected]
         weights = np.concatenate([block.weights for block in blocks])
         assert weights.tolist() == [len(c) for _, c in expected]
-        words = [apply_mask(hadamard_codeword(dim, j).bits, [int(x in c) for x in range(dim)])
-                 for j, c in expected]
-    phases = np.concatenate([block.phases() for block in blocks])
-    assert phases.tobytes() == np.stack([_word_phases(z) for z in words]).tobytes()
+        phases = [bit_phases(xor(hadamard_row(dim, j), mask_at(dim, *c))) for j, c in expected]
+    got = np.concatenate([block.phases() for block in blocks])
+    assert got.tobytes() == np.stack(phases).tobytes()
 
 
 def test_enumeration_checks_survive_in_blocks():

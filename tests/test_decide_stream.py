@@ -12,16 +12,14 @@ their variant, against the same references.
 import numpy as np
 import pytest
 
+from references import fourier_row, hadamard_row, xor
 from spinoracle import (
     ConfigError,
     InstanceBlock,
     ResourceLimitError,
-    apply_mask,
     decide_fourier,
     decide_restricted,
     decide_unrestricted,
-    fourier_codeword,
-    hadamard_codeword,
     instance_from_parts,
     merge_two_to_one,
     run_pipeline,
@@ -34,11 +32,11 @@ from spinoracle.oracle_circuit import decide_blocks, worst_case_spectrum
 
 
 def word(block, i=0):
-    """Row i's oracle string: T_j for Fourier blocks, W_j XOR mask otherwise."""
+    """Row i's oracle string: T_j's numerators for Fourier blocks, W_j XOR mask otherwise."""
     j = int(block.js[i])
     if block.variant == "fourier":
-        return fourier_codeword(block.dim, j).vals
-    return apply_mask(hadamard_codeword(block.dim, j).bits, block.masks[i].tolist())
+        return fourier_row(block.dim, j)
+    return xor(hadamard_row(block.dim, j), block.masks[i])
 
 
 def reference_vote(z, reps, rng, transform="hadamard", pairing="symmetric", back=1):
@@ -66,7 +64,7 @@ def test_majority_votes_match_per_round_choice(mode):
     rng = np.random.default_rng(11)
     ref_rng = np.random.default_rng(11)
     for _ in range(trials):
-        [block] = sample_blocks("unrestricted", dim, weight, 1, rng, reps, syndrome=mask)
+        [block] = sample_blocks("unrestricted", dim, weight, 1, rng, reps, mask=mask)
         decided = decide_unrestricted(block)
         _, ref_probs, ref_decision = reference_vote(word(ref_draw(ref_rng)), reps, ref_rng)
         assert decided.probs[0].tobytes() == ref_probs.tobytes()
@@ -85,7 +83,7 @@ def test_fourier_stream_matches_single_runs_across_blocks():
     assert len(rows) == dim
     for j, (decided, i) in enumerate(rows):
         ref_raw, ref_probs, ref_decision = reference_vote(
-            fourier_codeword(dim, j).vals, 1, None, "fourier", "adjacent", back=2
+            fourier_row(dim, j), 1, None, "fourier", "adjacent", back=2
         )
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.pr_top[i] == ref_probs[dim - 2]
@@ -110,8 +108,7 @@ def test_words_longer_than_a_block_run_one_per_block():
 def test_worst_case_spectrum_matches_single_run():
     dim = 64
     for weight in (0, 2, 4, 6):  # 6 lies outside the instance class
-        mask = worst_case_error_mask(dim, weight).mask
-        z = apply_mask(hadamard_codeword(dim, dim // 2 - 1).bits, mask)
+        z = xor(hadamard_row(dim, dim // 2 - 1), worst_case_error_mask(dim, weight))
         ref = merge_two_to_one(run_pipeline(z, "hadamard"), "symmetric").probabilities()
         assert worst_case_spectrum(dim, weight).tobytes() == ref.tobytes()
 
@@ -133,10 +130,32 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
     assert rng.bit_generator.state == state
 
 
+def test_a_fixed_mask_passes_every_instance_check_before_a_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    even = worst_case_error_mask(64, 2)
+    bad = [
+        (1,) + (0,) * 7,  # shorter than N: it once marked position 0 of each 64-bit row
+        np.concatenate([even, even]),  # longer than N
+        worst_case_error_mask(64, 4),  # l = N/16 is outside the instance class
+        np.where(even == 1, 2, 0),  # entries are bits
+    ]
+    for mask in bad:
+        with pytest.raises(ConfigError):
+            next(sample_blocks("unrestricted", 64, None, 3, rng, 5, mask=mask))
+    with pytest.raises(ConfigError):  # even positions are not restricted ones
+        next(sample_blocks("restricted", 64, None, 3, rng, mask=even))
+    with pytest.raises(ConfigError):  # fourier instances are error-free
+        next(sample_blocks("fourier", 64, None, 3, rng, mask=even))
+    assert rng.bit_generator.state == state
+    [block] = sample_blocks("unrestricted", 64, None, 3, rng, 5, mask=even)
+    assert block.masks.tolist() == [even.tolist()] * 3 and block.weights.tolist() == [2] * 3
+
+
 def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
     """(block, row) pairs of the sampled blocks solve decides, with each row's decision."""
     rng = np.random.default_rng(seed)
-    blocks = sample_blocks(variant, dim, d, trials, rng, reps, syndrome=mask)
+    blocks = sample_blocks(variant, dim, d, trials, rng, reps, mask=mask)
     rows = [(block, decided, i) for block, decided in decide_blocks(blocks) for i in range(len(block))]
     return rows, rng
 

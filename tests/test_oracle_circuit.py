@@ -3,26 +3,35 @@
 The circuits are checked against dense references built here: the Sylvester
 Walsh-Hadamard matrix with entries (-1)^popcount(j & x) / sqrt(N), and the
 DFT matrix with entries e^(2 pi i jk/N) / sqrt(N), with the Fourier oracle
-phases computed from the codewords' Fractions.
+phases computed from exact Fractions T_j[k] = 2jk/N mod 2, and the Hadamard
+words from Python's popcount, all built in the tests.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from references import (
+    basis_state,
+    bit_phases,
+    fourier_fractions,
+    fourier_row,
+    fraction_phases,
+    hadamard_row,
+    xor,
+)
 from spinoracle import (
     ConfigError,
     InstanceBlock,
     InvariantError,
     StateVector,
-    apply_mask,
     decide_fourier,
     decide_restricted,
     decide_unrestricted,
     fourier_codeword,
     fourier_probability_table,
-    hadamard_bits,
     hadamard_codeword,
     instance_from_parts,
     measure_designated,
@@ -33,13 +42,12 @@ from spinoracle import (
     worst_case_error_mask,
 )
 from spinoracle import oracle_circuit
-from spinoracle.codewords import enumerate_blocks, sample_blocks
+from spinoracle.codewords import enumerate_blocks, oracle_phases, sample_blocks
 from spinoracle.oracle_circuit import (
     Decisions,
     _fwht,
     _spectra,
     _transformed_input,
-    _word_phases,
     decide_blocks,
     report_columns,
 )
@@ -68,15 +76,14 @@ def dft_matrix(dim):
     return np.exp(2j * math.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
 
 
-def fraction_phases(dim, j):
+def fourier_phases(dim, j):
     """e^(i pi T_j[x]) from the exact Fractions of the Fourier codeword."""
-    return np.exp(1j * math.pi * np.array([float(v) for v in fourier_codeword(dim, j).vals]))
+    return fraction_phases(fourier_fractions(dim, j))
 
 
 def block_words(block):
     """The oracle string of each row of a Hadamard block: W_j XOR mask."""
-    return [tuple((hadamard_bits(block.dim, int(j)) ^ mask).tolist())
-            for j, mask in zip(block.js, block.masks)]
+    return [xor(hadamard_row(block.dim, int(j)), mask) for j, mask in zip(block.js, block.masks)]
 
 
 def input_amps(dim):
@@ -85,7 +92,7 @@ def input_amps(dim):
 
 def test_input_state():
     # the identity oracle (W_0, T_0) gives back the input state through R^dag R
-    for transform, word in (("hadamard", (0, 0, 0, 0)), ("fourier", fourier_codeword(4, 0).vals)):
+    for transform, word in (("hadamard", (0, 0, 0, 0)), ("fourier", fourier_codeword(4, 0))):
         state = run_pipeline(word, transform)
         assert np.allclose(state.amps, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
         assert abs(np.sum(state.probabilities()) - 1.0) < 1e-15
@@ -126,7 +133,7 @@ def test_dft_unitarity_and_uniform():
     assert np.max(np.abs(dense.conj().T @ dense - np.eye(dim))) < 1e-12
     assert np.max(np.abs(dense[:, 0] - 0.25)) < 1e-12
     assert np.max(np.abs(_transformed_input(dim, "fourier") - dense @ input_amps(dim))) < 1e-12
-    back = run_pipeline(fourier_codeword(dim, 0).vals, "fourier")  # R^dag R |in>
+    back = run_pipeline(fourier_codeword(dim, 0), "fourier")  # R^dag R |in>
     assert np.max(np.abs(back.amps - input_amps(dim))) < 1e-12
 
 
@@ -135,7 +142,7 @@ def test_dft_matches_dense_kernel():
     for n in range(3, 10):
         dim = 2**n
         dense = dft_matrix(dim)
-        phases = np.stack([fraction_phases(dim, j) for j in range(dim)])
+        phases = np.stack([fourier_phases(dim, j) for j in range(dim)])
         refs = (dense.conj().T @ (phases * (dense @ input_amps(dim))).T).T
         decided = decide_blocks(enumerate_blocks("fourier", dim, None))
         spectra = np.concatenate([d.raw for _, d in decided])
@@ -143,7 +150,7 @@ def test_dft_matches_dense_kernel():
             merged = merge_two_to_one(StateVector(refs[j]), "adjacent").probabilities()
             assert np.max(np.abs(spectra[j] - merged)) < 1e-12, (dim, j)
         for j in range(0, dim, max(dim // 16, 1)):
-            out = run_pipeline(fourier_codeword(dim, j).vals, "fourier")
+            out = run_pipeline(fourier_codeword(dim, j), "fourier")
             assert np.max(np.abs(out.amps - refs[j])) < 1e-12, (dim, j)
 
 
@@ -153,9 +160,9 @@ def test_shift_theorem():
     dim = 8
     dense = dft_matrix(dim)
     for j in range(dim):
-        moved = dense.conj().T @ (fraction_phases(dim, j)[:, None] * dense)
+        moved = dense.conj().T @ (fourier_phases(dim, j)[:, None] * dense)
         assert np.max(np.abs(moved - np.roll(np.eye(dim), j, axis=0))) < 1e-12
-        out = run_pipeline(fourier_codeword(dim, j).vals, "fourier")
+        out = run_pipeline(fourier_codeword(dim, j), "fourier")
         expected = two_component(dim, dim // 2 - 1 + j, dim // 2 + j)
         assert np.max(np.abs(out.amps - expected)) < 1e-12
 
@@ -163,14 +170,14 @@ def test_shift_theorem():
 @pytest.mark.parametrize("dim", [4, 8, 16, 32])
 def test_codeword_pipeline_two_component_output(dim):
     for j in range(dim // 2):
-        out = run_pipeline(hadamard_codeword(dim, j).bits, "hadamard")
+        out = run_pipeline(hadamard_codeword(dim, j), "hadamard")
         expected = two_component(dim, dim // 2 - 1 - j, dim // 2 + j)
         assert np.max(np.abs(out.amps - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [8, 16])
 def test_restricted_errors_cancel_exactly(dim):
-    base = [run_pipeline(hadamard_codeword(dim, j).bits, "hadamard").amps for j in range(dim // 2)]
+    base = [run_pipeline(hadamard_codeword(dim, j), "hadamard").amps for j in range(dim // 2)]
     counts = [0] * (dim // 2)
     for block in enumerate_blocks("restricted", dim, None):
         for j, z in zip(block.js.tolist(), block_words(block)):
@@ -185,7 +192,7 @@ def test_worst_case_error_amplitudes():
     j = dim // 2 - 1
     for weight in (1, 2, 3, 4):
         mask = worst_case_error_mask(dim, weight)
-        z = apply_mask(hadamard_codeword(dim, j).bits, mask.mask)
+        z = hadamard_codeword(dim, j) ^ mask
         out = run_pipeline(z, "hadamard")
         principal = (1 - 4 * weight / dim) / math.sqrt(2)
         assert abs(abs(out.amps[dim - 1]) - principal) < 1e-10
@@ -196,14 +203,20 @@ def test_worst_case_error_amplitudes():
 
 
 def test_worst_case_mask_positions_are_unrestricted():
-    guard = hadamard_codeword(64, 63).bits
+    guard = hadamard_codeword(64, 63)
     mask = worst_case_error_mask(64, 4)
-    assert all(guard[x] == 0 for x, m in enumerate(mask.mask) if m)
+    assert mask.dtype == np.uint8 and int(mask.sum()) == 4
+    assert all(guard[x] == 0 for x, m in enumerate(mask) if m)
+    with pytest.raises(ValueError):
+        mask[1] = 1
+    for weight in (-1, 17):  # 16 even positions of even parity at N = 64
+        with pytest.raises(ConfigError):
+            worst_case_error_mask(64, weight)
 
 
 def test_balanced_and_constant_sums():
     dim = 16
-    w = [hadamard_codeword(dim, j).bits for j in range(dim)]
+    w = [hadamard_codeword(dim, j).tolist() for j in range(dim)]
     for j in range(dim):
         for k in range(dim):
             total = sum((-1) ** (w[j][x] ^ w[k][x]) for x in range(dim))
@@ -211,12 +224,12 @@ def test_balanced_and_constant_sums():
     # one non-restricted error at a position where the XOR word has a one
     guard = w[dim - 1]
     for j, k in [(2, 5), (1, 6), (4, 4), (7, 7)]:
-        xor = apply_mask(w[j], w[k])
+        both = xor(w[j], w[k])
         if j == k:
             x = next(x for x in range(dim) if guard[x] == 0)
         else:
-            x = next(x for x in range(dim) if xor[x] == 1 and guard[x] == 0)
-        flipped = list(xor)
+            x = next(x for x in range(dim) if both[x] == 1 and guard[x] == 0)
+        flipped = list(both)
         flipped[x] ^= 1
         total = sum((-1) ** b for b in flipped)
         assert total == (dim - 2 if j == k else 2)
@@ -227,7 +240,7 @@ def test_merge_unitarity_dense(dim):
     for pairing in ("symmetric", "adjacent"):
         cols = []
         for i in range(dim):
-            cols.append(merge_two_to_one(StateVector.basis(dim, i), pairing).amps)
+            cols.append(merge_two_to_one(basis_state(dim, i), pairing).amps)
         u = np.column_stack(cols)
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
@@ -257,9 +270,30 @@ def test_adjacent_merge_action():
 
 def test_pipeline_argument_guards():
     with pytest.raises(ConfigError):
-        run_pipeline(hadamard_codeword(8, 1).bits, "fft")
+        run_pipeline(hadamard_codeword(8, 1), "fft")
     with pytest.raises(ConfigError):
         merge_two_to_one(StateVector(input_amps(4)), "mirror")
+
+
+def test_the_transform_says_how_a_word_is_read():
+    # (0, 2, 0, 0) once ran as W_0, since e^(2 pi i) = 1, and (0, 0.5, 0, 0.5)
+    # as a half-phase word: a Hadamard word holds bits only
+    for word in ((0, 2, 0, 0), (0, 0.5, 0, 0.5), (0, -1, 0, 0), (0, 1, 0), ((0, 1), (1, 0))):
+        with pytest.raises(ConfigError):
+            run_pipeline(word, "hadamard")
+    for word in ((0, 5, 0, 0), (0, -4, 0, 0), (0, 0.5, 0, 0)):  # numerators in (-N, N]
+        with pytest.raises(ConfigError):
+            run_pipeline(word, "fourier")
+    # the same integers are bits to the Hadamard circuit and numerators r/N to the DFT
+    word, dim = (0, 1, 1, 0), 4
+    dense = dft_matrix(dim)
+    phases = fraction_phases([Fraction(v, dim) for v in word])
+    ref = dense.conj().T @ (phases * (dense @ input_amps(dim)))
+    assert np.max(np.abs(run_pipeline(word, "fourier").amps - ref)) < 1e-12
+    assert np.max(np.abs(run_pipeline(fourier_row(dim, 2), "fourier").amps
+                         - two_component(dim, dim // 2 + 1, dim // 2 + 2))) < 1e-12
+    assert np.max(np.abs(run_pipeline(word, "hadamard").amps
+                         - two_component(dim, dim // 2 - 1 - 3, dim // 2 + 3))) < 1e-12
 
 
 def test_measure_designated_uniform():
@@ -310,7 +344,7 @@ def test_measurement_checks_the_outcome_probabilities():
 
 # Each invariant check is written so that a NaN residual fails it: NaN > tol is False.
 def test_a_nan_oracle_phase_is_not_unit_modulus():
-    phases = _word_phases(hadamard_codeword(8, 3).bits)[None].copy()
+    phases = oracle_phases(hadamard_codeword(8, 3)[None], "hadamard")
     phases[0, 5] = complex(math.nan, 0.0)
     with pytest.raises(InvariantError, match="unit modulus"):
         _spectra(phases, "hadamard", "symmetric")
@@ -323,7 +357,7 @@ def test_a_nan_circuit_output_is_not_normalized(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle_circuit, "_merge", nan_merge)
-    phases = _word_phases(hadamard_codeword(8, 3).bits)[None]
+    phases = oracle_phases(hadamard_codeword(8, 3)[None], "hadamard")
     with pytest.raises(InvariantError, match="not normalized"):
         _spectra(phases, "hadamard", "symmetric")
 
@@ -419,7 +453,7 @@ def test_majority_vote_error_decays():
     for reps in (1, 5, 13):
         wrong = 0
         trials = 800
-        blocks = sample_blocks("unrestricted", dim, None, trials, rng, reps, syndrome=mask)
+        blocks = sample_blocks("unrestricted", dim, None, trials, rng, reps, mask=mask)
         for block, decided in decide_blocks(blocks):
             wrong += np.count_nonzero(decided.is_a != block.is_a)
         errors.append(wrong / trials)
@@ -469,12 +503,12 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
 
 
 def test_oracle_phases_exact_for_bits():
-    phases = _word_phases(hadamard_codeword(8, 7).bits)
+    phases = oracle_phases(hadamard_codeword(8, 7), "hadamard")
     assert set(phases.real.tolist()) == {1.0, -1.0}
     assert np.all(phases.imag == 0.0)
     block = sample_instance("restricted", 8, 0, np.random.default_rng(0))
-    word = hadamard_codeword(8, int(block.js[0])).bits
-    assert block.phases().tobytes() == _word_phases(word)[None].tobytes()
+    word = hadamard_row(8, int(block.js[0]))
+    assert block.phases().tobytes() == bit_phases(word)[None].tobytes()
 
 
 def first_report_keys(blocks):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from references import basis_state
 from spinoracle import (
     ConfigError,
     StateVector,
@@ -29,11 +30,11 @@ def test_pole_value_for_lowest_basis_state():
     # coherent_state's convention: theta = 0 is |s> (index N-1), theta = pi
     # is |-s> (index 0)
     sys = make_spin_system(3)
-    lowest = StateVector.basis(sys.dim, 0)
+    lowest = basis_state(sys.dim, 0)
     q = q_values_at(lowest, sys, [math.pi, 0.0], [1.234])[:, 0]
     assert q[0] == pytest.approx(1.0, abs=1e-12)
     assert q[1] == pytest.approx(0.0, abs=1e-12)
-    top = StateVector.basis(sys.dim, sys.dim - 1)
+    top = basis_state(sys.dim, sys.dim - 1)
     assert q_values_at(top, sys, [0.0], [1.234])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 

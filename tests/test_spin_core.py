@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from references import basis_state
 from spinoracle import (
     ConfigError,
     InvariantError,
@@ -59,7 +60,7 @@ def test_lowering_annihilates_ground_state():
     sys = make_spin_system(3)
     ops = spin_operators(sys)
     sminus = ops.sx - 1j * ops.sy
-    ground = StateVector.basis(sys.dim, 0).amps  # |-s>
+    ground = basis_state(sys.dim, 0).amps  # |-s>
     assert np.max(np.abs(sminus @ ground)) == 0.0
 
 
@@ -123,7 +124,7 @@ def test_coherent_state_matches_exponentiated_rotation(n):
     # must match up to a global phase
     sys = make_spin_system(n)
     ops = spin_operators(sys)
-    top = StateVector.basis(sys.dim, sys.dim - 1).amps
+    top = basis_state(sys.dim, sys.dim - 1).amps
     for theta, phi in [(0.7, 0.0), (math.pi / 2, 1.3), (2.1, 4.0)]:
         rotated = expi_hermitian(ops.sz, -phi) @ (
             expi_hermitian(ops.sy, -theta) @ top
@@ -157,7 +158,7 @@ def test_uncertainty_triplet_equatorial():
 def test_uncertainty_triplet_ground_state():
     sys = make_spin_system(3)
     ops = spin_operators(sys)
-    ground = StateVector.basis(sys.dim, 0)
+    ground = basis_state(sys.dim, 0)
     var_x, var_y = variance(ops.sx, ground), variance(ops.sy, ground)
     mean_z = expectation(ops.sz, ground)
     assert var_x * var_y == pytest.approx((sys.s / 2) ** 2, abs=1e-9)

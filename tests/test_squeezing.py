@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from references import basis_state
 from spinoracle import (
     ConfigError,
     InvariantError,
@@ -188,8 +189,20 @@ def test_reduced_variance_reference_values():
     assert reduced_variance(pair, sys) == pytest.approx(0.25, abs=1e-12)
     equatorial = coherent_state(sys, math.pi / 2, 0.0)
     assert reduced_variance(equatorial, sys) == pytest.approx(sys.s / 2, abs=1e-9)
-    ground = StateVector.basis(sys.dim, 0)
+    ground = basis_state(sys.dim, 0)
     assert reduced_variance(ground, sys) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ConfigError):  # a state of another spin system
+        reduced_variance(ground, make_spin_system(3))
+
+
+def test_reduced_variance_is_the_moment_sum_against_m():
+    # <Sz^2> - <Sz>^2 summed against m = i - s, bit for bit: the sweep's v_min
+    for n in range(2, 11):
+        sys = make_spin_system(n)
+        for state in (optimize_mu(sys).state, coherent_state(sys, 1.0, 0.5)):
+            m, probs = sys.m_values(), state.probabilities()
+            mean = float(np.dot(m, probs))
+            assert reduced_variance(state, sys) == float(np.dot(m * m, probs)) - mean * mean, n
 
 
 def test_distribution_variance_reference_values():

@@ -15,7 +15,6 @@ from spinoracle import (
     bounding_epsilon,
     classical_identify,
     coherent_state,
-    fourier_codeword,
     group_properties_check,
     hadamard_codeword,
     make_spin_system,
@@ -23,7 +22,6 @@ from spinoracle import (
     q_function,
     sample_instance,
     spin_operators,
-    worst_case_error_mask,
 )
 from spinoracle.cli import RunConfig, load_config
 from spinoracle.codewords import InstanceBlock
@@ -41,7 +39,6 @@ def value_types():
     sys = make_spin_system(2)
     state = coherent_state(sys, math.pi / 2, 0.0)
     block, decided = decided_block()
-    word = hadamard_codeword(8, 3)
     return [
         sys,
         state,
@@ -49,13 +46,10 @@ def value_types():
         q_function(state, sys, 8, 8),
         optimize_mu(sys),
         bounding_epsilon(),
-        word,
-        fourier_codeword(8, 3),
-        worst_case_error_mask(8, 1),
         group_properties_check(4),
         block,
         decided,
-        classical_identify(BitOracle(word.bits), 8),
+        classical_identify(BitOracle(hadamard_codeword(8, 3)), 8),
         load_config(["qfunc"]),
     ]
 
@@ -84,7 +78,7 @@ def test_values_survive_pickle_and_copy(value):
 
 
 def test_every_value_type_is_covered():
-    assert len({type(v) for v in VALUES}) == len(VALUES) == 14
+    assert len({type(v) for v in VALUES}) == len(VALUES) == 11
 
 
 def test_equal_spin_systems_hash_alike_and_share_one_propagator():
