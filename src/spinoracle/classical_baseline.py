@@ -39,11 +39,6 @@ class BitOracle:
 class IdentifyResult(Frozen):
     __slots__ = ("j", "queries", "consistent")
 
-    def __init__(self, j: int, queries: int, consistent: bool):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "queries", queries)
-        object.__setattr__(self, "consistent", consistent)
-
 
 def classical_identify(oracle: BitOracle, dim: int) -> IdentifyResult:
     """Recover the codeword index with exactly n = log2 N queries.

@@ -40,31 +40,6 @@ SCHEMA_VERSION = 1
 MAX_TRIALS = 2**16  # solve holds the text of every report row until main writes it
 
 
-class RunConfig(Frozen):
-    """One command's resolved options."""
-
-    __slots__ = ("command", "n", "s_range", "variant", "errors", "reps", "trials", "seed",
-                 "grid", "tol", "out", "format", "state", "error_mode")
-
-    def __init__(self, command: str, n: int | None, s_range: str | None, variant: str | None,
-                 errors: int | None, reps: int, trials: int, seed: int, grid: str | None,
-                 tol: float, out: Path, format: str, state: str | None, error_mode: str | None):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s_range", s_range)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "format", format)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "error_mode", error_mode)
-
-
 def _s_range_exponents(text: str) -> list[int]:
     """Exponents n with s = (2^n - 1)/2 inside the closed s interval 'lo:hi' (or 's')."""
     try:
@@ -144,9 +119,19 @@ _OPTIONS = {
 }
 
 
+class RunConfig(Frozen):
+    """One command's resolved options: the command, then one field per option."""
+
+    __slots__ = ("command", *_OPTIONS)
+
+
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -287,6 +272,8 @@ class _JsonRows:
     piece of its own, shared by every row that has that spectrum.
     """
 
+    text = staticmethod(_json_scalar)  # a scalar cell's text
+
     def __init__(self, key: str):
         self.key = key
         self.pieces = []
@@ -303,7 +290,7 @@ class _JsonRows:
                 for sep, key in zip(opens, sorted(keys))
             ]
         first = not self.pieces
-        self.pieces += _row_pieces(heads, _ROW_NEWLINE + "}", shared, per_row, _json_scalar,
+        self.pieces += _row_pieces(heads, _ROW_NEWLINE + "}", shared, per_row, self.text,
                                    self._spectrum_texts)
         if first and self.pieces:
             self.pieces[0] = "[" + self.pieces[0][1:]
@@ -339,20 +326,27 @@ class _CsvRows:
     """The rows of a CSV file, after its schema line and ``header``, with the
     columns in the header's order."""
 
+    text = staticmethod(_fmt)
+
     def __init__(self, header):
         self.pieces = [f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"]
         self._heads = [(key, "," if i else "") for i, key in enumerate(header)]
 
     def add(self, shared: dict, per_row: dict) -> None:
-        self.pieces += _row_pieces(self._heads, "\n", shared, per_row, _fmt)
+        self.pieces += _row_pieces(self._heads, "\n", shared, per_row, self.text)
 
     def file(self) -> list[str]:
         return self.pieces
 
 
+def _renderer(cfg: RunConfig, key: str, header) -> _JsonRows | _CsvRows:
+    """The rows of one file in --format: a JSON list under key, or CSV columns in header."""
+    return _JsonRows(key) if cfg.format == "json" else _CsvRows(header)
+
+
 def _table(cfg: RunConfig, stem: str, columns: dict) -> dict[str, list[str]]:
     """One file of one block of rows: {column name: its value in each row}."""
-    rows = _JsonRows(stem) if cfg.format == "json" else _CsvRows(list(columns))
+    rows = _renderer(cfg, stem, list(columns))
     rows.add({}, columns)
     return {f"{stem}.{cfg.format}": rows.file()}
 
@@ -388,11 +382,8 @@ def cmd_qfunc(cfg: RunConfig) -> dict[str, list[str]]:
     t_steps, p_steps = _grid_shape(cfg.grid)
     grid = q_function(state, sys, t_steps, p_steps)
     stem = f"qfunc_{cfg.state}_N{sys.dim}"
-    if cfg.format == "json":
-        rows, text = _JsonRows(stem), _json_scalar
-    else:
-        rows, text = _CsvRows(["theta", "phi", "q"]), _fmt
-    phis = _Texts(map(text, grid.phis.tolist()))  # rendered once per grid
+    rows = _renderer(cfg, stem, ["theta", "phi", "q"])
+    phis = _Texts(map(rows.text, grid.phis.tolist()))  # rendered once per grid
     for theta, qs in zip(grid.thetas.tolist(), grid.values):
         rows.add({"theta": theta}, {"phi": phis, "q": qs.tolist()})  # its rows share theta
     dist = {"index": range(sys.dim), "probability": state.probabilities().tolist()}
@@ -425,10 +416,7 @@ def cmd_solve(cfg: RunConfig) -> dict[str, list[str]]:
         spectrum = oracle_circuit.worst_case_spectrum(dim, cfg.errors or 0)
         extra["worst_case_spectrum"] = spectrum.tolist()
     fourier = cfg.variant == "fourier"
-    if cfg.format == "json":
-        reports = _JsonRows("reports")
-    else:
-        reports = _CsvRows(oracle_circuit.REPORT_KEYS)
+    reports = _renderer(cfg, "reports", oracle_circuit.REPORT_KEYS)
     table = []
     instances = correct = queries = 0  # ints: the summary's ratios are exact sums
     for block, decided in oracle_circuit.decide_blocks(_blocks(cfg, dim)):

@@ -170,12 +170,6 @@ class GroupLawReport(Frozen):
 
     __slots__ = ("dim", "laws_checked", "failures")
 
-    def __init__(self, dim: int, laws_checked: tuple[str, ...],
-                 failures: tuple[tuple[str, int, int], ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "laws_checked", laws_checked)
-        object.__setattr__(self, "failures", failures)
-
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -348,21 +342,11 @@ class InstanceBlock(Frozen):
     """
 
     __slots__ = ("variant", "dim", "js", "masks", "weights", "draws")
+    _optional = ("masks", "weights", "draws")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, variant: str, dim: int, js: np.ndarray,
-                 masks: np.ndarray | None = None, weights: np.ndarray | None = None,
-                 draws: np.ndarray | None = None):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "js", js)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "draws", draws)
-        for arr in (js, masks, weights, draws):
-            if arr is not None:
-                arr.flags.writeable = False
+    def _check(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         dim = _check_dim(self.dim)
@@ -453,6 +437,9 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
     the full valid range.  Uniformity over a union of weight classes follows
     from weighting each class by its syndrome count.
     """
+    for name, count in (("trials", trials), ("repetitions", repetitions)):
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ConfigError(f"{name} must be an integer >= 0, got {count!r}")
     draws = itertools.islice(_draw_trials(variant, dim, d, rng, mask), trials)
     return _blocks(variant, dim, draws, repetitions, rng)
 

@@ -178,16 +178,7 @@ class Decisions(Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, raw: np.ndarray, probs: np.ndarray, index: int, pr_top: np.ndarray,
-                 is_a: np.ndarray, rounds: int):
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "pr_top", pr_top)
-        object.__setattr__(self, "is_a", is_a)
-        object.__setattr__(self, "rounds", rounds)
-        for arr in (raw, probs, pr_top, is_a):  # pr_top is a view of probs: its own flag
-            arr.flags.writeable = False
+    def _check(self):
         if not np.all((self.pr_top >= 0.0) & (self.pr_top <= 1.0 + PROB_SUM_TOL)):
             raise InvariantError(f"pr_top outside [0,1]: {self.pr_top.tolist()!r}")
         if not np.all(np.abs(self.probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL):

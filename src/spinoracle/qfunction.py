@@ -40,11 +40,9 @@ class SphericalGrid(Frozen):
     __slots__ = ("dim", "thetas", "phis", "values")
 
     def __init__(self, dim: int, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
-        object.__setattr__(self, "dim", dim)
-        for name, arr in (("thetas", thetas), ("phis", phis), ("values", values)):
-            arr = np.asarray(arr, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        super().__init__(dim, *(np.asarray(a, dtype=float) for a in (thetas, phis, values)))
+
+    def _check(self):
         if self.values.shape != (len(self.thetas), len(self.phis)):
             raise InvariantError("grid shape mismatch")
         if float(self.values.min()) < 0:
@@ -94,9 +92,4 @@ def q_function(
         raise ConfigError(f"state dim {state.dim} does not match system dim {sys.dim}")
     thetas = np.linspace(0.0, math.pi, theta_steps)
     phis = np.arange(phi_steps) * (2 * math.pi / phi_steps)
-    return SphericalGrid(
-        dim=sys.dim,
-        thetas=thetas,
-        phis=phis,
-        values=q_values_at(state, sys, thetas, phis),
-    )
+    return SphericalGrid(sys.dim, thetas, phis, q_values_at(state, sys, thetas, phis))

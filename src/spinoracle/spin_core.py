@@ -37,9 +37,7 @@ class SpinSystem(Frozen):
 
     __slots__ = ("n", "dim")
 
-    def __init__(self, n: int, dim: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
+    def _check(self):
         if self.dim != 2 ** self.n or self.dim < 4:
             raise InvariantError(f"inconsistent spin system (n={self.n}, dim={self.dim})")
 
@@ -72,19 +70,15 @@ def make_spin_system(n: int) -> SpinSystem:
     return SpinSystem(n=int(n), dim=2 ** int(n))
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    out.flags.writeable = False
-    return out
-
-
 class StateVector(Frozen):
     """Unit-norm complex amplitude vector over the qudit basis."""
 
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
-        object.__setattr__(self, "amps", _frozen_array(np.asarray(amps, dtype=complex)))
+        super().__init__(np.ascontiguousarray(amps, dtype=complex))
+
+    def _check(self):
         norm_sq = float(np.sum(np.abs(self.amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise InvariantError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
@@ -101,11 +95,6 @@ class SpinOperators(Frozen):
     """Sx, Sy and Sz as read-only N x N complex arrays."""
 
     __slots__ = ("sx", "sy", "sz")
-
-    def __init__(self, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
-        object.__setattr__(self, "sx", sx)
-        object.__setattr__(self, "sy", sy)
-        object.__setattr__(self, "sz", sz)
 
 
 def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:
@@ -130,11 +119,7 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
     # S+|m> = sqrt(s(s+1) - m(m+1)) |m+1>, i.e. entry (i+1, i)
     splus[np.arange(1, sys.dim), np.arange(sys.dim - 1)] = _ladder_coefficients(sys)
     sminus = splus.conj().T
-    return SpinOperators(
-        sx=_frozen_array((splus + sminus) / 2),
-        sy=_frozen_array((splus - sminus) / 2j),
-        sz=_frozen_array(sz),
-    )
+    return SpinOperators(sx=(splus + sminus) / 2, sy=(splus - sminus) / 2j, sz=sz)
 
 
 def expi_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -57,12 +57,10 @@ class SqueezeResult(Frozen):
     __slots__ = ("mu", "state", "v_minus", "distribution")
 
     def __init__(self, mu: float, state: StateVector, v_minus: float):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "v_minus", v_minus)
-        dist = state.probabilities()
-        dist.flags.writeable = False
-        object.__setattr__(self, "distribution", dist)
+        super().__init__(mu, state, v_minus, state.probabilities())
+
+    def _check(self):
+        dist = self.distribution
         mirror_dev = float(np.max(np.abs(dist - dist[::-1])))
         if not mirror_dev < MIRROR_TOL:  # NaN fails too
             raise InvariantError(f"distribution not mirror-symmetric: dev={mirror_dev:.3e}")
@@ -72,10 +70,6 @@ class BoundingDistribution(Frozen):
     """Tail-bounding template pinned by Var = 1/2; eps and pc are exact."""
 
     __slots__ = ("epsilon", "pc")
-
-    def __init__(self, epsilon: Fraction, pc: Fraction):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "pc", pc)
 
     def template(self, dim: int) -> list[Fraction]:
         """The length-dim template distribution (needs dim >= 8)."""

@@ -360,6 +360,7 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
         (2, "solve", "--variant", "unrestricted", "--n", "6", "--errors", "-1", "--trials", "2"),
         (2, "qfunc", "--config", "missing.cfg"),
         (2, "qfunc", "--config", "bad.cfg"),
+        (2, "solve", "--n", "3", "--config", "latin.cfg"),
         (2, "qfunc", "--n", "3", "--out", "bad.cfg"),
         (2, "solve", "--variant", "restricted", "--n", "3", "--seed", "-1"),
         (2, "squeeze-scan", "--s-range", "3/2", "--tol", "inf"),
@@ -373,9 +374,11 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
     code, *argv = args
     (tmp_path / "bad.cfg").write_text("n=abc\n")
+    (tmp_path / "latin.cfg").write_bytes(b"seed=1\n\xff\xfe=3\n")  # not UTF-8
     done = run_process(tmp_path, *argv)
     assert done.returncode == code, done.stderr
     assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+    assert not (tmp_path / "out").exists()
 
 
 def test_sampled_restricted_solve_above_the_enumeration_size_succeeds(tmp_path):

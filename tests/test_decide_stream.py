@@ -130,6 +130,12 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("trials, reps", [(-1, 0), (2.5, 0), (1, -1), (1, 2.5)])
+def test_bad_trial_and_repetition_counts_are_config_errors(trials, reps):
+    with pytest.raises(ConfigError, match="must be an integer >= 0"):
+        next(sample_blocks("unrestricted", 64, 2, trials, np.random.default_rng(0), reps))
+
+
 def test_a_fixed_mask_passes_every_instance_check_before_a_draw():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state

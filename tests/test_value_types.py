@@ -23,11 +23,11 @@ from spinoracle import (
     sample_instance,
     spin_operators,
 )
-from spinoracle.cli import RunConfig, load_config
+from spinoracle.cli import _OPTIONS, RunConfig, load_config
 from spinoracle.codewords import InstanceBlock
 from spinoracle.errors import Frozen
 from spinoracle.oracle_circuit import Decisions, decide_blocks
-from spinoracle.squeezing import _propagator
+from spinoracle.squeezing import SqueezeResult, _propagator
 
 
 def decided_block():
@@ -77,8 +77,32 @@ def test_values_survive_pickle_and_copy(value):
             restored.extra = 1
 
 
+def frozen_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from frozen_subclasses(sub)
+
+
 def test_every_value_type_is_covered():
-    assert len({type(v) for v in VALUES}) == len(VALUES) == 11
+    defined = {cls for cls in frozen_subclasses(Frozen) if cls.__module__.startswith("spinoracle.")}
+    assert len({type(v) for v in VALUES}) == len(VALUES)
+    assert {type(v) for v in VALUES} == defined
+
+
+def test_run_config_has_one_field_per_option():
+    assert RunConfig.__slots__ == ("command", *_OPTIONS)
+
+
+@pytest.mark.parametrize("cls, args, named, reason", [
+    (SpinSystem, (2,), {}, "missing field 'dim'"),
+    (InstanceBlock, ("fourier", 8), {}, "missing field 'js'"),  # js is not optional
+    (SpinSystem, (2, 4, 8), {}, "takes 2 fields, got 3"),
+    (SpinSystem, (2, 4), {"s": 1.5}, "no field 's'"),
+    (SpinSystem, (2,), {"n": 2, "dim": 4}, "field 'n' twice"),
+])
+def test_the_constructor_takes_each_field_once(cls, args, named, reason):
+    with pytest.raises(TypeError, match=reason):
+        cls(*args, **named)
 
 
 def test_equal_spin_systems_hash_alike_and_share_one_propagator():
@@ -119,8 +143,9 @@ def test_decision_arrays_are_read_only(name):
 
 
 def test_optional_fields_default_to_none_and_repr_lists_fields():
-    block = InstanceBlock("fourier", 8, np.array([1, 2]))
-    assert (block.masks, block.weights, block.draws) == (None, None, None)
+    for block in (InstanceBlock("fourier", 8, np.array([1, 2])),
+                  InstanceBlock(variant="fourier", dim=8, js=np.array([1]))):
+        assert (block.masks, block.weights, block.draws) == (None, None, None)
     assert repr(SpinSystem(n=2, dim=4)) == "SpinSystem(n=2, dim=4)"
 
 
@@ -134,8 +159,25 @@ def array_fields(value):
             yield from array_fields(field)
 
 
-@pytest.mark.parametrize("value", [v for v in VALUES if any(array_fields(v))],
-                         ids=lambda v: type(v).__name__)
+ARRAY_VALUES = [v for v in VALUES if any(array_fields(v))]
+
+
+def rebuilt_from_writable_arrays(value):
+    """value built again by its constructor, from writable copies of its arrays."""
+    if isinstance(value, SqueezeResult):  # distribution is derived from the state
+        return SqueezeResult(value.mu, rebuilt_from_writable_arrays(value.state), value.v_minus)
+    fields = [getattr(value, name) for name in type(value).__slots__]
+    return type(value)(*[np.array(f) if isinstance(f, np.ndarray) else f for f in fields])
+
+
+@pytest.mark.parametrize("value", ARRAY_VALUES, ids=lambda v: type(v).__name__)
+def test_a_value_built_from_writable_arrays_holds_only_read_only_arrays(value):
+    fields = dict(array_fields(rebuilt_from_writable_arrays(value)))
+    assert fields.keys() == dict(array_fields(value)).keys()
+    assert not [name for name, arr in fields.items() if arr.flags.writeable]
+
+
+@pytest.mark.parametrize("value", ARRAY_VALUES, ids=lambda v: type(v).__name__)
 def test_arrays_stay_read_only_through_pickle_and_copy(value):
     fields = dict(array_fields(value))
     assert fields and not any(arr.flags.writeable for arr in fields.values())
