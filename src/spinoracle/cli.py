@@ -19,7 +19,6 @@ byte for byte.  Options may also come from a key=value config file
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys as _sys
@@ -142,34 +141,68 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as a ConfigError: exit 2, one line."""
+def _flags(command: str) -> dict[str, str]:
+    """The flags a command takes, each to its key: its _OPTIONS, then --config."""
+    flags = {"--" + key.replace("_", "-"): key
+             for key, opt in _OPTIONS.items() if command in opt.commands}
+    return flags | {"--config": "config"}
 
-    def error(self, message):
-        raise ConfigError(message)
+
+class _HelpAsked(Exception):
+    """-h or --help stood where a flag goes; the message is the help text."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each command's flags come from _OPTIONS and stay strings; only given flags are set."""
-    parser = _Parser(
-        prog="spinoracle",
-        description="Spin-squeezing analysis and codeword oracle-decision experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _EVERY:
-        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
-        for key, opt in _OPTIONS.items():
-            if command in opt.commands:
-                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
-                p.add_argument("--" + key.replace("_", "-"), metavar=metavar, help=opt.help)
-        p.add_argument("--config", help="key=value file; explicit flags override it")
-    return parser
+def _help(commands) -> str:
+    lines = ["Spin-squeezing analysis and codeword oracle-decision experiments."]
+    for command in commands:
+        lines += ["", f"usage: spinoracle {command} [--flag VALUE | --flag=VALUE ...]"]
+        for flag, key in _flags(command).items():
+            opt = _OPTIONS.get(key)
+            if opt is None:
+                value, text = "FILE", "key=value file; explicit flags override it"
+            else:
+                value = "{" + ",".join(opt.choices) + "}" if opt.choices else key.upper()
+                text = opt.help
+            lines.append(f"  {flag} {value}".ljust(28) + f" {text}")
+    return "\n".join(lines)
+
+
+def _parse_argv(argv) -> tuple[str, dict]:
+    """The command and each given flag's {key: text}, read from _OPTIONS.
+
+    The first token names the command; every other token is --flag VALUE or
+    --flag=VALUE, with exact flag names only.  The token after a flag is its
+    value even when it starts with '-', and a repeated flag keeps its last
+    value.  -h or --help in place of a flag raises _HelpAsked.  argv None
+    reads sys.argv.
+    """
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in ("-h", "--help"):
+        raise _HelpAsked(_help(_EVERY))
+    if not argv or argv[0] not in _COMMAND_DEFAULTS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise ConfigError(f"expected a command, one of {'|'.join(_EVERY)}, got {got}")
+    command, given = argv[0], {}
+    flags = _flags(command)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _HelpAsked(_help([command]))
+        flag, eq, text = token.partition("=") if token.startswith("--") else (token, "", "")
+        if flag not in flags:
+            what = "flag" if flag.startswith("-") else "argument"
+            raise ConfigError(f"{command} takes no {what} {flag!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ConfigError(f"{flag} needs a value")
+        given[flags[flag]] = text
+    return command, given
 
 
 def load_config(argv) -> RunConfig:
     """Defaults, then the config file, then the flags; every given value is checked."""
-    given = vars(build_parser().parse_args(argv))
-    command = given.pop("command")
+    command, given = _parse_argv(argv)
     if "config" in given:
         given = {**_read_config_file(given.pop("config")), **given}
     values = {key: opt.default for key, opt in _OPTIONS.items()} | _COMMAND_DEFAULTS[command]
@@ -506,6 +539,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # unreadable --config, --out that cannot be created or written
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 2
+    except _HelpAsked as asked:
+        print(asked)
+        return 0
     for name in files:
         print(cfg.out / name)
     return 0

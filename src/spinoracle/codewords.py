@@ -83,14 +83,23 @@ def _fourier_residues(dim: int, j) -> np.ndarray:
     return _signed_residues(np.arange(dim, dtype=np.int64) * (2 * j), dim)
 
 
+@functools.lru_cache(maxsize=32)  # one table per power-of-two N
+def _fourier_roots(dim: int) -> np.ndarray:
+    """e^(i pi r/N) for r in (-N, N], read-only: entry r + N - 1 is r's phase."""
+    roots = np.exp(1j * math.pi * (np.arange(-dim + 1, dim + 1) / dim))
+    roots.flags.writeable = False
+    return roots
+
+
 def oracle_phases(words: np.ndarray, transform: str) -> np.ndarray:
     """The oracle phases e^(i pi z_x) of a word or a block of word rows, as the
     transform reads them: "hadamard" bits b give exactly 1 - 2b, and the
-    numerators r of a Fourier word r/N give e^(i pi r/N).  The words are
-    taken as already checked."""
+    numerators r of a Fourier word r/N give e^(i pi r/N), read from the
+    table of roots.  The words are taken as already checked."""
     if transform == "hadamard":
         return (1.0 - 2.0 * words).astype(complex)
-    return np.exp(1j * math.pi * (words / words.shape[-1]))
+    dim = words.shape[-1]
+    return _fourier_roots(dim)[words.astype(np.intp, copy=False) + (dim - 1)]
 
 
 def designated_index(dim: int) -> int:
@@ -349,6 +358,11 @@ class InstanceBlock(Frozen):
     def _check(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        for name in ("js", *self._optional):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) or value is None and name in self._optional):
+                raise ConfigError(f"InstanceBlock {name} must be an ndarray, "
+                                  f"got {type(value).__name__}")
         dim = _check_dim(self.dim)
         js = self.js
         if js.dtype.kind not in "iu" or js.ndim != 1 or not len(js):

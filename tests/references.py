@@ -44,6 +44,12 @@ def fraction_phases(vals):
     return np.exp(1j * math.pi * np.array([float(v) for v in vals]))
 
 
+def exp_phases(numerators, dim):
+    """e^(i pi r/N) of Fourier numerators r by one np.exp over the whole block,
+    the rule oracle_phases used before its table of roots."""
+    return np.exp(1j * math.pi * (np.asarray(numerators) / dim))
+
+
 def basis_state(dim, index):
     """The basis state |index> of an N = dim qudit."""
     amps = np.zeros(dim, dtype=complex)

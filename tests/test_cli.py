@@ -1,6 +1,5 @@
 """CLI behaviour: outputs, formats, determinism, config file, exit codes."""
 
-import argparse
 import json
 import math
 import os
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 import spinoracle
-from spinoracle.cli import RunConfig, build_parser, load_config, main
+from spinoracle.cli import _OPTIONS, RunConfig, load_config, main
 
 
 def run(tmp_path, *args):
@@ -369,6 +368,11 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
         (2, "squeeze-scan", "--s-range", "3/2", "--tol", "-inf"),
         (2, "solve", "--variant", "restricted", "--n", "3", "--reps", "5"),
         (2, "solve", "--variant", "restricted", "--n", "3", "--reps", "1000000000000"),
+        (2,),  # no command
+        (2, "solve-all", "--n", "3"),
+        (2, "solve", "--n", "3", "restricted"),  # a stray positional argument
+        (2, "solve", "--variant", "fourier", "--n"),  # a flag that ends the line
+        (2, "solve", "--var", "fourier", "--n", "3"),  # only exact flag names
     ],
 )
 def test_bad_inputs_exit_with_a_documented_code(tmp_path, args):
@@ -413,6 +417,17 @@ def test_cli_import_loads_no_dataclasses(tmp_path):
                       "import sys, spinoracle.cli; print('dataclasses' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_cli_run_loads_no_argparse(tmp_path):
+    # the command line is read straight from the option table; argparse with
+    # gettext and locale was the largest fixed cost of a run
+    cli = ("import sys; from spinoracle.cli import main; "
+           "code = main(['solve', '--variant', 'fourier', '--n', '3']); "
+           "print(code, *[m in sys.modules for m in ('argparse', 'gettext', 'locale')])")
+    done = run_python(tmp_path, "-c", cli)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
 
 
 @pytest.mark.parametrize(
@@ -468,6 +483,51 @@ def test_negative_counts_are_rejected(tmp_path, capsys, args, flag):
     assert err.count("\n") == 1 and flag in err, err
     assert main(["solve", "--variant", "restricted", "--n", "5", "--trials", "0",
                  "--out", str(tmp_path / "zero")]) == 0
+
+
+@pytest.mark.parametrize("args", [("--tol", "-inf"), ("--tol=-inf",)])
+def test_a_value_may_start_with_a_dash(tmp_path, capsys, args):
+    # the token after a flag is its value: -inf reaches the finite check
+    assert main(["squeeze-scan", "--s-range", "3/2", *args, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--tol must be finite" in err, err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--variant", "unrestricted", "--n", "6", "--errors", "2", "--trials", "9",
+         "--error-mode", "random", "--format", "csv", "--out", "x"],
+        ["squeeze-scan", "--s-range", "3/2:7/2", "--tol", "1e-9", "--seed", "4"],
+        ["qfunc", "--n", "4", "--state", "squeezed", "--grid", "8x16"],
+    ],
+)
+def test_flag_equals_value_reads_as_flag_then_value(argv):
+    joined, pairs = [argv[0]], iter(argv[1:])
+    joined += [f"{flag}={value}" for flag, value in zip(pairs, pairs)]
+    assert load_config(joined) == load_config(argv)
+    assert load_config(argv[:1]) != load_config(argv)
+
+
+def test_a_repeated_flag_keeps_its_last_value():
+    assert load_config(["solve", "--n", "3", "--n", "5"]).n == 5
+
+
+def test_help_lists_every_solve_flag_and_exits_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--help"]) == 0
+    listed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")}
+    options = {"--" + key.replace("_", "-"): opt for key, opt in _OPTIONS.items()
+               if "solve" in opt.commands}
+    assert list(listed) == [*options, "--config"]
+    for flag, opt in options.items():
+        assert listed[flag].endswith(opt.help)
+        assert all(choice in listed[flag] for choice in opt.choices)
+    monkeypatch.setattr(sys, "argv", ["spinoracle", "solve", "-h"])  # main() reads sys.argv
+    assert main() == 0 and "--error-mode" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
@@ -647,9 +707,10 @@ def test_readme_lists_each_commands_options():
         match[1]: sorted(re.findall(r"`(--[a-z-]+)`", match[2]))
         for match in re.finditer(r"^- `([a-z-]+)`: (.*)$", readme.read_text(), re.MULTILINE)
     }
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = sorted({command for opt in _OPTIONS.values() for command in opt.commands})
     flags = {
-        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
-        for name, p in sub.choices.items()
+        command: sorted(["--config", *("--" + key.replace("_", "-")
+                                       for key, opt in _OPTIONS.items() if command in opt.commands)])
+        for command in commands
     }
     assert documented == flags

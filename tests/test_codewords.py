@@ -9,6 +9,7 @@ import pytest
 
 from references import (
     bit_phases,
+    exp_phases,
     fourier_fractions,
     fraction_phases,
     hadamard_row,
@@ -27,8 +28,11 @@ from spinoracle import (
 )
 from spinoracle.codewords import (
     InstanceBlock,
+    _fourier_residues,
+    _fourier_roots,
     _weight_probabilities,
     enumerate_blocks,
+    oracle_phases,
     sample_blocks,
 )
 
@@ -317,6 +321,17 @@ def test_fourier_phases_equal_phase_oracle_bitwise(dim):
         assert max_phase_gap(block, phases) == 0.0
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fourier_roots_equal_the_exp_rule_bitwise(n):
+    dim = 2**n
+    roots = _fourier_roots(dim)
+    assert roots.tobytes() == exp_phases(np.arange(-dim + 1, dim + 1), dim).tobytes()
+    assert not roots.flags.writeable
+    js = np.arange(0, dim, max(1, dim // 32))[:, None]  # at most 32 rows per N
+    words = _fourier_residues(dim, js)
+    assert oracle_phases(words, "fourier").tobytes() == exp_phases(words, dim).tobytes()
+
+
 def test_restricted_phases_equal_phase_oracle_bitwise():
     blocks = list(enumerate_blocks("restricted", 16, None))
     assert sum(len(block) for block in blocks) == 8 * restricted_set_size(16)
@@ -444,6 +459,21 @@ def test_instance_block_runs_every_instance_check():
         InstanceBlock("unrestricted", dim, np.array([0]), unrestricted, np.array([1]))
     with pytest.raises(ConfigError):
         InstanceBlock("fourier", dim, js, masks, np.array([1, 1]))
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (("fourier", 8, [1, 2]), "js"),
+        (("restricted", 8, np.array([1]), [[0] * 8], [0]), "masks"),
+        (("restricted", 8, np.array([1]), np.zeros((1, 8), dtype=np.uint8), [0]), "weights"),
+        (("fourier", 8, np.array([1]), None, None, [[0.5]]), "draws"),
+        (("fourier", 8, None), "js"),
+    ],
+)
+def test_instance_block_refuses_a_field_that_is_no_ndarray(fields, name):
+    with pytest.raises(ConfigError, match=f"InstanceBlock {name} must be an ndarray"):
+        InstanceBlock(*fields)
 
 
 def test_instance_block_arrays_are_read_only_once_checked():
