@@ -1,9 +1,8 @@
 """Coherent spin-state squeezing and codeword oracle-decision simulation."""
 
 from .classical_baseline import (
-    BitOracle,
-    IdentifyResult,
     classical_identify,
+    codeword_oracle,
     min_decision_tree_depth,
 )
 from .codewords import (

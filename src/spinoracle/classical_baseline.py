@@ -11,52 +11,43 @@ trees confirms at small N that no strategy does better than Theta(n).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .codewords import designated_index, hadamard_codeword
-from .errors import ConfigError, Frozen, ResourceLimitError
+from .codewords import _check_dim, _parity_table, designated_index, hadamard_codeword
+from .errors import ConfigError, ResourceLimitError
 
 
-class BitOracle:
-    """Oracle answering single bit positions of a fixed string, counting queries."""
-
-    def __init__(self, bits: Sequence[int] | np.ndarray):
-        self.bits = np.asarray(bits)
-        if self.bits.ndim != 1 or not ((self.bits == 0) | (self.bits == 1)).all():
-            raise ConfigError("bit oracle needs a 0/1 string")
-        self.dim = len(self.bits)
-        self.queries = 0
-
-    def query(self, x: int) -> int:
-        if not 0 <= x < self.dim:
-            raise ConfigError(f"bit position {x} outside Z_{self.dim}")
-        self.queries += 1
-        return int(self.bits[x])
+def codeword_oracle(dim: int, js: np.ndarray):
+    """The bit oracle of the Hadamard codewords W_j, j in ``js``: called with an
+    array of bit positions x, it answers the (len(js) x positions) block of bits
+    popcount(j AND x) mod 2, read from the parity table."""
+    dim = _check_dim(dim)
+    if (not isinstance(js, np.ndarray) or js.dtype.kind not in "iu" or js.ndim != 1
+            or np.any((js < 0) | (js >= dim))):
+        raise ConfigError(f"the oracle needs a row of integer codeword indices in Z_{dim}")
+    table = _parity_table(dim)
+    return lambda positions: table[js[:, None] & positions]
 
 
-class IdentifyResult(Frozen):
-    __slots__ = ("j", "queries", "consistent")
+def classical_identify(oracle, dim: int) -> tuple[np.ndarray, int]:
+    """Recover every oracle string's codeword index from the n = log2 N probes.
 
-
-def classical_identify(oracle: BitOracle, dim: int) -> IdentifyResult:
-    """Recover the codeword index with exactly n = log2 N queries.
-
-    Probes the power-of-two positions; bit t of j is the answer at x = 2^t.
-    The promise is j < N/2, so a set top bit marks the answers as
-    inconsistent with the promised instance class.
+    Asks ``oracle`` once for the positions x = 2^t; bit t of j is the answer
+    at x = 2^t.  Returns the read-only int64 indices j, one per answered
+    row, and the number of probe columns read.  The promise is j < N/2, so
+    a recovered j >= N/2 marks a string outside the promised instance class.
     """
-    if oracle.dim != dim or dim & (dim - 1) or dim < 4:
-        raise ConfigError(f"oracle/dim mismatch or invalid dim {dim}")
+    dim = _check_dim(dim)
     n = dim.bit_length() - 1
-    before = oracle.queries
-    j = 0
-    for t in range(n):
-        j |= oracle.query(1 << t) << t
-    return IdentifyResult(
-        j=j, queries=oracle.queries - before, consistent=(j >> (n - 1)) & 1 == 0
-    )
+    positions = 1 << np.arange(n, dtype=np.int64)
+    bits = np.asarray(oracle(positions))
+    if (bits.ndim != 2 or bits.shape[1] != n or bits.dtype.kind not in "biu"
+            or np.any((bits != 0) & (bits != 1))):
+        raise ConfigError(f"the oracle must answer a (rows, {n}) block of 0/1 bits")
+    js = bits.astype(np.int64) @ positions
+    js.flags.writeable = False
+    return js, bits.shape[1]
 
 
 _BRUTE_FORCE_DIMS = (4, 8, 16)
@@ -69,6 +60,7 @@ def min_decision_tree_depth(dim: int) -> int:
     Exhaustive adversary search with memoization on the surviving index set;
     feasible only for N in {4, 8, 16}.
     """
+    dim = _check_dim(dim)
     if dim not in _BRUTE_FORCE_DIMS:
         raise ResourceLimitError(
             f"brute-force depth search supported only for N in {_BRUTE_FORCE_DIMS}"

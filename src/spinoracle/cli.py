@@ -495,15 +495,16 @@ def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
     columns = {key: [] for key in header}
     for n in exponents:
         dim = 2**n
-        for j in rng.integers(0, dim // 2, size=cfg.trials):
-            oracle = classical_baseline.BitOracle(codewords.hadamard_codeword(dim, int(j)))
-            result = classical_baseline.classical_identify(oracle, dim)
-            if result.j != int(j):
-                raise InvariantError(f"classical identification failed at N={dim}, j={j}")
+        js = rng.integers(0, dim // 2, size=cfg.trials)
+        oracle = classical_baseline.codeword_oracle(dim, js)
+        found, queries = classical_baseline.classical_identify(oracle, dim)
+        wrong = js[found != js]
+        if len(wrong):
+            raise InvariantError(f"classical identification failed at N={dim}, j={wrong[0]}")
         depth = (
             classical_baseline.min_decision_tree_depth(dim) if dim <= 16 else ""
         )
-        for key, value in zip(header, (dim, 1, result.queries, depth)):
+        for key, value in zip(header, (dim, 1, queries, depth)):
             columns[key].append(value)
     return _table(cfg, "classical_comparison", columns)
 

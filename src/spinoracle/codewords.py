@@ -37,6 +37,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -108,7 +109,7 @@ def designated_index(dim: int) -> int:
     Any index would do; this one matches the measurement design, so it is a
     constant rather than a parameter.
     """
-    return dim // 2 - 1
+    return _check_dim(dim) // 2 - 1
 
 
 def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> None:
@@ -234,7 +235,10 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
     elif isinstance(d, (int, np.integer)):
         requested = [int(d)]
     else:
-        requested = sorted(int(x) for x in d)
+        try:
+            requested = sorted(operator.index(m) for m in d)
+        except TypeError:  # d is no iterable, or holds a non-integer
+            raise ConfigError(f"error weight d must be an integer or integers, got {d!r}") from None
     chosen = [m for m in requested if m in valid]
     if not chosen:
         raise DegenerateInstanceError(
@@ -416,7 +420,7 @@ def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
     the draw order, and so every result, does not depend on the rows.
     """
     _check_votes(repetitions, rng)
-    rows = max(BLOCK_ENTRIES // dim, 1)
+    rows = max(BLOCK_ENTRIES // _check_dim(dim), 1)
     if repetitions:
         rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
     while True:

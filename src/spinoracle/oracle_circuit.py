@@ -303,8 +303,8 @@ def worst_case_error_mask(dim: int, weight: int) -> np.ndarray:
     nothing cancels) that share a Hadamard character value, making every
     error contribute coherently to the same off component.
     """
-    candidates = [x for x in range(0, dim, 2) if x.bit_count() % 2 == 0]
-    if not 0 <= weight <= len(candidates):
+    candidates = [x for x in range(0, _check_dim(dim), 2) if x.bit_count() % 2 == 0]
+    if not isinstance(weight, (int, np.integer)) or not 0 <= weight <= len(candidates):
         raise ConfigError(f"cannot place {weight} in-phase errors in dim {dim}")
     mask = np.zeros(dim, dtype=np.uint8)
     mask[candidates[:weight]] = 1

@@ -80,6 +80,8 @@ def q_function(
     state: StateVector, sys: SpinSystem, theta_steps: int, phi_steps: int
 ) -> SphericalGrid:
     """Sample the Q-function of ``state`` on a theta_steps x phi_steps grid."""
+    if not all(isinstance(k, (int, np.integer)) for k in (theta_steps, phi_steps)):
+        raise ConfigError(f"grid steps must be integers, got {theta_steps!r}x{phi_steps!r}")
     if theta_steps < 8 or phi_steps < 8:
         raise ConfigError(f"grid must be at least 8x8, got {theta_steps}x{phi_steps}")
     if theta_steps * phi_steps > MAX_GRID_CELLS:

@@ -143,15 +143,12 @@ def test_criterion_08_majority_vote_decay():
 
 @criterion(9, "classical baseline: n queries up to N=1024, monotone depth", budget_s=120.0)
 def test_criterion_09_classical_baseline():
-    rng = np.random.default_rng(7)
     for n in range(2, 11):
         dim = 2**n
-        indices = range(dim // 2) if dim <= 64 else rng.integers(0, dim // 2, 32)
-        for j in indices:
-            oracle = so.BitOracle(so.hadamard_codeword(dim, int(j)))
-            result = so.classical_identify(oracle, dim)
-            assert result.j == int(j)
-            assert result.queries == n
+        js = np.arange(dim // 2)  # every promised index, one oracle block per N
+        found, queries = so.classical_identify(so.codeword_oracle(dim, js), dim)
+        assert np.array_equal(found, js)
+        assert queries == n
     depths = [so.min_decision_tree_depth(dim) for dim in (4, 8, 16)]
     assert depths == sorted(depths)
     assert all(d >= 1 for d in depths)

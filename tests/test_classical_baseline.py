@@ -4,61 +4,80 @@ import numpy as np
 import pytest
 
 from spinoracle import (
-    BitOracle,
     ConfigError,
     ResourceLimitError,
     classical_identify,
+    codeword_oracle,
     hadamard_codeword,
     min_decision_tree_depth,
 )
 
 
-def oracle_for(dim, j):
-    return BitOracle(hadamard_codeword(dim, j))
+def identify(dim, js):
+    return classical_identify(codeword_oracle(dim, np.array(js)), dim)
 
 
 def test_identify_reference_cases():
-    result = classical_identify(oracle_for(8, 4), 8)
-    assert result.j == 4 and result.queries == 3
-    zero = classical_identify(oracle_for(8, 0), 8)
-    assert zero.j == 0 and zero.queries == 3 and zero.consistent
-    big = classical_identify(oracle_for(1024, 300), 1024)
-    assert big.j == 300 and big.queries == 10
+    js, queries = identify(8, [4, 0])
+    assert js.tolist() == [4, 0] and queries == 3
+    assert js.dtype == np.int64 and not js.flags.writeable
+    big, queries = identify(1024, [300])
+    assert big.tolist() == [300] and queries == 10
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_identify_all_promised_codewords(n):
     dim = 2**n
-    for j in range(dim // 2):
-        oracle = oracle_for(dim, j)
-        result = classical_identify(oracle, dim)
-        assert result.j == j
-        assert result.queries == n == oracle.queries
-        assert result.consistent
+    js, queries = identify(dim, np.arange(dim // 2))
+    assert js.tolist() == list(range(dim // 2))
+    assert queries == n
 
 
 def test_identify_flags_out_of_promise_index():
-    # j >= N/2 contradicts the promised instance class
-    result = classical_identify(oracle_for(8, 5), 8)
-    assert result.j == 5 and not result.consistent
+    # j >= N/2 contradicts the promised instance class, and the top bit shows it
+    js, _ = identify(8, [5])
+    assert js.tolist() == [5] and js[0] >= 8 // 2
 
 
-def test_query_counter_matches_answers():
-    oracle = oracle_for(16, 3)
-    answers = [oracle.query(x) for x in (0, 3, 3, 7, 15)]
-    assert len(answers) == oracle.queries == 5
-    with pytest.raises(ConfigError):
-        oracle.query(16)
+def test_identify_reads_each_probe_position_once():
+    asked = []
+
+    def recording(positions):
+        asked.append(np.asarray(positions).tolist())
+        return codeword_oracle(64, np.array([21, 3]))(positions)
+
+    js, queries = classical_identify(recording, 64)
+    assert asked == [[1, 2, 4, 8, 16, 32]]
+    assert js.tolist() == [21, 3] and queries == 6
 
 
 def test_oracle_checks_the_bit_promise():
-    for bits in ([0, 1, 2, 1], [0, 1, -1, 0], [0.5, 1, 0, 1], [[0, 1], [1, 0]]):
+    def answering(answers):
+        return lambda positions: answers
+
+    bad = ([[0, 1, 2]], [[0, 1, -1]], [[0.5, 1, 0]], [[0.0, 1.0, 0.0]], [0, 1, 0], [[0, 1]],
+           [[[0, 1, 0]]])
+    for answers in bad:
         with pytest.raises(ConfigError):
-            BitOracle(bits)
-    for bits in ([0, 1, 1, 0], (True, False, True, True), np.array([1, 0, 0, 1], dtype=np.uint8)):
-        oracle = BitOracle(bits)
-        assert [oracle.query(x) for x in range(4)] == [int(b) for b in bits]
-        assert all(type(oracle.query(x)) is int for x in range(4))
+            classical_identify(answering(np.array(answers)), 8)
+    for answers in ([[0, 1, 1]], [[True, False, True]], np.array([[1, 0, 0]], dtype=np.uint8)):
+        js, queries = classical_identify(answering(answers), 8)
+        assert js.tolist() == [sum(int(b) << t for t, b in enumerate(np.ravel(answers)))]
+        assert queries == 3
+
+
+@pytest.mark.parametrize("js", [np.array([0, 8]), np.array([-1]), np.array([1.0]),
+                                np.array([[1, 2]]), [0, 1]], ids=repr)
+def test_codeword_oracle_needs_indices_in_z_n(js):
+    with pytest.raises(ConfigError):
+        codeword_oracle(8, js)
+
+
+def test_codeword_oracle_answers_the_codeword_bits():
+    oracle = codeword_oracle(16, np.array([3, 9]))
+    positions = np.array([0, 3, 3, 7, 15])
+    expected = [hadamard_codeword(16, j)[positions].tolist() for j in (3, 9)]
+    assert oracle(positions).tolist() == expected
 
 
 @pytest.mark.parametrize("dim", [4, 64, 1024])

@@ -170,6 +170,40 @@ def test_classical_outputs(tmp_path):
     assert rows[3][3] == ""  # no search beyond N=16
 
 
+def test_classical_at_the_trials_cap(tmp_path):
+    from spinoracle.cli import MAX_TRIALS
+
+    code, out = run(tmp_path, "classical", "--s-range", "3/2:1023/2", "--trials", str(MAX_TRIALS))
+    assert code == 0
+    _, rows = read_csv(out / "classical_comparison.csv")
+    assert [int(r[0]) for r in rows] == [2**n for n in range(2, 11)]
+    assert [int(r[2]) for r in rows] == list(range(2, 11))  # log2 N queries
+
+
+def test_a_failed_classical_identification_exits_4(tmp_path, monkeypatch, capsys):
+    from spinoracle import classical_baseline
+
+    codeword_oracle = classical_baseline.codeword_oracle
+
+    def one_flipped_bit(dim, js):
+        oracle = codeword_oracle(dim, js)
+
+        def answer(positions):
+            bits = oracle(positions).copy()
+            bits[1, 0] ^= 1  # the second string's answer at x = 1
+            return bits
+
+        return answer
+
+    monkeypatch.setattr(classical_baseline, "codeword_oracle", one_flipped_bit)
+    code, out = run(tmp_path, "classical", "--s-range", "3/2:7/2", "--trials", "4", "--seed", "3")
+    j = np.random.default_rng(3).integers(0, 2, size=4)[1]  # the second index drawn at N=4
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"invariant violation: classical identification failed at N=4, j={j}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,0 +1,40 @@
+"""Library entry points given a float, or another non-integer, where an
+integer belongs: each call raises ConfigError (a SpinOracleError), never a raw
+TypeError, ValueError or AttributeError, and never returns a float index."""
+
+import math
+
+import numpy as np
+import pytest
+
+import spinoracle as so
+from spinoracle import ConfigError
+
+SYSTEM = so.make_spin_system(3)
+STATE = so.coherent_state(SYSTEM, math.pi / 2, 0.0)
+
+
+def rng():
+    return np.random.default_rng(3)
+
+
+CALLS = {
+    "enumerate_blocks N=8.0": lambda: list(so.enumerate_blocks("restricted", 8.0, None)),
+    "sample_blocks N=8.0": lambda: list(so.sample_blocks("restricted", 8.0, None, 2, rng())),
+    "fourier_probability_table N=8.0": lambda: so.fourier_probability_table(8.0),
+    "designated_index N=8.0": lambda: so.designated_index(8.0),
+    "sample_instance d=1.0": lambda: so.sample_instance("restricted", 16, 1.0, rng()),
+    "sample_instance d=[1.0]": lambda: so.sample_instance("restricted", 16, [1.0], rng()),
+    "sample_instance d=array(1)": lambda: so.sample_instance("restricted", 16, np.array(1), rng()),
+    "min_decision_tree_depth N=4.0": lambda: so.min_decision_tree_depth(4.0),
+    "worst_case_error_mask N=8.0": lambda: so.worst_case_error_mask(8.0, 1),
+    "worst_case_error_mask weight=1.0": lambda: so.worst_case_error_mask(8, 1.0),
+    "q_function theta_steps=8.0": lambda: so.q_function(STATE, SYSTEM, 8.0, 8),
+    "q_function phi_steps=8.0": lambda: so.q_function(STATE, SYSTEM, 8, 8.0),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_a_non_integer_size_raises_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from spinoracle import (
-    BitOracle,
     SpinSystem,
     bounding_epsilon,
-    classical_identify,
     coherent_state,
     group_properties_check,
-    hadamard_codeword,
     make_spin_system,
     optimize_mu,
     q_function,
@@ -49,7 +46,6 @@ def value_types():
         group_properties_check(4),
         block,
         decided,
-        classical_identify(BitOracle(hadamard_codeword(8, 3)), 8),
         load_config(["qfunc"]),
     ]
 
