@@ -432,8 +432,10 @@ def _blocks(cfg: RunConfig, dim: int):
     if cfg.variant == "restricted":
         return codewords.sample_blocks("restricted", dim, cfg.errors, cfg.trials, rng)
     weight = cfg.errors or 0
-    mask = None if cfg.error_mode == "random" else oracle_circuit.worst_case_error_mask(dim, weight)
-    return codewords.sample_blocks("unrestricted", dim, weight, cfg.trials, rng, cfg.reps, mask)
+    if cfg.error_mode == "random":
+        return codewords.sample_blocks("unrestricted", dim, weight, cfg.trials, rng, cfg.reps)
+    mask = oracle_circuit.worst_case_error_mask(dim, weight)
+    return codewords.sample_blocks("unrestricted", dim, None, cfg.trials, rng, cfg.reps, mask)
 
 
 def cmd_solve(cfg: RunConfig) -> dict[str, list[str]]:

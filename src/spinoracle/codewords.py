@@ -43,6 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DegenerateInstanceError, Frozen, ResourceLimitError
+from .spin_core import MAX_EXPONENT, MIN_EXPONENT
 
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
@@ -55,8 +56,10 @@ FOURIER = "fourier"
 
 
 def _check_dim(dim: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 4 or dim & (dim - 1):
-        raise ConfigError(f"codeword length must be a power of two >= 4, got {dim!r}")
+    low, high = 2**MIN_EXPONENT, 2**MAX_EXPONENT  # the spin systems' range of N
+    if not isinstance(dim, (int, np.integer)) or not low <= dim <= high or dim & (dim - 1):
+        raise ConfigError(f"codeword length must be a power of two in [{low}, {high}], "
+                          f"got {dim!r}")
     return int(dim)
 
 
@@ -94,11 +97,11 @@ def _fourier_roots(dim: int) -> np.ndarray:
 
 def oracle_phases(words: np.ndarray, transform: str) -> np.ndarray:
     """The oracle phases e^(i pi z_x) of a word or a block of word rows, as the
-    transform reads them: "hadamard" bits b give exactly 1 - 2b, and the
-    numerators r of a Fourier word r/N give e^(i pi r/N), read from the
-    table of roots.  The words are taken as already checked."""
+    transform reads them: "hadamard" bits b give exactly 1 - 2b in float64,
+    and the numerators r of a Fourier word r/N give e^(i pi r/N), read from
+    the table of roots.  The words are taken as already checked."""
     if transform == "hadamard":
-        return (1.0 - 2.0 * words).astype(complex)
+        return 1.0 - 2.0 * words
     dim = words.shape[-1]
     return _fourier_roots(dim)[words.astype(np.intp, copy=False) + (dim - 1)]
 
@@ -396,7 +399,8 @@ class InstanceBlock(Frozen):
         return self.js == designated_index(self.dim)
 
     def phases(self) -> np.ndarray:
-        """The (rows x N) oracle rows e^(i pi z_x) of the integer words."""
+        """The (rows x N) oracle rows e^(i pi z_x) of the integer words: float64
+        for Hadamard words, complex128 for Fourier ones."""
         js, dim = self.js[:, None], self.dim
         if self.variant == FOURIER:
             return oracle_phases(_fourier_residues(dim, js), "fourier")
@@ -452,12 +456,15 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
     its ``repetitions`` vote variates.
 
     ``d`` selects the error weight: an int, an iterable of ints, or None for
-    the full valid range.  Uniformity over a union of weight classes follows
-    from weighting each class by its syndrome count.
+    the full valid range; with a ``mask``, which sets the weight, it must be
+    None.  Uniformity over a union of weight classes follows from weighting
+    each class by its syndrome count.
     """
     for name, count in (("trials", trials), ("repetitions", repetitions)):
         if not isinstance(count, (int, np.integer)) or count < 0:
             raise ConfigError(f"{name} must be an integer >= 0, got {count!r}")
+    if mask is not None and d is not None:
+        raise ConfigError(f"a fixed mask sets the error weight; d must be None, got {d!r}")
     draws = itertools.islice(_draw_trials(variant, dim, d, rng, mask), trials)
     return _blocks(variant, dim, draws, repetitions, rng)
 

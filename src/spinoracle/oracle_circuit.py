@@ -66,23 +66,23 @@ def _unit_modulus(phases: np.ndarray) -> np.ndarray:
 
 def _input_amps(dim: int) -> np.ndarray:
     """(|N/2-1> + |N/2>)/sqrt(2), the spin |+-1/2> superposition."""
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[dim // 2 - 1] = amps[dim // 2] = 1 / math.sqrt(2)
     return amps
 
 
 def _fwht(amps: np.ndarray) -> np.ndarray:
-    """Normalized fast Walsh-Hadamard transform of each row, O(N log N) butterflies."""
-    out = amps.astype(complex)
+    """Normalized fast Walsh-Hadamard transform of each row of a fresh real array, in place."""
     h = 1
-    while h < out.shape[-1]:
-        v = out.reshape(*out.shape[:-1], -1, 2, h)
+    while h < amps.shape[-1]:
+        v = amps.reshape(*amps.shape[:-1], -1, 2, h)
         top = v[..., 0, :].copy()
-        bot = v[..., 1, :].copy()
-        v[..., 0, :] = top + bot
-        v[..., 1, :] = top - bot
+        v[..., 0, :] += v[..., 1, :]
+        np.subtract(top, v[..., 1, :], out=v[..., 1, :])
         h *= 2
-    return out / math.sqrt(out.shape[-1])
+    # numpy divides complex by real as a multiply by the reciprocal, so real rows
+    # are scaled the same way: bit for bit what complex rows of them would give
+    return amps * (1 / math.sqrt(amps.shape[-1]))
 
 
 def run_pipeline(word, transform: str = "hadamard") -> StateVector:
@@ -138,18 +138,18 @@ def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVec
 
 def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
     out = np.empty_like(amps)
-    root = math.sqrt(2)
+    scale = 1 / math.sqrt(2)  # as _fwht scales: the same bits, real or complex
     if pairing == "symmetric":
         half = amps.shape[-1] // 2
         a = amps[..., half - 1 :: -1]  # index N/2-1-j for j = 0..N/2-1
         b = amps[..., half:]  # index N/2+j
-        out[..., half:] = (a + b) / root
-        out[..., half - 1 :: -1] = (a - b) / root
+        out[..., half:] = (a + b) * scale
+        out[..., half - 1 :: -1] = (a - b) * scale
     else:
         a = amps[..., 0::2]
         b = amps[..., 1::2]
-        out[..., 0::2] = (a + b) / root
-        out[..., 1::2] = (a - b) / root
+        out[..., 0::2] = (a + b) * scale
+        out[..., 1::2] = (a - b) * scale
     return out
 
 

@@ -20,6 +20,7 @@ pure, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import ConfigError, Frozen, InvariantError, NumericsError
 NORM_TOL = 1e-12
 
 MIN_EXPONENT = 2
-MAX_EXPONENT = 14  # dense ops stay desk-scale; transforms alone go further
+MAX_EXPONENT = 14  # also bounds every codeword length: N = 4 .. 16384
 
 
 class SpinSystem(Frozen):
@@ -176,9 +177,9 @@ def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     _coherent_magnitudes, then the state is renormalized (relative
     correction ~1e-13).
     """
-    if not 0.0 <= theta <= math.pi:
+    if not isinstance(theta, numbers.Real) or not 0.0 <= theta <= math.pi:
         raise ConfigError(f"theta={theta} outside [0, pi]")
-    if not 0.0 <= phi < 2 * math.pi:
+    if not isinstance(phi, numbers.Real) or not 0.0 <= phi < 2 * math.pi:
         raise ConfigError(f"phi={phi} outside [0, 2*pi)")
     k = np.arange(sys.dim)
     mags = _coherent_magnitudes(theta, _half_log_binomials(sys.two_s))

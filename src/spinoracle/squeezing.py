@@ -31,6 +31,7 @@ eps = 1/64 exactly, i.e. each central component holds at least
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -344,7 +345,7 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     vanish; the reduced variance there is 1/4 at s = 3/2 and rises toward
     1/2 for large s.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     _guard_dense(sys)
     prop = _propagator(sys)

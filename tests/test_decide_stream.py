@@ -64,7 +64,8 @@ def test_majority_votes_match_per_round_choice(mode):
     rng = np.random.default_rng(11)
     ref_rng = np.random.default_rng(11)
     for _ in range(trials):
-        [block] = sample_blocks("unrestricted", dim, weight, 1, rng, reps, mask=mask)
+        d = weight if mask is None else None  # a fixed mask sets the weight
+        [block] = sample_blocks("unrestricted", dim, d, 1, rng, reps, mask=mask)
         decided = decide_unrestricted(block)
         _, ref_probs, ref_decision = reference_vote(word(ref_draw(ref_rng)), reps, ref_rng)
         assert decided.probs[0].tobytes() == ref_probs.tobytes()
@@ -196,7 +197,8 @@ def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
 def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode, trials):
     dim, weight, reps = 64, 3, 7  # 128 rows per block
     mask = worst_case_error_mask(dim, weight) if mode == "worst" else None
-    rows, rng = sampled_rows("unrestricted", dim, weight, trials, reps, 17, mask)
+    d = weight if mask is None else None  # a fixed mask sets the weight
+    rows, rng = sampled_rows("unrestricted", dim, d, trials, reps, 17, mask)
     ref_rng = np.random.default_rng(17)
     assert len(rows) == trials
     for block, decided, i in rows:

@@ -1,6 +1,9 @@
 """Library entry points given a float, or another non-integer, where an
-integer belongs: each call raises ConfigError (a SpinOracleError), never a raw
-TypeError, ValueError or AttributeError, and never returns a float index."""
+integer belongs, a non-real where a real number belongs, a codeword length
+past N = 16384, or an error weight beside the fixed mask that sets it: each
+call raises ConfigError (a SpinOracleError), never a raw TypeError,
+ValueError or AttributeError, never a float index, never a 2^15-entry
+table, and never ignores the weight."""
 
 import math
 
@@ -31,6 +34,15 @@ CALLS = {
     "worst_case_error_mask weight=1.0": lambda: so.worst_case_error_mask(8, 1.0),
     "q_function theta_steps=8.0": lambda: so.q_function(STATE, SYSTEM, 8.0, 8),
     "q_function phi_steps=8.0": lambda: so.q_function(STATE, SYSTEM, 8, 8.0),
+    "optimize_mu tol='x'": lambda: so.optimize_mu(SYSTEM, "x"),
+    "coherent_state theta=None": lambda: so.coherent_state(SYSTEM, None, 0.0),
+    "coherent_state phi='a'": lambda: so.coherent_state(SYSTEM, 0.1, "a"),
+    "hadamard_codeword N=2**15": lambda: so.hadamard_codeword(2**15, 0),
+    "codeword_oracle N=2**15": lambda: so.codeword_oracle(2**15, np.array([0])),
+    "sample_blocks N=2**15": lambda: list(so.sample_blocks("restricted", 2**15, 1, 1, rng())),
+    **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
+        "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
+       for d in (2, 0, 99, [1, 2], "x")},
 }
 
 

@@ -16,6 +16,8 @@ import pytest
 from references import (
     basis_state,
     bit_phases,
+    complex_pipeline,
+    complex_spectra,
     fourier_fractions,
     fourier_row,
     fraction_phases,
@@ -50,6 +52,7 @@ from spinoracle.oracle_circuit import (
     _transformed_input,
     decide_blocks,
     report_columns,
+    worst_case_spectrum,
 )
 
 
@@ -104,9 +107,9 @@ def test_walsh_hadamard_involution_and_uniform():
     assert np.max(np.abs(dense @ dense - np.eye(dim))) < 1e-12
     assert np.max(np.abs(dense[:, 0] - 1 / math.sqrt(dim))) < 1e-12
     rng = np.random.default_rng(1)
-    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    assert np.max(np.abs(_fwht(_fwht(raw)) - raw)) < 1e-12
-    assert np.max(np.abs(_fwht(raw) - dense @ raw)) < 1e-12
+    raw = rng.normal(size=(2, dim))  # two real rows; _fwht transforms its input in place
+    assert np.max(np.abs(_fwht(_fwht(raw.copy())) - raw)) < 1e-12
+    assert np.max(np.abs(_fwht(raw.copy()) - raw @ dense.T)) < 1e-12
     assert np.max(np.abs(_transformed_input(dim, "hadamard") - dense @ input_amps(dim))) < 1e-12
 
 
@@ -345,7 +348,7 @@ def test_measurement_checks_the_outcome_probabilities():
 # Each invariant check is written so that a NaN residual fails it: NaN > tol is False.
 def test_a_nan_oracle_phase_is_not_unit_modulus():
     phases = oracle_phases(hadamard_codeword(8, 3)[None], "hadamard")
-    phases[0, 5] = complex(math.nan, 0.0)
+    phases[0, 5] = math.nan
     with pytest.raises(InvariantError, match="unit modulus"):
         _spectra(phases, "hadamard", "symmetric")
 
@@ -374,7 +377,7 @@ def test_norm_preserved_through_stages():
     block = sample_instance("restricted", dim, None, rng)
     stage1 = StateVector(_transformed_input(dim, "hadamard"))
     stage2 = StateVector(block.phases()[0] * stage1.amps)
-    stage3 = StateVector(_fwht(stage2.amps))
+    stage3 = StateVector(_fwht(stage2.amps.real.copy()))  # the Hadamard circuit is real
     merged = merge_two_to_one(stage3, "symmetric")
     for state in (stage1, stage2, stage3, merged):
         assert abs(np.sum(state.probabilities()) - 1.0) < 1e-12
@@ -504,11 +507,53 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
 
 def test_oracle_phases_exact_for_bits():
     phases = oracle_phases(hadamard_codeword(8, 7), "hadamard")
-    assert set(phases.real.tolist()) == {1.0, -1.0}
-    assert np.all(phases.imag == 0.0)
+    assert phases.dtype == np.float64
+    assert set(phases.tolist()) == {1.0, -1.0}
     block = sample_instance("restricted", 8, 0, np.random.default_rng(0))
     word = hadamard_row(8, int(block.js[0]))
     assert block.phases().tobytes() == bit_phases(word)[None].tobytes()
+
+
+def test_hadamard_circuit_is_real_and_fourier_complex():
+    dim = 64
+    rng = np.random.default_rng(5)
+    for variant in ("restricted", "unrestricted"):
+        block = next(sample_blocks(variant, dim, None, 4, rng))
+        assert block.phases().dtype == np.float64
+        assert next(decide_blocks([block]))[1].raw.dtype == np.float64
+    assert _transformed_input(dim, "hadamard").dtype == np.float64
+    assert next(enumerate_blocks("fourier", dim, None)).phases().dtype == np.complex128
+    assert _transformed_input(dim, "fourier").dtype == np.complex128
+
+
+def reference_block_phases(block):
+    """The block's oracle phases from popcount rows and Python-int masks."""
+    return np.array([bit_phases(xor(hadamard_row(block.dim, int(j)), mask))
+                     for j, mask in zip(block.js, block.masks.tolist())])
+
+
+@pytest.mark.parametrize("variant", ["restricted", "unrestricted"])
+def test_real_spectra_equal_the_complex_circuit_bit_for_bit(variant):
+    rng = np.random.default_rng(23)
+    for dim in (2**n for n in range(3, 15)):
+        block = next(sample_blocks(variant, dim, None, max(2, 512 // dim), rng))
+        spectra = _spectra(block.phases(), "hadamard", "symmetric")
+        assert spectra.tobytes() == complex_spectra(reference_block_phases(block)).tobytes()
+        word = xor(hadamard_row(dim, int(block.js[0])), block.masks[0].tolist())
+        probs = np.abs(complex_pipeline(bit_phases(word)[None])[0]) ** 2
+        assert run_pipeline(word, "hadamard").probabilities().tobytes() == probs.tobytes()
+
+
+def test_worst_case_and_fourier_spectra_equal_the_complex_circuit():
+    dim = 64
+    designated = hadamard_row(dim, dim // 2 - 1)
+    for weight in range(7):
+        word = xor(designated, worst_case_error_mask(dim, weight).tolist())
+        reference = complex_spectra(bit_phases(word)[None])[0]
+        assert worst_case_spectrum(dim, weight).tobytes() == reference.tobytes()
+    block = next(enumerate_blocks("fourier", dim, None))
+    reference = complex_spectra(block.phases(), "fourier", "adjacent")
+    assert _spectra(block.phases(), "fourier", "adjacent").tobytes() == reference.tobytes()
 
 
 def first_report_keys(blocks):
