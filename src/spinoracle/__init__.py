@@ -38,7 +38,7 @@ from .oracle_circuit import (
     run_pipeline,
     worst_case_error_mask,
 )
-from .qfunction import SphericalGrid, q_function, q_values_at
+from .qfunction import SphericalGrid, q_function
 from .spin_core import (
     SpinOperators,
     SpinSystem,

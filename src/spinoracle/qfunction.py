@@ -9,7 +9,10 @@ spin_core._coherent_magnitudes:
     Q(theta, phi) = | sum_k C(2s,k)^(1/2) sin(theta/2)^k cos(theta/2)^(2s-k)
                       e^(-i k phi) a_(N-1-k) |^2
 
-with a_i the qudit amplitudes.  So Q of |s> (index N-1) is 1 at theta = 0,
+with a_i the qudit amplitudes.  On the grid's phi_p = 2 pi p / P this is
+|sum_k b_k e^(-2 pi i k p / P)|^2 with b_k the terms above, so the terms of
+one theta, folded modulo P, give a whole phi row by one length-P DFT; that
+is exact for any P, also P < N.  So Q of |s> (index N-1) is 1 at theta = 0,
 Q of |-s> (index 0) is 1 at theta = pi, and Q of any coherent state is 1 at
 its own angles.  With the measure sin(theta) dtheta dphi Q integrates to
 4 pi / (2s+1) for any normalized state.
@@ -25,10 +28,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, Frozen, InvariantError, ResourceLimitError
-from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _half_log_binomials
+from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _expect, _half_log_binomials
 
 MAX_GRID_CELLS = 2**20  # Q values per grid, each one output row
-MAX_PHASE_ENTRIES = 2**24  # the (phi_steps x N) complex phase matrix: 256 MiB
 
 
 class SphericalGrid(Frozen):
@@ -63,35 +65,28 @@ class SphericalGrid(Frozen):
         return integral * self.dim / (4 * math.pi)
 
 
-def q_values_at(state: StateVector, sys: SpinSystem, thetas, phis) -> np.ndarray:
-    """Evaluate Q on the outer product of the given angle arrays."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    half_log_binom = _half_log_binomials(sys.two_s)
-    phase = np.exp(-1j * np.outer(phis, np.arange(sys.dim)))  # (P, N): the bra's conjugated phase
-    amps = state.amps[::-1]  # amps[k] sits on |s-k>
-    out = np.empty((len(thetas), len(phis)))
-    for t, theta in enumerate(thetas):
-        out[t] = np.abs(phase @ (_coherent_magnitudes(theta, half_log_binom) * amps)) ** 2
-    return out
-
-
 def q_function(
     state: StateVector, sys: SpinSystem, theta_steps: int, phi_steps: int
 ) -> SphericalGrid:
     """Sample the Q-function of ``state`` on a theta_steps x phi_steps grid."""
+    _expect(state, StateVector, "state")
+    _expect(sys, SpinSystem, "spin system")
     if not all(isinstance(k, (int, np.integer)) for k in (theta_steps, phi_steps)):
         raise ConfigError(f"grid steps must be integers, got {theta_steps!r}x{phi_steps!r}")
     if theta_steps < 8 or phi_steps < 8:
         raise ConfigError(f"grid must be at least 8x8, got {theta_steps}x{phi_steps}")
     if theta_steps * phi_steps > MAX_GRID_CELLS:
         raise ResourceLimitError(f"grid {theta_steps}x{phi_steps} has over {MAX_GRID_CELLS} cells")
-    if phi_steps * sys.dim > MAX_PHASE_ENTRIES:
-        raise ResourceLimitError(
-            f"{phi_steps} phi steps x N = {sys.dim} exceed {MAX_PHASE_ENTRIES} phase entries"
-        )
     if state.dim != sys.dim:
         raise ConfigError(f"state dim {state.dim} does not match system dim {sys.dim}")
     thetas = np.linspace(0.0, math.pi, theta_steps)
     phis = np.arange(phi_steps) * (2 * math.pi / phi_steps)
-    return SphericalGrid(sys.dim, thetas, phis, q_values_at(state, sys, thetas, phis))
+    half_log_binom = _half_log_binomials(sys.two_s)
+    amps = state.amps[::-1]  # amps[k] sits on |s-k>
+    # e^(-2 pi i k p / P) has period P in k: fold the terms, zero-padded to a multiple of P
+    terms = np.zeros(-(-sys.dim // phi_steps) * phi_steps, dtype=complex)
+    folded = np.empty((theta_steps, phi_steps), dtype=complex)
+    for t, theta in enumerate(thetas):
+        terms[: sys.dim] = _coherent_magnitudes(theta, half_log_binom) * amps
+        folded[t] = terms.reshape(-1, phi_steps).sum(axis=0)
+    return SphericalGrid(sys.dim, thetas, phis, np.abs(np.fft.fft(folded, axis=1)) ** 2)

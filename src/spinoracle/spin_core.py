@@ -56,6 +56,12 @@ class SpinSystem(Frozen):
         return np.arange(self.dim) - self.s
 
 
+def _expect(value, kind: type, name: str):
+    """The one argument-type check of the entry points: ConfigError unless value is a kind."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def make_spin_system(n: int) -> SpinSystem:
     """Build the spin system for N = 2^n basis states.
 
@@ -77,6 +83,10 @@ class StateVector(Frozen):
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
+        amps = np.asarray(amps)
+        if amps.ndim != 1 or not np.issubdtype(amps.dtype, np.number):
+            raise ConfigError(f"amplitudes must be a 1-D numeric array, got {amps.dtype} "
+                              f"of shape {amps.shape}")
         super().__init__(np.ascontiguousarray(amps, dtype=complex))
 
     def _check(self):
@@ -138,12 +148,18 @@ def expi_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
+@lru_cache(maxsize=None)
 def _half_log_binomials(m: int) -> np.ndarray:
-    """0.5 * ln C(m, k) for k = 0..m, stable for large m."""
+    """0.5 * ln C(m, k) for k = 0..m, stable for large m.
+
+    Read-only and cached: every coherent state of a system shares one row.
+    """
     lg = math.lgamma(m + 1)
-    return np.array(
+    out = np.array(
         [0.5 * (lg - math.lgamma(k + 1) - math.lgamma(m - k + 1)) for k in range(m + 1)]
     )
+    out.flags.writeable = False
+    return out
 
 
 def _coherent_magnitudes(theta: float, half_log_binom: np.ndarray) -> np.ndarray:
@@ -177,6 +193,7 @@ def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     _coherent_magnitudes, then the state is renormalized (relative
     correction ~1e-13).
     """
+    _expect(sys, SpinSystem, "spin system")
     if not isinstance(theta, numbers.Real) or not 0.0 <= theta <= math.pi:
         raise ConfigError(f"theta={theta} outside [0, pi]")
     if not isinstance(phi, numbers.Real) or not 0.0 <= phi < 2 * math.pi:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, Frozen, InvariantError, NumericsError, ResourceLimitError
-from .spin_core import SpinSystem, StateVector, _ladder_coefficients, coherent_state
+from .spin_core import SpinSystem, StateVector, _expect, _ladder_coefficients, coherent_state
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
 _SPECTRUM_TOL = 1e-12  # Sx spectrum slack per unit s; measured at most 4.5e-16 for N <= 1024
@@ -122,6 +122,8 @@ def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
     <Sz^2> directly.  Sz is diagonal with m = i - s, so V_- is the variance of
     the state's basis-state distribution, where the shift by s drops out.
     """
+    _expect(state, StateVector, "state")
+    _expect(sys, SpinSystem, "spin system")
     if state.dim != sys.dim:
         raise ConfigError(f"state of dimension {state.dim} is not one of N = {sys.dim}")
     return distribution_variance(state.probabilities())
@@ -163,6 +165,7 @@ def central_probability(dist) -> float:
 
 def ideal_overlap(state: StateVector) -> float:
     """|<Psi0|state>|^2 against the two-component target (|N/2-1> + |N/2>)/sqrt(2)."""
+    _expect(state, StateVector, "state")
     n = state.dim
     amp = (state.amps[n // 2 - 1] + state.amps[n // 2]) / math.sqrt(2)
     return float(abs(amp) ** 2)
@@ -347,6 +350,7 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
+    _expect(sys, SpinSystem, "spin system")
     _guard_dense(sys)
     prop = _propagator(sys)
     # mu is a builtin float, as SqueezeResult declares, not the np.float64

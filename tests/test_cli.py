@@ -698,7 +698,6 @@ def run_capped(tmp_path, *args):
          "--reps", "100000000000"),
         ("qfunc", "--n", "14", "--grid", "8x100000000"),
         ("qfunc", "--n", "2", "--grid", "100000000x8"),
-        ("qfunc", "--n", "14", "--grid", "8x1025"),
         ("classical", "--s-range", "3/2", "--trials", "1000000000000"),
     ],
 )
@@ -706,6 +705,14 @@ def test_huge_reps_and_grids_hit_a_resource_guard(tmp_path, args):
     done = run_capped(tmp_path, *args, "--out", "out")
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("resource guard:") and done.stderr.count("\n") == 1
+
+
+def test_a_wide_q_map_at_the_largest_n_runs_under_the_cap(tmp_path):
+    # 1025 phi steps at N = 16384: each theta row is one folded length-1025 FFT
+    done = run_capped(tmp_path, "qfunc", "--n", "14", "--grid", "8x1025", "--out", "out")
+    assert done.returncode == 0, done.stderr
+    _, rows = read_csv(tmp_path / "out" / "qfunc_coherent_N16384.csv")
+    assert len(rows) == 8 * 1025
 
 
 HUGE = 10**12  # an allocation this size fails at once, so a missing guard cannot hang the sweep

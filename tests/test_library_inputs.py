@@ -1,9 +1,10 @@
 """Library entry points given a float, or another non-integer, where an
 integer belongs, a non-real where a real number belongs, a codeword length
-past N = 16384, or an error weight beside the fixed mask that sets it: each
-call raises ConfigError (a SpinOracleError), never a raw TypeError,
-ValueError or AttributeError, never a float index, never a 2^15-entry
-table, and never ignores the weight."""
+past N = 16384, an error weight beside the fixed mask that sets it, amplitudes
+that are not a 1-D numeric array, or another type where a SpinSystem or a
+StateVector belongs: each call raises ConfigError (a SpinOracleError), never
+a raw TypeError, ValueError or AttributeError, never a float index, never a
+2^15-entry table, and never ignores the weight."""
 
 import math
 
@@ -40,6 +41,14 @@ CALLS = {
     "hadamard_codeword N=2**15": lambda: so.hadamard_codeword(2**15, 0),
     "codeword_oracle N=2**15": lambda: so.codeword_oracle(2**15, np.array([0])),
     "sample_blocks N=2**15": lambda: list(so.sample_blocks("restricted", 2**15, 1, 1, rng())),
+    "StateVector 2-D amps": lambda: so.StateVector(np.eye(4) / 2),
+    "StateVector amps='ab'": lambda: so.StateVector("ab"),
+    "q_function state=amps": lambda: so.q_function(STATE.amps, SYSTEM, 8, 8),
+    "q_function sys=3": lambda: so.q_function(STATE, 3, 8, 8),
+    "coherent_state sys=3": lambda: so.coherent_state(3, 1.0, 0.0),
+    "optimize_mu sys=3": lambda: so.optimize_mu(3),
+    "reduced_variance state=amps": lambda: so.reduced_variance(STATE.amps, SYSTEM),
+    "ideal_overlap state=amps": lambda: so.ideal_overlap(STATE.amps),
     **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
         "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
        for d in (2, 0, 99, [1, 2], "x")},

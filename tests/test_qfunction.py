@@ -13,7 +13,6 @@ from spinoracle import (
     make_spin_system,
     optimize_mu,
     q_function,
-    q_values_at,
 )
 
 
@@ -26,42 +25,41 @@ def test_equatorial_state_peaks_on_the_equator():
     assert grid.values[t, p] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_pole_value_for_lowest_basis_state():
-    # coherent_state's convention: theta = 0 is |s> (index N-1), theta = pi
-    # is |-s> (index 0)
+def test_pole_rows_of_the_extreme_basis_states():
+    # coherent_state's convention: theta = 0 (the first grid row) is |s>
+    # (index N-1), theta = pi (the last row) is |-s> (index 0)
     sys = make_spin_system(3)
-    lowest = basis_state(sys.dim, 0)
-    q = q_values_at(lowest, sys, [math.pi, 0.0], [1.234])[:, 0]
-    assert q[0] == pytest.approx(1.0, abs=1e-12)
-    assert q[1] == pytest.approx(0.0, abs=1e-12)
-    top = basis_state(sys.dim, sys.dim - 1)
-    assert q_values_at(top, sys, [0.0], [1.234])[0, 0] == pytest.approx(1.0, abs=1e-12)
+    lowest = q_function(basis_state(sys.dim, 0), sys, 9, 8).values
+    assert np.max(np.abs(lowest[-1] - 1.0)) <= 1e-12
+    assert np.max(lowest[0]) <= 1e-12
+    top = q_function(basis_state(sys.dim, sys.dim - 1), sys, 9, 8).values
+    assert np.max(np.abs(top[0] - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_coherent_state_peaks_at_its_own_angles(n):
     sys = make_spin_system(n)
-    thetas = np.linspace(0.0, math.pi, 33)
-    phis = np.arange(32) * (2 * math.pi / 32)
-    for theta, phi in [(math.pi / 4, math.pi / 3), (0.3, 5.0), (2.5, 1.1), (math.pi / 2, 4.2)]:
-        state = coherent_state(sys, theta, phi)
-        assert q_values_at(state, sys, [theta], [phi])[0, 0] == pytest.approx(1.0, abs=1e-12)
-        grid = q_values_at(state, sys, np.append(thetas, theta), np.append(phis, phi))
-        assert grid.max() == grid[-1, -1]
+    for t, p in [(8, 5), (3, 25), (26, 6), (16, 21)]:  # grid cells of a 33x32 grid
+        state = coherent_state(sys, t * math.pi / 32, p * (2 * math.pi / 32))
+        grid = q_function(state, sys, 33, 32)
+        assert grid.values[t, p] == pytest.approx(1.0, abs=1e-12)
+        assert np.unravel_index(np.argmax(grid.values), grid.values.shape) == (t, p)
 
 
-@pytest.mark.parametrize("n", [3, 6])
-def test_q_values_are_overlaps_with_coherent_states(n):
-    # q_values_at and coherent_state share one expansion; Q = |<theta,phi|psi>|^2
+@pytest.mark.parametrize(
+    "n, theta_steps, phi_steps",
+    [(3, 9, 9), (6, 9, 9), (6, 9, 100), (14, 9, 9)],  # P > N, P < N, P not dividing N
+)
+def test_q_values_are_overlaps_with_coherent_states(n, theta_steps, phi_steps):
+    # the folded FFT against Q = |<theta,phi|psi>|^2 term by term, both poles included
     sys = make_spin_system(n)
     rng = np.random.default_rng(n)
     amps = rng.normal(size=sys.dim) + 1j * rng.normal(size=sys.dim)
     state = StateVector(amps / np.linalg.norm(amps))
-    thetas = np.linspace(0.0, math.pi, 9)  # both poles included
-    phis = np.arange(7) * (2 * math.pi / 7)
-    expected = [[abs(np.vdot(coherent_state(sys, t, p).amps, state.amps)) ** 2 for p in phis]
-                for t in thetas]
-    assert np.max(np.abs(q_values_at(state, sys, thetas, phis) - expected)) <= 1e-12
+    grid = q_function(state, sys, theta_steps, phi_steps)
+    expected = [[abs(np.vdot(coherent_state(sys, t, p).amps, state.amps)) ** 2 for p in grid.phis]
+                for t in grid.thetas]
+    assert np.max(np.abs(grid.values - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("squeezed", [False, True])
@@ -72,13 +70,10 @@ def test_quadrature_normalization(squeezed):
     assert grid.quadrature_total() == pytest.approx(1.0, rel=0.02)
 
 
-def test_values_nonnegative_and_phi_periodic():
+def test_values_nonnegative():
     sys = make_spin_system(4)
-    state = optimize_mu(sys, 1e-8).state
-    grid = q_function(state, sys, 32, 32)
+    grid = q_function(optimize_mu(sys, 1e-8).state, sys, 32, 32)
     assert grid.values.min() >= 0.0
-    wrapped = q_values_at(state, sys, grid.thetas, [0.0, 2 * math.pi])
-    assert np.max(np.abs(wrapped[:, 0] - wrapped[:, 1])) < 1e-12
 
 
 def test_squeezed_state_anisotropy():
