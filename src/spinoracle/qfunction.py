@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, Frozen, InvariantError, ResourceLimitError
-from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _expect, _half_log_binomials
+from .spin_core import SpinSystem, StateVector, _coherent_magnitudes, _expect
 
 MAX_GRID_CELLS = 2**20  # Q values per grid, each one output row
 
@@ -81,12 +81,11 @@ def q_function(
         raise ConfigError(f"state dim {state.dim} does not match system dim {sys.dim}")
     thetas = np.linspace(0.0, math.pi, theta_steps)
     phis = np.arange(phi_steps) * (2 * math.pi / phi_steps)
-    half_log_binom = _half_log_binomials(sys.two_s)
     amps = state.amps[::-1]  # amps[k] sits on |s-k>
     # e^(-2 pi i k p / P) has period P in k: fold the terms, zero-padded to a multiple of P
     terms = np.zeros(-(-sys.dim // phi_steps) * phi_steps, dtype=complex)
     folded = np.empty((theta_steps, phi_steps), dtype=complex)
     for t, theta in enumerate(thetas):
-        terms[: sys.dim] = _coherent_magnitudes(theta, half_log_binom) * amps
+        terms[: sys.dim] = _coherent_magnitudes(theta, sys.two_s) * amps
         folded[t] = terms.reshape(-1, phi_steps).sum(axis=0)
     return SphericalGrid(sys.dim, thetas, phis, np.abs(np.fft.fft(folded, axis=1)) ** 2)

@@ -162,23 +162,22 @@ def _half_log_binomials(m: int) -> np.ndarray:
     return out
 
 
-def _coherent_magnitudes(theta: float, half_log_binom: np.ndarray) -> np.ndarray:
+def _coherent_magnitudes(theta: float, two_s: int) -> np.ndarray:
     """C(2s,k)^(1/2) sin(theta/2)^k cos(theta/2)^(2s-k) for k = 0..2s.
 
-    ``half_log_binom`` is _half_log_binomials(2s), passed in so a caller
-    evaluating many thetas computes it once.  Evaluated in log space so the
-    binomial weights stay representable up to N = 16384; at a pole the one
-    surviving term is exactly 1.  The south pole is found by theta itself:
-    cos(pi/2) is 6.1e-17 in floating point, not 0.
+    Evaluated in log space so the binomial weights stay representable up to
+    N = 16384; at a pole the one surviving term is exactly 1.  The south pole
+    is found by theta itself: cos(pi/2) is 6.1e-17 in floating point, not 0.
     """
-    two_s = len(half_log_binom) - 1
     sin_h, cos_h = math.sin(theta / 2), math.cos(theta / 2)
     if sin_h == 0.0 or theta == math.pi:
         mags = np.zeros(two_s + 1)
         mags[0 if sin_h == 0.0 else two_s] = 1.0
         return mags
     k = np.arange(two_s + 1)
-    return np.exp(half_log_binom + k * math.log(sin_h) + (two_s - k) * math.log(cos_h))
+    return np.exp(
+        _half_log_binomials(two_s) + k * math.log(sin_h) + (two_s - k) * math.log(cos_h)
+    )
 
 
 def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
@@ -199,7 +198,7 @@ def coherent_state(sys: SpinSystem, theta: float, phi: float) -> StateVector:
     if not isinstance(phi, numbers.Real) or not 0.0 <= phi < 2 * math.pi:
         raise ConfigError(f"phi={phi} outside [0, 2*pi)")
     k = np.arange(sys.dim)
-    mags = _coherent_magnitudes(theta, _half_log_binomials(sys.two_s))
+    mags = _coherent_magnitudes(theta, sys.two_s)
     amps = np.empty(sys.dim, dtype=complex)
     # |s-k> lives at qudit index N-1-k
     amps[sys.dim - 1 - k] = mags * np.exp(1j * phi * k)
