@@ -39,7 +39,7 @@ from .codewords import (
     oracle_phases,
 )
 from .errors import ConfigError, Frozen, InvariantError
-from .spin_core import NORM_TOL, StateVector
+from .spin_core import NORM_TOL, StateVector, _expect
 
 PHASE_UNIT_TOL = 1e-15
 PER_OUTCOME_DIM_LIMIT = 64  # JSON reports embed the spectrum only up to here
@@ -131,6 +131,7 @@ def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVec
     The orthogonal (antisymmetric) combination lands on the partner index,
     completing each 2x2 block to a Hadamard rotation.
     """
+    _expect(state, StateVector, "state")
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}")
     return StateVector(_merge(state.amps, pairing))

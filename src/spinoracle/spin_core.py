@@ -83,7 +83,10 @@ class StateVector(Frozen):
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
-        amps = np.asarray(amps)
+        try:
+            amps = np.asarray(amps)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"amplitudes must be a 1-D numeric array: {exc}") from None
         if amps.ndim != 1 or not np.issubdtype(amps.dtype, np.number):
             raise ConfigError(f"amplitudes must be a 1-D numeric array, got {amps.dtype} "
                               f"of shape {amps.shape}")

@@ -362,6 +362,8 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
 
 def sweep_row(sys: SpinSystem, res: SqueezeResult) -> dict:
     """The sweep row (s, mu_opt, v_min, p_c, overlap) of an optimized result."""
+    _expect(sys, SpinSystem, "spin system")
+    _expect(res, SqueezeResult, "squeeze result")
     return {
         "s": sys.s,
         "mu_opt": res.mu,

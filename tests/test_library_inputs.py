@@ -43,12 +43,16 @@ CALLS = {
     "sample_blocks N=2**15": lambda: list(so.sample_blocks("restricted", 2**15, 1, 1, rng())),
     "StateVector 2-D amps": lambda: so.StateVector(np.eye(4) / 2),
     "StateVector amps='ab'": lambda: so.StateVector("ab"),
+    "StateVector ragged amps": lambda: so.StateVector([[1.0], [0.0, 0.0]]),
     "q_function state=amps": lambda: so.q_function(STATE.amps, SYSTEM, 8, 8),
     "q_function sys=3": lambda: so.q_function(STATE, 3, 8, 8),
     "coherent_state sys=3": lambda: so.coherent_state(3, 1.0, 0.0),
     "optimize_mu sys=3": lambda: so.optimize_mu(3),
     "reduced_variance state=amps": lambda: so.reduced_variance(STATE.amps, SYSTEM),
     "ideal_overlap state=amps": lambda: so.ideal_overlap(STATE.amps),
+    "merge_two_to_one state=amps": lambda: so.merge_two_to_one(STATE.amps),
+    "sweep_row sys=3": lambda: so.sweep_row(3, so.optimize_mu(SYSTEM)),
+    "sweep_row res=state": lambda: so.sweep_row(SYSTEM, STATE),
     **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
         "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
        for d in (2, 0, 99, [1, 2], "x")},
