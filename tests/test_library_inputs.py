@@ -1,8 +1,8 @@
 """Library entry points given a float, or another non-integer, where an
 integer belongs, a non-real where a real number belongs, a codeword length
 past N = 16384, an error weight beside the fixed mask that sets it, amplitudes
-that are not a 1-D numeric array, or another type where a SpinSystem or a
-StateVector belongs: each call raises ConfigError (a SpinOracleError), never
+that are not a 1-D numeric array, or another type where a SpinSystem, a
+StateVector or a SqueezeResult belongs: each call raises ConfigError (a SpinOracleError), never
 a raw TypeError, ValueError or AttributeError, never a float index, never a
 2^15-entry table, and never ignores the weight."""
 
