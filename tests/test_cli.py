@@ -698,6 +698,7 @@ def run_capped(tmp_path, *args):
          "--reps", "100000000000"),
         ("qfunc", "--n", "14", "--grid", "8x100000000"),
         ("qfunc", "--n", "2", "--grid", "100000000x8"),
+        ("qfunc", "--n", "14", "--grid", "1025x1024"),  # one theta row over the cell cap
         ("classical", "--s-range", "3/2", "--trials", "1000000000000"),
     ],
 )

@@ -25,7 +25,7 @@ def test_equatorial_state_peaks_on_the_equator():
     assert grid.values[t, p] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_pole_rows_of_the_extreme_basis_states():
+def test_pole_value_for_lowest_basis_state():
     # coherent_state's convention: theta = 0 (the first grid row) is |s>
     # (index N-1), theta = pi (the last row) is |-s> (index 0)
     sys = make_spin_system(3)
@@ -48,7 +48,12 @@ def test_coherent_state_peaks_at_its_own_angles(n):
 
 @pytest.mark.parametrize(
     "n, theta_steps, phi_steps",
-    [(3, 9, 9), (6, 9, 9), (6, 9, 100), (14, 9, 9)],  # P > N, P < N, P not dividing N
+    [  # P > N, P < N, P not dividing N
+        pytest.param(3, 9, 9, id="3"),
+        pytest.param(6, 9, 9, id="6"),
+        (6, 9, 100),
+        (14, 9, 9),
+    ],
 )
 def test_q_values_are_overlaps_with_coherent_states(n, theta_steps, phi_steps):
     # the folded FFT against Q = |<theta,phi|psi>|^2 term by term, both poles included
@@ -70,10 +75,17 @@ def test_quadrature_normalization(squeezed):
     assert grid.quadrature_total() == pytest.approx(1.0, rel=0.02)
 
 
-def test_values_nonnegative():
+def test_values_nonnegative_and_phi_periodic():
     sys = make_spin_system(4)
-    grid = q_function(optimize_mu(sys, 1e-8).state, sys, 32, 32)
+    state = optimize_mu(sys, 1e-8).state
+    grid = q_function(state, sys, 32, 32)
     assert grid.values.min() >= 0.0
+    # turning the state by one phi step about z moves each column one step on,
+    # the last one round the 2 pi wrap to phi = 0
+    k = np.arange(sys.dim)
+    turned = StateVector(state.amps * np.exp(1j * k[::-1] * grid.phis[1]))
+    shifted = q_function(turned, sys, 32, 32).values
+    assert np.max(np.abs(shifted - np.roll(grid.values, 1, axis=1))) <= 1e-12
 
 
 def test_squeezed_state_anisotropy():
