@@ -215,6 +215,8 @@ def measure_designated(
     ``state`` is the measured state or its outcome spectrum; ``draws``, a
     row of vote variates or None, is measured as _measure measures a block.
     """
+    if not isinstance(state, (StateVector, np.ndarray)):
+        raise ConfigError(f"state must be a StateVector or an array, got {type(state).__name__}")
     raw = state.probabilities() if isinstance(state, StateVector) else state
     if not 0 <= index < len(raw):
         raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")

@@ -38,10 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, Frozen, InvariantError, NumericsError, ResourceLimitError
-from .spin_core import SpinSystem, StateVector, _expect, _ladder_coefficients, coherent_state
+from .spin_core import NORM_TOL, SpinSystem, StateVector, _expect, coherent_state
+from .spin_core import _ladder_coefficients
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
-_SPECTRUM_TOL = 1e-12  # Sx spectrum slack per unit s; measured at most 4.5e-16 for N <= 1024
 _DENSE_DIM_LIMIT = 1024  # largest s swept is (1024-1)/2
 _SCAN_POINTS = 65
 _WIDEN_RETRIES = 3
@@ -135,8 +135,11 @@ def distribution_variance(dist) -> float | Fraction:
     Exact for Fraction-valued distributions; float inputs are evaluated
     about the centre index for stability.
     """
-    seq = list(dist)
-    total = sum(seq)
+    try:
+        seq = list(dist)
+        total = sum(seq)
+    except TypeError:
+        raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
     if isinstance(total, Fraction):
         if total != 1:
             raise ConfigError(f"distribution must sum to 1, got {total}")
@@ -153,11 +156,13 @@ def distribution_variance(dist) -> float | Fraction:
 
 def central_probability(dist) -> float:
     """Weight of the central pair: P[N/2-1], after checking the pair is tied."""
-    p = np.asarray(dist, dtype=float)
-    n = len(p)
-    if n % 2:
-        raise ConfigError(f"central pair needs even length, got {n}")
-    left, right = float(p[n // 2 - 1]), float(p[n // 2])
+    try:
+        p = np.asarray(dist, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
+    if p.ndim != 1 or len(p) % 2:
+        raise ConfigError(f"central pair needs a 1-D distribution of even length, got {p.shape}")
+    left, right = float(p[len(p) // 2 - 1]), float(p[len(p) // 2])
     if not abs(left - right) < MIRROR_TOL:  # NaN fails too
         raise InvariantError(f"central pair asymmetric: {left!r} vs {right!r}")
     return left
@@ -171,68 +176,64 @@ def ideal_overlap(state: StateVector) -> float:
     return float(abs(amp) ** 2)
 
 
-def _factorized(decompose, a: np.ndarray, what: str, dim: int):
-    try:
-        return decompose(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"{what} decomposition failed at dim={dim}: {exc}") from exc
-
-
-def _check_sx_spectrum(sigma: np.ndarray, sys: SpinSystem):
-    """The singular values of Sx's even-odd block must be its positive eigenvalues 1/2, .., s."""
-    dev = float(np.max(np.abs(np.sort(sigma) - (np.arange(sys.dim // 2) + 0.5))))
-    if not dev <= _SPECTRUM_TOL * sys.s:
-        raise NumericsError(f"Sx spectrum off by {dev:.3e} at dim={sys.dim}")
-
-
 def _real_dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """a @ z for real a and complex z, as two real products."""
     return a @ z.real + 1j * (a @ z.imag)
 
 
+def _bessel_series(a: float) -> np.ndarray:
+    """J_0(a) .. J_K(a) for a >= 1, by Miller's backward recurrence.
+
+    The recurrence runs down from an index far past a and is normalized by
+    J_0^2 + 2 sum J_k^2 = 1.  K is the least cut-off with sum_(k>K) 2|J_k(a)|
+    below 1e-16, which bounds the truncation error of the Chebyshev series
+    of exp(-iaX) for any X with its spectrum in [-1, 1].
+    """
+    top = int(a + 20 * a ** (1 / 3) + 40)
+    j = [0.0] * top + [1.0, 0.0]
+    for k in range(top, 0, -1):
+        j[k - 1] = 2 * k / a * j[k] - j[k + 1]
+    j = np.array(j[:-1]) / math.sqrt(math.fsum([j[0] ** 2] + [2 * x * x for x in j[1:]]))
+    tails = 2 * np.cumsum(np.abs(j[::-1]))[::-1]  # tails[k] = sum_(i>=k) 2|J_i|
+    return j[: int(np.argmax(tails < 1e-16))]
+
+
 class _SqueezeFactorization:
-    """Real factorizations of both generators of U(mu), shared by every caller.
+    """The twist's real factorization and the rotation of U(mu), shared by every caller.
 
-    Sz^2 - Sy^2 is block diagonal over the parity of the qudit index: one
-    real tridiagonal block on the even and one on the odd indices.  Sx only
-    couples even to odd indices, through a real bidiagonal block B.  The
-    mirror i -> N-1-i swaps even and odd indices and leaves both generators
-    unchanged, so with J the reversal of a half-length index, the odd twist
-    block is J E J for the even block E = V diag(w) V^T, and B = J B^T J.
-    One eigh of E therefore gives both eigensystems, (w, V) and (w, J V).
-    B J is symmetric, and its eigh B J = W diag(lam) W^T gives
-    B = P diag(sigma) Q^T with P = W, sigma = |lam| and Q = J W sign(lam);
-    sigma must be the positive eigenvalues 1/2, 3/2, .., s of Sx.  Then
-    R = exp(-i pi/4 Sx) maps (even, odd) parts (a, b) to
-
-        (P (C P^T a - i S Q^T b),  Q (C Q^T b - i S P^T a)),
-
-    with C = cos(pi/4 sigma) and S = sin(pi/4 sigma).  U(mu) = R V
-    diag(e^(i mu w)) V^T.  The mu search reads only the central pair, so
-    only rows N/2-1 and N/2 of R V are kept; whole states are built by
-    matrix-vector products.
+    Sz^2 - Sy^2 is block diagonal over the parity of the qudit index, and
+    the mirror i -> N-1-i swaps even and odd indices and leaves it
+    unchanged.  So with J the reversal of a half-length index, the odd block
+    is J E J for the even block E = V diag(w) V^T, and one eigh of E gives
+    both eigensystems, (w, V) and (w, J V).  U(mu) = R V diag(e^(i mu w)) V^T
+    with R = exp(-iaX), a = pi s/4 and X = Sx/s, real tridiagonal with its
+    spectrum exactly [-1, 1].  R is the Chebyshev series (Tal-Ezer and
+    Kosloff) sum_k (2 - [k=0]) (-i)^k J_k(a) T_k(X): even k give cos(aX),
+    odd k sin(aX).  The mu search reads only the central pair, so only rows
+    N/2-1 and N/2 of R V are kept.
     """
 
     def __init__(self, sys: SpinSystem):
-        gen = twist_generator(sys)
-        w, v = _factorized(np.linalg.eigh, gen[0::2, 0::2], "twist generator", sys.dim)
+        try:
+            w, v = np.linalg.eigh(twist_generator(sys)[0::2, 0::2])
+        except np.linalg.LinAlgError as exc:
+            msg = f"twist generator decomposition failed at dim={sys.dim}: {exc}"
+            raise NumericsError(msg) from exc
         self.blocks = [(w, v), (w, v[::-1])]
-        c = _ladder_coefficients(sys) / 2
-        coupling = np.diag(c[0::2]) + np.diag(c[1::2], -1)  # Sx[even, odd]
-        lam, self.rot_p = _factorized(np.linalg.eigh, coupling[:, ::-1], "Sx", sys.dim)
-        sigma = np.abs(lam)
-        _check_sx_spectrum(sigma, sys)
-        self.rot_q = self.rot_p[::-1] * np.sign(lam)
-        self.rot_cos = np.cos(math.pi / 4 * sigma)[:, None]
-        self.rot_sin = np.sin(math.pi / 4 * sigma)[:, None]
+        self.step = _ladder_coefficients(sys)[:, None] / sys.s  # 2X, off the diagonal
+        j = _bessel_series(math.pi / 4 * sys.s)
+        self.series = j * [(2 - (k == 0)) * (-1) ** (k // 2) for k in range(len(j))]
         self.psi = coherent_state(sys, math.pi / 2, 0.0).amps[:, None]
         self.eigvals = np.concatenate([w for w, _ in self.blocks])
         self.coeffs = self._twist_coords(self.psi)[:, 0]
-        half = sys.dim // 2
-        pair = np.zeros((sys.dim, 2))
-        pair[half - 1, 0] = pair[half, 1] = 1.0
-        # R is symmetric, so its central columns are its central rows
-        self.central = self._twist_coords(self._rotate(pair)).T
+        cos, sin = self._cos_sin(np.eye(sys.dim, 1, 1 - sys.dim // 2))  # R e_(N/2-1)
+        column = cos[:, 0] - 1j * sin[:, 0]
+        dev = abs(float(np.sum(np.abs(column) ** 2)) - 1.0)
+        if not dev <= NORM_TOL:  # NaN fails too
+            raise NumericsError(f"exp(-i pi/4 Sx) off unit norm by {dev:.3e} at dim={sys.dim}")
+        # R is symmetric and commutes with the mirror, so its central rows
+        # are its central columns, R e_(N/2-1) and that column reversed
+        self.central = self._twist_coords(np.stack([column, column[::-1]], axis=1)).T
 
     def _twist_coords(self, x: np.ndarray) -> np.ndarray:
         """V^T x, with the eigenvalue order of self.eigvals."""
@@ -240,14 +241,27 @@ class _SqueezeFactorization:
             [_real_dot(v.T, x[p::2]) for p, (_, v) in enumerate(self.blocks)]
         )
 
+    def _next(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """2X cur - prev for real N x k matrices, written over prev."""
+        prev *= -1
+        prev[:-1] += self.step * cur[1:]
+        prev[1:] += self.step * cur[:-1]
+        return prev
+
+    def _cos_sin(self, x: np.ndarray) -> list[np.ndarray]:
+        """[cos(aX) x, sin(aX) x] for a real N x k matrix x, by T_(k+1) = 2X T_k - T_(k-1)."""
+        prev, cur = x.copy(), self._next(x, np.zeros_like(x)) / 2
+        parts = [self.series[0] * x, self.series[1] * cur]
+        for k in range(2, len(self.series)):
+            prev, cur = cur, self._next(cur, prev)
+            parts[k % 2] += self.series[k] * cur
+        return parts
+
     def _rotate(self, x: np.ndarray) -> np.ndarray:
-        """R x = exp(-i pi/4 Sx) x."""
-        a = _real_dot(self.rot_p.T, x[0::2])
-        b = _real_dot(self.rot_q.T, x[1::2])
-        out = np.empty(x.shape, dtype=complex)
-        out[0::2] = _real_dot(self.rot_p, self.rot_cos * a - 1j * self.rot_sin * b)
-        out[1::2] = _real_dot(self.rot_q, self.rot_cos * b - 1j * self.rot_sin * a)
-        return out
+        """R x = cos(aX) x - i sin(aX) x, on the real and imaginary columns of x."""
+        m = x.shape[1]
+        cos, sin = self._cos_sin(np.hstack([x.real, x.imag]))
+        return cos[:, :m] + sin[:, m:] + 1j * (cos[:, m:] - sin[:, :m])
 
     def apply(self, mu: float, x: np.ndarray) -> np.ndarray:
         """U(mu) x for an N x k matrix x, with real matrix products only."""

@@ -352,16 +352,13 @@ def test_exit_code_numerics_error(tmp_path, monkeypatch):
 
 
 def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
+    from spinoracle import squeezing
     from spinoracle.squeezing import _propagator
 
-    real_eigh = np.linalg.eigh
-
-    def perturbed(a):
-        w, v = real_eigh(a)
-        return w + 1e-6, v
-
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    _propagator.cache_clear()  # a cached factorization would skip the eigh
+    real_series = squeezing._bessel_series
+    # a series off by a relative 1e-6 rotates the central column off unit norm
+    monkeypatch.setattr(squeezing, "_bessel_series", lambda a: real_series(a) * (1 + 1e-6))
+    _propagator.cache_clear()  # a cached factorization would skip the series
     try:
         code, out = run(tmp_path, "squeeze-scan", "--s-range", "3/2:7/2")
     finally:
@@ -369,7 +366,8 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: Sx spectrum off by") and err.count("\n") == 1
+    assert err.startswith("numerical failure: exp(-i pi/4 Sx) off unit norm by")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

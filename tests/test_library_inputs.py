@@ -2,9 +2,11 @@
 integer belongs, a non-real where a real number belongs, a codeword length
 past N = 16384, an error weight beside the fixed mask that sets it, amplitudes
 that are not a 1-D numeric array, or another type where a SpinSystem, a
-StateVector or a SqueezeResult belongs: each call raises ConfigError (a SpinOracleError), never
-a raw TypeError, ValueError or AttributeError, never a float index, never a
-2^15-entry table, and never ignores the weight."""
+StateVector or a SqueezeResult belongs, a list where a state or its
+spectrum belongs, or a string where a distribution belongs: each call
+raises ConfigError (a SpinOracleError), never a raw TypeError, ValueError
+or AttributeError, never a float index, never a 2^15-entry table, and
+never ignores the weight."""
 
 import math
 
@@ -53,6 +55,9 @@ CALLS = {
     "merge_two_to_one state=amps": lambda: so.merge_two_to_one(STATE.amps),
     "sweep_row sys=3": lambda: so.sweep_row(3, so.optimize_mu(SYSTEM)),
     "sweep_row res=state": lambda: so.sweep_row(SYSTEM, STATE),
+    "measure_designated state=list": lambda: so.measure_designated([0.5, 0.5], 0),
+    "central_probability dist='ab'": lambda: so.central_probability("ab"),
+    "distribution_variance dist='ab'": lambda: so.distribution_variance("ab"),
     **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
         "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
        for d in (2, 0, 99, [1, 2], "x")},

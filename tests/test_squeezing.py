@@ -25,7 +25,7 @@ from spinoracle import (
     sweep_row,
 )
 from spinoracle.spin_core import _ladder_coefficients
-from spinoracle.squeezing import _propagator, twist_generator
+from spinoracle.squeezing import _bessel_series, _propagator, twist_generator
 
 MU_STAR = math.pi / (6 * math.sqrt(3))
 
@@ -43,26 +43,42 @@ def sx_even_odd(sys):
     return np.diag(c[0::2]) + np.diag(c[1::2], -1)
 
 
+def svd_rotation(sys):
+    """x -> exp(-i pi/4 Sx) x for an N x k matrix x, by an SVD of B = Sx[even, odd].
+
+    With B = P diag(sigma) Q^T, the rotation maps the (even, odd) parts (a, b)
+    to (P (C P^T a - i S Q^T b), Q (C Q^T b - i S P^T a)), where
+    C = cos(pi/4 sigma) and S = sin(pi/4 sigma).
+    """
+    rot_p, sigma, rot_qt = np.linalg.svd(sx_even_odd(sys))
+    cos, sin = np.cos(math.pi / 4 * sigma)[:, None], np.sin(math.pi / 4 * sigma)[:, None]
+
+    def rotate(x):
+        a, b = rot_p.T @ x[0::2], rot_qt @ x[1::2]
+        out = np.empty(x.shape, dtype=complex)
+        out[0::2] = rot_p @ (cos * a - 1j * sin * b)
+        out[1::2] = rot_qt.T @ (cos * b - 1j * sin * a)
+        return out
+
+    return rotate
+
+
 def svd_route(sys):
     """psi -> U(mu) psi by the SVD route: an eigh per parity block and an SVD of B.
 
-    It uses no mirror identity, so it is the reference at sizes past the dense tests.
+    It uses no mirror identity and no series, so it is the reference at sizes
+    past the dense tests.
     """
     gen = twist_generator(sys)
     blocks = [np.linalg.eigh(gen[p::2, p::2]) for p in (0, 1)]
-    rot_p, sigma, rot_qt = np.linalg.svd(sx_even_odd(sys))
-    cos, sin = np.cos(math.pi / 4 * sigma), np.sin(math.pi / 4 * sigma)
+    rotate = svd_rotation(sys)
     psi = coherent_state(sys, math.pi / 2, 0.0).amps
 
     def state(mu):
         y = np.empty(sys.dim, dtype=complex)
         for p, (w, v) in enumerate(blocks):
             y[p::2] = v @ (np.exp(1j * mu * w) * (v.T @ psi[p::2]))
-        a, b = rot_p.T @ y[0::2], rot_qt @ y[1::2]
-        out = np.empty(sys.dim, dtype=complex)
-        out[0::2] = rot_p @ (cos * a - 1j * sin * b)
-        out[1::2] = rot_qt.T @ (cos * b - 1j * sin * a)
-        return out
+        return rotate(y[:, None])[:, 0]
 
     return state
 
@@ -131,22 +147,30 @@ def test_generators_are_mirror_symmetric(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_rotation_factors_reconstruct_sx(n):
+    # the Chebyshev series against exp(-i pi/4 Sx) built from a factorization
+    # of Sx: the dense complex eigh up to N = 256, the SVD of B beyond
     sys = make_spin_system(n)
     prop = _propagator(sys)
-    coupling = sx_even_odd(sys)
-    p, q = prop.rot_p, prop.rot_q
-    sigma = np.diag(p.T @ coupling @ q)
-    eye = np.eye(sys.dim // 2)
-    assert np.max(np.abs(q.T @ q - eye)) < 1e-12
-    assert np.max(np.abs(p.T @ p - eye)) < 1e-12
-    assert np.max(np.abs((p * sigma) @ q.T - coupling)) < 1e-12 * sys.s
-    assert np.max(np.abs(np.sort(sigma) - (np.arange(sys.dim // 2) + 0.5))) < 1e-12 * sys.s
-    assert np.max(np.abs(prop.rot_cos[:, 0] - np.cos(math.pi / 4 * sigma))) < 1e-12
-    assert np.max(np.abs(prop.rot_sin[:, 0] - np.sin(math.pi / 4 * sigma))) < 1e-12
+    if n <= 8:
+        rotate = expi_hermitian(spin_operators(sys).sx, -math.pi / 4).__matmul__
+    else:
+        rotate = svd_rotation(sys)
+    half = sys.dim // 2
+    central = np.zeros((sys.dim, 2))
+    central[half - 1, 0] = central[half, 1] = 1.0
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(sys.dim, 2)) + 1j * rng.normal(size=(sys.dim, 2))
+    block /= np.linalg.norm(block, axis=0)
+    for x in (central, block):
+        assert np.max(np.abs(prop._rotate(x) - rotate(x))) < 1e-12
+    # the mu search's central rows of R V are R's central columns in twist coordinates
+    assert np.max(np.abs(prop.central - prop._twist_coords(rotate(central)).T)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_factorization_runs_two_eigh_and_no_svd(n, monkeypatch):
+    # one eigh, of the even twist block: the rotation exp(-i pi/4 Sx) is a
+    # series of tridiagonal products and factorizes nothing
     calls = {"eigh": 0, "svd": 0}
 
     def counted(name):
@@ -161,7 +185,26 @@ def test_factorization_runs_two_eigh_and_no_svd(n, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     _propagator.__wrapped__(make_spin_system(n))
-    assert calls == {"eigh": 2, "svd": 0}
+    assert calls == {"eigh": 1, "svd": 0}
+
+
+def test_bessel_series_reference_values():
+    assert abs(_bessel_series(1.0)[0] - 0.7651976865579666) < 1e-15
+    assert abs(_bessel_series(1.0)[1] - 0.44005058574493355) < 1e-15
+    assert abs(_bessel_series(10.0)[5] - -0.2340615281867936) < 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bessel_series_sums_at_every_swept_s(n):
+    # a = pi s/4 for every s the sweep visits, s = 3/2 .. 1023/2
+    a = math.pi / 4 * make_spin_system(n).s
+    j = _bessel_series(a)
+    assert abs(j[0] ** 2 + 2 * np.sum(j[1:] ** 2) - 1) < 1e-15
+    # at X = 1, T_k(X) = 1, so the series sums to exp(-ia): these sums
+    # are the Jacobi-Anger expansions of cos a and sin a
+    sign = (-1.0) ** (np.arange(len(j)) // 2)
+    assert abs(j[0] + 2 * np.sum((sign * j)[2::2]) - math.cos(a)) < 1e-14
+    assert abs(2 * np.sum((sign * j)[1::2]) - math.sin(a)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [9, 10])
