@@ -65,8 +65,8 @@ def _expect(value, kind: type, name: str):
 def make_spin_system(n: int) -> SpinSystem:
     """Build the spin system for N = 2^n basis states.
 
-    The exponent is capped at 14 as a resource guard: dense N x N work is
-    only ever needed up to N = 1024, fast transforms remain cheap beyond.
+    The exponent is capped at 14 as a resource guard: squeezing, whose one dense
+    step is an N/4 x N/4 SVD, runs to N = 1024; fast transforms remain cheap beyond.
     """
     if not isinstance(n, (int, np.integer)):
         raise ConfigError(f"exponent must be an integer, got {n!r}")

@@ -7,7 +7,8 @@ onto z.  (With standard su(2) matrices the opposite rotation handedness
 would rotate the anti-squeezed quadrature onto z instead; distributions are
 insensitive to flipping both signs at once.)  Applied to the equatorial
 coherent state |pi/2, 0> this reduces the Sz variance ("reduced variance"
-V_-) at the expense of Sy.
+V_-) at the expense of Sy.  In the Sx eigenbasis the twist is a bipartite
+chain, factored by one SVD of an N/4 x N/4 bidiagonal matrix.
 
 The optimal squeezing parameter is the mu at which the two central basis
 states carry the largest possible weight, i.e. the best preparation of the
@@ -38,8 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, Frozen, InvariantError, NumericsError, ResourceLimitError
-from .spin_core import NORM_TOL, SpinSystem, StateVector, _expect, coherent_state
-from .spin_core import _ladder_coefficients
+from .spin_core import NORM_TOL, SpinSystem, StateVector, _expect, _ladder_coefficients
 
 MIRROR_TOL = 1e-9  # central-pair / mirror-symmetry slack, sized for N=1024 round-off
 _DENSE_DIM_LIMIT = 1024  # largest s swept is (1024-1)/2
@@ -74,8 +74,8 @@ class BoundingDistribution(Frozen):
 
     def template(self, dim: int) -> list[Fraction]:
         """The length-dim template distribution (needs dim >= 8)."""
-        if dim < 8 or dim % 2:
-            raise ConfigError(f"template needs even dim >= 8, got {dim}")
+        if not isinstance(dim, numbers.Integral) or dim < 8 or dim % 2:
+            raise ConfigError(f"template needs an even integer dim >= 8, got {dim!r}")
         return _template(dim, self.epsilon)
 
 
@@ -100,11 +100,12 @@ def bounding_epsilon() -> BoundingDistribution:
 
 
 def twist_generator(sys: SpinSystem) -> np.ndarray:
-    """The real symmetric counter-twisting generator Sz^2 - Sy^2.
+    """The real symmetric counter-twisting generator Sz^2 - Sy^2, as a dense matrix.
 
     Built from the ladder coefficients c_i: the diagonal is
     (3 m^2 - s(s+1)) / 2 and the only other entries are c_i c_(i+1) / 4 at
-    (i, i+2) and (i+2, i), so even and odd qudit indices never mix.
+    (i, i+2) and (i+2, i), so even and odd qudit indices never mix.  It is the
+    dense reference for squeezing, which works in the Sx eigenbasis.
     """
     s = sys.s
     m = sys.m_values()
@@ -135,18 +136,24 @@ def distribution_variance(dist) -> float | Fraction:
     Exact for Fraction-valued distributions; float inputs are evaluated
     about the centre index for stability.
     """
+    if not isinstance(dist, np.ndarray):
+        try:
+            dist = list(dist)
+            total = sum(dist)
+        except TypeError:
+            raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
+        if isinstance(total, Fraction):
+            if total != 1:
+                raise ConfigError(f"distribution must sum to 1, got {total}")
+            mean = sum(Fraction(i) * p for i, p in enumerate(dist))
+            second = sum(Fraction(i) ** 2 * p for i, p in enumerate(dist))
+            return second - mean * mean
     try:
-        seq = list(dist)
-        total = sum(seq)
-    except TypeError:
-        raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise ConfigError(f"distribution must sum to 1, got {total}")
-        mean = sum(Fraction(i) * p for i, p in enumerate(seq))
-        second = sum(Fraction(i) ** 2 * p for i, p in enumerate(seq))
-        return second - mean * mean
-    p = np.asarray(seq, dtype=float)
+        p = None if np.iscomplexobj(dist) else np.asarray(dist, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.ndim != 1:
+        raise ConfigError(f"distribution must be a 1-D sequence of real numbers, got {dist!r}")
     if not abs(float(p.sum()) - 1.0) <= 1e-6:  # NaN fails too
         raise ConfigError(f"distribution must sum to 1, got {p.sum()!r}")
     centred = np.arange(len(p)) - (len(p) - 1) / 2
@@ -160,7 +167,7 @@ def central_probability(dist) -> float:
         p = np.asarray(dist, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
-    if p.ndim != 1 or len(p) % 2:
+    if p.ndim != 1 or len(p) % 2 or not len(p):
         raise ConfigError(f"central pair needs a 1-D distribution of even length, got {p.shape}")
     left, right = float(p[len(p) // 2 - 1]), float(p[len(p) // 2])
     if not abs(left - right) < MIRROR_TOL:  # NaN fails too
@@ -172,13 +179,10 @@ def ideal_overlap(state: StateVector) -> float:
     """|<Psi0|state>|^2 against the two-component target (|N/2-1> + |N/2>)/sqrt(2)."""
     _expect(state, StateVector, "state")
     n = state.dim
+    if n % 2:
+        raise ConfigError(f"the two-component target needs an even dimension, got {n}")
     amp = (state.amps[n // 2 - 1] + state.amps[n // 2]) / math.sqrt(2)
     return float(abs(amp) ** 2)
-
-
-def _real_dot(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for real a and complex z, as two real products."""
-    return a @ z.real + 1j * (a @ z.imag)
 
 
 def _bessel_series(a: float) -> np.ndarray:
@@ -199,96 +203,89 @@ def _bessel_series(a: float) -> np.ndarray:
 
 
 class _SqueezeFactorization:
-    """The twist's real factorization and the rotation of U(mu), shared by every caller.
+    """U(mu) psi factored in the Sx eigenbasis, shared by every caller.
 
-    Sz^2 - Sy^2 is block diagonal over the parity of the qudit index, and
-    the mirror i -> N-1-i swaps even and odd indices and leaves it
-    unchanged.  So with J the reversal of a half-length index, the odd block
-    is J E J for the even block E = V diag(w) V^T, and one eigh of E gives
-    both eigensystems, (w, V) and (w, J V).  U(mu) = R V diag(e^(i mu w)) V^T
-    with R = exp(-iaX), a = pi s/4 and X = Sx/s, real tridiagonal with its
-    spectrum exactly [-1, 1].  R is the Chebyshev series (Tal-Ezer and
-    Kosloff) sum_k (2 - [k=0]) (-i)^k J_k(a) T_k(X): even k give cos(aX),
-    odd k sin(aX).  The mu search reads only the central pair, so only rows
-    N/2-1 and N/2 of R V are kept.
+    Q = exp(-i pi/2 Sy) is real orthogonal, Q^T Sx Q = Sz and Q e_(N-1) = psi,
+    so with D = exp(-i pi/4 Sz), U(mu) psi = Q D exp(i mu Hx) e_(N-1) for
+    Hx = Q^T (Sz^2 - Sy^2) Q = (S+^2 + S-^2)/2: only c_i c_(i+1)/2 at offset 2.
+    From e_(N-1), Hx moves along the bipartite chain N-1, N-3, .., 1; with
+    M = U S W^T (Golub and Kahan) the N/4 x N/4 lower-bidiagonal coupling of its
+    odd positions to its even ones, exp(i mu Hx) e_(N-1) = [U cos(mu S) g;
+    i W sin(mu S) g], g = U^T e_0.  The mu search reads row N/2-1 of Q, the Sx
+    eigenvector for +1/2, from a three-term recurrence; on the odd indices row
+    N/2 (for -1/2) is its negative, so the pair is tied.  The state Q (D v) is
+    the Chebyshev series (Tal-Ezer and Kosloff) of exp(-iaY), a = pi s/2,
+    Y = Sy/s: sum_k (2 - [k=0]) (-1)^k J_k(a) P_k, with P_k = i^k T_k(Y) real,
+    P_(k+1) = 2 (A/s) P_k + P_(k-1) and A = (S+ - S-)/2.
     """
 
     def __init__(self, sys: SpinSystem):
+        c = _ladder_coefficients(sys)
+        t = c[-2::-2] * c[-1:0:-2] / 2  # Hx between chain positions p and p+1
         try:
-            w, v = np.linalg.eigh(twist_generator(sys)[0::2, 0::2])
+            self.u, self.sv, self.wt = np.linalg.svd(np.diag(t[0::2]) + np.diag(t[1::2], -1))
         except np.linalg.LinAlgError as exc:
-            msg = f"twist generator decomposition failed at dim={sys.dim}: {exc}"
+            msg = f"twist chain decomposition failed at dim={sys.dim}: {exc}"
             raise NumericsError(msg) from exc
-        self.blocks = [(w, v), (w, v[::-1])]
-        self.step = _ladder_coefficients(sys)[:, None] / sys.s  # 2X, off the diagonal
-        j = _bessel_series(math.pi / 4 * sys.s)
-        self.series = j * [(2 - (k == 0)) * (-1) ** (k // 2) for k in range(len(j))]
-        self.psi = coherent_state(sys, math.pi / 2, 0.0).amps[:, None]
-        self.eigvals = np.concatenate([w for w, _ in self.blocks])
-        self.coeffs = self._twist_coords(self.psi)[:, 0]
-        cos, sin = self._cos_sin(np.eye(sys.dim, 1, 1 - sys.dim // 2))  # R e_(N/2-1)
-        column = cos[:, 0] - 1j * sin[:, 0]
-        dev = abs(float(np.sum(np.abs(column) ** 2)) - 1.0)
-        if not dev <= NORM_TOL:  # NaN fails too
-            raise NumericsError(f"exp(-i pi/4 Sx) off unit norm by {dev:.3e} at dim={sys.dim}")
-        # R is symmetric and commutes with the mirror, so its central rows
-        # are its central columns, R e_(N/2-1) and that column reversed
-        self.central = self._twist_coords(np.stack([column, column[::-1]], axis=1)).T
+        self.from_even, self.from_odd = c[0::2] / sys.s, c[1::2] / sys.s  # 2A/s, by parity
+        j = _bessel_series(math.pi / 2 * sys.s)
+        self.series = j * [(2 - (k == 0)) * (-1) ** k for k in range(len(j))]
+        self.phases = np.exp(-0.25j * math.pi * sys.m_values())  # the diagonal of D
+        row = [0.0, 1.0]  # x_(-1), x_0 of (c_(i-1) x_(i-1) + c_i x_(i+1))/2 = x_i/2
+        for lo, hi in zip([0.0, *c[:-1].tolist()], c.tolist()):
+            row.append((row[-1] - lo * row[-2]) / hi)
+        self.row = np.array(row[1:]) / math.sqrt(math.fsum(x * x for x in row))
+        # pair(mu) = row D exp(i mu Hx) e_(N-1), in the chain's singular coordinates
+        ends, self.g = self.row * self.phases, self.u[0]
+        self.alpha = ends[::-4] @ self.u * self.g
+        self.beta = 1j * (self.wt @ ends[-3::-4]) * self.g
 
-    def _twist_coords(self, x: np.ndarray) -> np.ndarray:
-        """V^T x, with the eigenvalue order of self.eigvals."""
-        return np.concatenate(
-            [_real_dot(v.T, x[p::2]) for p, (_, v) in enumerate(self.blocks)]
-        )
+    def chain(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(i mu Hx) e_(N-1) at the qudit indices N-1, N-5, .. and N-3, N-7, .."""
+        cos, sin = np.cos(mu * self.sv) * self.g, np.sin(mu * self.sv) * self.g
+        return self.u @ cos, 1j * (sin @ self.wt)
 
-    def _next(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        """2X cur - prev for real N x k matrices, written over prev."""
-        prev *= -1
-        prev[:-1] += self.step * cur[1:]
-        prev[1:] += self.step * cur[:-1]
+    def _next(self, cur: np.ndarray, prev: np.ndarray, odd: bool) -> np.ndarray:
+        """2(A/s) cur + prev on half-length rows (cur on the odd indices if odd,
+        else on the even ones; prev on the others), written over prev."""
+        if odd:
+            prev -= self.from_even * cur
+            prev[..., 1:] += self.from_odd * cur[..., :-1]
+        else:
+            prev += self.from_even * cur
+            prev[..., :-1] -= self.from_odd * cur[..., 1:]
         return prev
 
-    def _cos_sin(self, x: np.ndarray) -> list[np.ndarray]:
-        """[cos(aX) x, sin(aX) x] for a real N x k matrix x, by T_(k+1) = 2X T_k - T_(k-1)."""
-        prev, cur = x.copy(), self._next(x, np.zeros_like(x)) / 2
-        parts = [self.series[0] * x, self.series[1] * cur]
+    def rotate(self, x: np.ndarray) -> np.ndarray:
+        """Q y along the last axis, for the y that is x on the odd indices and 0 on the even.
+
+        A flips index parity, so P_k lives on the odd indices for even k, else
+        on the even ones, and each step runs on half-length rows."""
+        prev, cur = x.copy(), self._next(x, np.zeros_like(x), True) / 2
+        halves = [self.series[0] * x, self.series[1] * cur]  # odd, even indices
         for k in range(2, len(self.series)):
-            prev, cur = cur, self._next(cur, prev)
-            parts[k % 2] += self.series[k] * cur
-        return parts
-
-    def _rotate(self, x: np.ndarray) -> np.ndarray:
-        """R x = cos(aX) x - i sin(aX) x, on the real and imaginary columns of x."""
-        m = x.shape[1]
-        cos, sin = self._cos_sin(np.hstack([x.real, x.imag]))
-        return cos[:, :m] + sin[:, m:] + 1j * (cos[:, m:] - sin[:, :m])
-
-    def apply(self, mu: float, x: np.ndarray) -> np.ndarray:
-        """U(mu) x for an N x k matrix x, with real matrix products only."""
-        y = np.empty(x.shape, dtype=complex)
-        for p, (w, v) in enumerate(self.blocks):
-            y[p::2] = _real_dot(v, np.exp(1j * mu * w)[:, None] * _real_dot(v.T, x[p::2]))
-        return self._rotate(y)
+            prev, cur = cur, self._next(cur, prev, k % 2 == 1)
+            halves[k % 2] += self.series[k] * cur
+        return np.stack(halves[::-1], axis=-1).reshape(*x.shape[:-1], -1)  # interleaved
 
     def state_at(self, mu: float) -> StateVector:
-        return StateVector(self.apply(mu, self.psi)[:, 0])
+        y = np.empty(2 * len(self.sv), dtype=complex)  # exp(i mu Hx) e_(N-1), odd indices
+        y[::-2], y[-2::-2] = self.chain(mu)
+        amps = self.rotate(y * self.phases[1::2])
+        dev = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+        if not dev <= NORM_TOL:  # NaN fails too
+            raise NumericsError(f"exp(-i pi/2 Sy) off unit norm by {dev:.3e} at dim={len(amps)}")
+        return StateVector(amps)
 
     def tail_weight(self, mu: float) -> float:
-        """Probability outside the central pair; 1 - 2 p_c by mirror symmetry."""
-        pair = self.central @ (np.exp(1j * mu * self.eigvals) * self.coeffs)
-        return 1.0 - float(np.sum(np.abs(pair) ** 2))
+        """Probability outside the central pair, 1 - 2 p_c."""
+        pair = self.alpha @ np.cos(mu * self.sv) + self.beta @ np.sin(mu * self.sv)
+        return 1.0 - 2 * abs(pair) ** 2
 
 
 @lru_cache(maxsize=None)
 def _propagator(sys: SpinSystem) -> _SqueezeFactorization:
     return _SqueezeFactorization(sys)
-
-
-def _guard_dense(sys: SpinSystem):
-    if sys.dim > _DENSE_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"dense squeezing ops capped at N={_DENSE_DIM_LIMIT}, got N={sys.dim}"
-        )
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -331,11 +328,8 @@ def _minimize_scanned(f, hi: float, tol: float) -> float:
     for _ in range(_WIDEN_RETRIES + 1):
         xs = np.linspace(0.0, hi, _SCAN_POINTS)
         vals = [f(x) for x in xs]
-        basins = [
-            k
-            for k in range(1, _SCAN_POINTS - 1)
-            if vals[k] < vals[k - 1] and vals[k] <= vals[k + 1]
-        ]
+        basins = [k for k in range(1, _SCAN_POINTS - 1)
+                  if vals[k] < vals[k - 1] and vals[k] <= vals[k + 1]]
         if basins:
             break
         hi *= 2.0  # descent runs off the edge: bracket too narrow
@@ -362,10 +356,12 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     vanish; the reduced variance there is 1/4 at s = 3/2 and rises toward
     1/2 for large s.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+    if tol is True or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     _expect(sys, SpinSystem, "spin system")
-    _guard_dense(sys)
+    if sys.dim > _DENSE_DIM_LIMIT:
+        msg = f"dense squeezing ops capped at N={_DENSE_DIM_LIMIT}, got N={sys.dim}"
+        raise ResourceLimitError(msg)
     prop = _propagator(sys)
     # mu is a builtin float, as SqueezeResult declares, not the np.float64
     # of the scan grid

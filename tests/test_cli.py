@@ -356,7 +356,7 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
     from spinoracle.squeezing import _propagator
 
     real_series = squeezing._bessel_series
-    # a series off by a relative 1e-6 rotates the central column off unit norm
+    # a series off by a relative 1e-6 rotates the squeezed state off unit norm
     monkeypatch.setattr(squeezing, "_bessel_series", lambda a: real_series(a) * (1 + 1e-6))
     _propagator.cache_clear()  # a cached factorization would skip the series
     try:
@@ -366,7 +366,7 @@ def test_wrong_sx_spectrum_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: exp(-i pi/4 Sx) off unit norm by")
+    assert err.startswith("numerical failure: exp(-i pi/2 Sy) off unit norm by")
     assert err.count("\n") == 1
 
 

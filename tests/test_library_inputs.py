@@ -3,7 +3,9 @@ integer belongs, a non-real where a real number belongs, a codeword length
 past N = 16384, an error weight beside the fixed mask that sets it, amplitudes
 that are not a 1-D numeric array, or another type where a SpinSystem, a
 StateVector or a SqueezeResult belongs, a list where a state or its
-spectrum belongs, or a string where a distribution belongs: each call
+spectrum belongs, a string, a 2-D array, complex values or nothing where a
+distribution belongs, a float or a string as a template's length, a state of
+odd length as the two-component target's, or a bool tolerance: each call
 raises ConfigError (a SpinOracleError), never a raw TypeError, ValueError
 or AttributeError, never a float index, never a 2^15-entry table, and
 never ignores the weight."""
@@ -58,6 +60,15 @@ CALLS = {
     "measure_designated state=list": lambda: so.measure_designated([0.5, 0.5], 0),
     "central_probability dist='ab'": lambda: so.central_probability("ab"),
     "distribution_variance dist='ab'": lambda: so.distribution_variance("ab"),
+    "distribution_variance 2-D dist": lambda: so.distribution_variance(np.eye(2) / 2),
+    "distribution_variance dist=[1+0j]": lambda: so.distribution_variance([1 + 0j]),
+    "distribution_variance complex array": lambda: so.distribution_variance(np.array([1 + 0j])),
+    "central_probability dist=[]": lambda: so.central_probability([]),
+    "template dim=8.0": lambda: so.bounding_epsilon().template(8.0),
+    "template dim='8'": lambda: so.bounding_epsilon().template("8"),
+    "ideal_overlap one entry": lambda: so.ideal_overlap(so.StateVector([1.0])),
+    "ideal_overlap odd length": lambda: so.ideal_overlap(so.StateVector([1.0, 0.0, 0.0])),
+    "optimize_mu tol=True": lambda: so.optimize_mu(SYSTEM, True),
     **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
         "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
        for d in (2, 0, 99, [1, 2], "x")},

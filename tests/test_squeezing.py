@@ -32,9 +32,61 @@ MU_STAR = math.pi / (6 * math.sqrt(3))
 SWEEP_EXPONENTS = (2, 3, 4, 5, 6, 7, 8, 9)  # s = 3/2 .. 511/2
 
 
+def series_rotation(sys):
+    """Q = exp(-i pi/2 Sy) as a dense matrix from the library's series: its odd
+    columns, and its even ones by the mirror, Q e_(2j) = P J Q e_(N-1-2j) with
+    P = diag((-1)^i) and J the reversal (P J commutes with Sy)."""
+    q = np.empty((sys.dim, sys.dim))
+    q[:, 1::2] = _propagator(sys).rotate(np.eye(sys.dim // 2)).T
+    sign = 1 - 2 * (np.arange(sys.dim) % 2)
+    q[:, 0::2] = sign[:, None] * q[::-1, 1::2][:, ::-1]
+    return q
+
+
+def twist_exponential(sys, mu):
+    """exp(i mu Hx) as a dense matrix from the library's chain SVD M = U S W^T:
+    [[U cos U^T, i U sin W^T], [i W sin U^T, W cos W^T]] on the chain
+    N-1, N-3, .., 1 (its even positions first), and the same on the mirror
+    chain 0, 2, .., N-2."""
+    prop = _propagator(sys)
+    u, w = prop.u, prop.wt.T
+    cos, sin = np.cos(mu * prop.sv), np.sin(mu * prop.sv)
+    block = np.block([[(u * cos) @ u.T, 1j * (u * sin) @ w.T],
+                      [1j * (w * sin) @ u.T, (w * cos) @ w.T]])
+    chain = np.concatenate([np.arange(sys.dim - 1, 0, -4), np.arange(sys.dim - 3, 0, -4)])
+    out = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for idx in (chain, sys.dim - 1 - chain):
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 def squeeze_matrix(sys, mu):
-    """U(mu) as a dense matrix: the structured factorization applied to the identity."""
-    return _propagator(sys).apply(mu, np.eye(sys.dim))
+    """U(mu) = Q D exp(i mu Hx) Q^T as a dense matrix, from the library's Q
+    series, its diagonal D = exp(-i pi/4 Sz) and its chain factors."""
+    q = series_rotation(sys)
+    return q @ (_propagator(sys).phases[:, None] * twist_exponential(sys, mu)) @ q.T
+
+
+def real_sx(sys):
+    """Sx as a dense real matrix, from the ladder coefficients."""
+    c = _ladder_coefficients(sys) / 2
+    return np.diag(c, 1) + np.diag(c, -1)
+
+
+def twist_in_sx_basis(sys):
+    """Hx = (S+^2 + S-^2)/2: only c_i c_(i+1)/2 at (i, i+2) and (i+2, i)."""
+    c = _ladder_coefficients(sys)
+    return np.diag(c[:-1] * c[1:] / 2, 2) + np.diag(c[:-1] * c[1:] / 2, -2)
+
+
+def odd_block(sys):
+    """Inputs to the series: the identity on the odd indices up to N = 256, else
+    four random unit rows (the series takes rows along their last axis)."""
+    half = sys.dim // 2
+    if sys.n <= 8:
+        return np.eye(half)
+    x = np.random.default_rng(sys.n).normal(size=(4, half))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def sx_even_odd(sys):
@@ -58,6 +110,27 @@ def svd_rotation(sys):
         out = np.empty(x.shape, dtype=complex)
         out[0::2] = rot_p @ (cos * a - 1j * sin * b)
         out[1::2] = rot_qt.T @ (cos * b - 1j * sin * a)
+        return out
+
+    return rotate
+
+
+def svd_sy_rotation(sys):
+    """x -> Q y for the y that holds x on the odd indices, by an SVD of K = A[even, odd].
+
+    Q = exp(theta A) with A = (S+ - S-)/2 = i Sy and theta = -pi/2.  With
+    K = P diag(sigma) V^T, exp(theta A) maps an odd part b to the even part
+    P sin(theta sigma) V^T b and the odd part V cos(theta sigma) V^T b.
+    """
+    c = _ladder_coefficients(sys) / 2
+    rot_p, sigma, rot_vt = np.linalg.svd(-np.diag(c[0::2]) + np.diag(c[1::2], -1))
+    theta = -math.pi / 2
+
+    def rotate(x):
+        b = x @ rot_vt.T
+        out = np.empty((*x.shape[:-1], sys.dim), dtype=x.dtype)
+        out[..., 0::2] = (b * np.sin(theta * sigma)) @ rot_p.T
+        out[..., 1::2] = (b * np.cos(theta * sigma)) @ rot_vt
         return out
 
     return rotate
@@ -147,30 +220,102 @@ def test_generators_are_mirror_symmetric(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_rotation_factors_reconstruct_sx(n):
-    # the Chebyshev series against exp(-i pi/4 Sx) built from a factorization
-    # of Sx: the dense complex eigh up to N = 256, the SVD of B beyond
+    # the Chebyshev series of Q = exp(-i pi/2 Sy), which takes Sz to Sx,
+    # against Q built from a factorization of Sy: the dense complex eigh up
+    # to N = 256, the SVD of A[even, odd] beyond
     sys = make_spin_system(n)
     prop = _propagator(sys)
-    if n <= 8:
-        rotate = expi_hermitian(spin_operators(sys).sx, -math.pi / 4).__matmul__
-    else:
-        rotate = svd_rotation(sys)
     half = sys.dim // 2
-    central = np.zeros((sys.dim, 2))
-    central[half - 1, 0] = central[half, 1] = 1.0
+    if n <= 8:
+        q = expi_hermitian(spin_operators(sys).sy, -math.pi / 2)
+        assert np.max(np.abs(series_rotation(sys) - q)) < 1e-12  # the mirror columns too
+        rotate = (lambda x: x @ q[:, 1::2].T)
+    else:
+        rotate = svd_sy_rotation(sys)
+    central = np.eye(half)[[half - 1, 0]]  # e_(N-1) and e_1
     rng = np.random.default_rng(n)
-    block = rng.normal(size=(sys.dim, 2)) + 1j * rng.normal(size=(sys.dim, 2))
-    block /= np.linalg.norm(block, axis=0)
+    block = rng.normal(size=(2, half)) + 1j * rng.normal(size=(2, half))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
     for x in (central, block):
-        assert np.max(np.abs(prop._rotate(x) - rotate(x))) < 1e-12
-    # the mu search's central rows of R V are R's central columns in twist coordinates
-    assert np.max(np.abs(prop.central - prop._twist_coords(rotate(central)).T)) < 1e-12
+        assert np.max(np.abs(prop.rotate(x) - rotate(x))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_series_rotation_is_orthogonal(n):
+    sys = make_spin_system(n)
+    x = odd_block(sys)
+    y = _propagator(sys).rotate(x)
+    assert np.max(np.abs(y @ y.T - x @ x.T)) < 1e-12
+    if n <= 8:
+        q = series_rotation(sys)
+        assert np.max(np.abs(q.T @ q - np.eye(sys.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_series_rotation_takes_sz_to_sx(n):
+    # Q e_(N-1) = psi, the equatorial coherent state, and Q^T Sx Q = Sz: each
+    # column Q e_i is the Sx eigenvector for m_i, to round-off relative to s
+    sys = make_spin_system(n)
+    prop = _propagator(sys)
+    top = np.eye(sys.dim // 2)[-1]
+    psi = coherent_state(sys, math.pi / 2, 0.0).amps
+    assert np.max(np.abs(prop.rotate(top) - psi)) < 1e-12
+    x, m = odd_block(sys), sys.m_values()
+    dev = np.max(np.abs(prop.rotate(x) @ real_sx(sys) - prop.rotate(x * m[1::2])))
+    assert dev < 1e-12 * sys.s
+    if n <= 8:
+        q = series_rotation(sys)
+        assert np.max(np.abs(q.T @ real_sx(sys) @ q - np.diag(m))) < 1e-12 * sys.s
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twist_in_sx_basis_holds_only_offset_two(n):
+    # Q^T (Sz^2 - Sy^2) Q = (S+^2 + S-^2)/2, to round-off relative to s^2
+    sys = make_spin_system(n)
+    prop = _propagator(sys)
+    gen, hx = twist_generator(sys), twist_in_sx_basis(sys)
+    x = odd_block(sys)
+    dev = np.max(np.abs(prop.rotate(x) @ gen - prop.rotate(x @ hx[1::2, 1::2])))
+    assert dev < 1e-12 * sys.s**2
+    if n <= 8:
+        q = series_rotation(sys)
+        assert np.max(np.abs(q.T @ gen @ q - hx)) < 1e-12 * sys.s**2
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chain_svd_matches_dense_eigh_of_twist(n):
+    # exp(i mu Hx) e_(N-1) from the chain SVD against a dense eigh of Hx
+    sys = make_spin_system(n)
+    prop = _propagator(sys)
+    w, v = np.linalg.eigh(twist_in_sx_basis(sys))
+    for mu in np.linspace(0.0, 4.0 / sys.s, 5):
+        ref = v @ (np.exp(1j * mu * w) * v[-1])
+        even, odd = prop.chain(mu)
+        assert np.max(np.abs(even - ref[::-4])) < 1e-12
+        assert np.max(np.abs(odd - ref[-3::-4])) < 1e-12
+        assert np.max(np.abs(ref[0::2])) < 1e-12  # nothing reaches the even indices
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_recurrence_rows_are_sx_eigenvectors(n):
+    # the mu search's row N/2-1 of Q is the unit Sx eigenvector for +1/2, and
+    # with every other sign flipped, row N/2, the one for -1/2: against a
+    # dense eigh of Sx, up to sign
+    sys = make_spin_system(n)
+    row = _propagator(sys).row
+    w, v = np.linalg.eigh(real_sx(sys))
+    half = sys.dim // 2
+    assert np.allclose(w[[half, half - 1]], [0.5, -0.5], rtol=0, atol=1e-12)
+    flipped = row * (1 - 2 * (np.arange(sys.dim) % 2))
+    for mine, ref in ((row, v[:, half]), (flipped, v[:, half - 1])):
+        assert min(np.max(np.abs(mine - ref)), np.max(np.abs(mine + ref))) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_factorization_runs_two_eigh_and_no_svd(n, monkeypatch):
-    # one eigh, of the even twist block: the rotation exp(-i pi/4 Sx) is a
-    # series of tridiagonal products and factorizes nothing
+    # one SVD, of the twist chain's N/4 x N/4 bidiagonal, and no eigh: the
+    # rotation Q = exp(-i pi/2 Sy) is a series of tridiagonal products and
+    # the mu search's rows of Q come from a recurrence
     calls = {"eigh": 0, "svd": 0}
 
     def counted(name):
@@ -185,7 +330,7 @@ def test_factorization_runs_two_eigh_and_no_svd(n, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     _propagator.__wrapped__(make_spin_system(n))
-    assert calls == {"eigh": 1, "svd": 0}
+    assert calls == {"eigh": 0, "svd": 1}
 
 
 def test_bessel_series_reference_values():
