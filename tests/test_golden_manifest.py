@@ -7,12 +7,14 @@ fails here; regenerate an entry only on purpose, and say why in CHANGES.md:
     PYTHONPATH=src python tests/test_golden_manifest.py
 
 The squeezing sweep and the squeezed CSV Q map are left out: their bytes
-depend on the LAPACK build behind numpy's eigh.  Squeezing depends on
-LAPACK only through that one eigh, of the twist generator's even block;
-the rotation exp(-i pi/4 Sx) is a Chebyshev series of tridiagonal products
-in plain numpy arithmetic.  The one squeezed entry, an N = 16 JSON Q map,
-shares the eigh dependence; regenerate it if numpy's LAPACK changes and
-the run is otherwise unchanged.  The Q grid itself is numpy's pocketfft
+depend on the LAPACK build behind numpy's svd.  Squeezing depends on
+LAPACK only through one SVD per N, of the N/4 x N/4 bidiagonal coupling
+of the twist's chain in the Sx eigenbasis; the rotation exp(-i pi/2 Sy)
+into that basis is a Chebyshev series of tridiagonal products, and the
+row of it that the mu search reads a three-term recurrence, both in plain
+numpy arithmetic.  The one squeezed entry, an N = 16 JSON Q map, shares
+the SVD dependence; regenerate it if numpy's LAPACK changes and the run is
+otherwise unchanged.  The Q grid itself is numpy's pocketfft
 over phi, not a BLAS product, so no entry depends on the BLAS build or its
 thread count through the grid.
 """
