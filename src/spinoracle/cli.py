@@ -255,37 +255,41 @@ class _Texts(list):
 
 
 def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
-                array_texts: Callable | None = None) -> list[str]:
+                array_texts: Callable | None = None, floats: str = "") -> list[str]:
     """The text pieces of one block of rows, each row written as its heads in
     order, each followed by its key's value, then ``end``.
 
     heads is [(key, text before its value)].  A shared value is written into
     the block's %-template once; a per-row list goes through ``text`` cell
-    by cell, unless it is a _Texts.  A per-row ndarray (the JSON spectra)
-    splits the template: ``array_texts`` gives one text per row, kept as a
-    piece of its own.
+    by cell, unless it is a _Texts.  Given the %-spec ``floats``, a list of
+    floats is written by it instead, and the block is one piece, from one %.
+    A per-row ndarray (the JSON spectra) splits the template: ``array_texts``
+    gives one text per row, kept as a piece of its own.
     """
     rows = len(next(iter(per_row.values())))
     parts, fmt, cols = [], "", []
 
     def close():
-        if cols:
-            texts = [col if type(col) is _Texts else list(map(text, col)) for col in cols]
-            parts.append([fmt % row for row in zip(*texts)])
+        if floats:
+            parts.append([(fmt * rows) % tuple(chain.from_iterable(zip(*cols)))])
         else:
-            parts.append([fmt % ()] * rows)
+            parts.append([fmt % row for row in zip(*cols)] if cols else [fmt % ()] * rows)
 
     for key, head in heads:
         fmt += head.replace("%", "%%")
+        col = per_row.get(key)
         if key in shared:
             fmt += text(shared[key]).replace("%", "%%")
-        elif isinstance(per_row[key], np.ndarray):
+        elif isinstance(col, np.ndarray):
             close()
-            parts.append(array_texts(per_row[key]))
+            parts.append(array_texts(col))
             fmt, cols = "", []
+        elif floats and {*map(type, col)} <= {float, np.float64}:
+            fmt += floats
+            cols.append(col)
         else:
             fmt += "%s"
-            cols.append(per_row[key])
+            cols.append(col if type(col) is _Texts else list(map(text, col)))
     fmt += end.replace("%", "%%")
     close()
     return parts[0] if len(parts) == 1 else list(chain.from_iterable(zip(*parts)))
@@ -366,7 +370,7 @@ class _CsvRows:
         self._heads = [(key, "," if i else "") for i, key in enumerate(header)]
 
     def add(self, shared: dict, per_row: dict) -> None:
-        self.pieces += _row_pieces(self._heads, "\n", shared, per_row, self.text)
+        self.pieces += _row_pieces(self._heads, "\n", shared, per_row, self.text, floats="%.9g")
 
     def file(self) -> list[str]:
         return self.pieces

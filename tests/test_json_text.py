@@ -242,6 +242,18 @@ def test_csv_rows_match_csv_of_whole_rows():
     assert "".join(_CsvRows(["a", "b"]).file()) == _csv(["a", "b"], [])
 
 
+def test_csv_float_columns_go_through_the_template():
+    # a column of floats is written by '%.9g' in the block's template, one
+    # piece per block, with the bytes _fmt gives each cell
+    floats = [value for value in SCALARS if type(value) in (float, np.float64)]
+    floats += [np.float64(0.1), 1 / 3, 2.0**-1074, 1.7976931348623157e308, 123456789.5]
+    rows = _CsvRows(["i", "v", "w"])
+    rows.add({"w": 0.5}, {"i": list(range(len(floats))), "v": floats})
+    assert len(rows.file()) == 2  # the header, then the block
+    whole = [[k, v, 0.5] for k, v in enumerate(floats)]
+    assert "".join(rows.file()) == _csv(["i", "v", "w"], whole)
+
+
 # Each file's text is json.dumps of its own parse.  This holds for the sweep
 # too, whose bytes depend on the LAPACK build, so the golden manifest leaves
 # it out.
