@@ -229,7 +229,7 @@ def test_rotation_factors_reconstruct_sx(n):
     if n <= 8:
         q = expi_hermitian(spin_operators(sys).sy, -math.pi / 2)
         assert np.max(np.abs(series_rotation(sys) - q)) < 1e-12  # the mirror columns too
-        rotate = (lambda x: x @ q[:, 1::2].T)
+        rotate = lambda x: x @ q[:, 1::2].T
     else:
         rotate = svd_sy_rotation(sys)
     central = np.eye(half)[[half - 1, 0]]  # e_(N-1) and e_1
