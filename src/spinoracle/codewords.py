@@ -25,15 +25,18 @@ arrays (the codeword indices, a rows x N mask block, the majority-vote
 variates) and checked once as a whole.  They hold the codeword index and the
 mask, never a string to be checked against a rebuilt copy, and their oracle
 phases come from the integer words (the parity table of popcount(x) mod 2
-for Hadamard words, the residues 2jk mod 2N for Fourier words).  sample_blocks
-draws them trial by trial, so a seeded run does not depend on the block size,
-and enumerate_blocks lists them in _enumerate_trials' order.  Sampling uses
-an explicitly passed numpy Generator, never global state.
+for Hadamard words, the residues 2jk mod 2N for Fourier words).
+enumerate_blocks lists them in _enumerate_trials' order.  sample_blocks
+draws them a block at a time from four child generators that it spawns
+from the one it is passed: the weight classes, the error positions, the
+codeword indices and the vote variates.  Each child draws the same number
+of variates for every trial, so a seeded run does not depend on the block
+size.  Sampling uses an explicitly passed numpy Generator, never global
+state.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -159,13 +162,6 @@ def _error_positions(dim: int, restricted: bool) -> np.ndarray:
     return np.arange(dim)
 
 
-def _draw_positions(positions: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform d-subset of the error positions; weight 0 draws nothing."""
-    if not d:
-        return positions[:0]
-    return positions[rng.choice(len(positions), size=d, replace=False)]
-
-
 def restricted_set_size(dim: int) -> int:
     """Number of strings within restricted distance < N/4 of one codeword.
 
@@ -226,9 +222,8 @@ def _weight_bound(variant: str, dim: int):
     return dim // 4 if variant == RESTRICTED else dim / 16
 
 
-def _valid_weights(variant: str, dim: int) -> list[int]:
-    bound = _weight_bound(variant, dim)
-    return [m for m in range(dim) if m < bound]
+def _valid_weights(variant: str, dim: int) -> range:
+    return range(math.ceil(_weight_bound(variant, dim)))  # a range: membership is O(1)
 
 
 def _resolve_weights(variant: str, dim: int, d) -> list[int]:
@@ -271,14 +266,6 @@ def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> n
     return probs
 
 
-@functools.lru_cache(maxsize=64)
-def _weight_cdf(variant: str, dim: int, weights: tuple[int, ...]) -> tuple[float, ...]:
-    """The CDF that Generator.choice(len(weights), p=...) builds from the class shares."""
-    cdf = _weight_probabilities(variant, dim, weights).cumsum()
-    cdf /= cdf[-1]
-    return tuple(cdf.tolist())
-
-
 def _require_error_free(d) -> None:
     if d not in (None, 0):
         raise ConfigError("fourier instances are error-free (d must be 0)")
@@ -311,39 +298,6 @@ def _enumerate_trials(variant: str, dim: int, d):
         for m in weights:
             for cols in itertools.combinations(positions, m):
                 yield j, np.array(cols, dtype=np.int64), m
-
-
-def _draw_trials(variant: str, dim: int, d, rng: np.random.Generator,
-                 mask: np.ndarray | None = None):
-    """Endless (j, error positions, weight) draws; the one draw order of every sample.
-
-    Per trial: the weight class (one rng.random() against the class CDF, as
-    Generator.choice(p=...) draws it), the error positions
-    (rng.choice(positions, size=d, replace=False)) and the codeword index
-    (rng.integers).  Given a fixed ``mask`` only the index is drawn.
-    Fourier instances are error-free, with j uniform over Z_N.
-    """
-    dim = _check_dim(dim)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    if rng is None:
-        raise ConfigError("sampling requires an explicit seeded Generator")
-    if mask is not None:  # checked as a one-row block: every instance check applies
-        fixed = instance_from_parts(variant, dim, 0, mask)
-        cols, weight = np.flatnonzero(fixed.masks[0]), int(fixed.weights[0])
-        while True:
-            yield int(rng.integers(0, dim // 2)), cols, weight
-    if variant == FOURIER:
-        _require_error_free(d)
-        while True:
-            yield int(rng.integers(0, dim)), None, 0
-    weights = tuple(_resolve_weights(variant, dim, d))
-    cdf = _weight_cdf(variant, dim, weights)
-    positions = _error_positions(dim, variant == RESTRICTED)
-    while True:
-        weight = weights[bisect.bisect_right(cdf, rng.random())]
-        cols = _draw_positions(positions, weight, rng)
-        yield int(rng.integers(0, dim // 2)), cols, weight
 
 
 class InstanceBlock(Frozen):
@@ -407,35 +361,12 @@ class InstanceBlock(Frozen):
         return oracle_phases(_parity_table(dim)[js & np.arange(dim)] ^ self.masks, "hadamard")
 
 
-def _check_votes(repetitions: int, rng) -> None:
-    if repetitions > MAX_REPETITIONS:
-        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
-    if repetitions and rng is None:
-        raise ConfigError("majority voting needs a seeded Generator")
-
-
-def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
-    """InstanceBlocks of trials pulled from ``trials``.
-
-    A trial is (j, error positions, weight).  Its ``repetitions`` vote
-    variates are drawn right after it is pulled; 0 repetitions draw none.  A
-    block holds BLOCK_ENTRIES phase entries (at least one row) and at most
-    MAX_REPETITIONS variates, so with many repetitions it has fewer rows;
-    the draw order, and so every result, does not depend on the rows.
-    """
-    _check_votes(repetitions, rng)
+def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
+    """Every instance of the variant in blocks of BLOCK_ENTRIES phase entries
+    (at least one row), in _enumerate_trials' order."""
+    trials = _enumerate_trials(variant, dim, d)
     rows = max(BLOCK_ENTRIES // _check_dim(dim), 1)
-    if repetitions:
-        rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
-    while True:
-        draws = np.empty((rows, repetitions)) if repetitions else None
-        parts = []
-        for trial in itertools.islice(trials, rows):
-            if repetitions:
-                rng.random(out=draws[len(parts)])
-            parts.append(trial)
-        if not parts:
-            return
+    while parts := list(itertools.islice(trials, rows)):
         js, cols, weights = zip(*parts)
         js = np.array(js, dtype=np.int64)
         masks = declared = None
@@ -443,40 +374,90 @@ def _blocks(variant: str, dim: int, trials, repetitions: int, rng):
             declared = np.array(weights)
             masks = np.zeros((len(parts), dim), dtype=np.uint8)
             masks[np.repeat(np.arange(len(parts)), declared), np.concatenate(cols)] = 1
-        if draws is not None:
-            draws = draws[: len(parts)]
-        yield InstanceBlock(variant, dim, js, masks, declared, draws)
+        yield InstanceBlock(variant, dim, js, masks, declared)
 
 
 def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generator,
                   repetitions: int = 0,
                   mask: np.ndarray | None = None) -> Iterator[InstanceBlock]:
-    """``trials`` sampled instances in blocks, drawn in _draw_trials' order (or,
-    with a fixed error ``mask``, only their codeword indices), each followed by
-    its ``repetitions`` vote variates.
+    """``trials`` sampled instances in blocks, each row with its
+    ``repetitions`` vote variates.
 
     ``d`` selects the error weight: an int, an iterable of ints, or None for
-    the full valid range; with a ``mask``, which sets the weight, it must be
-    None.  Uniformity over a union of weight classes follows from weighting
-    each class by its syndrome count.
+    the full valid range; with a fixed error ``mask``, which sets the
+    weight, it must be None and only the codeword indices are drawn.
+    Uniformity over a union of weight classes follows from weighting each
+    class by its syndrome count.
+
+    The draws come from four children of ``rng`` (rng.spawn(4)), each
+    drawing a fixed count per trial: one uniform against the weight classes'
+    CDF; a random permutation of the error positions, whose ranks below the
+    weight mark the mask (pool - 1 bounded draws); one codeword index; and
+    ``repetitions`` uniform vote variates.  A block holds BLOCK_ENTRIES phase
+    entries (at least one row) and at most MAX_REPETITIONS variates, but the
+    draws, and so every result, do not depend on its rows.  Zero trials
+    check no instance class and spawn nothing.
     """
     for name, count in (("trials", trials), ("repetitions", repetitions)):
         if not isinstance(count, (int, np.integer)) or count < 0:
             raise ConfigError(f"{name} must be an integer >= 0, got {count!r}")
     if mask is not None and d is not None:
         raise ConfigError(f"a fixed mask sets the error weight; d must be None, got {d!r}")
-    draws = itertools.islice(_draw_trials(variant, dim, d, rng, mask), trials)
-    return _blocks(variant, dim, draws, repetitions, rng)
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"sampling requires an explicit seeded numpy Generator, "
+                          f"got {type(rng).__name__}")
+    if repetitions > MAX_REPETITIONS:
+        raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
+    dim = _check_dim(dim)
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if not trials:
+        return iter(())
+    fixed = classes = None
+    if mask is not None:  # checked as a one-row block: every instance check applies
+        fixed = instance_from_parts(variant, dim, 0, mask)
+    elif variant == FOURIER:
+        _require_error_free(d)
+    else:
+        weights = tuple(_resolve_weights(variant, dim, d))
+        classes, cdf = np.array(weights), _weight_probabilities(variant, dim, weights).cumsum()
+        cdf /= cdf[-1]
+        positions = _error_positions(dim, variant == RESTRICTED)
+        pool = len(positions)
+    try:
+        weight_rng, position_rng, index_rng, vote_rng = rng.spawn(4)
+    except TypeError as exc:  # a bit generator seeded without a SeedSequence
+        raise ConfigError(f"sampling needs a Generator that can spawn: {exc}") from None
+    rows = max(BLOCK_ENTRIES // dim, 1)
+    if repetitions:
+        rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
+    high = dim if variant == FOURIER else dim // 2
 
+    def blocks():
+        for start in range(0, trials, rows):
+            k = min(rows, trials - start)
+            masks = declared = draws = None
+            if fixed is not None:
+                masks = np.broadcast_to(fixed.masks, (k, dim))
+                declared = np.broadcast_to(fixed.weights, (k,))
+            elif classes is not None:  # the ranks below a row's weight mark its errors
+                declared = classes[np.searchsorted(cdf, weight_rng.random(k), side="right")]
+                ranks = position_rng.permuted(np.broadcast_to(np.arange(pool), (k, pool)), axis=1)
+                masks = np.zeros((k, dim), dtype=np.uint8)
+                masks[:, positions] = ranks < declared[:, None]
+            js = index_rng.integers(0, high, k)
+            if repetitions:
+                draws = vote_rng.random((k, repetitions))
+            yield InstanceBlock(variant, dim, js, masks, declared, draws)
 
-def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
-    """Every instance of the variant in blocks, in _enumerate_trials' order."""
-    return _blocks(variant, dim, _enumerate_trials(variant, dim, d), 0, None)
+    return blocks()
 
 
 def sample_instance(variant: str, dim: int, d=None,
                     rng: np.random.Generator | None = None) -> InstanceBlock:
-    """One sampled instance as a one-row block, drawn as sample_blocks draws it."""
+    """One sampled instance as a one-row block: the first row that
+    sample_blocks draws from the same generator, so each call spawns four
+    fresh children of ``rng``."""
     return next(sample_blocks(variant, dim, d, 1, rng))
 
 

@@ -1,9 +1,12 @@
-"""Reference words, phases, states and circuits built without the library's codewords.
+"""Reference words, phases, states, circuits and sampled trials built without
+the library's codewords.
 
 Hadamard rows come from Python's popcount, Fourier rows from Python-int
 residues 2jk mod 2N (so T_j[k] = r/N); the phases follow the circuit's rule
 e^(i pi z) term by term.  The Hadamard circuit is also given in complex
 arithmetic, the reference its real arithmetic is checked against bit for bit.
+Sampled trials are drawn one at a time, with one Generator call per draw,
+from the same four spawned children that the block sampler draws from.
 """
 
 import math
@@ -105,3 +108,66 @@ def complex_merge(amps, pairing):
 def complex_spectra(phases, transform="hadamard", pairing="symmetric"):
     """|merged complex_pipeline amplitudes|^2 for each row of oracle phases."""
     return np.abs(complex_merge(complex_pipeline(phases, transform), pairing)) ** 2
+
+
+class SpawnRecorder(np.random.Generator):
+    """A Generator that keeps every child it spawns, in order.  spawn makes
+    the children of the parent's own type, so they keep theirs too."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.children = []
+
+    def spawn(self, n_children):
+        children = super().spawn(n_children)
+        self.children += children
+        return children
+
+
+def recorded_rng(seed):
+    """default_rng(seed) as a SpawnRecorder: the same bit generator and seed."""
+    return SpawnRecorder(np.random.PCG64(seed))
+
+
+def assert_same_streams(rng, ref):
+    """Two SpawnRecorders spawned the same children, each child drew exactly as
+    much as its twin, and the parents' next spawns agree.  Spawning leaves a
+    parent's own bit generator state as it was, so that state shows nothing."""
+    assert len(rng.children) == len(ref.children)
+    for child, twin in zip(rng.children, ref.children):
+        assert child.bit_generator.state == twin.bit_generator.state
+    assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
+
+
+def reference_trials(variant, dim, d, rng, mask=None):
+    """Endless sampled trials (j, mask bits or None, weight, vote child), drawn
+    one at a time from the four children of rng.spawn(4), in the order
+    weight class, error positions, codeword index, vote variates.
+
+    The weight class is one Generator.choice over the classes' shares (one
+    uniform against their CDF).  The errors sit at the positions whose rank
+    in one permutation of the pool (the odd-parity positions if restricted)
+    is below the weight.  j is one bounded integer, in Z_N for Fourier
+    instances and Z_(N/2) otherwise.  A fixed mask draws only j, and Fourier
+    instances carry no mask.  The caller draws the vote variates from the
+    vote child, trial after trial.
+    """
+    weight_rng, position_rng, index_rng, vote_rng = rng.spawn(4)
+    pool = [x for x in range(dim) if variant != "restricted" or x.bit_count() % 2]
+    bound = dim // 4 if variant == "restricted" else dim / 16
+    chosen = range(dim) if d is None else [d] if isinstance(d, int) else d
+    weights = [m for m in range(dim) if m < bound and m in chosen]
+    counts = [math.comb(len(pool), m) for m in weights]
+    p = [float(c) / float(sum(counts)) for c in counts]  # the classes' shares, below 2^1000
+    high = dim if variant == "fourier" else dim // 2
+    while True:
+        bits, weight = None, None
+        if mask is not None:
+            bits = [int(b) for b in mask]
+            weight = sum(bits)
+        elif variant != "fourier":
+            weight = weights[int(weight_rng.choice(len(weights), p=p))]
+            ranks = position_rng.permutation(len(pool)).tolist()
+            errors = {x for x, rank in zip(pool, ranks) if rank < weight}
+            bits = [int(x in errors) for x in range(dim)]
+        yield int(index_rng.integers(0, high)), bits, weight, vote_rng

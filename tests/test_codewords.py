@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from references import (
+    assert_same_streams,
     bit_phases,
     exp_phases,
     fourier_fractions,
     fraction_phases,
     hadamard_row,
+    recorded_rng,
+    reference_trials,
     xor,
 )
 from spinoracle import (
@@ -494,42 +497,59 @@ def test_instance_block_arrays_are_read_only_once_checked():
                         ("unrestricted", 128, (0, 3, 7)), ("restricted", 16, 2)],
 )
 def test_sampling_draws_in_the_documented_order(variant, dim, d):
-    # the draw order of the seeded outputs, spelled out with Generator calls
-    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    pool = [x for x in range(dim) if not variant == "restricted" or x.bit_count() % 2]
-    bound = dim // 4 if variant == "restricted" else dim / 16
-    weights = [m for m in range(dim) if m < bound] if d is None else [d] if isinstance(d, int) else d
+    # the draw order of the seeded outputs: each sample_instance call spawns
+    # four children and draws one trial from them, as the reference spells
+    # out with one Generator call per draw
+    rng, ref = recorded_rng(8), recorded_rng(8)
     for _ in range(50):
         block = sample_instance(variant, dim, d, rng)
-        p = _weight_probabilities(variant, dim, tuple(weights))
-        weight = weights[int(ref.choice(len(weights), p=p))]
-        chosen = ref.choice(len(pool), size=weight, replace=False) if weight else []
-        j = int(ref.integers(0, dim // 2))
+        j, bits, weight, _ = next(reference_trials(variant, dim, d, ref))
         assert block.js.tolist() == [j]
-        assert block.masks[0].tolist() == [int(x in {pool[i] for i in chosen}) for x in range(dim)]
-    assert rng.bit_generator.state == ref.bit_generator.state
+        assert block.masks[0].tolist() == bits and block.weights.tolist() == [weight]
+    assert_same_streams(rng, ref)
 
 
-class _FixedUniform:
-    """A Generator stand-in whose random() returns given values."""
+class _FixedUniform(np.random.Generator):
+    """A Generator whose random(size) returns the next of ``uniforms``.  spawn
+    makes its children of its own type, so theirs do too."""
 
-    def __init__(self, values):
-        self.values = list(values)
-        self.rng = np.random.default_rng(0)
+    uniforms = []
 
-    def random(self):
-        return self.values.pop(0)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
 
 
-def test_weight_class_draw_on_a_cdf_value_goes_right():
-    # Generator.choice(p=...) maps u to cdf.searchsorted(u, side="right")
+def test_weight_class_draw_on_a_cdf_value_goes_right(monkeypatch):
+    # the weight class of a uniform u is cdf.searchsorted(u, side="right"), as
+    # Generator.choice(p=...) maps it
     dim, weights = 128, (0, 3, 7)
     p = _weight_probabilities("unrestricted", dim, weights)
     cdf = p.cumsum()
     cdf /= cdf[-1]
     for u in [0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0)]:
-        block = sample_instance("unrestricted", dim, weights, _FixedUniform([u]))
+        monkeypatch.setattr(_FixedUniform, "uniforms", [u])
+        block = sample_instance("unrestricted", dim, weights, _FixedUniform(np.random.PCG64(0)))
         assert block.weights.tolist() == [weights[int(cdf.searchsorted(u, side="right"))]]
+        assert _FixedUniform.uniforms == []
+
+
+@pytest.mark.parametrize("variant, dim, d, per_mask", [("restricted", 16, None, 400),
+                                                       ("unrestricted", 64, (0, 1, 2), 100)])
+def test_sampled_masks_are_uniform_over_the_instance_class(variant, dim, d, per_mask):
+    # every mask of the class is equally likely: each weight class is drawn
+    # with its _weight_probabilities share and each d-subset uniformly within
+    # it.  The seed and the draw count were fixed before the first run; each
+    # bound lies six standard deviations out.
+    pool = dim // 2 if variant == "restricted" else dim
+    weights = tuple(range(dim // 4)) if d is None else d  # restricted: below N/4
+    cells = sum(math.comb(pool, m) for m in weights)
+    trials = per_mask * cells
+    blocks = sample_blocks(variant, dim, d, trials, np.random.default_rng(2027))
+    masks = np.concatenate([block.masks for block in blocks])
+    _, counts = np.unique(np.packbits(masks, axis=1), axis=0, return_counts=True)
+    assert len(counts) == cells
+    chi2, df = float(((counts - per_mask) ** 2).sum() / per_mask), cells - 1
+    assert chi2 < df + 6 * math.sqrt(2 * df)
+    shares = np.bincount(masks.sum(axis=1), minlength=dim)[list(weights)] / trials
+    probs = _weight_probabilities(variant, dim, weights)
+    assert np.all(np.abs(shares - probs) < 6 * np.sqrt(probs * (1 - probs) / trials))

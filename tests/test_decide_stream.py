@@ -5,14 +5,23 @@ merge_two_to_one alone and measure with Generator.choice, one call per
 round.  Instance counts are chosen so that the blocks cross block
 boundaries.  The enumerated and sampled blocks that solve decides are
 checked the same way, against instances listed one by one or drawn one at a
-time by sample_instance; the decide_* functions, which decide one block of
-their variant, against the same references.
+time from the same four spawned children (references.reference_trials); the
+decide_* functions, which decide one block of their variant, against the
+same references.  Where a test pins the draws, every child the sampler
+spawned must have drawn exactly what its reference twin drew.
 """
 
 import numpy as np
 import pytest
 
-from references import fourier_row, hadamard_row, xor
+from references import (
+    assert_same_streams,
+    fourier_row,
+    hadamard_row,
+    recorded_rng,
+    reference_trials,
+    xor,
+)
 from spinoracle import (
     ConfigError,
     InstanceBlock,
@@ -39,6 +48,11 @@ def word(block, i=0):
     return xor(hadamard_row(block.dim, j), block.masks[i])
 
 
+def reference_instance(variant, dim, trial):
+    """The checked one-row block of a reference trial (j, mask bits, ...)."""
+    return instance_from_parts(variant, dim, trial[0], trial[1])
+
+
 def reference_vote(z, reps, rng, transform="hadamard", pairing="symmetric", back=1):
     raw = merge_two_to_one(run_pipeline(z, transform), pairing).probabilities()
     probs = raw / raw.sum()
@@ -52,27 +66,23 @@ def reference_vote(z, reps, rng, transform="hadamard", pairing="symmetric", back
 
 @pytest.mark.parametrize("mode", ["random", "worst"])
 def test_majority_votes_match_per_round_choice(mode):
-    # a one-row vote block draws its vote variates right after the instance
+    # each one-row vote block spawns its own four children: its vote
+    # variates come from the fourth, one Generator.choice per round
     dim, weight, reps, trials = 64, 3, 5, 300
     mask = None if mode == "random" else worst_case_error_mask(dim, weight)
-
-    def ref_draw(rng):
-        if mode == "random":
-            return sample_instance("unrestricted", dim, weight, rng)
-        return instance_from_parts("unrestricted", dim, int(rng.integers(0, dim // 2)), mask)
-
-    rng = np.random.default_rng(11)
-    ref_rng = np.random.default_rng(11)
+    d = weight if mask is None else None  # a fixed mask sets the weight
+    rng, ref_rng = recorded_rng(11), recorded_rng(11)
     for _ in range(trials):
-        d = weight if mask is None else None  # a fixed mask sets the weight
         [block] = sample_blocks("unrestricted", dim, d, 1, rng, reps, mask=mask)
         decided = decide_unrestricted(block)
-        _, ref_probs, ref_decision = reference_vote(word(ref_draw(ref_rng)), reps, ref_rng)
+        trial = next(reference_trials("unrestricted", dim, d, ref_rng, mask))
+        inst = reference_instance("unrestricted", dim, trial)
+        _, ref_probs, ref_decision = reference_vote(word(inst), reps, trial[3])
         assert decided.probs[0].tobytes() == ref_probs.tobytes()
         assert decided.pr_top[0] == ref_probs[dim - 1]
         assert decided.is_a[0] == ref_decision
         assert decided.rounds == reps
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_streams(rng, ref_rng)
 
 
 def test_fourier_stream_matches_single_runs_across_blocks():
@@ -115,8 +125,9 @@ def test_worst_case_spectrum_matches_single_run():
 
 
 def test_stream_rejects_mixed_variants_and_bad_votes():
-    rng = np.random.default_rng(0)
+    rng, twin = recorded_rng(0), recorded_rng(0)
     block = sample_instance("unrestricted", 64, 2, rng)
+    sample_instance("unrestricted", 64, 2, twin)
     with pytest.raises(ConfigError):
         decide_restricted(block)
     with pytest.raises(ConfigError):
@@ -125,10 +136,9 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
         InstanceBlock(block.variant, 64, block.js, block.masks, block.weights, np.zeros((2, 3)))
     with pytest.raises(ConfigError):  # votes need a seeded Generator
         next(sample_blocks("unrestricted", 64, 2, 1, None, 3))
-    state = rng.bit_generator.state
-    with pytest.raises(ResourceLimitError):  # refused before a variate is drawn
+    with pytest.raises(ResourceLimitError):  # refused before a child is spawned
         next(sample_blocks("unrestricted", 64, 2, 1, rng, MAX_REPETITIONS + 1))
-    assert rng.bit_generator.state == state
+    assert_same_streams(rng, twin)
 
 
 @pytest.mark.parametrize("trials, reps", [(-1, 0), (2.5, 0), (1, -1), (1, 2.5)])
@@ -138,8 +148,7 @@ def test_bad_trial_and_repetition_counts_are_config_errors(trials, reps):
 
 
 def test_a_fixed_mask_passes_every_instance_check_before_a_draw():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = recorded_rng(0)
     even = worst_case_error_mask(64, 2)
     bad = [
         (1,) + (0,) * 7,  # shorter than N: it once marked position 0 of each 64-bit row
@@ -154,14 +163,44 @@ def test_a_fixed_mask_passes_every_instance_check_before_a_draw():
         next(sample_blocks("restricted", 64, None, 3, rng, mask=even))
     with pytest.raises(ConfigError):  # fourier instances are error-free
         next(sample_blocks("fourier", 64, None, 3, rng, mask=even))
-    assert rng.bit_generator.state == state
+    assert_same_streams(rng, recorded_rng(0))  # nothing spawned, so nothing drawn
     [block] = sample_blocks("unrestricted", 64, None, 3, rng, 5, mask=even)
     assert block.masks.tolist() == [even.tolist()] * 3 and block.weights.tolist() == [2] * 3
 
 
+def test_zero_trials_check_and_draw_nothing():
+    # solve --trials 0 with a worst-case mask outside the instance class
+    # reports only that mask's spectrum: no block, no check, no child spawned
+    rng = recorded_rng(0)
+    outside = worst_case_error_mask(64, 4)  # l = N/16 is outside the instance class
+    assert list(sample_blocks("unrestricted", 64, None, 0, rng, 5, mask=outside)) == []
+    assert_same_streams(rng, recorded_rng(0))
+
+
+@pytest.mark.parametrize("variant, dim, d, reps", [("restricted", 64, None, 0),
+                                                   ("unrestricted", 64, (0, 3), 7),
+                                                   ("fourier", 32, None, 0)])
+def test_seeded_blocks_do_not_depend_on_the_block_size(monkeypatch, variant, dim, d, reps):
+    # three BLOCK_ENTRIES values, then a MAX_REPETITIONS cap that leaves two
+    # vote rows per block: other rows per block, the same rows
+    def rows(entries, cap=MAX_REPETITIONS):
+        monkeypatch.setattr(codewords, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(codewords, "MAX_REPETITIONS", cap)
+        blocks = list(sample_blocks(variant, dim, d, 150, np.random.default_rng(12), reps))
+        fields = [[getattr(block, name) for block in blocks]
+                  for name in ("js", "masks", "weights", "draws")]
+        return len(blocks), [np.concatenate(f).tobytes() for f in fields if f[0] is not None]
+
+    runs = [rows(entries) for entries in (dim, 7 * dim, BLOCK_ENTRIES)]
+    runs.append(rows(BLOCK_ENTRIES, 2 * reps + 1) if reps else rows(3 * dim))
+    assert len({count for count, _ in runs}) == 4
+    assert all(fields == runs[0][1] for _, fields in runs)
+
+
 def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
-    """(block, row) pairs of the sampled blocks solve decides, with each row's decision."""
-    rng = np.random.default_rng(seed)
+    """(block, row) pairs of the sampled blocks solve decides, with each row's
+    decision, and the recording generator they were drawn from."""
+    rng = recorded_rng(seed)
     blocks = sample_blocks(variant, dim, d, trials, rng, reps, mask=mask)
     rows = [(block, decided, i) for block, decided in decide_blocks(blocks) for i in range(len(block))]
     return rows, rng
@@ -176,10 +215,11 @@ def boundary_counts(dim):
 def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
     dim = 128  # 64 rows per block
     rows, rng = sampled_rows("restricted", dim, None, trials, 0, 31)
-    ref_rng = np.random.default_rng(31)
+    ref_rng = recorded_rng(31)
+    refs = reference_trials("restricted", dim, None, ref_rng)
     assert len(rows) == trials
     for block, decided, i in rows:
-        inst = sample_instance("restricted", dim, None, ref_rng)
+        inst = reference_instance("restricted", dim, next(refs))
         assert block.js[i] == inst.js[0]
         assert block.masks[i].tolist() == inst.masks[0].tolist()
         assert block.weights[i] == inst.weights[0]
@@ -189,7 +229,7 @@ def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
         assert decided.pr_top[i] == ref_probs[dim - 1]
         assert decided.is_a[i] == ref_decision == inst.is_a[0]
         assert decided.rounds == 1
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_streams(rng, ref_rng)
 
 
 @pytest.mark.parametrize("trials", boundary_counts(64))
@@ -199,23 +239,22 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
     mask = worst_case_error_mask(dim, weight) if mode == "worst" else None
     d = weight if mask is None else None  # a fixed mask sets the weight
     rows, rng = sampled_rows("unrestricted", dim, d, trials, reps, 17, mask)
-    ref_rng = np.random.default_rng(17)
+    ref_rng = recorded_rng(17)
+    refs = reference_trials("unrestricted", dim, d, ref_rng, mask)
     assert len(rows) == trials
     for block, decided, i in rows:
-        if mode == "random":
-            inst = sample_instance("unrestricted", dim, weight, ref_rng)
-        else:
-            inst = instance_from_parts("unrestricted", dim, int(ref_rng.integers(0, dim // 2)), mask)
+        trial = next(refs)
+        inst = reference_instance("unrestricted", dim, trial)
         assert block.js[i] == inst.js[0]
         assert block.masks[i].tolist() == inst.masks[0].tolist()
         assert block.is_a[i] == inst.is_a[0]
-        ref_raw, ref_probs, ref_decision = reference_vote(word(inst), reps, ref_rng)
+        ref_raw, ref_probs, ref_decision = reference_vote(word(inst), reps, trial[3])
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.probs[i].tobytes() == ref_probs.tobytes()
         assert decided.pr_top[i] == ref_probs[dim - 1]
         assert decided.is_a[i] == ref_decision
         assert decided.rounds == reps
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_streams(rng, ref_rng)
 
 
 @pytest.mark.parametrize(
@@ -224,14 +263,20 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
      ("unrestricted", 64, (0, 2)), ("fourier", 16, None)],
 )
 def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, dim, d):
+    # the blocks hold the reference's trials; sample_instance draws the first
     trials, rows = 41, 8  # five full blocks and a last one of one row
     monkeypatch.setattr(codewords, "BLOCK_ENTRIES", rows * dim)
-    rng = np.random.default_rng(4)
+    rng = recorded_rng(4)
     blocks = list(sample_blocks(variant, dim, d, trials, rng))
-    ref_rng = np.random.default_rng(4)
-    instances = [sample_instance(variant, dim, d, ref_rng) for _ in range(trials)]
+    ref_rng = recorded_rng(4)
+    refs = reference_trials(variant, dim, d, ref_rng)
+    instances = [reference_instance(variant, dim, next(refs)) for _ in range(trials)]
+    first = sample_instance(variant, dim, d, recorded_rng(4))
     assert [len(block) for block in blocks] == [8] * 5 + [1]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_same_streams(rng, ref_rng)
+    assert first.js.tolist() == instances[0].js.tolist()
+    if variant != "fourier":
+        assert first.masks.tolist() == instances[0].masks.tolist()
     for name in ("js", "is_a", "masks", "weights"):
         if variant == "fourier" and name in ("masks", "weights"):
             assert all(getattr(block, name) is None for block in blocks)
@@ -242,12 +287,13 @@ def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, di
 
 def test_many_repetitions_shrink_the_vote_block_not_the_draws():
     dim, weight, reps, trials = 64, 3, 2**19 + 1, 3  # one instance's variates per block
-    rng = np.random.default_rng(6)
+    rng = recorded_rng(6)
     blocks = list(sample_blocks("unrestricted", dim, weight, trials, rng, reps))
-    ref_rng = np.random.default_rng(6)
+    ref_rng = recorded_rng(6)
+    refs = reference_trials("unrestricted", dim, weight, ref_rng)
     assert [len(block) for block in blocks] == [1] * trials
     for block in blocks:
-        inst = sample_instance("unrestricted", dim, weight, ref_rng)
-        assert block.js[0] == inst.js[0]
-        assert block.draws.tobytes() == ref_rng.random(reps).tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        j, bits, _, votes = next(refs)
+        assert block.js[0] == j and block.masks[0].tolist() == bits
+        assert block.draws.tobytes() == votes.random(reps).tobytes()
+    assert_same_streams(rng, ref_rng)

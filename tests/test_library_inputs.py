@@ -5,8 +5,8 @@ that are not a 1-D numeric array, or another type where a SpinSystem, a
 StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
-odd length as the two-component target's, or a bool tolerance: each call
-raises ConfigError (a SpinOracleError), never a raw TypeError, ValueError
+odd length as the two-component target's, a bool tolerance, or a seed, a
+string or a RandomState where a Generator belongs: each call raises ConfigError (a SpinOracleError), never a raw TypeError, ValueError
 or AttributeError, never a float index, never a 2^15-entry table, and
 never ignores the weight."""
 
@@ -24,6 +24,9 @@ STATE = so.coherent_state(SYSTEM, math.pi / 2, 0.0)
 
 def rng():
     return np.random.default_rng(3)
+
+
+NOT_GENERATORS = {"3": 3, "'seed'": "seed", "RandomState": np.random.RandomState(3)}
 
 
 CALLS = {
@@ -72,6 +75,11 @@ CALLS = {
     **{f"sample_blocks mask d={d!r}": (lambda d=d: list(so.sample_blocks(
         "unrestricted", 64, d, 2, rng(), mask=so.worst_case_error_mask(64, 3))))
        for d in (2, 0, 99, [1, 2], "x")},
+    **{f"sample_blocks rng={name}": (lambda bad=bad: list(so.sample_blocks(
+        "unrestricted", 64, 2, 2, bad, 3)))
+       for name, bad in NOT_GENERATORS.items()},
+    **{f"sample_instance rng={name}": (lambda bad=bad: so.sample_instance("restricted", 16, None, bad))
+       for name, bad in NOT_GENERATORS.items()},
 }
 
 
