@@ -254,6 +254,17 @@ class _Texts(list):
     """A per-row column already rendered, which _row_pieces takes as it is."""
 
 
+def _template_floats(col, floats: str) -> bool:
+    """Whether the %-spec ``floats`` writes each cell of a per-row column as
+    the renderer's text would: '%.9g' any float, as _fmt does; '%r' only a
+    finite builtin float, as _float_text does (it writes nan where JSON has
+    NaN, and an np.float64 by numpy's repr)."""
+    kinds = {*map(type, col)}
+    if floats == "%r":  # the sum is not finite if a cell is not (or if it overflows)
+        return kinds <= {float} and math.isfinite(sum(col))
+    return kinds <= {float, np.float64}
+
+
 def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
                 array_texts: Callable | None = None, floats: str = "") -> list[str]:
     """The text pieces of one block of rows, each row written as its heads in
@@ -262,15 +273,17 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
     heads is [(key, text before its value)].  A shared value is written into
     the block's %-template once; a per-row list goes through ``text`` cell
     by cell, unless it is a _Texts.  Given the %-spec ``floats``, a list of
-    floats is written by it instead, and the block is one piece, from one %.
-    A per-row ndarray (the JSON spectra) splits the template: ``array_texts``
-    gives one text per row, kept as a piece of its own.
+    floats that it writes as ``text`` would is written by it instead, and the
+    block is one piece, from one %.  A per-row ndarray (the JSON spectra)
+    splits the template and the block into rows: ``array_texts`` gives one
+    text per row, kept as a piece of its own.
     """
     rows = len(next(iter(per_row.values())))
     parts, fmt, cols = [], "", []
+    whole = floats and not any(isinstance(per_row.get(key), np.ndarray) for key, _ in heads)
 
     def close():
-        if floats:
+        if whole:
             parts.append([(fmt * rows) % tuple(chain.from_iterable(zip(*cols)))])
         else:
             parts.append([fmt % row for row in zip(*cols)] if cols else [fmt % ()] * rows)
@@ -284,7 +297,7 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
             close()
             parts.append(array_texts(col))
             fmt, cols = "", []
-        elif floats and {*map(type, col)} <= {float, np.float64}:
+        elif floats and _template_floats(col, floats):
             fmt += floats
             cols.append(col)
         else:
@@ -328,7 +341,7 @@ class _JsonRows:
             ]
         first = not self.pieces
         self.pieces += _row_pieces(heads, _ROW_NEWLINE + "}", shared, per_row, self.text,
-                                   self._spectrum_texts)
+                                   self._spectrum_texts, floats="%r")
         if first and self.pieces:
             self.pieces[0] = "[" + self.pieces[0][1:]
 

@@ -254,6 +254,20 @@ def test_csv_float_columns_go_through_the_template():
     assert "".join(rows.file()) == _csv(["i", "v", "w"], whole)
 
 
+def test_json_float_columns_go_through_the_template():
+    # a block with no spectra is one piece; a column of finite builtin floats
+    # is written by '%r' in its template, and one holding a non-finite float
+    # or cells whose sum overflows goes cell by cell: both give json.dumps'
+    # bytes
+    finite = [-0.0, 5e-324, 1e16, 1e-7, 0.1, 1 / 3, 2.0**-1074, 1.7976931348623157e308]
+    for cells in [finite, finite * 2, finite + [math.nan], finite + [-math.inf]]:
+        rows = _JsonRows("rows")
+        rows.add({"w": 0.5}, {"i": list(range(len(cells))), "v": cells})
+        assert len(rows.pieces) == 1
+        doc = [{"i": k, "v": v, "w": 0.5} for k, v in enumerate(cells)]
+        assert "".join(rows.file()) == expected_text(doc)
+
+
 # Each file's text is json.dumps of its own parse.  This holds for the sweep
 # too, whose bytes depend on the LAPACK build, so the golden manifest leaves
 # it out.
