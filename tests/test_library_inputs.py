@@ -6,9 +6,10 @@ StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
 odd length as the two-component target's, a bool tolerance, or a seed, a
-string or a RandomState where a Generator belongs: each call raises ConfigError (a SpinOracleError), never a raw TypeError, ValueError
-or AttributeError, never a float index, never a 2^15-entry table, and
-never ignores the weight."""
+string or a RandomState where a Generator belongs: each call raises
+ConfigError (a SpinOracleError), never a raw TypeError, ValueError or
+AttributeError, never a float index, never a 2^15-entry table, and never
+ignores the weight."""
 
 import math
 
