@@ -6,15 +6,16 @@ StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
 odd length as the two-component target's, a bool tolerance, or a seed, a
-string or a RandomState where a Generator belongs: each call raises
-ConfigError (a SpinOracleError), never a raw TypeError, ValueError or
-AttributeError, never a float index, never a 2^15-entry table, and never
-ignores the weight."""
+string, a RandomState or a Generator that cannot spawn where a spawning
+Generator belongs: each call raises ConfigError (a SpinOracleError), never
+a raw TypeError, ValueError or AttributeError, never a float index, never a
+2^15-entry table, and never ignores the weight."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 import spinoracle as so
 from spinoracle import ConfigError
@@ -28,6 +29,13 @@ def rng():
 
 
 NOT_GENERATORS = {"3": 3, "'seed'": "seed", "RandomState": np.random.RandomState(3)}
+
+
+class _FixedSeed(ISeedSequence):
+    """A seed sequence that gives a fixed state and cannot spawn children."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
 
 
 CALLS = {
@@ -81,6 +89,8 @@ CALLS = {
        for name, bad in NOT_GENERATORS.items()},
     **{f"sample_instance rng={name}": (lambda bad=bad: so.sample_instance("restricted", 16, None, bad))
        for name, bad in NOT_GENERATORS.items()},
+    "sample_instance unspawnable rng": lambda: so.sample_instance(
+        "restricted", 16, None, np.random.Generator(np.random.PCG64(_FixedSeed()))),
 }
 
 
