@@ -59,6 +59,9 @@ COMMANDS = [
     ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "9",
      "--trials", "257", "--error-mode", "random", "--format", "csv", "--seed", "21"),
     ("classical", "--s-range", "3/2:31/2", "--trials", "3", "--format", "json", "--seed", "1"),
+    ("solve", "--variant", "restricted", "--n", "4", "--errors", "2"),
+    ("solve", "--variant", "restricted", "--n", "7", "--errors", "5", "--trials", "64",
+     "--seed", "3"),
 ]
 
 
