@@ -15,18 +15,23 @@ with T_j + T_(N-j) = T_0 and T_j + T_(N/2-j) = T_(N/2).
 
 Error masks are uint8 rows of weight d; "restricted" masks may only touch
 the N/2 positions where W_(N-1) has a one (the odd-parity positions), which
-is exactly the error pattern the quantum pipeline cancels.
+is exactly the error pattern the quantum pipeline cancels.  _instance_class
+states each variant's instances once: j in Z_(N/2) with d < N/4 on the
+odd-parity positions (restricted) or d < N/16 anywhere (unrestricted), and
+every j in Z_N with no error (Fourier).  Sampling, enumeration,
+restricted_set_size and every block check read it.
 
 oracle_phases is the one phase rule: the transform says how to read a word,
 bits b as 1 - 2b and Fourier numerators r as e^(i pi r/N).
 
 Problem instances live in InstanceBlocks: a block of instances held as
-arrays (the codeword indices, a rows x N mask block, the majority-vote
-variates) and checked once as a whole.  They hold the codeword index and the
-mask, never a string to be checked against a rebuilt copy, and their oracle
+arrays (the codeword indices, a rows x N mask block whose row sums are the
+error weights, the majority-vote variates) and checked once as a whole
+against the instance class.  They hold the codeword index and the mask,
+never a string to be checked against a rebuilt copy, and their oracle
 phases come from the integer words (the parity table of popcount(x) mod 2
 for Hadamard words, the residues 2jk mod 2N for Fourier words).
-enumerate_blocks lists them in _enumerate_trials' order.  sample_blocks
+enumerate_blocks lists them in the one enumeration order.  sample_blocks
 draws them a block at a time from four child generators that it spawns
 from the one it is passed: the weight classes, the error positions, the
 codeword indices and the vote variates.  Each child draws the same number
@@ -41,7 +46,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -118,19 +123,6 @@ def designated_index(dim: int) -> int:
     return _check_dim(dim) // 2 - 1
 
 
-def _check_masks(masks: np.ndarray, weights: np.ndarray, restricted: bool) -> None:
-    """InstanceBlock's mask check over a block of mask rows: integer bits only,
-    each row of its declared weight, restricted rows dominated by W_(N-1)."""
-    if masks.dtype.kind not in "biu" or np.any((masks != 0) & (masks != 1)):
-        raise ConfigError("mask entries must be 0 or 1")
-    counted = masks.sum(axis=1)
-    if not np.array_equal(counted, weights):
-        bad = int(np.flatnonzero(counted != weights)[0])
-        raise ConfigError(f"mask weight {counted[bad]} != declared {weights[bad]}")
-    if restricted and np.any(masks > _parity_table(_check_dim(masks.shape[1]))):
-        raise ConfigError("restricted mask not dominated by W_(N-1)")
-
-
 def _check_index(dim: int, j) -> int:
     dim = _check_dim(dim)
     if not isinstance(j, (int, np.integer)) or not 0 <= j < dim:
@@ -156,10 +148,36 @@ def fourier_codeword(dim: int, j: int) -> np.ndarray:
     return numerators
 
 
-def _error_positions(dim: int, restricted: bool) -> np.ndarray:
-    if restricted:
-        return np.flatnonzero(_parity_table(dim))
-    return np.arange(dim)
+class _InstanceClass(NamedTuple):
+    """One variant's instances at length dim: a codeword index in
+    Z_codewords, and an error mask of weight below bound, whose errors sit
+    only on the odd-parity positions (where W_(N-1) has a one) if restricted."""
+
+    dim: int
+    codewords: int
+    restricted: bool
+    bound: int | float
+
+    @property
+    def weights(self) -> range:
+        """The admitted error weights, as a range: membership is O(1)."""
+        return range(math.ceil(self.bound))
+
+    def positions(self) -> np.ndarray:
+        """The positions an error may touch."""
+        return np.flatnonzero(_parity_table(self.dim)) if self.restricted else np.arange(self.dim)
+
+
+def _instance_class(variant: str, dim: int) -> _InstanceClass:
+    """The variant's instance class at length dim, as the module docstring
+    states it; the variant and dim are checked here."""
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    dim = _check_dim(dim)
+    if variant == FOURIER:
+        return _InstanceClass(dim, dim, False, 1)
+    restricted = variant == RESTRICTED
+    return _InstanceClass(dim, dim // 2, restricted, dim // 4 if restricted else dim / 16)
 
 
 def restricted_set_size(dim: int) -> int:
@@ -168,10 +186,19 @@ def restricted_set_size(dim: int) -> int:
     Equals sum_(m < N/4) C(N/2, m) = (2^(N/2) - C(N/2, N/4)) / 2, which is
     exponential in N.
     """
-    dim = _check_dim(dim)
-    if dim < 8:
-        raise ConfigError(f"restricted set size needs N >= 8, got {dim}")
-    return sum(math.comb(dim // 2, m) for m in range(dim // 4))
+    cls = _instance_class(RESTRICTED, dim)
+    if cls.dim < 8:
+        raise ConfigError(f"restricted set size needs N >= 8, got {cls.dim}")
+    return sum(_syndrome_counts(len(cls.positions()), cls.weights))
+
+
+def _syndrome_counts(pool: int, weights) -> list[int]:
+    """C(pool, m) for each weight m, from one exact pass of
+    C(pool, m + 1) = C(pool, m) (pool - m) / (m + 1), not one binomial per class."""
+    table = [1]
+    for m in range(max(weights)):
+        table.append(table[-1] * (pool - m) // (m + 1))
+    return [table[m] for m in weights]
 
 
 class GroupLawReport(Frozen):
@@ -217,17 +244,12 @@ def group_properties_check(dim: int) -> GroupLawReport:
     return GroupLawReport(dim=dim, laws_checked=laws, failures=tuple(failures))
 
 
-def _weight_bound(variant: str, dim: int):
-    """Error weights of a Hadamard instance lie below N/4 (restricted) or N/16."""
-    return dim // 4 if variant == RESTRICTED else dim / 16
-
-
-def _valid_weights(variant: str, dim: int) -> range:
-    return range(math.ceil(_weight_bound(variant, dim)))  # a range: membership is O(1)
-
-
 def _resolve_weights(variant: str, dim: int, d) -> list[int]:
-    valid = _valid_weights(variant, dim)
+    """The admitted weights that d selects: all of them for None, else those
+    of the integer or integers d that the instance class admits."""
+    if variant == FOURIER and d not in (None, 0):
+        raise ConfigError("fourier instances are error-free (d must be 0)")
+    valid = _instance_class(variant, dim).weights
     if d is None:
         requested = valid
     elif isinstance(d, (int, np.integer)):
@@ -248,16 +270,8 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> np.ndarray:
-    """Each weight class's share of the union, in proportion to its syndrome count.
-
-    The counts C(pool, m) come from one exact pass of
-    C(pool, m + 1) = C(pool, m) (pool - m) / (m + 1), not one binomial per class.
-    """
-    pool = dim // 2 if variant == RESTRICTED else dim
-    table = [1]
-    for m in range(max(weights)):
-        table.append(table[-1] * (pool - m) // (m + 1))
-    counts = [table[m] for m in weights]
+    """Each weight class's share of the union, in proportion to its syndrome count."""
+    counts = _syndrome_counts(len(_instance_class(variant, dim).positions()), weights)
     # float(c) / float(total) is numpy's int64 division wherever the counts
     # fit in int64; past 2^1000 a common shift keeps float() finite
     shift = max(sum(counts).bit_length() - 1000, 0)
@@ -266,83 +280,49 @@ def _weight_probabilities(variant: str, dim: int, weights: tuple[int, ...]) -> n
     return probs
 
 
-def _require_error_free(d) -> None:
-    if d not in (None, 0):
-        raise ConfigError("fourier instances are error-free (d must be 0)")
-
-
-def _enumerate_trials(variant: str, dim: int, d):
-    """Every (j, error positions, weight) of the variant; the one enumeration order.
-
-    j runs outer over the instance class (Z_N for the error-free Fourier
-    instances, Z_(N/2) otherwise), then the weight class (d resolved as
-    sampling resolves it), then itertools.combinations over the error
-    positions.  Enumeration is refused above 10^6 masks in a weight class.
-    """
-    dim = _check_dim(dim)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    if variant == FOURIER:
-        _require_error_free(d)
-        js, weights = range(dim), [0]
-    else:
-        js, weights = range(dim // 2), _resolve_weights(variant, dim, d)
-    positions = tuple(_error_positions(dim, variant == RESTRICTED).tolist())  # not copied per j
-    for m in weights:
-        count = math.comb(len(positions), m)
-        if count > _ENUMERATION_LIMIT:
-            raise ResourceLimitError(
-                f"{count} syndromes exceed the enumeration limit; sample instead"
-            )
-    for j in js:
-        for m in weights:
-            for cols in itertools.combinations(positions, m):
-                yield j, np.array(cols, dtype=np.int64), m
-
-
 class InstanceBlock(Frozen):
     """A block of instances of one variant, held as arrays and checked once.
 
     js are the codeword indices; masks is the (rows x N) uint8 error-mask
-    block with each row's declared weight in weights (both None for
-    Fourier); draws holds each row's majority-vote variates, or is None for
-    exact decisions.  Every instance check runs here, once over the whole
-    block, after the arrays are made read-only so no check can be undone.
-    Blocks compare by identity.
+    block (None for Fourier), whose row sums are the error weights; draws
+    holds each row's majority-vote variates, or is None for exact decisions.
+    Every instance check runs here, against the variant's instance class and
+    once over the whole block, after the arrays are made read-only so no
+    check can be undone.  Blocks compare by identity.
     """
 
-    __slots__ = ("variant", "dim", "js", "masks", "weights", "draws")
-    _optional = ("masks", "weights", "draws")
+    __slots__ = ("variant", "dim", "js", "masks", "draws")
+    _optional = ("masks", "draws")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def _check(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        cls = _instance_class(self.variant, self.dim)
         for name in ("js", *self._optional):
             value = getattr(self, name)
             if not (isinstance(value, np.ndarray) or value is None and name in self._optional):
                 raise ConfigError(f"InstanceBlock {name} must be an ndarray, "
                                   f"got {type(value).__name__}")
-        dim = _check_dim(self.dim)
-        js = self.js
+        js, masks = self.js, self.masks
         if js.dtype.kind not in "iu" or js.ndim != 1 or not len(js):
             raise ConfigError("a block needs a non-empty row of integer codeword indices")
-        if js.min() < 0 or js.max() >= dim:
-            raise ConfigError(f"codeword index outside Z_{dim} in {js.tolist()}")
+        if js.min() < 0 or js.max() >= cls.codewords:
+            raise ConfigError(f"codeword index outside Z_{cls.codewords} in {js.tolist()}")
         if self.draws is not None and len(self.draws) != len(js):
             raise ConfigError("one row of vote draws per instance")
         if self.variant == FOURIER:
-            if self.masks is not None:
+            if masks is not None:
                 raise ConfigError("fourier instances carry no error syndrome")
             return
-        if (self.masks is None or self.masks.shape != (len(js), dim)
-                or np.shape(self.weights) != (len(js),)):
+        if masks is None or masks.shape != (len(js), cls.dim):
             raise ConfigError("syndrome missing or of wrong length")
-        _check_masks(self.masks, self.weights, self.variant == RESTRICTED)
-        bound = _weight_bound(self.variant, dim)
-        if not self.weights.max() < bound:
-            raise ConfigError(f"{self.variant} weight {self.weights.max()} not below {bound}")
+        if masks.dtype.kind not in "biu" or masks.min() < 0 or masks.max() > 1:
+            raise ConfigError("mask entries must be 0 or 1")
+        if cls.restricted and np.any(masks > _parity_table(cls.dim)):
+            raise ConfigError("restricted mask not dominated by W_(N-1)")
+        heaviest = masks.sum(axis=1).max()
+        if not heaviest < cls.bound:
+            raise ConfigError(f"{self.variant} weight {heaviest} not below {cls.bound}")
 
     def __len__(self) -> int:
         return len(self.js)
@@ -363,18 +343,34 @@ class InstanceBlock(Frozen):
 
 def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
     """Every instance of the variant in blocks of BLOCK_ENTRIES phase entries
-    (at least one row), in _enumerate_trials' order."""
-    trials = _enumerate_trials(variant, dim, d)
-    rows = max(BLOCK_ENTRIES // _check_dim(dim), 1)
+    (at least one row), in the one enumeration order.
+
+    j runs outer over the instance class's codeword indices, then the weight
+    class (d resolved as sampling resolves it), then itertools.combinations
+    over the error positions.  Enumeration is refused above 10^6 masks in a
+    weight class.
+    """
+    cls = _instance_class(variant, dim)
+    weights = _resolve_weights(variant, cls.dim, d)
+    positions = tuple(cls.positions().tolist())  # not copied per j
+    for m in weights:
+        count = math.comb(len(positions), m)
+        if count > _ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"{count} syndromes exceed the enumeration limit; sample instead"
+            )
+    trials = ((j, cols) for j in range(cls.codewords)
+              for m in weights for cols in itertools.combinations(positions, m))
+    rows = max(BLOCK_ENTRIES // cls.dim, 1)
     while parts := list(itertools.islice(trials, rows)):
-        js, cols, weights = zip(*parts)
-        js = np.array(js, dtype=np.int64)
-        masks = declared = None
+        js, cols = zip(*parts)
+        masks = None
         if variant != FOURIER:
-            declared = np.array(weights)
-            masks = np.zeros((len(parts), dim), dtype=np.uint8)
-            masks[np.repeat(np.arange(len(parts)), declared), np.concatenate(cols)] = 1
-        yield InstanceBlock(variant, dim, js, masks, declared)
+            counts = [len(c) for c in cols]
+            masks = np.zeros((len(parts), cls.dim), dtype=np.uint8)
+            masks[np.repeat(np.arange(len(parts)), counts),
+                  np.fromiter(itertools.chain.from_iterable(cols), np.intp, sum(counts))] = 1
+        yield InstanceBlock(variant, cls.dim, np.array(js, dtype=np.int64), masks)
 
 
 def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generator,
@@ -408,22 +404,20 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
                           f"got {type(rng).__name__}")
     if repetitions > MAX_REPETITIONS:
         raise ResourceLimitError(f"repetitions {repetitions} above the cap {MAX_REPETITIONS}")
-    dim = _check_dim(dim)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
+    cls = _instance_class(variant, dim)
+    dim = cls.dim
     if not trials:
         return iter(())
     fixed = classes = None
     if mask is not None:  # checked as a one-row block: every instance check applies
-        fixed = instance_from_parts(variant, dim, 0, mask)
-    elif variant == FOURIER:
-        _require_error_free(d)
+        fixed = instance_from_parts(variant, dim, 0, mask).masks
     else:
         weights = tuple(_resolve_weights(variant, dim, d))
-        classes, cdf = np.array(weights), _weight_probabilities(variant, dim, weights).cumsum()
-        cdf /= cdf[-1]
-        positions = _error_positions(dim, variant == RESTRICTED)
-        pool = len(positions)
+        if variant != FOURIER:
+            classes, cdf = np.array(weights), _weight_probabilities(variant, dim, weights).cumsum()
+            cdf /= cdf[-1]
+            positions = cls.positions()
+            pool = len(positions)
     try:
         weight_rng, position_rng, index_rng, vote_rng = rng.spawn(4)
     except TypeError as exc:  # a bit generator seeded without a SeedSequence
@@ -431,24 +425,22 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
     rows = max(BLOCK_ENTRIES // dim, 1)
     if repetitions:
         rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
-    high = dim if variant == FOURIER else dim // 2
 
     def blocks():
         for start in range(0, trials, rows):
             k = min(rows, trials - start)
-            masks = declared = draws = None
+            masks = draws = None
             if fixed is not None:
-                masks = np.broadcast_to(fixed.masks, (k, dim))
-                declared = np.broadcast_to(fixed.weights, (k,))
+                masks = np.broadcast_to(fixed, (k, dim))
             elif classes is not None:  # the ranks below a row's weight mark its errors
-                declared = classes[np.searchsorted(cdf, weight_rng.random(k), side="right")]
+                drawn = classes[np.searchsorted(cdf, weight_rng.random(k), side="right")]
                 ranks = position_rng.permuted(np.broadcast_to(np.arange(pool), (k, pool)), axis=1)
                 masks = np.zeros((k, dim), dtype=np.uint8)
-                masks[:, positions] = ranks < declared[:, None]
-            js = index_rng.integers(0, high, k)
+                masks[:, positions] = ranks < drawn[:, None]
+            js = index_rng.integers(0, cls.codewords, k)
             if repetitions:
                 draws = vote_rng.random((k, repetitions))
-            yield InstanceBlock(variant, dim, js, masks, declared, draws)
+            yield InstanceBlock(variant, dim, js, masks, draws)
 
     return blocks()
 
@@ -463,9 +455,6 @@ def sample_instance(variant: str, dim: int, d=None,
 
 def instance_from_parts(variant: str, dim: int, j: int, mask) -> InstanceBlock:
     """A checked one-row block from an explicit codeword index and error mask
-    (None for Fourier instances); the mask's weight is its count of ones."""
-    masks = weights = None
-    if mask is not None:
-        masks = np.array([mask])
-        weights = np.count_nonzero(masks, axis=1)
-    return InstanceBlock(variant, dim, np.array([j]), masks, weights)
+    (None for Fourier instances)."""
+    masks = None if mask is None else np.array([mask])
+    return InstanceBlock(variant, dim, np.array([j]), masks)

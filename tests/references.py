@@ -139,6 +139,18 @@ def assert_same_streams(rng, ref):
     assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
 
 
+def reference_class(variant, dim):
+    """The instance class as the paper states it: (codeword range, error
+    positions, admitted weights).  j runs over Z_N for the error-free Fourier
+    instances and Z_(N/2) otherwise; restricted errors sit on the positions
+    of odd popcount, fewer than N // 4 of them, and unrestricted errors
+    anywhere, fewer than ceil(N/16)."""
+    high = dim if variant == "fourier" else dim // 2
+    pool = [x for x in range(dim) if variant != "restricted" or x.bit_count() % 2]
+    bound = {"restricted": dim // 4, "unrestricted": math.ceil(dim / 16), "fourier": 1}[variant]
+    return high, pool, range(bound)
+
+
 def reference_trials(variant, dim, d, rng, mask=None):
     """Endless sampled trials (j, mask bits or None, weight, vote child), drawn
     one at a time from the four children of rng.spawn(4), in the order
@@ -153,13 +165,11 @@ def reference_trials(variant, dim, d, rng, mask=None):
     vote child, trial after trial.
     """
     weight_rng, position_rng, index_rng, vote_rng = rng.spawn(4)
-    pool = [x for x in range(dim) if variant != "restricted" or x.bit_count() % 2]
-    bound = dim // 4 if variant == "restricted" else dim / 16
+    high, pool, admitted = reference_class(variant, dim)
     chosen = range(dim) if d is None else [d] if isinstance(d, int) else d
-    weights = [m for m in range(dim) if m < bound and m in chosen]
+    weights = [m for m in admitted if m in chosen]
     counts = [math.comb(len(pool), m) for m in weights]
     p = [float(c) / float(sum(counts)) for c in counts]  # the classes' shares, below 2^1000
-    high = dim if variant == "fourier" else dim // 2
     while True:
         bits, weight = None, None
         if mask is not None:

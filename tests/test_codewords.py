@@ -15,6 +15,7 @@ from references import (
     fraction_phases,
     hadamard_row,
     recorded_rng,
+    reference_class,
     reference_trials,
     xor,
 )
@@ -33,6 +34,7 @@ from spinoracle.codewords import (
     InstanceBlock,
     _fourier_residues,
     _fourier_roots,
+    _instance_class,
     _weight_probabilities,
     enumerate_blocks,
     oracle_phases,
@@ -163,20 +165,67 @@ def test_syndrome_checks_are_the_block_mask_checks():
         return entries + (0,) * (dim - len(entries))
 
     bad = [
-        (mask(0, 1), 2),  # weight not the declared one
-        (mask(1, 0), 1),  # restricted mask not dominated by W_(N-1)
-        (mask(0, 1)[:6], 1),  # mask length not N
-        (mask(2, 0), 2),  # entries are bits
-        (mask(-1, 1), 0),
-        (np.array(mask(0, 1), dtype=float), 1),  # entries are integers
+        mask(1, 0),  # restricted mask not dominated by W_(N-1)
+        mask(0, 1)[:6],  # mask length not N
+        mask(2, 0),  # entries are bits
+        mask(-1, 1),
+        np.array(mask(0, 1), dtype=float),  # entries are integers
     ]
-    for row, weight in bad:
+    for row in bad:
         with pytest.raises(ConfigError):
-            InstanceBlock("restricted", dim, np.array([0]), np.array([row]), np.array([weight]))
-    for row, _ in bad[1:]:  # instance_from_parts declares each mask's count of ones
+            InstanceBlock("restricted", dim, np.array([0]), np.array([row]))
         with pytest.raises(ConfigError):
             instance_from_parts("restricted", dim, 0, row)
-    assert instance_from_parts("restricted", dim, 0, mask(0, 1)).weights.tolist() == [1]
+    assert instance_from_parts("restricted", dim, 0, mask(0, 1)).masks.sum(axis=1).tolist() == [1]
+
+
+@pytest.mark.parametrize("variant", ["restricted", "unrestricted", "fourier"])
+def test_the_instance_class_matches_an_independent_derivation(variant):
+    # at every N the guards admit: the codeword range, the error positions and
+    # the admitted weights against popcount parity, N // 4 and ceil(N/16), and
+    # the syndrome counts behind restricted_set_size and the weight classes'
+    # shares against math.comb (every class at small N, about 64 of them at large N)
+    for n in range(2, 15):
+        dim = 2**n
+        high, pool, weights = reference_class(variant, dim)
+        cls = _instance_class(variant, dim)
+        assert (cls.dim, cls.codewords, cls.weights) == (dim, high, weights)
+        assert cls.positions().tolist() == pool
+        if variant == "restricted":  # sum of C(N/2, m) over m < N/4, in closed form
+            assert weights == range(len(pool) // 2)
+            total = (2 ** len(pool) - math.comb(len(pool), len(pool) // 2)) // 2
+            if dim >= 8:
+                assert restricted_set_size(dim) == total
+        else:
+            total = sum(math.comb(len(pool), m) for m in weights)
+        probs = _weight_probabilities(variant, dim, tuple(weights))
+        shift = max(total.bit_length() - 1000, 0)
+        for m in [*weights[::max(len(weights) // 64, 1)], weights[-1]]:
+            assert probs[m] == float(math.comb(len(pool), m) >> shift) / float(total >> shift)
+    with pytest.raises(ConfigError):
+        restricted_set_size(4)
+
+
+@pytest.mark.parametrize("variant", ["restricted", "unrestricted"])
+def test_hadamard_blocks_refuse_an_index_outside_z_half_n(variant):
+    # j = N/2 once passed every check and was labelled B, though the circuit
+    # decides the error-free word W_(N/2) as A with certainty
+    dim = 16
+    zeros = np.zeros((2, dim), dtype=np.uint8)
+    for j in (dim // 2, dim - 1):
+        with pytest.raises(ConfigError, match="outside Z_8"):
+            instance_from_parts(variant, dim, j, zeros[0])
+        with pytest.raises(ConfigError, match="outside Z_8"):
+            InstanceBlock(variant, dim, np.array([0, j]), zeros)
+    assert len(InstanceBlock(variant, dim, np.array([0, dim // 2 - 1]), zeros)) == 2
+
+
+def test_fourier_blocks_admit_every_index_in_z_n():
+    dim = 16
+    assert InstanceBlock("fourier", dim, np.arange(dim)).js.tolist() == list(range(dim))
+    assert instance_from_parts("fourier", dim, dim - 1, None).js.tolist() == [dim - 1]
+    with pytest.raises(ConfigError, match="outside Z_16"):
+        instance_from_parts("fourier", dim, dim, None)
 
 
 def test_restricted_set_size():
@@ -213,7 +262,7 @@ def test_sample_restricted_instance():
         block = sample_instance("restricted", 8, None, rng)
         assert len(block) == 1
         seen_labels.add(bool(block.is_a[0]))
-        assert block.weights[0] < 2
+        assert block.masks.sum() < 2
         z = xor(hadamard_row(8, int(block.js[0])), block.masks[0])
         assert block.phases().tobytes() == bit_phases(z)[None].tobytes()
         assert block.is_a[0] == (block.js[0] == 3)
@@ -237,13 +286,13 @@ def test_sample_requires_rng():
 def test_unrestricted_weight_guards():
     rng = np.random.default_rng(0)
     block = sample_instance("unrestricted", 16, None, rng)
-    assert block.weights.tolist() == [0]  # only d=0 exists below N/16 = 1
+    assert block.masks.sum(axis=1).tolist() == [0]  # only d=0 exists below N/16 = 1
     with pytest.raises(DegenerateInstanceError):
         sample_instance("unrestricted", 16, 1, rng)
     with pytest.raises(DegenerateInstanceError):
         sample_instance("unrestricted", 8, 1, rng)
     ok = sample_instance("unrestricted", 64, 3, rng)
-    assert ok.weights.tolist() == [3] and ok.variant == "unrestricted"
+    assert ok.masks.sum(axis=1).tolist() == [3] and ok.variant == "unrestricted"
 
 
 def test_fourier_instances():
@@ -254,7 +303,7 @@ def test_fourier_instances():
         j = int(block.js[0])
         seen.add(j)
         assert block.phases().tobytes() == fraction_phases(fourier_fractions(8, j))[None].tobytes()
-        assert block.masks is None and block.weights is None
+        assert block.masks is None
     assert seen == set(range(8))  # j ranges over all of Z_N
     with pytest.raises(ConfigError):
         sample_instance("fourier", 8, 2, rng)
@@ -293,8 +342,8 @@ def test_restricted_sampling_past_int64_counts(dim):
     # the weight-class counts C(N/2, d) pass int64 at N = 256 and 2^1024 at N = 4096
     rng = np.random.default_rng(3)
     block = sample_instance("restricted", dim, None, rng)
-    assert block.weights[0] < dim // 4
-    assert sample_instance("restricted", dim, 20, rng).weights.tolist() == [20]
+    assert block.masks.sum() < dim // 4
+    assert sample_instance("restricted", dim, 20, rng).masks.sum(axis=1).tolist() == [20]
     # the one-pass counts give the same floats as one math.comb per class; at
     # N = 16384 every 64th class is checked, since 4096 math.comb calls take 4 s
     pool = dim // 2
@@ -403,13 +452,11 @@ def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d,
     is_a = np.concatenate([block.is_a for block in blocks])
     assert is_a.tolist() == [j == dim // 2 - 1 for j, _ in expected]
     if variant == "fourier":
-        assert all(block.masks is None and block.weights is None for block in blocks)
+        assert all(block.masks is None for block in blocks)
         phases = [fraction_phases(fourier_fractions(dim, j)) for j, _ in expected]
     else:
         masks = np.concatenate([block.masks for block in blocks])
         assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == [c for _, c in expected]
-        weights = np.concatenate([block.weights for block in blocks])
-        assert weights.tolist() == [len(c) for _, c in expected]
         phases = [bit_phases(xor(hadamard_row(dim, j), mask_at(dim, *c))) for j, c in expected]
     got = np.concatenate([block.phases() for block in blocks])
     assert got.tobytes() == np.stack(phases).tobytes()
@@ -431,20 +478,18 @@ def test_instance_block_runs_every_instance_check():
     js = np.array([3, 5])
     masks = np.zeros((2, dim), dtype=np.uint8)
     masks[0, 1] = masks[1, 2] = 1  # positions 1 and 2 have odd parity
-    ok = dict(variant="restricted", dim=dim, js=js, masks=masks, weights=np.array([1, 1]))
+    ok = dict(variant="restricted", dim=dim, js=js, masks=masks)
     assert len(InstanceBlock(**ok)) == 2
     bad = masks.copy()
     bad[1, 3] = 1  # position 3 has even parity
     cases = [
-        dict(weights=np.array([1, 2])),  # weight not the declared one
-        dict(masks=bad, weights=np.array([1, 2])),  # restricted mask not dominated by W_(N-1)
-        dict(js=np.array([3, 16])),  # j outside Z_N
+        dict(masks=bad),  # restricted mask not dominated by W_(N-1)
+        dict(js=np.array([3, 8])),  # j outside Z_(N/2)
         dict(js=np.array([-1, 5])),
         dict(js=np.array([3.0, 5.0])),  # not integers
         dict(masks=masks[:, :8]),  # wrong length
         dict(masks=None),  # syndrome missing
-        dict(weights=None),  # declared weights missing
-        dict(weights=np.array([1, 1, 1])),  # one declared weight per row
+        dict(masks=np.zeros((3, dim), dtype=np.uint8)),  # one mask row per instance
         dict(dim=12),  # N not a power of two
         dict(variant="bogus"),
         dict(draws=np.zeros((3, 5))),  # one row of draws per instance
@@ -455,13 +500,13 @@ def test_instance_block_runs_every_instance_check():
     heavy = np.zeros((1, dim), dtype=np.uint8)
     heavy[0, [1, 2, 4, 7]] = 1  # weight N/4 is not below the bound
     with pytest.raises(ConfigError):
-        InstanceBlock("restricted", dim, np.array([0]), heavy, np.array([4]))
+        InstanceBlock("restricted", dim, np.array([0]), heavy)
     unrestricted = np.zeros((1, dim), dtype=np.uint8)
     unrestricted[0, 0] = 1  # weight 1 is not below N/16 = 1
     with pytest.raises(ConfigError):
-        InstanceBlock("unrestricted", dim, np.array([0]), unrestricted, np.array([1]))
+        InstanceBlock("unrestricted", dim, np.array([0]), unrestricted)
     with pytest.raises(ConfigError):
-        InstanceBlock("fourier", dim, js, masks, np.array([1, 1]))
+        InstanceBlock("fourier", dim, js, masks)
 
 
 @pytest.mark.parametrize(
@@ -469,8 +514,8 @@ def test_instance_block_runs_every_instance_check():
     [
         (("fourier", 8, [1, 2]), "js"),
         (("restricted", 8, np.array([1]), [[0] * 8], [0]), "masks"),
-        (("restricted", 8, np.array([1]), np.zeros((1, 8), dtype=np.uint8), [0]), "weights"),
-        (("fourier", 8, np.array([1]), None, None, [[0.5]]), "draws"),
+        (("restricted", 8, np.array([1]), np.zeros((1, 8), dtype=np.uint8), [[0.5]]), "draws"),
+        (("fourier", 8, np.array([1]), None, [[0.5]]), "draws"),
         (("fourier", 8, None), "js"),
     ],
 )
@@ -485,8 +530,7 @@ def test_instance_block_arrays_are_read_only_once_checked():
     rng = np.random.default_rng(0)
     [block] = sample_blocks("restricted", 8, None, 2, rng, repetitions=3)
     assert not block.is_a[0]
-    for name, index, value in [("js", 0, 3), ("masks", (0, 1), 1), ("weights", 0, 2),
-                               ("draws", (0, 0), 0.5)]:
+    for name, index, value in [("js", 0, 3), ("masks", (0, 1), 1), ("draws", (0, 0), 0.5)]:
         with pytest.raises(ValueError):
             getattr(block, name)[index] = value
     assert not block.is_a[0]
@@ -505,7 +549,7 @@ def test_sampling_draws_in_the_documented_order(variant, dim, d):
         block = sample_instance(variant, dim, d, rng)
         j, bits, weight, _ = next(reference_trials(variant, dim, d, ref))
         assert block.js.tolist() == [j]
-        assert block.masks[0].tolist() == bits and block.weights.tolist() == [weight]
+        assert block.masks[0].tolist() == bits and sum(bits) == weight
     assert_same_streams(rng, ref)
 
 
@@ -529,7 +573,7 @@ def test_weight_class_draw_on_a_cdf_value_goes_right(monkeypatch):
     for u in [0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0)]:
         monkeypatch.setattr(_FixedUniform, "uniforms", [u])
         block = sample_instance("unrestricted", dim, weights, _FixedUniform(np.random.PCG64(0)))
-        assert block.weights.tolist() == [weights[int(cdf.searchsorted(u, side="right"))]]
+        assert block.masks.sum() == weights[int(cdf.searchsorted(u, side="right"))]
         assert _FixedUniform.uniforms == []
 
 

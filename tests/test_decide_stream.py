@@ -133,7 +133,7 @@ def test_stream_rejects_mixed_variants_and_bad_votes():
     with pytest.raises(ConfigError):
         decide_fourier(block)
     with pytest.raises(ConfigError):  # one row of vote draws per instance
-        InstanceBlock(block.variant, 64, block.js, block.masks, block.weights, np.zeros((2, 3)))
+        InstanceBlock(block.variant, 64, block.js, block.masks, np.zeros((2, 3)))
     with pytest.raises(ConfigError):  # votes need a seeded Generator
         next(sample_blocks("unrestricted", 64, 2, 1, None, 3))
     with pytest.raises(ResourceLimitError):  # refused before a child is spawned
@@ -165,7 +165,7 @@ def test_a_fixed_mask_passes_every_instance_check_before_a_draw():
         next(sample_blocks("fourier", 64, None, 3, rng, mask=even))
     assert_same_streams(rng, recorded_rng(0))  # nothing spawned, so nothing drawn
     [block] = sample_blocks("unrestricted", 64, None, 3, rng, 5, mask=even)
-    assert block.masks.tolist() == [even.tolist()] * 3 and block.weights.tolist() == [2] * 3
+    assert block.masks.tolist() == [even.tolist()] * 3
 
 
 def test_zero_trials_check_and_draw_nothing():
@@ -188,7 +188,7 @@ def test_seeded_blocks_do_not_depend_on_the_block_size(monkeypatch, variant, dim
         monkeypatch.setattr(codewords, "MAX_REPETITIONS", cap)
         blocks = list(sample_blocks(variant, dim, d, 150, np.random.default_rng(12), reps))
         fields = [[getattr(block, name) for block in blocks]
-                  for name in ("js", "masks", "weights", "draws")]
+                  for name in ("js", "masks", "draws")]
         return len(blocks), [np.concatenate(f).tobytes() for f in fields if f[0] is not None]
 
     runs = [rows(entries) for entries in (dim, 7 * dim, BLOCK_ENTRIES)]
@@ -222,7 +222,6 @@ def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
         inst = reference_instance("restricted", dim, next(refs))
         assert block.js[i] == inst.js[0]
         assert block.masks[i].tolist() == inst.masks[0].tolist()
-        assert block.weights[i] == inst.weights[0]
         ref_raw, ref_probs, ref_decision = reference_vote(word(inst), 1, None)
         assert decided.raw[i].tobytes() == ref_raw.tobytes()
         assert decided.probs[i].tobytes() == ref_probs.tobytes()
@@ -277,9 +276,9 @@ def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, di
     assert first.js.tolist() == instances[0].js.tolist()
     if variant != "fourier":
         assert first.masks.tolist() == instances[0].masks.tolist()
-    for name in ("js", "is_a", "masks", "weights"):
-        if variant == "fourier" and name in ("masks", "weights"):
-            assert all(getattr(block, name) is None for block in blocks)
+    for name in ("js", "is_a", "masks"):
+        if variant == "fourier" and name == "masks":
+            assert all(block.masks is None for block in blocks)
             continue
         got = np.concatenate([getattr(block, name) for block in blocks])
         assert got.tolist() == np.concatenate([getattr(inst, name) for inst in instances]).tolist()

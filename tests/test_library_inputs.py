@@ -41,6 +41,14 @@ class _FixedSeed(ISeedSequence):
 CALLS = {
     "enumerate_blocks N=8.0": lambda: list(so.enumerate_blocks("restricted", 8.0, None)),
     "sample_blocks N=8.0": lambda: list(so.sample_blocks("restricted", 8.0, None, 2, rng())),
+    "InstanceBlock dim=8.0": lambda: so.InstanceBlock("fourier", 8.0, np.array([1])),
+    "InstanceBlock dim=[8]": lambda: so.InstanceBlock("fourier", [8], np.array([1])),
+    "InstanceBlock variant=[restricted]": lambda: so.InstanceBlock(
+        ["restricted"], 8, np.array([1]), np.zeros((1, 8), dtype=np.uint8)),
+    "enumerate_blocks variant=[restricted]": lambda: list(
+        so.enumerate_blocks(["restricted"], 8, None)),
+    "sample_blocks variant=[restricted]": lambda: list(
+        so.sample_blocks(["restricted"], 8, None, 2, rng())),
     "fourier_probability_table N=8.0": lambda: so.fourier_probability_table(8.0),
     "designated_index N=8.0": lambda: so.designated_index(8.0),
     "sample_instance d=1.0": lambda: so.sample_instance("restricted", 16, 1.0, rng()),

@@ -420,7 +420,7 @@ def test_unrestricted_majority_vote_queries():
     rng = np.random.default_rng(21)
     mask = worst_case_error_mask(dim, 2)
     part = instance_from_parts("unrestricted", dim, 5, mask)
-    block = InstanceBlock(part.variant, dim, part.js, part.masks, part.weights, rng.random((1, 9)))
+    block = InstanceBlock(part.variant, dim, part.js, part.masks, rng.random((1, 9)))
     decided = decide_unrestricted(block)
     assert decided.rounds == 9
     assert decided.is_a.tolist() == [False]

@@ -121,8 +121,7 @@ def test_run_configs_differing_in_one_field_compare_unequal():
 
 def test_blocks_and_decisions_compare_by_identity():
     block, decided = decided_block()
-    twin = InstanceBlock(block.variant, block.dim, block.js, block.masks, block.weights,
-                         block.draws)
+    twin = InstanceBlock(block.variant, block.dim, block.js, block.masks, block.draws)
     assert block == block and twin != block
     assert hash(block) == object.__hash__(block)
     fields = [getattr(decided, name) for name in Decisions.__slots__]
@@ -141,7 +140,7 @@ def test_decision_arrays_are_read_only(name):
 def test_optional_fields_default_to_none_and_repr_lists_fields():
     for block in (InstanceBlock("fourier", 8, np.array([1, 2])),
                   InstanceBlock(variant="fourier", dim=8, js=np.array([1]))):
-        assert (block.masks, block.weights, block.draws) == (None, None, None)
+        assert (block.masks, block.draws) == (None, None)
     assert repr(SpinSystem(n=2, dim=4)) == "SpinSystem(n=2, dim=4)"
 
 
