@@ -247,8 +247,6 @@ def group_properties_check(dim: int) -> GroupLawReport:
 def _resolve_weights(variant: str, dim: int, d) -> list[int]:
     """The admitted weights that d selects: all of them for None, else those
     of the integer or integers d that the instance class admits."""
-    if variant == FOURIER and d not in (None, 0):
-        raise ConfigError("fourier instances are error-free (d must be 0)")
     valid = _instance_class(variant, dim).weights
     if d is None:
         requested = valid
@@ -259,6 +257,8 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
             requested = sorted(operator.index(m) for m in d)
         except TypeError:  # d is no iterable, or holds a non-integer
             raise ConfigError(f"error weight d must be an integer or integers, got {d!r}") from None
+    if variant == FOURIER and list(requested) != [0]:
+        raise ConfigError("fourier instances are error-free (d must be 0)")
     chosen = [m for m in requested if m in valid]
     if not chosen:
         raise DegenerateInstanceError(

@@ -319,7 +319,7 @@ def test_enumerate_instances_counts():
     labels_a = sum(int(block.is_a.sum()) for block in enumerate_blocks("restricted", 8, None))
     assert labels_a == per_codeword
     assert enumerated_rows("fourier", 8) == 8
-    assert enumerated_rows("fourier", 8, 0) == 8
+    assert enumerated_rows("fourier", 8, 0) == enumerated_rows("fourier", 8, [0]) == 8
     with pytest.raises(ConfigError):  # Fourier instances are error-free, as in sample_instance
         enumerated_rows("fourier", 8, 1)
 

@@ -54,6 +54,8 @@ CALLS = {
     "sample_instance d=1.0": lambda: so.sample_instance("restricted", 16, 1.0, rng()),
     "sample_instance d=[1.0]": lambda: so.sample_instance("restricted", 16, [1.0], rng()),
     "sample_instance d=array(1)": lambda: so.sample_instance("restricted", 16, np.array(1), rng()),
+    "sample_instance fourier d=array([1, 2])": lambda: so.sample_instance(
+        "fourier", 16, np.array([1, 2]), rng()),
     "min_decision_tree_depth N=4.0": lambda: so.min_decision_tree_depth(4.0),
     "worst_case_error_mask N=8.0": lambda: so.worst_case_error_mask(8.0, 1),
     "worst_case_error_mask weight=1.0": lambda: so.worst_case_error_mask(8, 1.0),
