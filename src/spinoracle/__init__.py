@@ -6,15 +6,12 @@ from .classical_baseline import (
     min_decision_tree_depth,
 )
 from .codewords import (
-    GroupLawReport,
     InstanceBlock,
     designated_index,
     enumerate_blocks,
     fourier_codeword,
-    group_properties_check,
     hadamard_codeword,
     instance_from_parts,
-    restricted_set_size,
     sample_blocks,
     sample_instance,
 )

@@ -50,7 +50,7 @@ def classical_identify(oracle, dim: int) -> tuple[np.ndarray, int]:
     return js, bits.shape[1]
 
 
-_BRUTE_FORCE_DIMS = (4, 8, 16)
+BRUTE_FORCE_DIMS = (4, 8, 16)
 
 
 def min_decision_tree_depth(dim: int) -> int:
@@ -61,9 +61,9 @@ def min_decision_tree_depth(dim: int) -> int:
     feasible only for N in {4, 8, 16}.
     """
     dim = _check_dim(dim)
-    if dim not in _BRUTE_FORCE_DIMS:
+    if dim not in BRUTE_FORCE_DIMS:
         raise ResourceLimitError(
-            f"brute-force depth search supported only for N in {_BRUTE_FORCE_DIMS}"
+            f"brute-force depth search supported only for N in {BRUTE_FORCE_DIMS}"
         )
     words = [hadamard_codeword(dim, j).tolist() for j in range(dim // 2)]
     target = designated_index(dim)

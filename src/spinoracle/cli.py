@@ -520,9 +520,8 @@ def cmd_classical(cfg: RunConfig) -> dict[str, list[str]]:
         wrong = js[found != js]
         if len(wrong):
             raise InvariantError(f"classical identification failed at N={dim}, j={wrong[0]}")
-        depth = (
-            classical_baseline.min_decision_tree_depth(dim) if dim <= 16 else ""
-        )
+        depth = (classical_baseline.min_decision_tree_depth(dim)
+                 if dim in classical_baseline.BRUTE_FORCE_DIMS else "")
         for key, value in zip(header, (dim, 1, queries, depth)):
             columns[key].append(value)
     return _table(cfg, "classical_comparison", columns)

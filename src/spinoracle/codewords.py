@@ -18,8 +18,8 @@ the N/2 positions where W_(N-1) has a one (the odd-parity positions), which
 is exactly the error pattern the quantum pipeline cancels.  _instance_class
 states each variant's instances once: j in Z_(N/2) with d < N/4 on the
 odd-parity positions (restricted) or d < N/16 anywhere (unrestricted), and
-every j in Z_N with no error (Fourier).  Sampling, enumeration,
-restricted_set_size and every block check read it.
+every j in Z_N with no error (Fourier).  Sampling, enumeration and every
+block check read it.
 
 oracle_phases is the one phase rule: the transform says how to read a word,
 bits b as 1 - 2b and Fourier numerators r as e^(i pi r/N).
@@ -81,18 +81,13 @@ def _parity_table(dim: int) -> np.ndarray:
     return p
 
 
-def _signed_residues(r: np.ndarray, dim: int) -> np.ndarray:
-    """Integers r reduced mod 2N into (-N, N]: the numerators of r/N reduced mod 2 into (-1, 1]."""
-    r = r % (2 * dim)
-    return np.where(r > dim, r - 2 * dim, r)
-
-
 def _fourier_residues(dim: int, j) -> np.ndarray:
     """Numerators r of T_j = r/N: 2jk mod 2N moved into (-N, N].
 
     ``j`` is an index, or a column of indices for one row each.
     """
-    return _signed_residues(np.arange(dim, dtype=np.int64) * (2 * j), dim)
+    r = np.arange(dim, dtype=np.int64) * (2 * j) % (2 * dim)
+    return np.where(r > dim, r - 2 * dim, r)
 
 
 @functools.lru_cache(maxsize=32)  # one table per power-of-two N
@@ -180,18 +175,6 @@ def _instance_class(variant: str, dim: int) -> _InstanceClass:
     return _InstanceClass(dim, dim // 2, restricted, dim // 4 if restricted else dim / 16)
 
 
-def restricted_set_size(dim: int) -> int:
-    """Number of strings within restricted distance < N/4 of one codeword.
-
-    Equals sum_(m < N/4) C(N/2, m) = (2^(N/2) - C(N/2, N/4)) / 2, which is
-    exponential in N.
-    """
-    cls = _instance_class(RESTRICTED, dim)
-    if cls.dim < 8:
-        raise ConfigError(f"restricted set size needs N >= 8, got {cls.dim}")
-    return sum(_syndrome_counts(len(cls.positions()), cls.weights))
-
-
 def _syndrome_counts(pool: int, weights) -> list[int]:
     """C(pool, m) for each weight m, from one exact pass of
     C(pool, m + 1) = C(pool, m) (pool - m) / (m + 1), not one binomial per class."""
@@ -199,49 +182,6 @@ def _syndrome_counts(pool: int, weights) -> list[int]:
     for m in range(max(weights)):
         table.append(table[-1] * (pool - m) // (m + 1))
     return [table[m] for m in weights]
-
-
-class GroupLawReport(Frozen):
-    """Outcome of the codeword group-structure verification."""
-
-    __slots__ = ("dim", "laws_checked", "failures")
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def group_properties_check(dim: int) -> GroupLawReport:
-    """Verify the XOR group laws of W and the additive mod-2 laws of T.
-
-    Checks, for all j (and all pairs where applicable):
-      W self-inverse   W_j ^ W_j = W_0
-      W mirror sum     W_j ^ W_(N-1-j) = W_(N-1)
-      W closure        W_j ^ W_k = W_(j XOR k)
-      T inverse        T_j + T_(N-j) = T_0
-      T mirror sum     T_j + T_(N/2-j) = T_(N/2)
-
-    on the integer tables: W rows combine by XOR of their bits, and T rows
-    by adding their numerators and reducing the sum mod 2N into (-N, N].
-    """
-    dim = _check_dim(dim)
-    ks = np.arange(dim)
-    w = _parity_table(dim)[ks[:, None] & ks]
-    t = _fourier_residues(dim, ks[:, None])
-    failures = []
-    for j in range(dim):
-        if not np.array_equal(w[j] ^ w[j], w[0]):
-            failures.append(("W self-inverse", j, j))
-        if not np.array_equal(w[j] ^ w[dim - 1 - j], w[dim - 1]):
-            failures.append(("W mirror sum", j, dim - 1 - j))
-        closure = np.any((w[j] ^ w) != w[j ^ ks], axis=1)
-        failures += [("W closure", j, k) for k in np.flatnonzero(closure).tolist()]
-        if not np.array_equal(_signed_residues(t[j] + t[(dim - j) % dim], dim), t[0]):
-            failures.append(("T inverse", j, (dim - j) % dim))
-        if not np.array_equal(_signed_residues(t[j] + t[(dim // 2 - j) % dim], dim), t[dim // 2]):
-            failures.append(("T mirror sum", j, (dim // 2 - j) % dim))
-    laws = ("W self-inverse", "W mirror sum", "W closure", "T inverse", "T mirror sum")
-    return GroupLawReport(dim=dim, laws_checked=laws, failures=tuple(failures))
 
 
 def _resolve_weights(variant: str, dim: int, d) -> list[int]:

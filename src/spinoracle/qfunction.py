@@ -37,32 +37,21 @@ class SphericalGrid(Frozen):
     """Non-negative Q values sampled on the standard spherical grid.
 
     values has shape (len(thetas), len(phis)); the arrays are read-only.
+    Grids compare by identity.
     """
 
-    __slots__ = ("dim", "thetas", "phis", "values")
+    __slots__ = ("thetas", "phis", "values")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, dim: int, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
-        super().__init__(dim, *(np.asarray(a, dtype=float) for a in (thetas, phis, values)))
+    def __init__(self, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
+        super().__init__(*(np.asarray(a, dtype=float) for a in (thetas, phis, values)))
 
     def _check(self):
         if self.values.shape != (len(self.thetas), len(self.phis)):
             raise InvariantError("grid shape mismatch")
         if float(self.values.min()) < 0:
             raise InvariantError("Q-function values must be non-negative")
-
-    def quadrature_total(self) -> float:
-        """(2s+1)/(4 pi) x integral of Q over the sphere; ~1 for any state.
-
-        Trapezoid in theta (the sin(theta) weight vanishes at both poles),
-        rectangle rule in phi, which is exact for trigonometric polynomials
-        once len(phis) exceeds the state's bandwidth.
-        """
-        d_theta = float(self.thetas[1] - self.thetas[0])
-        d_phi = 2 * math.pi / len(self.phis)
-        w_theta = np.full(len(self.thetas), d_theta)
-        w_theta[0] = w_theta[-1] = d_theta / 2
-        integral = float((w_theta * np.sin(self.thetas)) @ self.values.sum(axis=1) * d_phi)
-        return integral * self.dim / (4 * math.pi)
 
 
 def q_function(
@@ -88,4 +77,4 @@ def q_function(
     for t, theta in enumerate(thetas):
         terms[: sys.dim] = _coherent_magnitudes(theta, sys.two_s) * amps
         folded[t] = terms.reshape(-1, phi_steps).sum(axis=0)
-    return SphericalGrid(sys.dim, thetas, phis, np.abs(np.fft.fft(folded, axis=1)) ** 2)
+    return SphericalGrid(thetas, phis, np.abs(np.fft.fft(folded, axis=1)) ** 2)

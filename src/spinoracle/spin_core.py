@@ -33,14 +33,29 @@ MIN_EXPONENT = 2
 MAX_EXPONENT = 14  # also bounds every codeword length: N = 4 .. 16384
 
 
+def _check_exponent(n) -> int:
+    """The exponent as an int; ConfigError unless it is an integer in
+    [MIN_EXPONENT, MAX_EXPONENT].  The cap is a resource guard: squeezing,
+    whose one dense step is an N/4 x N/4 SVD, runs to N = 1024; fast
+    transforms remain cheap beyond."""
+    if not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"exponent must be an integer, got {n!r}")
+    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
+        raise ConfigError(
+            f"exponent n={n} outside supported range [{MIN_EXPONENT}, {MAX_EXPONENT}]"
+        )
+    return int(n)
+
+
 class SpinSystem(Frozen):
     """Problem dimensions: exponent n, dimension N = 2^n, spin s = (N-1)/2."""
 
     __slots__ = ("n", "dim")
 
     def _check(self):
-        if self.dim != 2 ** self.n or self.dim < 4:
-            raise InvariantError(f"inconsistent spin system (n={self.n}, dim={self.dim})")
+        n = _check_exponent(self.n)
+        if not isinstance(self.dim, (int, np.integer)) or self.dim != 2**n:
+            raise ConfigError(f"inconsistent spin system (n={n}, dim={self.dim!r})")
 
     @property
     def two_s(self) -> int:
@@ -63,24 +78,19 @@ def _expect(value, kind: type, name: str):
 
 
 def make_spin_system(n: int) -> SpinSystem:
-    """Build the spin system for N = 2^n basis states.
-
-    The exponent is capped at 14 as a resource guard: squeezing, whose one dense
-    step is an N/4 x N/4 SVD, runs to N = 1024; fast transforms remain cheap beyond.
-    """
-    if not isinstance(n, (int, np.integer)):
-        raise ConfigError(f"exponent must be an integer, got {n!r}")
-    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
-        raise ConfigError(
-            f"exponent n={n} outside supported range [{MIN_EXPONENT}, {MAX_EXPONENT}]"
-        )
-    return SpinSystem(n=int(n), dim=2 ** int(n))
+    """Build the spin system for N = 2^n basis states (the exponent read as
+    SpinSystem reads it, before 2^n is formed)."""
+    n = _check_exponent(n)
+    return SpinSystem(n=n, dim=2**n)
 
 
 class StateVector(Frozen):
-    """Unit-norm complex amplitude vector over the qudit basis."""
+    """Unit-norm complex amplitude vector over the qudit basis; states compare
+    by identity."""
 
     __slots__ = ("amps",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, amps: np.ndarray):
         try:
@@ -106,9 +116,11 @@ class StateVector(Frozen):
 
 
 class SpinOperators(Frozen):
-    """Sx, Sy and Sz as read-only N x N complex arrays."""
+    """Sx, Sy and Sz as read-only N x N complex arrays; compared by identity."""
 
     __slots__ = ("sx", "sy", "sz")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:

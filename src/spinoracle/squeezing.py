@@ -53,9 +53,12 @@ class SqueezeResult(Frozen):
     """Optimally squeezed state; its probability distribution is mirror-symmetric.
 
     distribution holds the state's basis-state probabilities, read-only.
+    Results compare by identity.
     """
 
     __slots__ = ("mu", "state", "v_minus", "distribution")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, mu: float, state: StateVector, v_minus: float):
         super().__init__(mu, state, v_minus, state.probabilities())

@@ -7,6 +7,9 @@ e^(i pi z) term by term.  The Hadamard circuit is also given in complex
 arithmetic, the reference its real arithmetic is checked against bit for bit.
 Sampled trials are drawn one at a time, with one Generator call per draw,
 from the same four spawned children that the block sampler draws from.
+assert_group_laws checks the codeword group laws on the tables of rows it is
+given, and restricted_per_codeword counts one codeword's restricted
+instances in closed form.
 """
 
 import math
@@ -139,6 +142,27 @@ def assert_same_streams(rng, ref):
     assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
 
 
+def assert_group_laws(dim, w_row, t_row):
+    """The five group laws on the full tables of rows w_row(dim, j) and
+    t_row(dim, j), j in Z_N: W self-inverse, W mirror sum and W closure
+    under XOR of bit rows; T inverse and T mirror sum under addition of
+    numerators, reduced mod 2N into (-N, N]."""
+    w = np.array([w_row(dim, j) for j in range(dim)])
+    t = np.array([t_row(dim, j) for j in range(dim)])
+    js = np.arange(dim)
+
+    def t_sum(a, b):
+        r = (a + b) % (2 * dim)
+        return np.where(r > dim, r - 2 * dim, r)
+
+    assert np.array_equal(w ^ w, np.broadcast_to(w[0], w.shape)), "W self-inverse"
+    assert np.array_equal(w ^ w[::-1], np.broadcast_to(w[-1], w.shape)), "W mirror sum"
+    assert np.array_equal(w[:, None] ^ w[None, :], w[js[:, None] ^ js]), "W closure"
+    assert np.array_equal(t_sum(t, t[-js % dim]), np.broadcast_to(t[0], t.shape)), "T inverse"
+    assert np.array_equal(t_sum(t, t[(dim // 2 - js) % dim]),
+                          np.broadcast_to(t[dim // 2], t.shape)), "T mirror sum"
+
+
 def reference_class(variant, dim):
     """The instance class as the paper states it: (codeword range, error
     positions, admitted weights).  j runs over Z_N for the error-free Fourier
@@ -149,6 +173,12 @@ def reference_class(variant, dim):
     pool = [x for x in range(dim) if variant != "restricted" or x.bit_count() % 2]
     bound = {"restricted": dim // 4, "unrestricted": math.ceil(dim / 16), "fourier": 1}[variant]
     return high, pool, range(bound)
+
+
+def restricted_per_codeword(dim):
+    """Strings within restricted distance < N/4 of one codeword, in closed
+    form: sum_(m < N/4) C(N/2, m) = (2^(N/2) - C(N/2, N/4)) / 2."""
+    return (2 ** (dim // 2) - math.comb(dim // 2, dim // 4)) // 2
 
 
 def reference_trials(variant, dim, d, rng, mask=None):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import spinoracle as so
+from references import assert_group_laws, restricted_per_codeword
 from spinoracle.cli import main as cli_main
 
 MU_STAR = math.pi / (6 * math.sqrt(3))
@@ -76,7 +77,7 @@ def test_criterion_04_codeword_outputs():
 @criterion(5, "restricted errors cancel exactly, exhaustive N in {8,16}", budget_s=30.0)
 def test_criterion_05_restricted_error_cancellation():
     for dim, per_codeword in ((8, 5), (16, 93)):
-        assert so.restricted_set_size(dim) == per_codeword
+        assert restricted_per_codeword(dim) == per_codeword
         words = [so.hadamard_codeword(dim, j) for j in range(dim // 2)]
         base = [so.run_pipeline(w, "hadamard").amps for w in words]
         counts = [0] * (dim // 2)
@@ -104,9 +105,9 @@ def test_criterion_06_worst_case_amplitudes():
 
 @criterion(7, "restricted decisions: exhaustive 100% accuracy, 1 query", budget_s=30.0)
 def test_criterion_07_restricted_decisions():
-    for dim in (8, 16):
+    for dim, per_codeword in ((8, 5), (16, 93)):
         decided = list(so.decide_blocks(so.enumerate_blocks("restricted", dim, None)))
-        assert sum(len(block) for block, _ in decided) == so.restricted_set_size(dim) * (dim // 2)
+        assert sum(len(block) for block, _ in decided) == per_codeword * (dim // 2)
         for block, result in decided:
             assert result.is_a.tolist() == block.is_a.tolist()
             assert result.rounds == 1
@@ -205,7 +206,7 @@ def test_criterion_11_codeword_tables():
         word = so.fourier_codeword(8, j).tolist()
         assert [Fraction(r, 8) for r in word] == [Fraction(v) for v in row]
     for dim in (4, 8, 16, 32, 64):
-        assert so.group_properties_check(dim).passed
+        assert_group_laws(dim, so.hadamard_codeword, so.fourier_codeword)
 
 
 @criterion(12, "CLI determinism: byte-identical reruns", budget_s=120.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from references import (
+    assert_group_laws,
     assert_same_streams,
     bit_phases,
     exp_phases,
@@ -17,6 +18,7 @@ from references import (
     recorded_rng,
     reference_class,
     reference_trials,
+    restricted_per_codeword,
     xor,
 )
 from spinoracle import (
@@ -24,10 +26,8 @@ from spinoracle import (
     DegenerateInstanceError,
     ResourceLimitError,
     fourier_codeword,
-    group_properties_check,
     hadamard_codeword,
     instance_from_parts,
-    restricted_set_size,
     sample_instance,
 )
 from spinoracle.codewords import (
@@ -183,8 +183,8 @@ def test_syndrome_checks_are_the_block_mask_checks():
 def test_the_instance_class_matches_an_independent_derivation(variant):
     # at every N the guards admit: the codeword range, the error positions and
     # the admitted weights against popcount parity, N // 4 and ceil(N/16), and
-    # the syndrome counts behind restricted_set_size and the weight classes'
-    # shares against math.comb (every class at small N, about 64 of them at large N)
+    # the syndrome counts behind the weight classes' shares against math.comb
+    # (every class at small N, about 64 of them at large N)
     for n in range(2, 15):
         dim = 2**n
         high, pool, weights = reference_class(variant, dim)
@@ -194,16 +194,12 @@ def test_the_instance_class_matches_an_independent_derivation(variant):
         if variant == "restricted":  # sum of C(N/2, m) over m < N/4, in closed form
             assert weights == range(len(pool) // 2)
             total = (2 ** len(pool) - math.comb(len(pool), len(pool) // 2)) // 2
-            if dim >= 8:
-                assert restricted_set_size(dim) == total
         else:
             total = sum(math.comb(len(pool), m) for m in weights)
         probs = _weight_probabilities(variant, dim, tuple(weights))
         shift = max(total.bit_length() - 1000, 0)
         for m in [*weights[::max(len(weights) // 64, 1)], weights[-1]]:
             assert probs[m] == float(math.comb(len(pool), m) >> shift) / float(total >> shift)
-    with pytest.raises(ConfigError):
-        restricted_set_size(4)
 
 
 @pytest.mark.parametrize("variant", ["restricted", "unrestricted"])
@@ -229,18 +225,25 @@ def test_fourier_blocks_admit_every_index_in_z_n():
 
 
 def test_restricted_set_size():
-    assert restricted_set_size(8) == 5
-    assert restricted_set_size(16) == 93
-    for dim in (8, 16, 32):
-        closed = (2 ** (dim // 2) - math.comb(dim // 2, dim // 4)) // 2
-        assert restricted_set_size(dim) == closed
+    # each codeword's enumerated instances against the closed form, and its sum of binomials
+    for dim, per_codeword in ((8, 5), (16, 93), (32, 26333)):
+        assert restricted_per_codeword(dim) == per_codeword
+        _, pool, weights = reference_class("restricted", dim)
+        assert sum(math.comb(len(pool), m) for m in weights) == per_codeword
+    for dim, per_codeword in ((8, 5), (16, 93)):
+        counts = sum(np.bincount(block.js, minlength=dim // 2)
+                     for block in enumerate_blocks("restricted", dim, None))
+        assert counts.tolist() == [per_codeword] * (dim // 2)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16, 64])
 def test_group_laws(dim):
-    report = group_properties_check(dim)
-    assert report.passed, report.failures
-    assert len(report.laws_checked) == 5
+    assert_group_laws(dim, hadamard_codeword, fourier_codeword)
+    for w_row, t_row in (  # rows out of order break the laws
+            (lambda n, j: hadamard_codeword(n, j ^ 1), fourier_codeword),
+            (hadamard_codeword, lambda n, j: fourier_codeword(n, (j + 1) % n))):
+        with pytest.raises(AssertionError):
+            assert_group_laws(dim, w_row, t_row)
 
 
 def test_xor_of_rows_is_a_row():
@@ -314,7 +317,7 @@ def enumerated_rows(variant, dim, d=None):
 
 
 def test_enumerate_instances_counts():
-    per_codeword = restricted_set_size(8)
+    per_codeword = restricted_per_codeword(8)
     assert enumerated_rows("restricted", 8) == per_codeword * 4
     labels_a = sum(int(block.is_a.sum()) for block in enumerate_blocks("restricted", 8, None))
     assert labels_a == per_codeword
@@ -386,7 +389,7 @@ def test_fourier_roots_equal_the_exp_rule_bitwise(n):
 
 def test_restricted_phases_equal_phase_oracle_bitwise():
     blocks = list(enumerate_blocks("restricted", 16, None))
-    assert sum(len(block) for block in blocks) == 8 * restricted_set_size(16)
+    assert sum(len(block) for block in blocks) == 8 * restricted_per_codeword(16)
     for block in blocks:
         assert max_phase_gap(block, hadamard_phases(block)) == 0.0
 

@@ -1,7 +1,9 @@
 """Library entry points given a float, or another non-integer, where an
 integer belongs, a non-real where a real number belongs, a codeword length
-past N = 16384, an error weight beside the fixed mask that sets it, amplitudes
-that are not a 1-D numeric array, or another type where a SpinSystem, a
+past N = 16384, a spin system whose exponent is no integer in [2, 14] or
+whose dimension is not 2^n, an error weight beside the fixed mask that sets
+it, amplitudes that are not a 1-D numeric array, or another type where a
+SpinSystem, a
 StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
@@ -67,6 +69,13 @@ CALLS = {
     "hadamard_codeword N=2**15": lambda: so.hadamard_codeword(2**15, 0),
     "codeword_oracle N=2**15": lambda: so.codeword_oracle(2**15, np.array([0])),
     "sample_blocks N=2**15": lambda: list(so.sample_blocks("restricted", 2**15, 1, 1, rng())),
+    "SpinSystem n=15": lambda: so.SpinSystem(15, 32768),
+    "SpinSystem n=1": lambda: so.SpinSystem(1, 2),
+    "SpinSystem n=2.0": lambda: so.SpinSystem(2.0, 4.0),
+    "SpinSystem n=float64(2)": lambda: so.SpinSystem(np.float64(2), 4),
+    "SpinSystem n='a'": lambda: so.SpinSystem("a", 4),
+    "SpinSystem dim=4.0": lambda: so.SpinSystem(2, 4.0),
+    "SpinSystem dim=8 for n=2": lambda: so.SpinSystem(2, 8),
     "StateVector 2-D amps": lambda: so.StateVector(np.eye(4) / 2),
     "StateVector amps='ab'": lambda: so.StateVector("ab"),
     "StateVector ragged amps": lambda: so.StateVector([[1.0], [0.0, 0.0]]),

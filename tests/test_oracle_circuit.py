@@ -22,6 +22,7 @@ from references import (
     fourier_row,
     fraction_phases,
     hadamard_row,
+    restricted_per_codeword,
     xor,
 )
 from spinoracle import (
@@ -38,7 +39,6 @@ from spinoracle import (
     instance_from_parts,
     measure_designated,
     merge_two_to_one,
-    restricted_set_size,
     run_pipeline,
     sample_instance,
     worst_case_error_mask,
@@ -187,7 +187,7 @@ def test_restricted_errors_cancel_exactly(dim):
             out = run_pipeline(z, "hadamard").amps
             assert np.max(np.abs(out - base[j])) < 1e-12
             counts[j] += 1
-    assert counts == [restricted_set_size(dim)] * (dim // 2)
+    assert counts == [restricted_per_codeword(dim)] * (dim // 2)
 
 
 def test_worst_case_error_amplitudes():

@@ -72,7 +72,14 @@ def test_quadrature_normalization(squeezed):
     sys = make_spin_system(6)
     state = optimize_mu(sys, 1e-8).state if squeezed else coherent_state(sys, math.pi / 2, 0.0)
     grid = q_function(state, sys, 128, 128)
-    assert grid.quadrature_total() == pytest.approx(1.0, rel=0.02)
+    # (2s+1)/(4 pi) x the integral of Q sin(theta) over the sphere: trapezoid in
+    # theta (the weight vanishes at both poles), rectangle rule in phi, which is
+    # exact for trigonometric polynomials once there are more phis than the bandwidth
+    thetas, d_phi = grid.thetas, 2 * math.pi / len(grid.phis)
+    w_theta = np.full(len(thetas), thetas[1] - thetas[0])
+    w_theta[[0, -1]] /= 2
+    integral = (w_theta * np.sin(thetas)) @ grid.values.sum(axis=1) * d_phi
+    assert integral * sys.dim / (4 * math.pi) == pytest.approx(1.0, rel=0.02)
 
 
 def test_values_nonnegative_and_phi_periodic():

@@ -1,6 +1,6 @@
 """Value semantics of every public value type: immutable fields, equality,
-hashing and repr over the fields, identity for the block types, and arrays
-that stay read-only through pickle and copy."""
+hashing and repr over the fields, identity for the types that hold arrays,
+and arrays that stay read-only through pickle and copy."""
 
 import copy
 import math
@@ -13,7 +13,6 @@ from spinoracle import (
     SpinSystem,
     bounding_epsilon,
     coherent_state,
-    group_properties_check,
     make_spin_system,
     optimize_mu,
     q_function,
@@ -43,7 +42,6 @@ def value_types():
         q_function(state, sys, 8, 8),
         optimize_mu(sys),
         bounding_epsilon(),
-        group_properties_check(4),
         block,
         decided,
         load_config(["qfunc"]),
@@ -127,6 +125,15 @@ def test_blocks_and_decisions_compare_by_identity():
     fields = [getattr(decided, name) for name in Decisions.__slots__]
     assert decided == decided and Decisions(*fields) != decided
     assert hash(decided) == object.__hash__(decided)
+    # so does every other type that holds arrays: compared by fields, equal
+    # arrays would ask numpy for an array's truth, and an array has no hash
+    kinds = ("StateVector", "SpinOperators", "SphericalGrid", "SqueezeResult")
+    for value in ARRAY_VALUES:
+        if type(value).__name__ in kinds:
+            twin = rebuilt_from_writable_arrays(value)
+            assert value == value and twin != value, type(value).__name__
+            assert hash(value) == object.__hash__(value)
+    assert {type(v).__name__ for v in ARRAY_VALUES} == {*kinds, "InstanceBlock", "Decisions"}
 
 
 @pytest.mark.parametrize("name", ["raw", "probs", "pr_top", "is_a"])
