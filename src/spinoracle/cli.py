@@ -254,33 +254,51 @@ class _Texts(list):
     """A per-row column already rendered, which _row_pieces takes as it is."""
 
 
-def _template_floats(col, floats: str) -> bool:
-    """Whether the %-spec ``floats`` writes each cell of a per-row column as
-    the renderer's text would: '%.9g' any float, as _fmt does; '%r' only a
-    finite builtin float, as _float_text does (it writes nan where JSON has
-    NaN, and an np.float64 by numpy's repr)."""
+def _template_column(col, floats: str, text: Callable) -> tuple[str, list]:
+    """A per-row column's %-spec in a block's template and the cells it takes.
+
+    A _Texts is taken as it is.  Given '%.9g' (CSV), a column of floats is
+    written by it, as _fmt writes any float.  Given '%r' (JSON), a column of
+    finite builtin floats is written by it, as _float_text would ('%r'
+    writes nan where JSON has NaN, and an np.float64 by numpy's repr); a
+    column of exact ints by '%d'; and a column of exact strs through its
+    distinct values' texts, each rendered once.  Any other column goes
+    through ``text`` cell by cell.
+    """
+    if type(col) is _Texts:
+        return "%s", col
     kinds = {*map(type, col)}
     if floats == "%r":  # the sum is not finite if a cell is not (or if it overflows)
-        return kinds <= {float} and math.isfinite(sum(col))
-    return kinds <= {float, np.float64}
+        if kinds <= {float} and math.isfinite(sum(col)):
+            return "%r", col
+        if kinds <= {int}:  # a bool is no int here: True is written true
+            return "%d", col
+        if kinds <= {str}:
+            texts = {value: text(value) for value in set(col)}
+            return "%s", [*map(texts.__getitem__, col)]
+    elif kinds <= {float, np.float64}:
+        return floats, col
+    return "%s", [*map(text, col)]
 
 
 def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
-                array_texts: Callable | None = None, floats: str = "") -> list[str]:
+                array_texts: Callable | None = None, *, floats: str) -> list[str]:
     """The text pieces of one block of rows, each row written as its heads in
-    order, each followed by its key's value, then ``end``.
+    order, each followed by its key's value, then ``end``; none if the block
+    has no rows.
 
     heads is [(key, text before its value)].  A shared value is written into
-    the block's %-template once; a per-row list goes through ``text`` cell
-    by cell, unless it is a _Texts.  Given the %-spec ``floats``, a list of
-    floats that it writes as ``text`` would is written by it instead, and the
-    block is one piece, from one %.  A per-row ndarray (the JSON spectra)
-    splits the template and the block into rows: ``array_texts`` gives one
-    text per row, kept as a piece of its own.
+    the block's %-template once; a per-row list goes in as _template_column
+    gives it for the %-spec ``floats`` ('%r' for JSON, '%.9g' for CSV).  The
+    block is one piece, from one %, unless it holds a per-row ndarray (the
+    JSON spectra), which splits the template and the block into rows:
+    ``array_texts`` gives one text per row, kept as a piece of its own.
     """
     rows = len(next(iter(per_row.values())))
+    if not rows:
+        return []
     parts, fmt, cols = [], "", []
-    whole = floats and not any(isinstance(per_row.get(key), np.ndarray) for key, _ in heads)
+    whole = not any(isinstance(per_row.get(key), np.ndarray) for key, _ in heads)
 
     def close():
         if whole:
@@ -297,12 +315,10 @@ def _row_pieces(heads, end: str, shared: dict, per_row: dict, text: Callable,
             close()
             parts.append(array_texts(col))
             fmt, cols = "", []
-        elif floats and _template_floats(col, floats):
-            fmt += floats
-            cols.append(col)
         else:
-            fmt += "%s"
-            cols.append(col if type(col) is _Texts else list(map(text, col)))
+            spec, cells = _template_column(col, floats, text)
+            fmt += spec
+            cols.append(cells)
     fmt += end.replace("%", "%%")
     close()
     return parts[0] if len(parts) == 1 else list(chain.from_iterable(zip(*parts)))
@@ -317,9 +333,11 @@ class _JsonRows:
     """The rows of a JSON document, a list under its top-level ``key``.
 
     The pieces are those of json.dumps(doc, indent=2, sort_keys=True).  Each
-    row comes from a template of its sorted key heads at the rows' indent;
-    each spectrum's text is memoized under its exact bits and kept as a
-    piece of its own, shared by every row that has that spectrum.
+    row comes from a template of its sorted key heads at the rows' indent.
+    Each spectrum's text is memoized under its exact bits and kept as a
+    piece of its own, shared by every row that has that spectrum; a new one
+    is joined from a table of each probability's text under its 64 bits
+    (so -0.0 keeps its own), each rendered once per document.
     """
 
     text = staticmethod(_json_scalar)  # a scalar cell's text
@@ -329,6 +347,7 @@ class _JsonRows:
         self.pieces = []
         self._heads = {}  # keys -> a row's key heads
         self._spectra = {}  # row bits -> text
+        self._floats = {}  # a float's bits, as an int -> its text
 
     def add(self, shared: dict, per_row: dict) -> None:
         keys = (*shared, *per_row)
@@ -346,18 +365,19 @@ class _JsonRows:
             self.pieces[0] = "[" + self.pieces[0][1:]
 
     def _spectrum_texts(self, probs: np.ndarray) -> list[str]:
-        memo, texts = self._spectra, []
+        memo, floats, texts = self._spectra, self._floats, []
         newline = _ROW_NEWLINE + "  "
         inner = newline + "  "
         for row in probs:
-            bits = row.tobytes()  # bits: -0.0 is not 0.0
-            text = memo.get(bits)
+            key = row.tobytes()  # bits: -0.0 is not 0.0
+            text = memo.get(key)
             if text is None:
-                values = row.tolist()
-                items = ("," + inner).join(map(float.__repr__, values))
-                if "n" in items:  # nan or inf, written as json.dumps writes them
-                    items = ("," + inner).join(map(_float_text, values))
-                text = memo[bits] = "[" + inner + items + newline + "]"
+                bits = row.view(np.uint64).tolist()
+                if new := set(bits).difference(floats):
+                    values = dict(zip(bits, row.tolist()))
+                    floats.update((b, _float_text(values[b])) for b in new)
+                items = ("," + inner).join(map(floats.__getitem__, bits))
+                text = memo[key] = "[" + inner + items + newline + "]"
             texts.append(text)
         return texts
 

@@ -4,12 +4,13 @@ and every JSON file the CLI writes against json.dumps of itself."""
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinoracle import oracle_circuit
+from spinoracle import cli, oracle_circuit
 from spinoracle.cli import (_blocks, _CsvRows, _fmt, _json_scalar, _JsonRows, _Texts, cmd_solve,
                             load_config, main)
 
@@ -200,6 +201,75 @@ def test_a_report_shaped_document_with_repeated_spectra():
     head = {"summary": {"instances": 2000, "accuracy": 0.5},
             "worst_case_spectrum": spectra[3].tolist()}
     assert rows_text(blocks, "reports", **head) == expected_text(reports, "reports", **head)
+
+
+# A block of no rows adds nothing: neither "[" and "]" on lines of their
+# own in place of [], nor a "," before the first row of a later block.
+@pytest.mark.parametrize("empty", [{"i": []}, {"i": [], "perOutcome": np.empty((0, 3))}],
+                         ids=["scalars", "spectra"])
+def test_a_block_with_no_rows_adds_no_piece(empty):
+    rows = _JsonRows("rows")
+    rows.add({"N": 3}, empty)
+    assert rows.pieces == []
+    text = "".join(rows.file())
+    assert text == expected_text([]) and json.loads(text)["rows"] == []
+    full = {"i": [1, 2], "perOutcome": np.array([[0.5, 0.25, 0.25], [1.0, -0.0, 0.0]])}
+    blocks = [({"N": 3}, empty), ({"N": 3}, full), ({"N": 3}, empty), ({"N": 3}, full)]
+    text = rows_text(blocks)
+    spectra = full["perOutcome"].tolist()
+    assert text == expected_text([{"N": 3, "i": i, "perOutcome": spectrum}
+                                  for i, spectrum in zip([1, 2], spectra)] * 2)
+    assert len(json.loads(text)["rows"]) == 4
+
+
+def test_each_spectrum_value_is_rendered_once(monkeypatch):
+    # many distinct spectra over nine values, whose texts all differ: -0.0
+    # and 0.0 sit in rows and blocks of their own, and 0.1 is one ulp from
+    # its neighbour; a table by float value serves 0.0 the text of -0.0 (or
+    # the other way round) and renders NaN again at each row
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1,
+              float(np.nextafter(0.1, 1.0)), 0.75]
+    rng = np.random.default_rng(30)
+    picks = rng.integers(2, len(values), size=(96, 5))
+    picks[:24:2, 0] = 1  # -0.0 in the first block, in every other row
+    picks[48::3, 4] = 0  # 0.0 in the third and fourth blocks only
+    spectra = np.array(values)[picks]
+    made, text = Counter(), cli._float_text
+
+    def counted(x):
+        made[np.float64(x).view(np.uint64).item()] += 1
+        return text(x)
+
+    monkeypatch.setattr(cli, "_float_text", counted)
+    blocks = [({"N": 5}, {"i": list(range(k, k + 24)), "perOutcome": spectra[k:k + 24]})
+              for k in range(0, 96, 24)]
+    assert rows_text(blocks) == expected_text(
+        [{"N": 5, "i": i, "perOutcome": spectrum} for i, spectrum in enumerate(spectra.tolist())])
+    assert len({*map(bytes, spectra)}) > 80  # many distinct rows
+    assert made == Counter(np.unique(spectra.view(np.uint64)).tolist())  # each value once
+    assert len(made) == len(values)
+
+
+STRS = ['"', "\\", "%", "%s", "é", "\u2028", ""]
+
+
+# In JSON a column of exact ints is written by '%d' in the template and a
+# column of exact strs by its distinct values' texts; a bool is no int, so
+# a column holding one goes cell by cell.
+@pytest.mark.parametrize(
+    "cells, rendered",
+    [([0, 1, True], [0, 1, True]), ([2**100, -(2**70), 0, 2**100], []), (STRS * 2, STRS)],
+    ids=["bool", "big-ints", "strs"],
+)
+def test_json_int_and_str_columns(monkeypatch, cells, rendered):
+    made = []
+    monkeypatch.setattr(_JsonRows, "text", staticmethod(lambda x: made.append(x) or
+                                                       _json_scalar(x)))
+    rows = _JsonRows("rows")
+    rows.add({}, {"i": list(range(len(cells))), "v": cells})
+    assert len(rows.pieces) == 1
+    assert "".join(rows.file()) == expected_text([{"i": i, "v": v} for i, v in enumerate(cells)])
+    assert sorted(made, key=repr) == sorted(rendered, key=repr)  # no int, each str once
 
 
 def test_a_fraction_list_is_rejected_after_an_equal_float_list():
