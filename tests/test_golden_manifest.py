@@ -62,6 +62,12 @@ COMMANDS = [
     ("solve", "--variant", "restricted", "--n", "4", "--errors", "2"),
     ("solve", "--variant", "restricted", "--n", "7", "--errors", "5", "--trials", "64",
      "--seed", "3"),
+    # runs of many blocks, one of them a word of N = 8192: a change to the
+    # block size must leave their bytes as they are
+    ("solve", "--variant", "restricted", "--n", "7", "--trials", "700", "--seed", "5"),
+    ("solve", "--variant", "unrestricted", "--n", "6", "--errors", "3", "--reps", "3",
+     "--trials", "600", "--seed", "5", "--error-mode", "random"),
+    ("solve", "--variant", "restricted", "--n", "13", "--trials", "5", "--seed", "5"),
 ]
 
 
