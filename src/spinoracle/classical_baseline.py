@@ -38,6 +38,8 @@ def classical_identify(oracle, dim: int) -> tuple[np.ndarray, int]:
     row, and the number of probe columns read.  The promise is j < N/2, so
     a recovered j >= N/2 marks a string outside the promised instance class.
     """
+    if not callable(oracle):
+        raise ConfigError(f"the oracle must be callable, got {type(oracle).__name__}")
     dim = _check_dim(dim)
     n = dim.bit_length() - 1
     positions = 1 << np.arange(n, dtype=np.int64)

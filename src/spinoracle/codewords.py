@@ -56,7 +56,7 @@ from .spin_core import MAX_EXPONENT, MIN_EXPONENT
 VARIANTS = ("restricted", "unrestricted", "fourier")
 _ENUMERATION_LIMIT = 10 ** 6
 MAX_REPETITIONS = 2**20  # majority-vote draws per instance, and per block: 8 MB
-BLOCK_ENTRIES = 8192  # phase entries per circuit block: 128 instances at N = 64
+BLOCK_BYTES = 2**17  # of phase rows per circuit block: 256 Hadamard, 128 Fourier rows at N = 64
 
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
@@ -281,8 +281,15 @@ class InstanceBlock(Frozen):
         return oracle_phases(_parity_table(dim)[js & np.arange(dim)] ^ self.masks, "hadamard")
 
 
+def _block_rows(variant: str, dim: int) -> int:
+    """Rows per circuit block: BLOCK_BYTES of oracle phase rows, float64 for
+    Hadamard words and complex128 for Fourier ones, and at least one row."""
+    entry_bytes = 16 if variant == FOURIER else 8
+    return max(BLOCK_BYTES // (entry_bytes * dim), 1)
+
+
 def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
-    """Every instance of the variant in blocks of BLOCK_ENTRIES phase entries
+    """Every instance of the variant in blocks of BLOCK_BYTES of phase rows
     (at least one row), in the one enumeration order.
 
     j runs outer over the instance class's codeword indices, then the weight
@@ -301,7 +308,7 @@ def enumerate_blocks(variant: str, dim: int, d) -> Iterator[InstanceBlock]:
             )
     trials = ((j, cols) for j in range(cls.codewords)
               for m in weights for cols in itertools.combinations(positions, m))
-    rows = max(BLOCK_ENTRIES // cls.dim, 1)
+    rows = _block_rows(variant, cls.dim)
     while parts := list(itertools.islice(trials, rows)):
         js, cols = zip(*parts)
         masks = None
@@ -329,8 +336,8 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
     drawing a fixed count per trial: one uniform against the weight classes'
     CDF; a random permutation of the error positions, whose ranks below the
     weight mark the mask (pool - 1 bounded draws); one codeword index; and
-    ``repetitions`` uniform vote variates.  A block holds BLOCK_ENTRIES phase
-    entries (at least one row) and at most MAX_REPETITIONS variates, but the
+    ``repetitions`` uniform vote variates.  A block holds BLOCK_BYTES of phase
+    rows (at least one row) and at most MAX_REPETITIONS variates, but the
     draws, and so every result, do not depend on its rows.  Zero trials
     check no instance class and spawn nothing.
     """
@@ -362,7 +369,7 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
         weight_rng, position_rng, index_rng, vote_rng = rng.spawn(4)
     except TypeError as exc:  # a bit generator seeded without a SeedSequence
         raise ConfigError(f"sampling needs a Generator that can spawn: {exc}") from None
-    rows = max(BLOCK_ENTRIES // dim, 1)
+    rows = _block_rows(variant, dim)
     if repetitions:
         rows = max(1, min(rows, MAX_REPETITIONS // repetitions))
 

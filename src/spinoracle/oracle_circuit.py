@@ -72,17 +72,26 @@ def _input_amps(dim: int) -> np.ndarray:
 
 
 def _fwht(amps: np.ndarray) -> np.ndarray:
-    """Normalized fast Walsh-Hadamard transform of each row of a fresh real array, in place."""
-    h = 1
-    while h < amps.shape[-1]:
-        v = amps.reshape(*amps.shape[:-1], -1, 2, h)
-        top = v[..., 0, :].copy()
-        v[..., 0, :] += v[..., 1, :]
-        np.subtract(top, v[..., 1, :], out=v[..., 1, :])
-        h *= 2
+    """Normalized fast Walsh-Hadamard transform of each row of a fresh real
+    array, which it uses as scratch.
+
+    Constant geometry (Pease): every stage reads the even and odd entries of
+    one buffer and writes their sums to the first half of the other, their
+    differences to the second half.  Stage s so pairs the entries whose
+    original indices differ in bit s, as the in-place butterfly of stride 2^s
+    does, with the same operands in the same order, and after log2 N stages
+    every entry is back at its own index: the same bits, with contiguous writes.
+    """
+    half = amps.shape[-1] // 2
+    src, dst = amps, np.empty_like(amps)
+    for _ in range(half.bit_length()):
+        even, odd = src[..., 0::2], src[..., 1::2]
+        np.add(even, odd, out=dst[..., :half])
+        np.subtract(even, odd, out=dst[..., half:])
+        src, dst = dst, src
     # numpy divides complex by real as a multiply by the reciprocal, so real rows
     # are scaled the same way: bit for bit what complex rows of them would give
-    return amps * (1 / math.sqrt(amps.shape[-1]))
+    return src * (1 / math.sqrt(amps.shape[-1]))
 
 
 def run_pipeline(word, transform: str = "hadamard") -> StateVector:
@@ -218,10 +227,13 @@ def measure_designated(
     if not isinstance(state, (StateVector, np.ndarray)):
         raise ConfigError(f"state must be a StateVector or an array, got {type(state).__name__}")
     raw = state.probabilities() if isinstance(state, StateVector) else state
-    if not 0 <= index < len(raw):
-        raise ConfigError(f"outcome index {index} outside Z_{len(raw)}")
-    if draws is not None and (draws.ndim != 1 or not len(draws)):
-        raise ConfigError("a majority vote needs a non-empty row of draws")
+    if raw.ndim != 1:
+        raise ConfigError(f"a spectrum is one row, got shape {raw.shape}")
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < len(raw):
+        raise ConfigError(f"outcome index {index!r} outside Z_{len(raw)}")
+    if draws is not None and not (isinstance(draws, np.ndarray) and draws.ndim == 1
+                                  and len(draws)):
+        raise ConfigError("a majority vote needs a non-empty 1-D array of draws")
     return _measure(raw[None], index, None if draws is None else draws[None])
 
 
@@ -267,6 +279,7 @@ def report_columns(block: InstanceBlock, decided: Decisions) -> tuple[dict, dict
 
 def _decide(block: InstanceBlock, variant: str) -> Decisions:
     """The Decisions of one block of the given variant; it votes over its draws."""
+    _expect(block, InstanceBlock, "block")
     if block.variant != variant:
         raise ConfigError(f"expected a {variant} block, got {block.variant!r}")
     return next(decide_blocks([block]))[1]

@@ -30,6 +30,7 @@ from spinoracle import (
     instance_from_parts,
     sample_instance,
 )
+from spinoracle import codewords
 from spinoracle.codewords import (
     InstanceBlock,
     _fourier_residues,
@@ -433,13 +434,18 @@ def test_instance_checks_survive_without_a_stored_string():
 
 
 @pytest.mark.parametrize(
-    "variant, dim, d, block_count",
-    [("restricted", 8, None, 1), ("restricted", 8, 1, 1), ("restricted", 16, None, 2),
-     ("restricted", 16, 2, 1), ("fourier", 128, None, 2)],
+    "variant, dim, d, budget, block_count",
+    [("restricted", 8, None, None, 1), ("restricted", 8, 1, None, 1),
+     ("restricted", 16, None, None, 1), ("restricted", 16, None, 2**16, 2),
+     ("restricted", 16, 2, None, 1), ("fourier", 128, None, None, 2)],
 )
-def test_enumerated_blocks_hold_enumerate_instances_row_for_row(variant, dim, d, block_count):
+def test_enumerated_blocks_hold_enumerate_instances_row_for_row(
+        monkeypatch, variant, dim, d, budget, block_count):
     # the enumeration order, spelled out: j outer, then the weight class, then
-    # itertools.combinations over the error positions
+    # itertools.combinations over the error positions; a smaller byte budget
+    # (512 rows at N = 16) splits the 744 restricted N = 16 instances in two
+    if budget is not None:
+        monkeypatch.setattr(codewords, "BLOCK_BYTES", budget)
     blocks = list(enumerate_blocks(variant, dim, d))  # solve's blocks
     if variant == "fourier":
         expected = [(j, ()) for j in range(dim)]

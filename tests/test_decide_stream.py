@@ -36,8 +36,16 @@ from spinoracle import (
     worst_case_error_mask,
 )
 from spinoracle import codewords
-from spinoracle.codewords import BLOCK_ENTRIES, MAX_REPETITIONS, enumerate_blocks, sample_blocks
+from spinoracle.codewords import BLOCK_BYTES, MAX_REPETITIONS, enumerate_blocks, sample_blocks
 from spinoracle.oracle_circuit import decide_blocks, worst_case_spectrum
+
+# bytes of one oracle phase entry: float64 for Hadamard words, complex128 for Fourier ones
+ENTRY_BYTES = {"restricted": 8, "unrestricted": 8, "fourier": 16}
+
+
+def block_rows(variant, dim):
+    """The rows of a full block at the default budget, as BLOCK_BYTES sets them."""
+    return BLOCK_BYTES // (ENTRY_BYTES[variant] * dim)
 
 
 def word(block, i=0):
@@ -85,9 +93,21 @@ def test_majority_votes_match_per_round_choice(mode):
     assert_same_streams(rng, ref_rng)
 
 
+def test_block_budget_sets_the_rows_per_block():
+    # at N = 64 a block holds 256 Hadamard rows or 128 Fourier rows, and the
+    # largest admitted Hadamard word fits one block of the default budget
+    assert (block_rows("restricted", 64), block_rows("fourier", 64)) == (256, 128)
+    assert block_rows("unrestricted", 2**14) == 1
+    for variant, rows in (("restricted", 256), ("unrestricted", 256), ("fourier", 128)):
+        blocks = list(sample_blocks(variant, 64, None, 2 * rows + 1, np.random.default_rng(0)))
+        assert [len(block) for block in blocks] == [rows, rows, 1]
+        assert blocks[0].phases().nbytes == BLOCK_BYTES
+    assert [len(block) for block in enumerate_blocks("fourier", 256, None)] == [32] * 8
+
+
 def test_fourier_stream_matches_single_runs_across_blocks():
     dim = 128  # 64 rows per block: 2 blocks
-    assert BLOCK_ENTRIES // dim < dim
+    assert block_rows("fourier", dim) == dim // 2
     pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None)))
     assert [len(block) for block, _ in pairs] == [64, 64]
     rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
@@ -102,8 +122,10 @@ def test_fourier_stream_matches_single_runs_across_blocks():
         assert decided.rounds == 1
 
 
-def test_words_longer_than_a_block_run_one_per_block():
-    dim = 2 * BLOCK_ENTRIES
+def test_words_longer_than_a_block_run_one_per_block(monkeypatch):
+    # no admitted N outgrows the default budget, so a smaller one is patched in
+    dim = 2**14
+    monkeypatch.setattr(codewords, "BLOCK_BYTES", ENTRY_BYTES["restricted"] * dim // 2)
     rng = np.random.default_rng(5)
     blocks = list(sample_blocks("restricted", dim, 3, 2, rng))
     assert [len(block) for block in blocks] == [1, 1]
@@ -181,18 +203,20 @@ def test_zero_trials_check_and_draw_nothing():
                                                    ("unrestricted", 64, (0, 3), 7),
                                                    ("fourier", 32, None, 0)])
 def test_seeded_blocks_do_not_depend_on_the_block_size(monkeypatch, variant, dim, d, reps):
-    # three BLOCK_ENTRIES values, then a MAX_REPETITIONS cap that leaves two
+    # three BLOCK_BYTES values, then a MAX_REPETITIONS cap that leaves two
     # vote rows per block: other rows per block, the same rows
-    def rows(entries, cap=MAX_REPETITIONS):
-        monkeypatch.setattr(codewords, "BLOCK_ENTRIES", entries)
+    row_bytes = ENTRY_BYTES[variant] * dim
+
+    def rows(budget, cap=MAX_REPETITIONS):
+        monkeypatch.setattr(codewords, "BLOCK_BYTES", budget)
         monkeypatch.setattr(codewords, "MAX_REPETITIONS", cap)
         blocks = list(sample_blocks(variant, dim, d, 150, np.random.default_rng(12), reps))
         fields = [[getattr(block, name) for block in blocks]
                   for name in ("js", "masks", "draws")]
         return len(blocks), [np.concatenate(f).tobytes() for f in fields if f[0] is not None]
 
-    runs = [rows(entries) for entries in (dim, 7 * dim, BLOCK_ENTRIES)]
-    runs.append(rows(BLOCK_ENTRIES, 2 * reps + 1) if reps else rows(3 * dim))
+    runs = [rows(budget) for budget in (row_bytes, 7 * row_bytes, BLOCK_BYTES)]
+    runs.append(rows(BLOCK_BYTES, 2 * reps + 1) if reps else rows(3 * row_bytes))
     assert len({count for count, _ in runs}) == 4
     assert all(fields == runs[0][1] for _, fields in runs)
 
@@ -207,13 +231,13 @@ def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
 
 
 def boundary_counts(dim):
-    rows = BLOCK_ENTRIES // dim
+    rows = block_rows("restricted", dim)
     return [rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
 @pytest.mark.parametrize("trials", boundary_counts(128))
 def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
-    dim = 128  # 64 rows per block
+    dim = 128  # 128 rows per block
     rows, rng = sampled_rows("restricted", dim, None, trials, 0, 31)
     ref_rng = recorded_rng(31)
     refs = reference_trials("restricted", dim, None, ref_rng)
@@ -234,7 +258,7 @@ def test_restricted_blocks_match_sample_instance_across_boundaries(trials):
 @pytest.mark.parametrize("trials", boundary_counts(64))
 @pytest.mark.parametrize("mode", ["random", "worst"])
 def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode, trials):
-    dim, weight, reps = 64, 3, 7  # 128 rows per block
+    dim, weight, reps = 64, 3, 7  # 256 rows per block
     mask = worst_case_error_mask(dim, weight) if mode == "worst" else None
     d = weight if mask is None else None  # a fixed mask sets the weight
     rows, rng = sampled_rows("unrestricted", dim, d, trials, reps, 17, mask)
@@ -264,7 +288,7 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
 def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, dim, d):
     # the blocks hold the reference's trials; sample_instance draws the first
     trials, rows = 41, 8  # five full blocks and a last one of one row
-    monkeypatch.setattr(codewords, "BLOCK_ENTRIES", rows * dim)
+    monkeypatch.setattr(codewords, "BLOCK_BYTES", rows * ENTRY_BYTES[variant] * dim)
     rng = recorded_rng(4)
     blocks = list(sample_blocks(variant, dim, d, trials, rng))
     ref_rng = recorded_rng(4)

@@ -7,7 +7,9 @@ SpinSystem, a
 StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
-odd length as the two-component target's, a bool tolerance, or a seed, a
+odd length as the two-component target's, a bool tolerance, a float outcome
+index, a list of vote draws, a 2-D spectrum, a list where a block belongs,
+nothing where an oracle belongs, or a seed, a
 string, a RandomState or a Generator that cannot spawn where a spawning
 Generator belongs: each call raises ConfigError (a SpinOracleError), never
 a raw TypeError, ValueError or AttributeError, never a float index, never a
@@ -24,6 +26,7 @@ from spinoracle import ConfigError
 
 SYSTEM = so.make_spin_system(3)
 STATE = so.coherent_state(SYSTEM, math.pi / 2, 0.0)
+SPECTRUM = np.full(4, 0.25)
 
 
 def rng():
@@ -89,6 +92,11 @@ CALLS = {
     "sweep_row sys=3": lambda: so.sweep_row(3, so.optimize_mu(SYSTEM)),
     "sweep_row res=state": lambda: so.sweep_row(SYSTEM, STATE),
     "measure_designated state=list": lambda: so.measure_designated([0.5, 0.5], 0),
+    "measure_designated draws=list": lambda: so.measure_designated(SPECTRUM, 1, [0.1, 0.2]),
+    "measure_designated index=1.0": lambda: so.measure_designated(SPECTRUM, 1.0),
+    "measure_designated 2-D spectrum": lambda: so.measure_designated(np.ones((2, 4)) / 8, 1),
+    "decide_restricted block=list": lambda: so.decide_restricted([1]),
+    "classical_identify oracle=None": lambda: so.classical_identify(None, 8),
     "central_probability dist='ab'": lambda: so.central_probability("ab"),
     "distribution_variance dist='ab'": lambda: so.distribution_variance("ab"),
     "distribution_variance 2-D dist": lambda: so.distribution_variance(np.eye(2) / 2),

@@ -16,6 +16,7 @@ import pytest
 from references import (
     basis_state,
     bit_phases,
+    complex_fwht,
     complex_pipeline,
     complex_spectra,
     fourier_fractions,
@@ -107,10 +108,20 @@ def test_walsh_hadamard_involution_and_uniform():
     assert np.max(np.abs(dense @ dense - np.eye(dim))) < 1e-12
     assert np.max(np.abs(dense[:, 0] - 1 / math.sqrt(dim))) < 1e-12
     rng = np.random.default_rng(1)
-    raw = rng.normal(size=(2, dim))  # two real rows; _fwht transforms its input in place
+    raw = rng.normal(size=(2, dim))  # two real rows; _fwht uses its input as scratch
     assert np.max(np.abs(_fwht(_fwht(raw.copy())) - raw)) < 1e-12
     assert np.max(np.abs(_fwht(raw.copy()) - raw @ dense.T)) < 1e-12
     assert np.max(np.abs(_transformed_input(dim, "hadamard") - dense @ input_amps(dim))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_fwht_matches_the_complex_butterfly_bit_for_bit(n):
+    # random normals round at every stage, unlike the +-R|in> rows the circuit
+    # feeds, so this pins each stage's operand pairs and their order
+    dim = 2**n
+    rng = np.random.default_rng(n)
+    for rows in (rng.normal(size=dim), rng.normal(size=(3, dim))):
+        assert _fwht(rows.copy()).tobytes() == complex_fwht(rows).real.tobytes()
 
 
 def test_walsh_hadamard_matches_dense_oracle():
