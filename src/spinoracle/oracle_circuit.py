@@ -73,7 +73,7 @@ def _input_amps(dim: int) -> np.ndarray:
 
 def _fwht(amps: np.ndarray) -> np.ndarray:
     """Normalized fast Walsh-Hadamard transform of each row of a fresh real
-    array, which it uses as scratch.
+    array, which it overwrites as a work buffer.
 
     Constant geometry (Pease): every stage reads the even and odd entries of
     one buffer and writes their sums to the first half of the other, their
@@ -227,13 +227,14 @@ def measure_designated(
     if not isinstance(state, (StateVector, np.ndarray)):
         raise ConfigError(f"state must be a StateVector or an array, got {type(state).__name__}")
     raw = state.probabilities() if isinstance(state, StateVector) else state
-    if raw.ndim != 1:
-        raise ConfigError(f"a spectrum is one row, got shape {raw.shape}")
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < len(raw):
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ConfigError(f"a spectrum is one row of reals, got {raw.dtype} of shape {raw.shape}")
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= index < len(raw)):
         raise ConfigError(f"outcome index {index!r} outside Z_{len(raw)}")
     if draws is not None and not (isinstance(draws, np.ndarray) and draws.ndim == 1
-                                  and len(draws)):
-        raise ConfigError("a majority vote needs a non-empty 1-D array of draws")
+                                  and len(draws) and draws.dtype.kind == "f"):
+        raise ConfigError("a majority vote needs a non-empty 1-D float array of draws")
     return _measure(raw[None], index, None if draws is None else draws[None])
 
 

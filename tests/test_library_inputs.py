@@ -7,10 +7,10 @@ SpinSystem, a
 StateVector or a SqueezeResult belongs, a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
 distribution belongs, a float or a string as a template's length, a state of
-odd length as the two-component target's, a bool tolerance, a float outcome
-index, a list of vote draws, a 2-D spectrum, a list where a block belongs,
-nothing where an oracle belongs, or a seed, a
-string, a RandomState or a Generator that cannot spawn where a spawning
+odd length as the two-component target's, a bool tolerance, a float or bool
+outcome index, a list or strings as vote draws, a 2-D, complex or string
+spectrum, a list where a block belongs, nothing where an oracle belongs, or
+a seed, a string, a RandomState or a Generator that cannot spawn where a spawning
 Generator belongs: each call raises ConfigError (a SpinOracleError), never
 a raw TypeError, ValueError or AttributeError, never a float index, never a
 2^15-entry table, and never ignores the weight."""
@@ -95,6 +95,10 @@ CALLS = {
     "measure_designated draws=list": lambda: so.measure_designated(SPECTRUM, 1, [0.1, 0.2]),
     "measure_designated index=1.0": lambda: so.measure_designated(SPECTRUM, 1.0),
     "measure_designated 2-D spectrum": lambda: so.measure_designated(np.ones((2, 4)) / 8, 1),
+    "measure_designated index=True": lambda: so.measure_designated(SPECTRUM, True),
+    "measure_designated str draws": lambda: so.measure_designated(SPECTRUM, 1, np.array(["a"])),
+    "measure_designated complex spectrum": lambda: so.measure_designated(SPECTRUM + 0j, 1),
+    "measure_designated str spectrum": lambda: so.measure_designated(np.array(["a", "b"]), 0),
     "decide_restricted block=list": lambda: so.decide_restricted([1]),
     "classical_identify oracle=None": lambda: so.classical_identify(None, 8),
     "central_probability dist='ab'": lambda: so.central_probability("ab"),

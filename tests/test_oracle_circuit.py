@@ -108,7 +108,7 @@ def test_walsh_hadamard_involution_and_uniform():
     assert np.max(np.abs(dense @ dense - np.eye(dim))) < 1e-12
     assert np.max(np.abs(dense[:, 0] - 1 / math.sqrt(dim))) < 1e-12
     rng = np.random.default_rng(1)
-    raw = rng.normal(size=(2, dim))  # two real rows; _fwht uses its input as scratch
+    raw = rng.normal(size=(2, dim))  # two real rows; _fwht overwrites its input
     assert np.max(np.abs(_fwht(_fwht(raw.copy())) - raw)) < 1e-12
     assert np.max(np.abs(_fwht(raw.copy()) - raw @ dense.T)) < 1e-12
     assert np.max(np.abs(_transformed_input(dim, "hadamard") - dense @ input_amps(dim))) < 1e-12
