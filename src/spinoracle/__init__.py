@@ -46,15 +46,13 @@ from .spin_core import (
     spin_operators,
 )
 from .squeezing import (
-    BoundingDistribution,
     SqueezeResult,
-    bounding_epsilon,
     central_probability,
-    distribution_variance,
     ideal_overlap,
     optimize_mu,
     reduced_variance,
     sweep_row,
+    tail_template,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands
     squeeze-scan   squeezing sweep CSV (s, mu_opt, v_min, p_c, overlap) plus
-                   per-s probability histograms with the bounding template
+                   per-s probability histograms with the eps = 1/64 tail-bound
+                   template
     qfunc          spherical Q-function grid and basis-state distribution
                    for the coherent or optimally squeezed state
     solve          decision experiments for the restricted / unrestricted /
@@ -427,13 +428,12 @@ def cmd_squeeze_scan(cfg: RunConfig) -> dict[str, list[str]]:
     exponents = _s_range_exponents(cfg.s_range)
     hists = {}
     points = []
-    bound = squeezing.bounding_epsilon()
     for n in exponents:
         sys = make_spin_system(n)
         res = squeezing.optimize_mu(sys, cfg.tol)
-        points.append(squeezing.sweep_row(sys, res))
+        points.append(squeezing.sweep_row(res))
         if sys.dim >= 8:
-            template = [float(v) for v in bound.template(sys.dim)]
+            template = squeezing.tail_template(sys.dim)
         else:
             template = [""] * sys.dim  # template needs at least 8 slots
         hist = {"index": range(sys.dim), "probability": res.distribution.tolist(),

@@ -143,6 +143,8 @@ def merge_two_to_one(state: StateVector, pairing: str = "symmetric") -> StateVec
     _expect(state, StateVector, "state")
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}")
+    if state.dim % 2:
+        raise ConfigError(f"merging pairs needs an even dimension, got {state.dim}")
     return StateVector(_merge(state.amps, pairing))
 
 

@@ -45,12 +45,22 @@ class SphericalGrid(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
-        super().__init__(*(np.asarray(a, dtype=float) for a in (thetas, phis, values)))
+        try:
+            arrays = [None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
+                      for a in (thetas, phis, values)]
+        except (TypeError, ValueError):
+            arrays = [None]
+        if any(a is None for a in arrays):
+            raise ConfigError("grid axes and values must be real numeric arrays")
+        if not arrays[2].size:
+            raise ConfigError("a Q-function grid needs at least one value")
+        super().__init__(*arrays)
 
     def _check(self):
-        if self.values.shape != (len(self.thetas), len(self.phis)):
+        thetas, phis = self.thetas, self.phis
+        if (thetas.ndim, phis.ndim, self.values.shape) != (1, 1, (thetas.size, phis.size)):
             raise InvariantError("grid shape mismatch")
-        if float(self.values.min()) < 0:
+        if not float(self.values.min()) >= 0:  # NaN fails too
             raise InvariantError("Q-function values must be non-negative")
 
 

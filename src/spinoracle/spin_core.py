@@ -130,7 +130,6 @@ def _ladder_coefficients(sys: SpinSystem) -> np.ndarray:
     return np.sqrt(s * (s + 1) - m * (m + 1))
 
 
-@lru_cache(maxsize=None)
 def spin_operators(sys: SpinSystem) -> SpinOperators:
     """Collective spin operators in the qudit basis.
 
@@ -140,6 +139,12 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
     S^2 = s(s+1) I hold to round-off.  The arrays are read-only because the
     cache hands the same ones to every caller.
     """
+    _expect(sys, SpinSystem, "spin system")  # before the cache hashes it
+    return _spin_operators(sys)
+
+
+@lru_cache(maxsize=None)
+def _spin_operators(sys: SpinSystem) -> SpinOperators:
     sz = np.diag(sys.m_values().astype(complex))
     splus = np.zeros((sys.dim, sys.dim), dtype=complex)
     # S+|m> = sqrt(s(s+1) - m(m+1)) |m+1>, i.e. entry (i+1, i)

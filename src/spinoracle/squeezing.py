@@ -21,19 +21,21 @@ the reduced variance at the optimum rises toward the Heisenberg limit 1/2
 and the central pair keeps all but a constant ~3% of the weight.
 
 The tail weight is bounded by an 8-point template distribution
+(tail_template)
 
     {.., 0, eps/3, 2 eps/3, 0, 1/2 - eps, 1/2 - eps, 0, 2 eps/3, eps/3, 0, ..}
 
 whose variance is 1/4 + 16 eps; setting it to the limiting value 1/2 gives
-eps = 1/64 exactly, i.e. each central component holds at least
-1/2 - eps = 31/64 ~ 0.484 of the probability.
+eps = 1/64 (EPSILON), i.e. each central component holds at least
+1/2 - eps = 31/64 ~ 0.484 of the probability.  eps and 1/2 - eps are exact
+in binary floating point, and eps/3 and 2 eps/3 are the doubles nearest
+1/192 and 1/96, so the template needs no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +50,9 @@ _WIDEN_RETRIES = 3
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 
+# Var(template) = 1/4 + 16 eps, so the limiting variance 1/2 pins eps = 1/64
+EPSILON = 1 / 64
+
 
 class SqueezeResult(Frozen):
     """Optimally squeezed state; its probability distribution is mirror-symmetric.
@@ -61,6 +66,7 @@ class SqueezeResult(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, mu: float, state: StateVector, v_minus: float):
+        _expect(state, StateVector, "state")
         super().__init__(mu, state, v_minus, state.probabilities())
 
     def _check(self):
@@ -70,36 +76,16 @@ class SqueezeResult(Frozen):
             raise InvariantError(f"distribution not mirror-symmetric: dev={mirror_dev:.3e}")
 
 
-class BoundingDistribution(Frozen):
-    """Tail-bounding template pinned by Var = 1/2; eps and pc are exact."""
-
-    __slots__ = ("epsilon", "pc")
-
-    def template(self, dim: int) -> list[Fraction]:
-        """The length-dim template distribution (needs dim >= 8)."""
-        if not isinstance(dim, numbers.Integral) or dim < 8 or dim % 2:
-            raise ConfigError(f"template needs an even integer dim >= 8, got {dim!r}")
-        return _template(dim, self.epsilon)
-
-
-def _template(dim: int, eps: Fraction) -> list[Fraction]:
+def tail_template(dim: int) -> list[float]:
+    """The length-dim tail-bound template distribution (needs an even dim >= 8)."""
+    if not isinstance(dim, numbers.Integral) or dim < 8 or dim % 2:
+        raise ConfigError(f"template needs an even integer dim >= 8, got {dim!r}")
     half = dim // 2
-    p = [Fraction(0)] * dim
-    p[half - 1] = p[half] = Fraction(1, 2) - eps
-    p[half - 3] = p[half + 2] = 2 * eps / 3
-    p[half - 4] = p[half + 3] = eps / 3
+    p = [0.0] * dim
+    p[half - 1] = p[half] = 0.5 - EPSILON
+    p[half - 3] = p[half + 2] = 2 * EPSILON / 3
+    p[half - 4] = p[half + 3] = EPSILON / 3
     return p
-
-
-def bounding_epsilon() -> BoundingDistribution:
-    """Solve Var[template] = 1/2 for eps in exact rational arithmetic.
-
-    The variance is affine in eps, so two exact evaluations pin the line.
-    """
-    base = distribution_variance(_template(8, Fraction(0)))
-    slope = distribution_variance(_template(8, Fraction(1))) - base
-    eps = (Fraction(1, 2) - base) / slope
-    return BoundingDistribution(epsilon=eps, pc=Fraction(1, 2) - eps)
 
 
 def twist_generator(sys: SpinSystem) -> np.ndarray:
@@ -110,6 +96,7 @@ def twist_generator(sys: SpinSystem) -> np.ndarray:
     (i, i+2) and (i+2, i), so even and odd qudit indices never mix.  It is the
     dense reference for squeezing, which works in the Sx eigenbasis.
     """
+    _expect(sys, SpinSystem, "spin system")
     s = sys.s
     m = sys.m_values()
     c = _ladder_coefficients(sys)
@@ -119,57 +106,28 @@ def twist_generator(sys: SpinSystem) -> np.ndarray:
     return gen
 
 
-def reduced_variance(state: StateVector, sys: SpinSystem) -> float:
-    """V_- = <Sz^2> - <Sz>^2 of a state of the spin system ``sys``.
+def reduced_variance(state: StateVector) -> float:
+    """V_- = <Sz^2> - <Sz>^2 of a state; its length fixes N.
 
     For squeezed equatorial states the first moment vanishes, so this equals
-    <Sz^2> directly.  Sz is diagonal with m = i - s, so V_- is the variance of
-    the state's basis-state distribution, where the shift by s drops out.
+    <Sz^2> directly.  Sz is diagonal with m = i - (N-1)/2, so V_- is the
+    variance of the state's basis-state distribution.
     """
     _expect(state, StateVector, "state")
-    _expect(sys, SpinSystem, "spin system")
-    if state.dim != sys.dim:
-        raise ConfigError(f"state of dimension {state.dim} is not one of N = {sys.dim}")
-    return distribution_variance(state.probabilities())
-
-
-def distribution_variance(dist) -> float | Fraction:
-    """Var over the qudit index: sum i^2 P_i - (sum i P_i)^2.
-
-    Exact for Fraction-valued distributions; float inputs are evaluated
-    about the centre index for stability.
-    """
-    if not isinstance(dist, np.ndarray):
-        try:
-            dist = list(dist)
-            total = sum(dist)
-        except TypeError:
-            raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ConfigError(f"distribution must sum to 1, got {total}")
-            mean = sum(Fraction(i) * p for i, p in enumerate(dist))
-            second = sum(Fraction(i) ** 2 * p for i, p in enumerate(dist))
-            return second - mean * mean
-    try:
-        p = None if np.iscomplexobj(dist) else np.asarray(dist, dtype=float)
-    except (TypeError, ValueError):
-        p = None
-    if p is None or p.ndim != 1:
-        raise ConfigError(f"distribution must be a 1-D sequence of real numbers, got {dist!r}")
-    if not abs(float(p.sum()) - 1.0) <= 1e-6:  # NaN fails too
-        raise ConfigError(f"distribution must sum to 1, got {p.sum()!r}")
-    centred = np.arange(len(p)) - (len(p) - 1) / 2
-    mean = float(np.dot(centred, p))
-    return float(np.dot(centred * centred, p)) - mean * mean
+    p = state.probabilities()
+    m = np.arange(state.dim) - (state.dim - 1) / 2
+    mean = float(np.dot(m, p))
+    return float(np.dot(m * m, p)) - mean * mean
 
 
 def central_probability(dist) -> float:
     """Weight of the central pair: P[N/2-1], after checking the pair is tied."""
     try:
-        p = np.asarray(dist, dtype=float)
+        p = None if np.iscomplexobj(dist) else np.asarray(dist, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"distribution must be a sequence of numbers, got {dist!r}") from None
+        p = None
+    if p is None:
+        raise ConfigError(f"distribution must be a sequence of real numbers, got {dist!r}")
     if p.ndim != 1 or len(p) % 2 or not len(p):
         raise ConfigError(f"central pair needs a 1-D distribution of even length, got {p.shape}")
     left, right = float(p[len(p) // 2 - 1]), float(p[len(p) // 2])
@@ -370,15 +328,15 @@ def optimize_mu(sys: SpinSystem, tol: float = 1e-8) -> SqueezeResult:
     # of the scan grid
     mu_opt = float(_minimize_scanned(prop.tail_weight, 4.0 / sys.s, tol))
     state = prop.state_at(mu_opt)
-    return SqueezeResult(mu=mu_opt, state=state, v_minus=reduced_variance(state, sys))
+    return SqueezeResult(mu=mu_opt, state=state, v_minus=reduced_variance(state))
 
 
-def sweep_row(sys: SpinSystem, res: SqueezeResult) -> dict:
-    """The sweep row (s, mu_opt, v_min, p_c, overlap) of an optimized result."""
-    _expect(sys, SpinSystem, "spin system")
+def sweep_row(res: SqueezeResult) -> dict:
+    """The sweep row (s, mu_opt, v_min, p_c, overlap) of an optimized result;
+    s = (N-1)/2 for the N of its state."""
     _expect(res, SqueezeResult, "squeeze result")
     return {
-        "s": sys.s,
+        "s": (res.state.dim - 1) / 2,
         "mu_opt": res.mu,
         "v_min": res.v_minus,
         "p_c": central_probability(res.distribution),

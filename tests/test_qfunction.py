@@ -8,6 +8,8 @@ import pytest
 from references import basis_state
 from spinoracle import (
     ConfigError,
+    InvariantError,
+    SphericalGrid,
     StateVector,
     coherent_state,
     make_spin_system,
@@ -125,3 +127,14 @@ def test_grid_layout():
     assert len(grid.thetas) == 9 and len(grid.phis) == 8
     assert grid.values.shape == (9, 8)  # row-major: theta, then phi
     assert grid.phis[1] == pytest.approx(2 * math.pi / 8)
+
+
+@pytest.mark.parametrize("thetas, phis, values", [
+    ([0.0, 1.0], [0.0], [[0.5, 0.5]]),  # values not len(thetas) x len(phis)
+    (0.0, 0.0, [[0.5]]),  # axes that are not 1-D
+    ([0.0], [0.0], [[-0.5]]),
+    ([0.0], [0.0], [[math.nan]]),  # a NaN fails the sign check too
+], ids=["shape", "0-d axes", "negative", "NaN"])
+def test_grid_refuses_values_that_are_no_q_map(thetas, phis, values):
+    with pytest.raises(InvariantError):
+        SphericalGrid(thetas, phis, values)

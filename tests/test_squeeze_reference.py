@@ -26,7 +26,7 @@ VALUE_TOL = 1e-9
 
 def v_min_at(s, mu):
     sys = make_spin_system((int(2 * s) + 1).bit_length() - 1)
-    return reduced_variance(_propagator(sys).state_at(mu), sys)
+    return reduced_variance(_propagator(sys).state_at(mu))
 
 
 def test_sweep_matches_reference(tmp_path):

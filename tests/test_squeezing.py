@@ -6,16 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from references import basis_state
+from references import basis_state, fraction_template, fraction_variance, template_epsilon
 from spinoracle import (
     ConfigError,
     InvariantError,
     SqueezeResult,
     StateVector,
-    bounding_epsilon,
     central_probability,
     coherent_state,
-    distribution_variance,
     expi_hermitian,
     ideal_overlap,
     make_spin_system,
@@ -23,6 +21,7 @@ from spinoracle import (
     reduced_variance,
     spin_operators,
     sweep_row,
+    tail_template,
 )
 from spinoracle.spin_core import _ladder_coefficients
 from spinoracle.squeezing import _bessel_series, _propagator, twist_generator
@@ -374,13 +373,11 @@ def test_squeeze_operator_unitarity(n, mu_scale):
 def test_reduced_variance_reference_values():
     sys = make_spin_system(2)
     pair = StateVector(np.array([0, 1, 1, 0]) / math.sqrt(2))
-    assert reduced_variance(pair, sys) == pytest.approx(0.25, abs=1e-12)
+    assert reduced_variance(pair) == pytest.approx(0.25, abs=1e-12)
     equatorial = coherent_state(sys, math.pi / 2, 0.0)
-    assert reduced_variance(equatorial, sys) == pytest.approx(sys.s / 2, abs=1e-9)
+    assert reduced_variance(equatorial) == pytest.approx(sys.s / 2, abs=1e-9)
     ground = basis_state(sys.dim, 0)
-    assert reduced_variance(ground, sys) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ConfigError):  # a state of another spin system
-        reduced_variance(ground, make_spin_system(3))
+    assert reduced_variance(ground) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_variance_is_the_moment_sum_against_m():
@@ -390,31 +387,7 @@ def test_reduced_variance_is_the_moment_sum_against_m():
         for state in (optimize_mu(sys).state, coherent_state(sys, 1.0, 0.5)):
             m, probs = sys.m_values(), state.probabilities()
             mean = float(np.dot(m, probs))
-            assert reduced_variance(state, sys) == float(np.dot(m * m, probs)) - mean * mean, n
-
-
-def test_distribution_variance_reference_values():
-    assert distribution_variance([0, 0.5, 0.5, 0]) == pytest.approx(0.25, abs=1e-12)
-    point = [0.0] * 8
-    point[5] = 1.0
-    assert distribution_variance(point) == pytest.approx(0.0, abs=1e-12)
-    template = bounding_epsilon().template(8)
-    assert distribution_variance(template) == Fraction(1, 2)
-
-
-def test_distribution_variance_matches_reduced_variance():
-    for n in (2, 3, 5):
-        sys = make_spin_system(n)
-        res = optimize_mu(sys, 1e-8)
-        dv = distribution_variance(res.distribution)
-        assert dv == pytest.approx(reduced_variance(res.state, sys), abs=1e-9)
-
-
-def test_distribution_variance_rejects_unnormalized():
-    with pytest.raises(ConfigError):
-        distribution_variance([0.2, 0.2])
-    with pytest.raises(ConfigError):  # a NaN total fails too
-        distribution_variance([math.nan, 0.5, 0.5])
+            assert reduced_variance(state) == float(np.dot(m * m, probs)) - mean * mean, n
 
 
 def test_optimize_mu_n4_exact_optimum():
@@ -471,10 +444,13 @@ def test_central_probability():
         central_probability([0.5, 0.25, 0.25])
     with pytest.raises(InvariantError):  # a NaN side of the pair fails too
         central_probability([0.25, math.nan, 0.5, 0.25])
+    with pytest.raises(ConfigError):  # the imaginary part is not dropped
+        central_probability(np.array([0.5 + 1j, 0.5]))
 
 
-class _NanState:
-    """Stands in for a state whose probabilities hold a NaN; a StateVector rejects one."""
+class _NanState(StateVector):
+    """A unit-norm state that reports a NaN among its probabilities, which
+    no StateVector's own amplitudes can give."""
 
     def probabilities(self):
         return np.array([0.0, 0.5, math.nan, 0.0])
@@ -482,20 +458,22 @@ class _NanState:
 
 def test_a_nan_distribution_is_not_mirror_symmetric():
     with pytest.raises(InvariantError, match="mirror-symmetric"):
-        SqueezeResult(0.1, _NanState(), 0.3)
+        SqueezeResult(0.1, _NanState(np.array([0, 1, 1, 0]) / math.sqrt(2)), 0.3)
 
 
-def test_bounding_epsilon_exact():
-    bound = bounding_epsilon()
-    assert bound.epsilon == Fraction(1, 64)
-    assert bound.pc == Fraction(31, 64)
-    assert float(bound.pc) == 0.484375
+def test_tail_template_is_the_exact_template_as_floats():
+    eps = template_epsilon()
+    assert eps == Fraction(1, 64)
     for dim in (8, 16, 64):
-        template = bound.template(dim)
-        assert sum(template) == 1
-        assert distribution_variance(template) == Fraction(1, 2)
-    with pytest.raises(ConfigError):
-        bound.template(4)
+        exact = fraction_template(dim, eps)
+        assert sum(exact) == 1
+        assert fraction_variance(exact) == Fraction(1, 2)
+        template = tail_template(dim)
+        assert template == [float(v) for v in exact]
+        assert all(type(v) is float for v in template)  # JSON rows read the exact type
+    for dim in (4, 9, 8.0, True):
+        with pytest.raises(ConfigError):
+            tail_template(dim)
 
 
 def test_ideal_overlap():
@@ -529,7 +507,7 @@ def test_sweep_trends():
 
 def test_sweep_point_fields():
     sys = make_spin_system(3)
-    row = sweep_row(sys, optimize_mu(sys, 1e-8))
+    row = sweep_row(optimize_mu(sys, 1e-8))
     assert set(row) == {"s", "mu_opt", "v_min", "p_c", "overlap"}
     assert row["s"] == 3.5
     assert 2 * row["p_c"] == pytest.approx(row["overlap"], abs=1e-9)

@@ -11,7 +11,6 @@ import pytest
 
 from spinoracle import (
     SpinSystem,
-    bounding_epsilon,
     coherent_state,
     make_spin_system,
     optimize_mu,
@@ -41,7 +40,6 @@ def value_types():
         spin_operators(sys),
         q_function(state, sys, 8, 8),
         optimize_mu(sys),
-        bounding_epsilon(),
         block,
         decided,
         load_config(["qfunc"]),
