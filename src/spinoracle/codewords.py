@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -61,6 +60,11 @@ BLOCK_BYTES = 2**17  # of phase rows per circuit block: 256 Hadamard, 128 Fourie
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
 FOURIER = "fourier"
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is no bool: bools are not indices or counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_dim(dim: int) -> int:
@@ -120,7 +124,7 @@ def designated_index(dim: int) -> int:
 
 def _check_index(dim: int, j) -> int:
     dim = _check_dim(dim)
-    if not isinstance(j, (int, np.integer)) or not 0 <= j < dim:
+    if not _is_integer(j) or not 0 <= j < dim:
         raise ConfigError(f"codeword index {j!r} outside Z_{dim}")
     return dim
 
@@ -190,13 +194,16 @@ def _resolve_weights(variant: str, dim: int, d) -> list[int]:
     valid = _instance_class(variant, dim).weights
     if d is None:
         requested = valid
-    elif isinstance(d, (int, np.integer)):
+    elif _is_integer(d):
         requested = [int(d)]
     else:
         try:
-            requested = sorted(operator.index(m) for m in d)
-        except TypeError:  # d is no iterable, or holds a non-integer
-            raise ConfigError(f"error weight d must be an integer or integers, got {d!r}") from None
+            items = list(d)
+        except TypeError:  # d is no iterable
+            items = [d]
+        if not all(_is_integer(m) for m in items):
+            raise ConfigError(f"error weight d must be an integer or integers, got {d!r}")
+        requested = sorted(int(m) for m in items)
     if variant == FOURIER and list(requested) != [0]:
         raise ConfigError("fourier instances are error-free (d must be 0)")
     chosen = [m for m in requested if m in valid]
@@ -248,8 +255,10 @@ class InstanceBlock(Frozen):
             raise ConfigError("a block needs a non-empty row of integer codeword indices")
         if js.min() < 0 or js.max() >= cls.codewords:
             raise ConfigError(f"codeword index outside Z_{cls.codewords} in {js.tolist()}")
-        if self.draws is not None and len(self.draws) != len(js):
-            raise ConfigError("one row of vote draws per instance")
+        draws = self.draws
+        if draws is not None and not (draws.ndim == 2 and draws.dtype.kind == "f"
+                                      and draws.shape[0] == len(js) and draws.shape[1]):
+            raise ConfigError("vote draws are a 2-D float array: one non-empty row per instance")
         if self.variant == FOURIER:
             if masks is not None:
                 raise ConfigError("fourier instances carry no error syndrome")
@@ -342,7 +351,7 @@ def sample_blocks(variant: str, dim: int, d, trials: int, rng: np.random.Generat
     check no instance class and spawn nothing.
     """
     for name, count in (("trials", trials), ("repetitions", repetitions)):
-        if not isinstance(count, (int, np.integer)) or count < 0:
+        if not _is_integer(count) or count < 0:
             raise ConfigError(f"{name} must be an integer >= 0, got {count!r}")
     if mask is not None and d is not None:
         raise ConfigError(f"a fixed mask sets the error weight; d must be None, got {d!r}")

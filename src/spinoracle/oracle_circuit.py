@@ -15,8 +15,17 @@ With the DFT and z = T_j the output is the adjacent pair
 Decisions run only through decide_blocks, which measures the merged basis
 state of every row of an InstanceBlock into one Decisions: index N-1
 (symmetric merge) for the Hadamard variants, index N-2 (adjacent merge) for
-the Fourier one.  The one-row helpers below (decide_*, measure_designated,
-run_pipeline) go through the same circuit.
+the Fourier one.  A codeword only shifts the output, so a block transforms
+each error mask it shares once and gathers its rows from that base
+spectrum.  W_j's phases are the Walsh character (-1)^popcount(j AND x), so
+the spectrum of W_j XOR e is that of e alone read at y XOR j, bit for bit:
+every butterfly and every symmetric merge pair sees the same operands with
+signs flipped or swapped.  T_j's phases roll the DFT output by j and the
+adjacent merge commutes with even rolls, so every Fourier row is the j = 0
+or j = 1 spectrum of its parity, rolled by j - (j & 1); it agrees with a
+transform of its own to within a few ulp, not bit for bit.  A Hadamard block
+whose rows carry masks of their own transforms each row.  run_pipeline and
+merge_two_to_one run one word through the circuit step by step.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codewords import (
     FOURIER,
@@ -33,6 +43,8 @@ from .codewords import (
     UNRESTRICTED,
     InstanceBlock,
     _check_dim,
+    _fourier_residues,
+    _is_integer,
     designated_index,
     enumerate_blocks,
     hadamard_codeword,
@@ -172,11 +184,37 @@ def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     phases and the output norm are checked once per block.
     """
     phases = _unit_modulus(phases)
-    raw = np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2
+    return _normalized(np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2)
+
+
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """Return a (rows x N) spectrum block once every row sums to 1 within NORM_TOL."""
     dev = float(np.max(np.abs(raw.sum(axis=1) - 1.0)))
-    if not dev <= NORM_TOL:
+    if not dev <= NORM_TOL:  # NaN fails too
         raise InvariantError(f"circuit output not normalized: dev={dev:.3e}")
     return raw
+
+
+@lru_cache(maxsize=32)  # one per N a run uses
+def _fourier_windows(dim: int) -> np.ndarray:
+    """Read-only (2 x N+1 x N) windows over the spectra of T_0 and T_1, each
+    laid twice end to end: window k of row p is that spectrum rolled by N - k."""
+    phases = oracle_phases(_fourier_residues(dim, np.array([[0], [1]])), "fourier")
+    base = _spectra(phases, "fourier", "adjacent")
+    return sliding_window_view(np.concatenate([base, base], axis=1), dim, axis=1)
+
+
+def _block_spectra(block: InstanceBlock, transform: str, pairing: str) -> np.ndarray:
+    """The block's spectra, one transform per shared mask (module docstring)."""
+    dim, js = block.dim, block.js
+    if block.variant == FOURIER:
+        parity = js & 1
+        return _normalized(_fourier_windows(dim)[parity, (dim - (js - parity)) % dim])
+    masks = block.masks
+    if len(block) > 1 and (masks == masks[0]).all():
+        base = _spectra(oracle_phases(masks[:1], transform), transform, pairing)[0]
+        return _normalized(base[np.arange(dim) ^ js[:, None]])
+    return _spectra(block.phases(), transform, pairing)
 
 
 class Decisions(Frozen):
@@ -231,8 +269,7 @@ def measure_designated(
     raw = state.probabilities() if isinstance(state, StateVector) else state
     if raw.ndim != 1 or raw.dtype.kind not in "iuf":
         raise ConfigError(f"a spectrum is one row of reals, got {raw.dtype} of shape {raw.shape}")
-    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
-            or not 0 <= index < len(raw)):
+    if not _is_integer(index) or not 0 <= index < len(raw):
         raise ConfigError(f"outcome index {index!r} outside Z_{len(raw)}")
     if draws is not None and not (isinstance(draws, np.ndarray) and draws.ndim == 1
                                   and len(draws) and draws.dtype.kind == "f"):
@@ -246,11 +283,16 @@ def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
     A block with vote draws is decided by a majority vote over them; the
     per-round success probability for unrestricted A instances is at least
     9/16, so the vote error decays exponentially in q.  Without draws the
-    decision is exact.
+    decision is exact.  Fourier rows are rolled from the two spectra cached
+    per N, and the rows of a Hadamard block that all share row 0's mask are
+    gathered by XOR from that mask's one spectrum; every other block is
+    transformed row by row.  The phases of every transform are checked for
+    unit modulus, and the norm of the base and of the gathered block.
     """
     for block in blocks:
+        _expect(block, InstanceBlock, "block")
         transform, pairing, back = _CIRCUITS[block.variant]
-        raw = _spectra(block.phases(), transform, pairing)
+        raw = _block_spectra(block, transform, pairing)
         yield block, _measure(raw, block.dim - back, block.draws)
 
 
@@ -267,6 +309,8 @@ def report_columns(block: InstanceBlock, decided: Decisions) -> tuple[dict, dict
     with one value per row, and perOutcome (N <= 64 only) to the read-only
     rows x N array of normalized spectra.
     """
+    _expect(block, InstanceBlock, "block")
+    _expect(decided, Decisions, "decided")
     shared = {"variant": block.variant, "N": block.dim, "queries": decided.rounds,
               "repetitions": decided.rounds}
     per_row = {
@@ -323,7 +367,7 @@ def worst_case_error_mask(dim: int, weight: int) -> np.ndarray:
     error contribute coherently to the same off component.
     """
     candidates = [x for x in range(0, _check_dim(dim), 2) if x.bit_count() % 2 == 0]
-    if not isinstance(weight, (int, np.integer)) or not 0 <= weight <= len(candidates):
+    if not _is_integer(weight) or not 0 <= weight <= len(candidates):
         raise ConfigError(f"cannot place {weight} in-phase errors in dim {dim}")
     mask = np.zeros(dim, dtype=np.uint8)
     mask[candidates[:weight]] = 1

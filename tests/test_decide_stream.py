@@ -106,18 +106,23 @@ def test_block_budget_sets_the_rows_per_block():
 
 
 def test_fourier_stream_matches_single_runs_across_blocks():
+    # row j is the single run of T_(j & 1) rolled by j - (j & 1), bit for
+    # bit, and within 1e-15 of T_j's own single run
     dim = 128  # 64 rows per block: 2 blocks
     assert block_rows("fourier", dim) == dim // 2
     pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None)))
     assert [len(block) for block, _ in pairs] == [64, 64]
     rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
     assert len(rows) == dim
+    base = [reference_vote(fourier_row(dim, p), 1, None, "fourier", "adjacent", back=2)[0]
+            for p in (0, 1)]
     for j, (decided, i) in enumerate(rows):
         ref_raw, ref_probs, ref_decision = reference_vote(
             fourier_row(dim, j), 1, None, "fourier", "adjacent", back=2
         )
-        assert decided.raw[i].tobytes() == ref_raw.tobytes()
-        assert decided.pr_top[i] == ref_probs[dim - 2]
+        assert decided.raw[i].tobytes() == np.roll(base[j & 1], j - (j & 1)).tobytes()
+        assert np.max(np.abs(decided.raw[i] - ref_raw)) <= 1e-15
+        assert abs(decided.pr_top[i] - ref_probs[dim - 2]) <= 1e-15
         assert decided.is_a[i] == ref_decision == (j == dim // 2 - 1)
         assert decided.rounds == 1
 

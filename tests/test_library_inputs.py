@@ -12,7 +12,10 @@ a state of odd length as the two-component target's or a merge's, a bool
 tolerance, a float or bool outcome index, a list or strings as vote draws, a 2-D, complex or string
 spectrum, a list where a block belongs, nothing where an oracle belongs, or
 a seed, a string, a RandomState or a Generator that cannot spawn where a spawning
-Generator belongs: each call raises ConfigError (a SpinOracleError), never
+Generator belongs, vote draws in a block that are not a 2-D float array with one
+non-empty row per instance, an integer where a block or its Decisions belong,
+or a bool as a codeword index, an error weight or a trial or repetition
+count: each call raises ConfigError (a SpinOracleError), never
 a raw TypeError, ValueError or AttributeError, never a float index, never a
 2^15-entry table, and never ignores the weight."""
 
@@ -24,11 +27,18 @@ from numpy.random.bit_generator import ISeedSequence
 
 import spinoracle as so
 from spinoracle import ConfigError
+from spinoracle.oracle_circuit import report_columns
 from spinoracle.squeezing import twist_generator
 
 SYSTEM = so.make_spin_system(3)
 STATE = so.coherent_state(SYSTEM, math.pi / 2, 0.0)
 SPECTRUM = np.full(4, 0.25)
+PART = so.instance_from_parts("unrestricted", 64, 5, so.worst_case_error_mask(64, 2))
+
+
+def voted(draws):
+    """Decide PART's one row by a majority vote over the given draws."""
+    return so.decide_unrestricted(so.InstanceBlock(PART.variant, 64, PART.js, PART.masks, draws))
 
 
 def rng():
@@ -110,6 +120,22 @@ CALLS = {
     "measure_designated complex spectrum": lambda: so.measure_designated(SPECTRUM + 0j, 1),
     "measure_designated str spectrum": lambda: so.measure_designated(np.array(["a", "b"]), 0),
     "decide_restricted block=list": lambda: so.decide_restricted([1]),
+    "decide_blocks block=1": lambda: next(so.decide_blocks([1])),
+    "report_columns block=1": lambda: report_columns(1, 2),
+    "report_columns decided=2": lambda: report_columns(PART, 2),
+    "InstanceBlock 1-D draws": lambda: voted(np.full(1, 0.3)),
+    "InstanceBlock str draws": lambda: voted(np.array([["a", "b"]])),
+    "InstanceBlock no draw columns": lambda: voted(np.zeros((1, 0))),
+    "InstanceBlock 3-D draws": lambda: voted(np.zeros((1, 3, 1))),
+    "InstanceBlock int draws": lambda: voted(np.zeros((1, 3), dtype=np.int64)),
+    "hadamard_codeword j=True": lambda: so.hadamard_codeword(8, True),
+    "fourier_codeword j=True": lambda: so.fourier_codeword(8, True),
+    "worst_case_error_mask weight=True": lambda: so.worst_case_error_mask(64, True),
+    "sample_blocks trials=True": lambda: list(so.sample_blocks("restricted", 16, None, True, rng())),
+    "sample_blocks repetitions=True": lambda: list(
+        so.sample_blocks("unrestricted", 64, 2, 2, rng(), True)),
+    "enumerate_blocks d=True": lambda: list(so.enumerate_blocks("restricted", 16, True)),
+    "enumerate_blocks d=[True]": lambda: list(so.enumerate_blocks("restricted", 16, [True])),
     "classical_identify oracle=None": lambda: so.classical_identify(None, 8),
     "central_probability dist='ab'": lambda: so.central_probability("ab"),
     "central_probability 2-D dist": lambda: so.central_probability(np.eye(2) / 2),

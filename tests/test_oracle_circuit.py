@@ -45,6 +45,7 @@ from spinoracle import (
     worst_case_error_mask,
 )
 from spinoracle import oracle_circuit
+from spinoracle.cli import main
 from spinoracle.codewords import enumerate_blocks, oracle_phases, sample_blocks
 from spinoracle.oracle_circuit import (
     Decisions,
@@ -376,6 +377,13 @@ def test_a_nan_circuit_output_is_not_normalized(monkeypatch):
         _spectra(phases, "hadamard", "symmetric")
 
 
+def test_gathered_fourier_rows_are_checked_for_their_norm(monkeypatch):
+    windows = oracle_circuit._fourier_windows(8)
+    monkeypatch.setattr(oracle_circuit, "_fourier_windows", lambda dim: windows * 2)
+    with pytest.raises(InvariantError, match="not normalized"):
+        next(decide_blocks(enumerate_blocks("fourier", 8, None)))
+
+
 def test_a_nan_outcome_probability_fails_the_sum_check():
     probs = np.array([[0.5, 0.5, math.nan, 0.0]])  # pr_top, column 1, is fine
     with pytest.raises(InvariantError, match="do not sum to 1"):
@@ -506,14 +514,102 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
     built = []
     real = oracle_circuit._input_amps
     monkeypatch.setattr(oracle_circuit, "_input_amps", lambda dim: built.append(dim) or real(dim))
-    oracle_circuit._transformed_input.cache_clear()
+    caches = (oracle_circuit._transformed_input, oracle_circuit._fourier_windows)
+    for cache in caches:  # a cached Fourier base would skip R|in> altogether
+        cache.cache_clear()
     try:
         assert len(list(decide_blocks(blocks()))) > 1
         shared = oracle_circuit._transformed_input(built[0], transform)
     finally:
-        oracle_circuit._transformed_input.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert built == [built[0]]  # one R|in> for every block
     assert not shared.flags.writeable
+
+
+def shared_mask_blocks(dim, rng):
+    """Blocks of sampled js (0 and N/2 - 1 among them) that all share one
+    mask: the zero mask, worst-case masks and a restricted mask."""
+    js = np.unique(np.concatenate([[0, dim // 2 - 1], rng.integers(0, dim // 2, 6)]))
+    top = math.ceil(dim / 16) - 1  # the heaviest unrestricted weight
+    masks = [("restricted", np.zeros(dim, dtype=np.uint8)),
+             ("restricted", next(sample_blocks("restricted", dim, None, 1, rng)).masks[0])]
+    masks += [("unrestricted", worst_case_error_mask(dim, w)) for w in sorted({0, min(1, top), top})]
+    for variant, mask in masks:
+        yield InstanceBlock(variant, dim, js, np.broadcast_to(mask, (len(js), dim)))
+
+
+@pytest.mark.parametrize("dim", [2**n for n in range(2, 15)])
+def test_shared_mask_hadamard_rows_are_the_per_row_circuit_bit_for_bit(dim):
+    # W_j XOR e reads e's one spectrum at y XOR j: the same bits as a
+    # transform of each row
+    for block in shared_mask_blocks(dim, np.random.default_rng(dim)):
+        decided = next(decide_blocks([block]))[1]
+        assert decided.raw.tobytes() == _spectra(block.phases(), "hadamard", "symmetric").tobytes()
+
+
+def fourier_base(dim):
+    """The per-row spectra of T_0 and T_1, the rows every Fourier row is rolled from."""
+    return _spectra(InstanceBlock("fourier", dim, np.array([0, 1])).phases(), "fourier", "adjacent")
+
+
+def fourier_blocks(dim):
+    """Every j up to N = 1024; above that 0, 1, N/2 - 1, N/2, N - 1 and 16 sampled js."""
+    if dim <= 1024:
+        yield from enumerate_blocks("fourier", dim, None)
+        return
+    sampled = np.random.default_rng(dim).integers(0, dim, 16)
+    yield InstanceBlock("fourier", dim, np.concatenate([[0, 1, dim // 2 - 1, dim // 2, dim - 1],
+                                                        sampled]))
+
+
+@pytest.mark.parametrize("dim", [2**n for n in range(2, 15)])
+def test_fourier_rows_are_rolled_base_rows(dim):
+    base = fourier_base(dim)
+    for block, decided in decide_blocks(fourier_blocks(dim)):
+        for j, raw in zip(block.js.tolist(), decided.raw):
+            assert raw.tobytes() == np.roll(base[j & 1], j - (j & 1)).tobytes()
+        per_row = _spectra(block.phases(), "fourier", "adjacent")
+        assert np.max(np.abs(decided.raw - per_row)) <= 1e-15
+
+
+def test_each_shared_mask_is_transformed_once(monkeypatch, tmp_path, capsys):
+    # rows through the transforms: two per N for a whole Fourier run, one per
+    # block for a fixed mask or zero masks, one per trial for random masks
+    rows = []
+
+    def counted(transform):
+        def count(amps, *args, **kwargs):
+            rows.append(amps.size // amps.shape[-1])
+            return transform(amps, *args, **kwargs)
+        return count
+
+    for dim in (16, 64):  # R|in> is computed before counting starts
+        _transformed_input(dim, "hadamard")
+        _transformed_input(dim, "fourier")
+    oracle_circuit._fourier_windows.cache_clear()
+    monkeypatch.setattr(oracle_circuit, "_fwht", counted(oracle_circuit._fwht))
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+
+    def transformed(run):
+        rows.clear()
+        run()
+        return sum(rows)
+
+    for n in (4, 6):  # the probability table and the reports: one solve
+        run = ["solve", "--variant", "fourier", "--n", str(n), "--out", str(tmp_path / str(n))]
+        assert transformed(lambda: main(run)) == 2
+        assert transformed(lambda: main(run)) == 0  # the base spectra are cached per N
+    capsys.readouterr()
+    rng = np.random.default_rng(3)
+    fixed = sample_blocks("unrestricted", 64, None, 600, rng, 3, mask=worst_case_error_mask(64, 3))
+    assert transformed(lambda: list(decide_blocks(fixed))) == 3  # 256 + 256 + 88 rows
+    zero = enumerate_blocks("restricted", 16, 0)  # one block of 8 rows
+    assert transformed(lambda: list(decide_blocks(zero))) == 1
+    random = sample_blocks("unrestricted", 64, 3, 600, rng, 3)
+    assert transformed(lambda: list(decide_blocks(random))) == 600
+    one = [instance_from_parts("unrestricted", 64, 5, worst_case_error_mask(64, 3))]
+    assert transformed(lambda: list(decide_blocks(one))) == 1
 
 
 def test_oracle_phases_exact_for_bits():
