@@ -232,7 +232,8 @@ class InstanceBlock(Frozen):
 
     js are the codeword indices; masks is the (rows x N) uint8 error-mask
     block (None for Fourier), whose row sums are the error weights; draws
-    holds each row's majority-vote variates, or is None for exact decisions.
+    holds each row's majority-vote variates (a 2-D float array, one non-empty
+    row per instance), or is None for exact decisions.
     Every instance check runs here, against the variant's instance class and
     once over the whole block, after the arrays are made read-only so no
     check can be undone.  Blocks compare by identity.

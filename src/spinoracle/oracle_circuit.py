@@ -15,16 +15,14 @@ With the DFT and z = T_j the output is the adjacent pair
 Decisions run only through decide_blocks, which measures the merged basis
 state of every row of an InstanceBlock into one Decisions: index N-1
 (symmetric merge) for the Hadamard variants, index N-2 (adjacent merge) for
-the Fourier one.  A codeword only shifts the output, so a block transforms
-each error mask it shares once and gathers its rows from that base
+the Fourier one.  A codeword only shifts the output, so each error mask a
+block shares is transformed once and the rows are gathered from that base
 spectrum.  W_j's phases are the Walsh character (-1)^popcount(j AND x), so
-the spectrum of W_j XOR e is that of e alone read at y XOR j, bit for bit:
-every butterfly and every symmetric merge pair sees the same operands with
-signs flipped or swapped.  T_j's phases roll the DFT output by j and the
-adjacent merge commutes with even rolls, so every Fourier row is the j = 0
-or j = 1 spectrum of its parity, rolled by j - (j & 1); it agrees with a
-transform of its own to within a few ulp, not bit for bit.  A Hadamard block
-whose rows carry masks of their own transforms each row.  run_pipeline and
+the spectrum of W_j XOR e is e's alone read at y XOR j, bit for bit: each
+butterfly and symmetric merge pair sees the same operands, signs flipped or
+swapped.  T_j rolls the DFT output by j and the adjacent merge commutes with
+even rolls, so Fourier row j is the T_(j & 1) spectrum rolled by
+j - (j & 1), within a few ulp of a transform of its own.  run_pipeline and
 merge_two_to_one run one word through the circuit step by step.
 """
 
@@ -180,8 +178,9 @@ def _merge(amps: np.ndarray, pairing: str) -> np.ndarray:
 def _spectra(phases: np.ndarray, transform: str, pairing: str) -> np.ndarray:
     """Unnormalized |merged amplitudes|^2 for a (rows x N) block of oracle phases.
 
-    The one transform-phase-transform-merge circuit of every decision; the
-    phases and the output norm are checked once per block.
+    The one transform-phase-transform-merge circuit of every decision, which
+    runs it on a block's own rows or on the base rows it gathers from; the
+    phases and the output norm are checked once per call.
     """
     phases = _unit_modulus(phases)
     return _normalized(np.abs(_merge(_transform_phase_transform(phases, transform), pairing)) ** 2)
