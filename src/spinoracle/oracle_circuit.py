@@ -6,24 +6,32 @@ inverse), merges the designated two-component superposition onto a single
 basis state, and measures it.
 
 With the Hadamard transform and z = W_j the output is exactly
-(|N/2-1-j> + |N/2+j>)/sqrt(2); restricted errors cancel identically, while
-l unrestricted in-phase errors shrink the principal amplitude to
-(1 - 4l/N)/sqrt(2) and raise the largest off component to 4l/(sqrt(2) N).
+(|N/2-1-j> + |N/2+j>)/sqrt(2).  Restricted errors cancel identically: R|in>
+is exactly zero at every odd-parity position x (where W_(N-1) has a one), so
+an oracle phase there multiplies zero.  l unrestricted in-phase errors
+shrink the principal amplitude to (1 - 4l/N)/sqrt(2) and raise the largest
+off component to 4l/(sqrt(2) N).
 With the DFT and z = T_j the output is the adjacent pair
 (|N/2-1+j> + |N/2+j>)/sqrt(2) with indices mod N.
 
 Decisions run only through decide_blocks, which measures the merged basis
 state of every row of an InstanceBlock into one Decisions: index N-1
 (symmetric merge) for the Hadamard variants, index N-2 (adjacent merge) for
-the Fourier one.  A codeword only shifts the output, so each error mask a
-block shares is transformed once and the rows are gathered from that base
-spectrum.  W_j's phases are the Walsh character (-1)^popcount(j AND x), so
-the spectrum of W_j XOR e is e's alone read at y XOR j, bit for bit: each
-butterfly and symmetric merge pair sees the same operands, signs flipped or
-swapped.  T_j rolls the DFT output by j and the adjacent merge commutes with
-even rolls, so Fourier row j is the T_(j & 1) spectrum rolled by
-j - (j & 1), within a few ulp of a transform of its own.  run_pipeline and
-merge_two_to_one run one word through the circuit step by step.
+the Fourier one.  A codeword only shifts the output and only a mask's
+even-parity part reaches it, so each such part a block shares is transformed
+once per N (the base spectrum is cached) and the rows are gathered from it.
+W_j's phases are the Walsh character (-1)^popcount(j AND x), so the spectrum
+of W_j XOR e is e's alone read at y XOR j, bit for bit: each butterfly and
+symmetric merge pair sees the same operands, signs flipped or swapped.  An
+error at an odd-parity position flips the sign of a zero product, which no
+nonzero sum keeps and |.|^2 drops: W_j XOR e has the spectrum of e AND
+(1 - W_(N-1)) read at y XOR j, bit for bit, and a restricted row that of
+W_j alone.  _transformed_input checks the premise, that R|in> is 0.0 at
+every odd-parity position, once per N.  T_j rolls the DFT output by j and
+the adjacent merge commutes with even rolls, so Fourier row j is the
+T_(j & 1) spectrum rolled by j - (j & 1), within a few ulp of a transform
+of its own.  run_pipeline and merge_two_to_one run one word through the
+circuit step by step.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .codewords import (
     _check_dim,
     _fourier_residues,
     _is_integer,
+    _parity_table,
     designated_index,
     enumerate_blocks,
     hadamard_codeword,
@@ -125,7 +134,12 @@ def run_pipeline(word, transform: str = "hadamard") -> StateVector:
 def _transformed_input(dim: int, transform: str) -> np.ndarray:
     """R|in>, read-only: every row of every block starts from it."""
     amps = _input_amps(dim)
-    out = _fwht(amps) if transform == "hadamard" else np.fft.ifft(amps, norm="ortho")
+    if transform == "hadamard":
+        out = _fwht(amps)
+        if np.any(out[_parity_table(dim) == 1] != 0.0):  # the premise of _block_spectra
+            raise InvariantError(f"R|in> is not zero at every odd-parity position, N={dim}")
+    else:
+        out = np.fft.ifft(amps, norm="ortho")
     out.flags.writeable = False
     return out
 
@@ -203,15 +217,31 @@ def _fourier_windows(dim: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([base, base], axis=1), dim, axis=1)
 
 
+@lru_cache(maxsize=4)  # a run shares at most one mask per N; 128 KB each at N = 16384
+def _mask_spectrum(dim: int, bits: bytes) -> np.ndarray:
+    """The read-only Hadamard spectrum of the word whose 0/1 bytes are given."""
+    word = np.frombuffer(bits, dtype=np.uint8)[None]
+    base = _spectra(oracle_phases(word, "hadamard"), "hadamard", "symmetric")[0]
+    base.flags.writeable = False
+    return base
+
+
 def _block_spectra(block: InstanceBlock, transform: str, pairing: str) -> np.ndarray:
-    """The block's spectra, one transform per shared mask (module docstring)."""
+    """The block's spectra, one transform per shared even-parity mask part.
+
+    Fourier rows are rolled from the two spectra cached per N.  A Hadamard
+    row's spectrum depends only on the even-parity part of its mask, since
+    R|in> is zero at every odd-parity position; so when every row shares row
+    0's part, the block is gathered by XOR from that part's cached spectrum
+    (module docstring), and otherwise each row is transformed.
+    """
     dim, js = block.dim, block.js
     if block.variant == FOURIER:
         parity = js & 1
         return _normalized(_fourier_windows(dim)[parity, (dim - (js - parity)) % dim])
-    masks = block.masks
-    if len(block) > 1 and (masks == masks[0]).all():
-        base = _spectra(oracle_phases(masks[:1], transform), transform, pairing)[0]
+    eff = block.masks > _parity_table(dim)  # the errors at even-parity positions
+    if (eff == eff[0]).all():
+        base = _mask_spectrum(dim, eff[0].tobytes())
         return _normalized(base[np.arange(dim) ^ js[:, None]])
     return _spectra(block.phases(), transform, pairing)
 
@@ -283,10 +313,11 @@ def decide_blocks(blocks) -> Iterator[tuple[InstanceBlock, Decisions]]:
     per-round success probability for unrestricted A instances is at least
     9/16, so the vote error decays exponentially in q.  Without draws the
     decision is exact.  Fourier rows are rolled from the two spectra cached
-    per N, and the rows of a Hadamard block that all share row 0's mask are
-    gathered by XOR from that mask's one spectrum; every other block is
-    transformed row by row.  The phases of every transform are checked for
-    unit modulus, and the norm of the base and of the gathered block.
+    per N, and the rows of a Hadamard block whose masks all share row 0's
+    even-parity part (every restricted, fixed-mask and one-row block) are
+    gathered by XOR from that part's spectrum, cached per N; every other block
+    is transformed row by row.  The phases of every transform are checked for
+    unit modulus, and the norm of each base and of each gathered block.
     """
     for block in blocks:
         _expect(block, InstanceBlock, "block")

@@ -437,7 +437,7 @@ def test_instance_checks_survive_without_a_stored_string():
     "variant, dim, d, budget, block_count",
     [("restricted", 8, None, None, 1), ("restricted", 8, 1, None, 1),
      ("restricted", 16, None, None, 1), ("restricted", 16, None, 2**16, 2),
-     ("restricted", 16, 2, None, 1), ("fourier", 128, None, None, 2)],
+     ("restricted", 16, 2, None, 1), ("fourier", 256, None, None, 4)],
 )
 def test_enumerated_blocks_hold_enumerate_instances_row_for_row(
         monkeypatch, variant, dim, d, budget, block_count):

@@ -39,13 +39,13 @@ from spinoracle import codewords
 from spinoracle.codewords import BLOCK_BYTES, MAX_REPETITIONS, enumerate_blocks, sample_blocks
 from spinoracle.oracle_circuit import decide_blocks, worst_case_spectrum
 
-# bytes of one oracle phase entry: float64 for Hadamard words, complex128 for Fourier ones
-ENTRY_BYTES = {"restricted": 8, "unrestricted": 8, "fourier": 16}
+# bytes of one entry of a block's float64 rows: phase rows or gathered spectra
+ENTRY_BYTES = 8
 
 
-def block_rows(variant, dim):
+def block_rows(dim):
     """The rows of a full block at the default budget, as BLOCK_BYTES sets them."""
-    return BLOCK_BYTES // (ENTRY_BYTES[variant] * dim)
+    return BLOCK_BYTES // (ENTRY_BYTES * dim)
 
 
 def word(block, i=0):
@@ -94,24 +94,24 @@ def test_majority_votes_match_per_round_choice(mode):
 
 
 def test_block_budget_sets_the_rows_per_block():
-    # at N = 64 a block holds 256 Hadamard rows or 128 Fourier rows, and the
-    # largest admitted Hadamard word fits one block of the default budget
-    assert (block_rows("restricted", 64), block_rows("fourier", 64)) == (256, 128)
-    assert block_rows("unrestricted", 2**14) == 1
-    for variant, rows in (("restricted", 256), ("unrestricted", 256), ("fourier", 128)):
-        blocks = list(sample_blocks(variant, 64, None, 2 * rows + 1, np.random.default_rng(0)))
-        assert [len(block) for block in blocks] == [rows, rows, 1]
-        assert blocks[0].phases().nbytes == BLOCK_BYTES
-    assert [len(block) for block in enumerate_blocks("fourier", 256, None)] == [32] * 8
+    # at N = 64 a block of every variant holds 256 float64 rows, and the
+    # largest admitted word fits one block of the default budget
+    assert block_rows(64) == 256
+    assert block_rows(2**14) == 1
+    for variant in ("restricted", "unrestricted", "fourier"):
+        blocks = list(sample_blocks(variant, 64, None, 513, np.random.default_rng(0)))
+        assert [len(block) for block in blocks] == [256, 256, 1]
+        assert next(decide_blocks(blocks))[1].raw.nbytes == BLOCK_BYTES
+    assert [len(block) for block in enumerate_blocks("fourier", 256, None)] == [64] * 4
 
 
 def test_fourier_stream_matches_single_runs_across_blocks():
     # row j is the single run of T_(j & 1) rolled by j - (j & 1), bit for
     # bit, and within 1e-15 of T_j's own single run
-    dim = 128  # 64 rows per block: 2 blocks
-    assert block_rows("fourier", dim) == dim // 2
+    dim = 256  # 64 rows per block: 4 blocks
+    assert block_rows(dim) == dim // 4
     pairs = list(decide_blocks(enumerate_blocks("fourier", dim, None)))
-    assert [len(block) for block, _ in pairs] == [64, 64]
+    assert [len(block) for block, _ in pairs] == [64] * 4
     rows = [(decided, i) for block, decided in pairs for i in range(len(block))]
     assert len(rows) == dim
     base = [reference_vote(fourier_row(dim, p), 1, None, "fourier", "adjacent", back=2)[0]
@@ -130,7 +130,7 @@ def test_fourier_stream_matches_single_runs_across_blocks():
 def test_words_longer_than_a_block_run_one_per_block(monkeypatch):
     # no admitted N outgrows the default budget, so a smaller one is patched in
     dim = 2**14
-    monkeypatch.setattr(codewords, "BLOCK_BYTES", ENTRY_BYTES["restricted"] * dim // 2)
+    monkeypatch.setattr(codewords, "BLOCK_BYTES", ENTRY_BYTES * dim // 2)
     rng = np.random.default_rng(5)
     blocks = list(sample_blocks("restricted", dim, 3, 2, rng))
     assert [len(block) for block in blocks] == [1, 1]
@@ -210,7 +210,7 @@ def test_zero_trials_check_and_draw_nothing():
 def test_seeded_blocks_do_not_depend_on_the_block_size(monkeypatch, variant, dim, d, reps):
     # three BLOCK_BYTES values, then a MAX_REPETITIONS cap that leaves two
     # vote rows per block: other rows per block, the same rows
-    row_bytes = ENTRY_BYTES[variant] * dim
+    row_bytes = ENTRY_BYTES * dim
 
     def rows(budget, cap=MAX_REPETITIONS):
         monkeypatch.setattr(codewords, "BLOCK_BYTES", budget)
@@ -236,7 +236,7 @@ def sampled_rows(variant, dim, d, trials, reps, seed, mask=None):
 
 
 def boundary_counts(dim):
-    rows = block_rows("restricted", dim)
+    rows = block_rows(dim)
     return [rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
@@ -293,7 +293,7 @@ def test_unrestricted_vote_blocks_match_per_round_choice_across_boundaries(mode,
 def test_block_sampler_draws_what_sample_instance_draws(monkeypatch, variant, dim, d):
     # the blocks hold the reference's trials; sample_instance draws the first
     trials, rows = 41, 8  # five full blocks and a last one of one row
-    monkeypatch.setattr(codewords, "BLOCK_BYTES", rows * ENTRY_BYTES[variant] * dim)
+    monkeypatch.setattr(codewords, "BLOCK_BYTES", rows * ENTRY_BYTES * dim)
     rng = recorded_rng(4)
     blocks = list(sample_blocks(variant, dim, d, trials, rng))
     ref_rng = recorded_rng(4)

@@ -514,8 +514,9 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
     built = []
     real = oracle_circuit._input_amps
     monkeypatch.setattr(oracle_circuit, "_input_amps", lambda dim: built.append(dim) or real(dim))
-    caches = (oracle_circuit._transformed_input, oracle_circuit._fourier_windows)
-    for cache in caches:  # a cached Fourier base would skip R|in> altogether
+    caches = (oracle_circuit._transformed_input, oracle_circuit._fourier_windows,
+              oracle_circuit._mask_spectrum)
+    for cache in caches:  # a cached base spectrum would skip R|in> altogether
         cache.cache_clear()
     try:
         assert len(list(decide_blocks(blocks()))) > 1
@@ -527,25 +528,70 @@ def test_the_shared_input_transform_is_computed_once_per_run(monkeypatch, transf
     assert not shared.flags.writeable
 
 
-def shared_mask_blocks(dim, rng):
-    """Blocks of sampled js (0 and N/2 - 1 among them) that all share one
-    mask: the zero mask, worst-case masks and a restricted mask."""
+def sampled_masks(variant, dim, d, rows, rng):
+    """The masks of ``rows`` sampled instances, in one array."""
+    return np.concatenate([block.masks for block in sample_blocks(variant, dim, d, rows, rng)])
+
+
+def shared_part_blocks(dim, rng):
+    """Blocks of sampled js (0 and N/2 - 1 among them) whose rows all share
+    one even-parity mask part: one shared mask (the zero mask, worst-case
+    masks and a restricted mask), a restricted mask per row, and a
+    worst-case mask with odd-parity errors of its own in each row; then
+    one-row blocks of random unrestricted masks."""
     js = np.unique(np.concatenate([[0, dim // 2 - 1], rng.integers(0, dim // 2, 6)]))
+    rows = len(js)
     top = math.ceil(dim / 16) - 1  # the heaviest unrestricted weight
     masks = [("restricted", np.zeros(dim, dtype=np.uint8)),
-             ("restricted", next(sample_blocks("restricted", dim, None, 1, rng)).masks[0])]
+             ("restricted", sampled_masks("restricted", dim, None, 1, rng)[0])]
     masks += [("unrestricted", worst_case_error_mask(dim, w)) for w in sorted({0, min(1, top), top})]
     for variant, mask in masks:
-        yield InstanceBlock(variant, dim, js, np.broadcast_to(mask, (len(js), dim)))
+        yield InstanceBlock(variant, dim, js, np.broadcast_to(mask, (rows, dim)))
+    yield InstanceBlock("restricted", dim, js, sampled_masks("restricted", dim, None, rows, rng))
+    even = worst_case_error_mask(dim, top // 2)
+    odd = sampled_masks("restricted", dim, range(top - top // 2 + 1), rows, rng)
+    yield InstanceBlock("unrestricted", dim, js, even | odd)
+    for j, mask in zip(js, sampled_masks("unrestricted", dim, None, 3, rng)):
+        yield InstanceBlock("unrestricted", dim, np.array([j]), mask[None])
 
 
 @pytest.mark.parametrize("dim", [2**n for n in range(2, 15)])
 def test_shared_mask_hadamard_rows_are_the_per_row_circuit_bit_for_bit(dim):
-    # W_j XOR e reads e's one spectrum at y XOR j: the same bits as a
-    # transform of each row
-    for block in shared_mask_blocks(dim, np.random.default_rng(dim)):
+    # W_j XOR e reads the spectrum of e's even-parity part at y XOR j, since
+    # R|in> is zero at the odd-parity positions: the same bits as a transform
+    # of each row, the sign of a zero aside, which |.|^2 drops
+    even = 1 - np.array([x.bit_count() % 2 for x in range(dim)], dtype=np.uint8)
+    for block in shared_part_blocks(dim, np.random.default_rng(dim)):
         decided = next(decide_blocks([block]))[1]
-        assert decided.raw.tobytes() == _spectra(block.phases(), "hadamard", "symmetric").tobytes()
+        per_row = _spectra(block.phases(), "hadamard", "symmetric")
+        assert decided.raw.tobytes() == per_row.tobytes()
+        part = block.masks[0] & even
+        assert ((block.masks & even) == part).all()  # the blocks take the shared path
+        base = _spectra(oracle_phases(part[None], "hadamard"), "hadamard", "symmetric")[0]
+        assert decided.raw.tobytes() == base[np.arange(dim) ^ block.js[:, None]].tobytes()
+
+
+def test_the_input_transform_must_vanish_at_odd_parity_positions(monkeypatch):
+    # an input whose R|in> is non-zero at odd-parity position 1 alone breaks
+    # the premise of the shared path: refused, never gathered
+    dim = 16  # a power of 4: the round trip below is exact
+    target = _fwht(oracle_circuit._input_amps(dim))
+    target[1] = 0.25
+    skewed = _fwht(target.copy())
+    odd = np.array([x.bit_count() % 2 for x in range(dim)], dtype=bool)
+    assert np.flatnonzero(odd & (_fwht(skewed.copy()) != 0.0)).tolist() == [1]
+    monkeypatch.setattr(oracle_circuit, "_input_amps", lambda n: skewed.copy())
+    caches = (oracle_circuit._transformed_input, oracle_circuit._mask_spectrum)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="odd-parity"):
+            _transformed_input(dim, "hadamard")
+        with pytest.raises(InvariantError, match="odd-parity"):
+            list(decide_blocks(enumerate_blocks("restricted", dim, None)))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def fourier_base(dim):
@@ -574,8 +620,10 @@ def test_fourier_rows_are_rolled_base_rows(dim):
 
 
 def test_each_shared_mask_is_transformed_once(monkeypatch, tmp_path, capsys):
-    # rows through the transforms: two per N for a whole Fourier run, one per
-    # block for a fixed mask or zero masks, one per trial for random masks
+    # rows through the transforms: two per N for a whole Fourier run; one per
+    # N for a restricted run, sampled or enumerated, and for a fixed mask,
+    # whose rows share one even-parity mask part; none when that part's
+    # spectrum is cached; one per trial for random masks in blocks of many rows
     rows = []
 
     def counted(transform):
@@ -584,10 +632,11 @@ def test_each_shared_mask_is_transformed_once(monkeypatch, tmp_path, capsys):
             return transform(amps, *args, **kwargs)
         return count
 
-    for dim in (16, 64):  # R|in> is computed before counting starts
+    for dim in (8, 16, 64):  # R|in> is computed before counting starts
         _transformed_input(dim, "hadamard")
         _transformed_input(dim, "fourier")
     oracle_circuit._fourier_windows.cache_clear()
+    oracle_circuit._mask_spectrum.cache_clear()
     monkeypatch.setattr(oracle_circuit, "_fwht", counted(oracle_circuit._fwht))
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
 
@@ -600,16 +649,21 @@ def test_each_shared_mask_is_transformed_once(monkeypatch, tmp_path, capsys):
         run = ["solve", "--variant", "fourier", "--n", str(n), "--out", str(tmp_path / str(n))]
         assert transformed(lambda: main(run)) == 2
         assert transformed(lambda: main(run)) == 0  # the base spectra are cached per N
+    # enumerated (20 and 744 rows) and sampled (256 + 256 + 88 rows) restricted runs
+    for argv in (["--n", "3"], ["--n", "4"], ["--n", "6", "--trials", "600", "--seed", "3"]):
+        run = ["solve", "--variant", "restricted", *argv, "--out", str(tmp_path / "r")]
+        assert transformed(lambda: main(run)) == 1
+        assert transformed(lambda: main(run)) == 0
     capsys.readouterr()
     rng = np.random.default_rng(3)
-    fixed = sample_blocks("unrestricted", 64, None, 600, rng, 3, mask=worst_case_error_mask(64, 3))
-    assert transformed(lambda: list(decide_blocks(fixed))) == 3  # 256 + 256 + 88 rows
-    zero = enumerate_blocks("restricted", 16, 0)  # one block of 8 rows
-    assert transformed(lambda: list(decide_blocks(zero))) == 1
+    mask = worst_case_error_mask(64, 3)
+    for expected in (1, 0):  # 256 + 256 + 88 rows of one mask
+        fixed = sample_blocks("unrestricted", 64, None, 600, rng, 3, mask=mask)
+        assert transformed(lambda: list(decide_blocks(fixed))) == expected
+    one = [instance_from_parts("unrestricted", 64, 5, mask)]
+    assert transformed(lambda: list(decide_blocks(one))) == 0
     random = sample_blocks("unrestricted", 64, 3, 600, rng, 3)
     assert transformed(lambda: list(decide_blocks(random))) == 600
-    one = [instance_from_parts("unrestricted", 64, 5, worst_case_error_mask(64, 3))]
-    assert transformed(lambda: list(decide_blocks(one))) == 1
 
 
 def test_oracle_phases_exact_for_bits():
