@@ -217,7 +217,7 @@ def _fourier_windows(dim: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([base, base], axis=1), dim, axis=1)
 
 
-@lru_cache(maxsize=4)  # a run shares at most one mask per N; 128 KB each at N = 16384
+@lru_cache(maxsize=4)  # a run shares at most one part per N; 128 KB each at N = 16384
 def _mask_spectrum(dim: int, bits: bytes) -> np.ndarray:
     """The read-only Hadamard spectrum of the word whose 0/1 bytes are given."""
     word = np.frombuffer(bits, dtype=np.uint8)[None]

@@ -63,7 +63,8 @@ def draw_case(i, tmp_path):
     if given and rng.random() < 0.15:  # some of the flags come from a config file
         moved = dict(rng.sample(sorted(given.items()), rng.randint(1, len(given))))
         config = tmp_path / "options.cfg"
-        lines = [f"{flag[2:].replace('-', rng.choice('-_'))} = {text}" for flag, text in moved.items()]
+        lines = [f"{flag[2:].replace('-', rng.choice('-_'))} = {text}"
+                 for flag, text in moved.items()]
         text = ("# fuzz case\n" + "\n".join(lines) + "\n").encode()
         config.write_bytes(text + b"\xff=1\n" if rng.random() < 0.2 else text)  # not UTF-8
         given = {flag: text for flag, text in given.items() if flag not in moved}
@@ -72,8 +73,8 @@ def draw_case(i, tmp_path):
         argv += [f"{flag}={text}"] if rng.random() < 0.3 else [flag, text]
     fault, last = rng.random(), []
     if fault < 0.03:
-        other = rng.choice([c for c in sorted(_COMMAND_DEFAULTS) if set(_flags(c)) - set(_flags(command))])
-        argv += [rng.choice(sorted(set(_flags(other)) - set(_flags(command)))), "1"]
+        foreign = sorted(set().union(*map(_flags, _COMMAND_DEFAULTS)) - set(_flags(command)))
+        argv += [rng.choice(foreign), "1"]  # a flag of another command
     elif fault < 0.05:
         argv += ["--bogus", "1"]
     elif fault < 0.07:
